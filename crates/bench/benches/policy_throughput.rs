@@ -8,7 +8,7 @@ use chirp_trace::gen::{ContextCopy, WorkloadGen};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 fn bench_policies(c: &mut Criterion) {
-    let trace = ContextCopy::default().generate(200_000, 1);
+    let trace = ContextCopy::default().generate_packed(200_000, 1);
     let config = SimConfig::default();
     let mut group = c.benchmark_group("simulate_200k_instructions");
     group.sample_size(10);
@@ -17,7 +17,7 @@ fn bench_policies(c: &mut Criterion) {
         group.bench_function(policy.name(), |b| {
             b.iter_batched(
                 || Simulator::with_policy(&config, policy.build_dispatch(config.tlb.l2, 0)),
-                |mut sim| sim.run(&trace, 0.5),
+                |mut sim| sim.run_columnar(&trace, 0.5),
                 BatchSize::LargeInput,
             );
         });

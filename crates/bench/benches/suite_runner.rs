@@ -1,25 +1,21 @@
-//! Suite-runner benchmark: packed-trace scheduler vs the flat benchwise
-//! baseline, at 1 and N threads, over a 4-benchmark × 9-policy matrix,
-//! plus an epoch-telemetry variant that guards instrumentation overhead
-//! (`telemetry_overhead_8t` in the trajectory is instrumented wall-clock
-//! over uninstrumented at 8 threads).
+//! Suite-runner benchmark: the item scheduler at 1 and N threads over a
+//! 4-benchmark × 9-policy matrix, plus an epoch-telemetry variant that
+//! guards instrumentation overhead (`telemetry_overhead_8t` in the
+//! trajectory is instrumented wall-clock over uninstrumented at 8
+//! threads).
 //!
 //! Prints the usual Criterion lines and appends one JSON object per
 //! invocation to `BENCH_runner.json` at the workspace root (override with
 //! `CHIRP_BENCH_OUT`), so wall-clock and peak-trace-memory trajectories
-//! accumulate across commits. Peak memory for the scheduler is measured
-//! (the scheduler tracks resident packed bytes); for the baseline it is
-//! the analytic peak — `min(threads, benchmarks)` flat 40-byte-per-record
-//! traces resident at once, which the benchwise design guarantees.
+//! accumulate across commits. Peak trace memory is the scheduler's
+//! estimate of the packed trace bytes its in-flight items hold.
 
 use chirp_bench::lineup9;
-use chirp_sim::baseline::run_suite_benchwise;
 use chirp_sim::{
     last_scheduler_summary, run_suite, run_suite_telemetry, RunnerConfig, TelemetrySpec,
 };
 use chirp_telemetry::TelemetryMode;
 use chirp_trace::suite::{build_suite, BenchmarkSpec, SuiteConfig};
-use chirp_trace::TraceRecord;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -52,7 +48,6 @@ struct Measured {
 /// Which runner a benchmark variant exercises.
 #[derive(Clone, Copy)]
 enum Variant {
-    Benchwise,
     Sched,
     /// Scheduler with epoch telemetry on — the instrumentation overhead
     /// guard. Must stay close to `Sched` wall-clock.
@@ -65,29 +60,20 @@ fn bench_suite_runner(c: &mut Criterion) {
     let telemetry =
         TelemetrySpec { mode: TelemetryMode::Epochs, epoch_instructions: INSTRUCTIONS as u64 / 10 };
 
-    // Equivalence sanity before timing anything: the runners must agree
-    // bit-for-bit or the comparison is meaningless. This also pins the
-    // telemetry guarantee: instrumented results match the baseline.
-    let reference = run_suite_benchwise(&suite, &policies, &config(2));
-    assert_eq!(
-        run_suite(&suite, &policies, &config(2)),
-        reference,
-        "scheduler must reproduce the baseline bit-for-bit"
-    );
+    // Equivalence sanity before timing anything: the variants must agree
+    // bit-for-bit or the comparison is meaningless. This pins the
+    // telemetry guarantee: instrumented results match plain runs.
     assert_eq!(
         run_suite_telemetry(&suite, &policies, &config(2), &telemetry).0,
-        reference,
-        "instrumented runs must reproduce the baseline bit-for-bit"
+        run_suite(&suite, &policies, &config(2)),
+        "instrumented runs must reproduce plain runs bit-for-bit"
     );
 
-    let flat_bytes_per_trace = (INSTRUCTIONS * std::mem::size_of::<TraceRecord>()) as u64;
     let mut measured: Vec<Measured> = Vec::new();
     let mut group = c.benchmark_group("suite_runner");
     group.sample_size(SAMPLES);
 
     for (name, threads, variant) in [
-        ("baseline_benchwise_1t", 1, Variant::Benchwise),
-        ("baseline_benchwise_8t", THREADS_HIGH, Variant::Benchwise),
         ("sched_packed_1t", 1, Variant::Sched),
         ("sched_packed_8t", THREADS_HIGH, Variant::Sched),
         ("telemetry_epochs_8t", THREADS_HIGH, Variant::SchedTelemetry),
@@ -99,7 +85,6 @@ fn bench_suite_runner(c: &mut Criterion) {
                 let cfg = config(threads);
                 let t0 = Instant::now();
                 let runs = match variant {
-                    Variant::Benchwise => run_suite_benchwise(&suite, &policies, &cfg),
                     Variant::Sched => run_suite(&suite, &policies, &cfg),
                     Variant::SchedTelemetry => {
                         run_suite_telemetry(&suite, &policies, &cfg, &telemetry).0
@@ -109,13 +94,8 @@ fn bench_suite_runner(c: &mut Criterion) {
                 runs
             })
         });
-        peak_bytes = match variant {
-            Variant::Benchwise => threads.min(BENCHMARKS) as u64 * flat_bytes_per_trace,
-            Variant::Sched | Variant::SchedTelemetry => {
-                last_scheduler_summary().expect("scheduler ran").peak_resident_bytes
-            }
-        }
-        .max(peak_bytes);
+        peak_bytes =
+            last_scheduler_summary().expect("scheduler ran").peak_resident_bytes.max(peak_bytes);
         measured.push(Measured {
             name,
             median_secs: median_secs(&samples),
@@ -131,23 +111,13 @@ fn bench_suite_runner(c: &mut Criterion) {
 /// ratios to the trajectory file.
 fn write_trajectory(measured: &[Measured]) {
     let by_name = |n: &str| measured.iter().find(|m| m.name == n).expect("measured");
-    let base_8t = by_name("baseline_benchwise_8t");
     let sched_8t = by_name("sched_packed_8t");
     let telemetry_8t = by_name("telemetry_epochs_8t");
-    let speedup_8t = base_8t.median_secs / sched_8t.median_secs.max(1e-9);
-    let mem_ratio = sched_8t.peak_trace_bytes as f64 / base_8t.peak_trace_bytes.max(1) as f64;
     let telemetry_overhead_8t = telemetry_8t.median_secs / sched_8t.median_secs.max(1e-9);
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // On a single logical CPU an 8-thread run cannot beat 1-thread wall
-    // clock, so flag the speedup number as not meaningful rather than
-    // letting a ~1.0 ratio read as a regression.
+    // clock; the flag keeps the 1t/8t pair from reading as a regression.
     let scaling_expected = cpus > 1;
-    if !scaling_expected {
-        println!(
-            "note: {cpus} cpu available — speedup_8t {speedup_8t:.3} reflects scheduling \
-             overhead, not thread scaling (thread_scaling_expected=false)"
-        );
-    }
 
     let fields: Vec<String> = measured
         .iter()
@@ -162,7 +132,6 @@ fn write_trajectory(measured: &[Measured]) {
         "{{\"bench\":\"suite_runner\",\"benchmarks\":{BENCHMARKS},\"policies\":9,\
          \"instructions\":{INSTRUCTIONS},\"reps\":{SAMPLES},\"cpus\":{cpus},\
          \"thread_scaling_expected\":{scaling_expected},{},\
-         \"speedup_8t\":{speedup_8t:.3},\"peak_mem_ratio_8t\":{mem_ratio:.4},\
          \"telemetry_overhead_8t\":{telemetry_overhead_8t:.3}}}",
         fields.join(",")
     );

@@ -39,8 +39,8 @@ fn main() {
         ),
     };
     let gen = make(&name);
-    let trace = gen.generate(len, 0);
-    let stats = chirp_trace::TraceStats::from_trace(&trace);
+    let trace = gen.generate_packed(len, 0);
+    let stats = chirp_trace::TraceStats::from_trace(&trace.to_records());
     println!(
         "{name}: {} instr, {} code pages, {} data pages, mem {:.1}%, br {:.1}%",
         stats.instructions,
@@ -52,7 +52,7 @@ fn main() {
     let config = SimConfig::default();
     for policy in PolicyKind::paper_lineup() {
         let mut sim = Simulator::with_policy(&config, policy.build_dispatch(config.tlb.l2, 0));
-        let r = sim.run(&trace, config.warmup_fraction);
+        let r = sim.run_columnar(&trace, config.warmup_fraction);
         println!(
             "  {:<8} MPKI {:>8.3}  IPC {:.4}  eff {:.3}  tbl-rate {:.3}  dead-evict {:>8}",
             r.policy,

@@ -9,7 +9,8 @@ use std::path::Path;
 
 fn main() {
     let mut args = HarnessArgs::from_env();
-    // OPT replays are two-pass and memory-heavy; default to a small subset.
+    // The OPT oracle holds every L2 access position of a trace, so cap the
+    // suite at a small subset.
     if args.benchmarks > 32 {
         args.benchmarks = 32;
         eprintln!("note: OPT bound capped at 32 benchmarks");

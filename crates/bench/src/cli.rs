@@ -6,9 +6,6 @@
 //! --benchmarks N      number of suite benchmarks (default 96)
 //! --instructions M    instructions simulated per benchmark (default 1_000_000)
 //! --threads T         worker threads (default: available parallelism)
-//! --lanes L           software-pipeline lane width: up to L same-trace
-//!                     policy units interleaved per worker (default 1;
-//!                     results are bit-identical at any width)
 //! --store DIR         chirp-store directory: archive traces, skip runs
 //!                     whose results are already in the ledger
 //! --mem-budget BYTES  cap on packed-trace bytes in flight across workers
@@ -77,8 +74,6 @@ pub struct HarnessArgs {
     pub instructions: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Lane width for the software-pipelined hot loop (1 = sequential).
-    pub lanes: usize,
     /// Optional `chirp-store` directory for incremental execution.
     pub store: Option<PathBuf>,
     /// Optional cap on packed-trace bytes resident across workers.
@@ -105,7 +100,6 @@ impl Default for HarnessArgs {
             benchmarks: 96,
             instructions: 1_000_000,
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-            lanes: 1,
             store: None,
             mem_budget: None,
             telemetry: TelemetryMode::Off,
@@ -132,7 +126,6 @@ impl HarnessArgs {
                 "--benchmarks" => out.benchmarks = next_num(&mut it, &arg)?,
                 "--instructions" => out.instructions = next_num(&mut it, &arg)?,
                 "--threads" => out.threads = next_num(&mut it, &arg)?,
-                "--lanes" => out.lanes = next_num(&mut it, &arg)?,
                 "--store" => {
                     let dir = it.next().ok_or_else(|| format!("{arg} needs a directory"))?;
                     out.store = Some(PathBuf::from(dir));
@@ -175,7 +168,7 @@ impl HarnessArgs {
                 "--help" | "-h" => {
                     return Err(format!(
                         "usage: [--benchmarks N] [--instructions M] [--threads T] \
-                         [--lanes L] [--store DIR] [--mem-budget BYTES[K|M|G]] [--full] \
+                         [--store DIR] [--mem-budget BYTES[K|M|G]] [--full] \
                          [--telemetry {}] [--epoch-instructions N] [--telemetry-out DIR] \
                          [--stream-chunk N] [--resume] [--input FILE]",
                         TelemetryMode::HELP
@@ -184,7 +177,7 @@ impl HarnessArgs {
                 other => return Err(format!("unknown flag: {other}")),
             }
         }
-        if out.benchmarks == 0 || out.instructions == 0 || out.threads == 0 || out.lanes == 0 {
+        if out.benchmarks == 0 || out.instructions == 0 || out.threads == 0 {
             return Err("flag values must be positive".to_string());
         }
         if out.mem_budget == Some(0) {
@@ -218,7 +211,6 @@ impl HarnessArgs {
         RunnerConfig {
             instructions: self.instructions,
             threads: self.threads,
-            lanes: self.lanes,
             store: self.store.clone(),
             mem_budget: self.mem_budget,
             stream_chunk: self.stream_chunk,
@@ -247,10 +239,12 @@ pub fn exit_on_err<T, E: std::fmt::Display>(result: Result<T, E>, context: impl 
 }
 
 /// Prints the scheduler's one-line summary for the experiment that just
-/// ran, tagged with `label`. No-op if the runner has not scheduled
-/// anything yet (e.g. every pair came from the ledger).
+/// ran, tagged with `label`. Prints only a summary recorded since the
+/// previous call, so an experiment that scheduled nothing (every pair
+/// came from the ledger, or it never uses the scheduler) prints nothing
+/// rather than an earlier experiment's summary.
 pub fn print_scheduler_summary(label: &str) {
-    if let Some(summary) = chirp_sim::last_scheduler_summary() {
+    if let Some(summary) = chirp_sim::take_scheduler_summary() {
         println!("[scheduler] {label}: {}", summary.render());
     }
 }
@@ -387,15 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn lanes_flag_reaches_runner_config() {
-        assert_eq!(parse(&[]).unwrap().lanes, 1, "lanes default to sequential");
-        let a = parse(&["--lanes", "4"]).unwrap();
-        assert_eq!(a.lanes, 4);
-        assert_eq!(a.runner_config().lanes, 4);
-        assert_eq!(a.runner_config().lane_width(), 4);
-    }
-
-    #[test]
     fn stream_chunk_flag_reaches_runner_config() {
         assert_eq!(parse(&[]).unwrap().stream_chunk, 0, "defaults to the runner default");
         let a = parse(&["--stream-chunk", "8_192"]).unwrap();
@@ -427,7 +412,6 @@ mod tests {
     fn rejects_unknown_and_zero() {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--lanes", "0"]).is_err());
         assert!(parse(&["--benchmarks"]).is_err());
         assert!(parse(&["--benchmarks", "abc"]).is_err());
     }

@@ -12,8 +12,8 @@
 //! byte-identical, because both call [`chirp_query::Answer::render_json`]
 //! on the same index. The payload lands in a
 //! `<script type="application/json" id="chirp-data">` block; a small
-//! inline script renders SVG trajectory charts (throughput, lane-sweep
-//! best, serve p50/p99) with regression markers wherever a point drops
+//! inline script renders SVG trajectory charts (sequential and factored
+//! throughput, serve p50/p99) with regression markers wherever a point drops
 //! more than 10% below its predecessor — the same `new < 0.9 * prev`
 //! rule `scripts/bench.sh`'s guard applies — plus a per-policy MPKI
 //! panel (`mean mpki from runs group by policy`) when a store is given.
@@ -35,16 +35,11 @@ use std::process::ExitCode;
 /// `chirp-query --json` output the panel plots. Trajectory panels read
 /// the `bench` table; the MPKI panel reads `runs` and only renders when
 /// a store is attached.
-const TRAJECTORY_PANELS: [(&str, &str, &str); 6] = [
+const TRAJECTORY_PANELS: [(&str, &str, &str); 5] = [
     (
         "sim_throughput",
         "Simulator throughput (instr/s, sequential baseline)",
         "show instr_per_sec_1t from bench where bench=sim_throughput",
-    ),
-    (
-        "sim_throughput_best",
-        "Simulator throughput (instr/s, best over lane sweep)",
-        "show best(instr_per_sec_1t,instr_per_sec_1t_dyn,instr_per_sec_1t_lanes2,instr_per_sec_1t_lanes4,instr_per_sec_1t_lanes8) from bench where bench=sim_throughput",
     ),
     (
         "sim_throughput_factored",

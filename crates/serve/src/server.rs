@@ -21,7 +21,7 @@
 use crate::wire::{
     self, err, read_request, write_response, Request, Response, VerdictReply, WireError,
 };
-use chirp_sim::sched::{run_unit_groups, WorkItem};
+use chirp_sim::sched::{run_items, WorkItem};
 use chirp_sim::store_cache::{record_from_run, run_from_record, run_key};
 use chirp_sim::{run_policy_group, BenchRun, PolicyKind, SimConfig};
 use chirp_store::archive::ArchiveOutcome;
@@ -717,38 +717,23 @@ fn run_policies(
     if !missing.is_empty() {
         shared.metrics.counter("simulated_pairs").add(missing.len() as u64);
         let est = trace.resident_bytes();
-        let slot = Mutex::new(Some(trace));
         let work = [WorkItem { bench: 0, policies: missing.clone() }];
-        // The whole missing lineup forms one group: one shared front-end
-        // pass over the trace, one tiny replay back-end per policy
-        // (`run_policy_group`; single-policy groups take the plain
-        // columnar loop). Bit-identical to per-policy `run_columnar`.
-        let outcome = run_unit_groups(
-            &work,
-            shared.config.threads,
-            est,
-            None,
-            missing.len().max(1),
-            |_item| {
-                Ok(slot
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("single work item fetches once"))
-            },
-            |_, positions, trace| {
-                let kinds: Vec<&PolicyKind> =
-                    positions.iter().map(|&pos| &spec.policies[work[0].policies[pos]]).collect();
-                run_policy_group(sim_config, &kinds, spec.seed, trace, true)
-                    .into_iter()
-                    .map(|result| BenchRun {
-                        benchmark: spec.name.clone(),
-                        category: spec.category,
-                        result,
-                    })
-                    .collect::<Vec<_>>()
-            },
-        );
+        // The whole missing lineup is one item: one shared front-end pass
+        // over the trace and one tiny replay back-end per policy, or the
+        // plain columnar loop for a single policy (`run_policy_group`).
+        // Bit-identical to per-policy `run_columnar`.
+        let outcome = run_items(&work, shared.config.threads, est, None, |item| {
+            let kinds: Vec<&PolicyKind> =
+                item.policies.iter().map(|&i| &spec.policies[i]).collect();
+            Ok(run_policy_group(sim_config, &kinds, spec.seed, &trace, true)
+                .into_iter()
+                .map(|result| BenchRun {
+                    benchmark: spec.name.clone(),
+                    category: spec.category,
+                    result,
+                })
+                .collect::<Vec<_>>())
+        });
         let (mut results, _) = match outcome {
             Ok(v) => v,
             Err(e) => {

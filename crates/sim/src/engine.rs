@@ -23,15 +23,10 @@ use chirp_trace::{
 /// columns stay resident in L1/L2 cache while it is consumed.
 pub(crate) const CHUNK_SIZE: usize = 4096;
 
-/// The assembled machine model.
-///
-/// Generic over the L2 TLB replacement policy. The default parameter keeps
-/// the dynamic-dispatch construction (`Simulator::new` with a boxed
-/// policy) compiling unchanged; performance-sensitive callers use
-/// [`Simulator::with_policy`] with a concrete type (for example
-/// [`crate::PolicyDispatch`]) so the whole per-instruction chain
-/// monomorphizes.
-pub struct Simulator<P: TlbReplacementPolicy = Box<dyn TlbReplacementPolicy>> {
+/// The assembled machine model, generic over the L2 TLB replacement
+/// policy so the whole per-instruction chain monomorphizes (callers
+/// usually pass a [`crate::PolicyDispatch`]).
+pub struct Simulator<P: TlbReplacementPolicy> {
     mem: MemoryHierarchy,
     branch: BranchUnit,
     tlbs: TlbHierarchy<P>,
@@ -48,19 +43,11 @@ impl<P: TlbReplacementPolicy> std::fmt::Debug for Simulator<P> {
     }
 }
 
-#[cfg(feature = "legacy-dyn")]
-impl Simulator {
-    /// Builds a simulator with a boxed (dynamically dispatched) L2 TLB
-    /// replacement policy — the legacy constructor, kept as a
-    /// compatibility shim over [`Simulator::with_policy`] behind the
-    /// `legacy-dyn` feature. New code should use
-    /// [`Simulator::with_policy`] with a concrete policy type (usually
-    /// [`crate::PolicyDispatch`]); the boxed path costs a vtable call per
-    /// policy touch and is kept only so the shim's equivalence test can
-    /// keep proving the two dispatch strategies identical.
-    pub fn new(config: &SimConfig, l2_policy: Box<dyn TlbReplacementPolicy>) -> Self {
-        Simulator::with_policy(config, l2_policy)
-    }
+/// The instruction index at which the measured window opens: the first
+/// `warmup_fraction` of a `len`-record trace warms the structures. Every
+/// engine cuts at this index, so their results agree bit for bit.
+pub(crate) fn warmup_cut(len: usize, warmup_fraction: f64) -> usize {
+    (((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize).min(len)
 }
 
 impl<P: TlbReplacementPolicy> Simulator<P> {
@@ -79,29 +66,18 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
     /// Executes one instruction, accumulating cycles.
     #[inline]
     pub fn step(&mut self, rec: &TraceRecord) {
-        self.step_decoded(rec, vpn(rec.pc), vpn(rec.effective_address));
-    }
-
-    /// [`step`](Self::step) with the instruction/data page numbers already
-    /// computed. The lane engine batch-decodes each burst of records and
-    /// derives both vpns in the decode pass, so the interleaved probe loop
-    /// issues straight into the TLB arrays without per-record address
-    /// arithmetic. `dvpn` is ignored for non-memory records (callers pass
-    /// `vpn(0)` or any value).
-    #[inline]
-    pub(crate) fn step_decoded(&mut self, rec: &TraceRecord, ivpn: u64, dvpn: u64) {
         self.instructions += 1;
         let mut cycles = 1u64;
 
         // Instruction side: translate the fetch PC, then fetch.
-        cycles += self.tlbs.translate(rec.pc, ivpn, TranslationKind::Instruction).cycles;
+        cycles += self.tlbs.translate(rec.pc, vpn(rec.pc), TranslationKind::Instruction).cycles;
         let fetch_latency = self.mem.fetch(rec.pc);
         cycles += self.cache_penalty(fetch_latency);
 
         // Data side.
         if rec.kind.is_memory() {
             let ea = rec.effective_address;
-            cycles += self.tlbs.translate(rec.pc, dvpn, TranslationKind::Data).cycles;
+            cycles += self.tlbs.translate(rec.pc, vpn(ea), TranslationKind::Data).cycles;
             let lat = match rec.kind {
                 InstrKind::Load => self.mem.load(ea),
                 InstrKind::Store => self.mem.store(ea),
@@ -129,56 +105,45 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
         latency.saturating_sub(4)
     }
 
-    /// Runs the whole trace, warming on the first `warmup_fraction` and
-    /// measuring the rest.
+    /// Runs a [`PackedTrace`], warming on the first `warmup_fraction` and
+    /// measuring the rest. The trace is walked in struct-of-arrays chunks
+    /// ([`PackedTrace::chunks`]) so the loop reads the pc/kind/taken
+    /// columns directly.
     ///
-    /// Generic over [`TraceSource`], so the same code path serves a flat
-    /// `&[TraceRecord]`, a `Vec<TraceRecord>` and a
-    /// [`chirp_trace::PackedTrace`] (the runner's shared in-memory form) —
-    /// results are identical because the packed iterator yields the exact
-    /// records that were packed.
-    pub fn run<T: TraceSource + ?Sized>(&mut self, trace: &T, warmup_fraction: f64) -> RunResult {
-        let len = trace.len();
-        let warmup = ((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize;
-        let mut records = trace.records();
-        for rec in records.by_ref().take(warmup.min(len)) {
-            self.step(&rec);
-        }
-        let window = self.window_start();
-        for rec in records {
-            self.step(&rec);
-        }
-        self.finish_result(window)
-    }
-
-    /// Runs a [`PackedTrace`] through the columnar hot loop: the trace is
-    /// streamed in struct-of-arrays chunks ([`PackedTrace::chunks`]) so the
-    /// loop reads the pc/kind/taken columns directly instead of
-    /// materialising a full [`TraceRecord`] through the iterator chain for
-    /// every instruction.
-    ///
-    /// Produces a [`RunResult`] bit-identical to
-    /// [`run`](Self::run)`(trace, warmup_fraction)` — the chunked records
-    /// are exactly the packed records in order, and warmup is cut at the
-    /// same instruction index (mid-chunk via [`TraceChunk::split_at`]).
+    /// This is the reference loop: every other engine (streamed,
+    /// factored, the OPT back end) is pinned bit-identical to it by
+    /// `tests/equivalence_matrix.rs`.
     pub fn run_columnar(&mut self, trace: &PackedTrace, warmup_fraction: f64) -> RunResult {
-        let len = trace.len();
-        let warmup = (((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize).min(len);
+        let warmup = warmup_cut(trace.len(), warmup_fraction);
         let mut window = None;
         let mut pos = 0usize;
         for chunk in trace.chunks(CHUNK_SIZE) {
-            if window.is_none() && warmup <= pos + chunk.len() {
-                let (head, tail) = chunk.split_at(warmup - pos);
-                self.step_chunk(&head);
-                window = Some(self.window_start());
-                self.step_chunk(&tail);
-            } else {
-                self.step_chunk(&chunk);
-            }
-            pos += chunk.len();
+            self.step_window(&chunk, &mut pos, warmup, &mut window);
         }
         let window = window.unwrap_or_else(|| self.window_start());
         self.finish_result(window)
+    }
+
+    /// Steps one chunk that starts at absolute record `pos`, opening the
+    /// measured window mid-chunk (via [`TraceChunk::split_at`]) when the
+    /// chunk contains the `warmup` cut.
+    #[inline]
+    fn step_window(
+        &mut self,
+        chunk: &TraceChunk<'_>,
+        pos: &mut usize,
+        warmup: usize,
+        window: &mut Option<(u64, u64, TlbStats)>,
+    ) {
+        if window.is_none() && warmup <= *pos + chunk.len() {
+            let (head, tail) = chunk.split_at(warmup - *pos);
+            self.step_chunk(&head);
+            *window = Some(self.window_start());
+            self.step_chunk(&tail);
+        } else {
+            self.step_chunk(chunk);
+        }
+        *pos += chunk.len();
     }
 
     /// Steps every record of one columnar chunk.
@@ -194,7 +159,8 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
     /// [`RunResult`] bit-identical to [`run_columnar`](Self::run_columnar)
     /// on the materialized trace: batch boundaries carry no simulation
     /// meaning, and the warmup window is cut at the same absolute
-    /// instruction index (computed from [`TraceStream::len`]).
+    /// instruction index (computed from [`TraceStream::len`]). A stream
+    /// that ends early closes the measured window at its actual end.
     ///
     /// # Errors
     ///
@@ -206,14 +172,23 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
         stream: &mut S,
         warmup_fraction: f64,
     ) -> Result<RunResult, StreamError> {
-        run_stream_units(std::slice::from_mut(self), stream, warmup_fraction)
-            .map(|mut results| results.pop().expect("one simulator in, one result out"))
+        let warmup = warmup_cut(stream.len(), warmup_fraction);
+        let mut window = None;
+        let mut pos = 0usize;
+        while let Some(batch) = stream.next_batch()? {
+            for chunk in batch.chunks(CHUNK_SIZE) {
+                self.step_window(&chunk, &mut pos, warmup, &mut window);
+            }
+        }
+        let window = window.unwrap_or_else(|| self.window_start());
+        Ok(self.finish_result(window))
     }
 
-    /// Runs the whole trace like [`run`](Self::run), additionally sampling
-    /// telemetry counters every `epoch_instructions` measured instructions.
+    /// Runs the whole trace like [`run_columnar`](Self::run_columnar),
+    /// additionally sampling telemetry counters every
+    /// `epoch_instructions` measured instructions.
     ///
-    /// Returns the identical [`RunResult`] that `run` would produce — the
+    /// Returns the identical [`RunResult`] that `run_columnar` would produce — the
     /// instrumentation is strictly observational: the per-epoch probes go
     /// through `&self` accessors (policy state, occupancy) and the
     /// dead-outcome scoreboard is shadow state on the L2 TLB that never
@@ -232,10 +207,9 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
         epoch_instructions: u64,
     ) -> (RunResult, Vec<EpochRow>) {
         self.tlbs.l2_mut().enable_outcome_tracking();
-        let len = trace.len();
-        let warmup = ((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize;
+        let warmup = warmup_cut(trace.len(), warmup_fraction);
         let mut records = trace.records();
-        for rec in records.by_ref().take(warmup.min(len)) {
+        for rec in records.by_ref().take(warmup) {
             self.step(&rec);
         }
         let window = self.window_start();
@@ -253,16 +227,13 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
     }
 
     /// Snapshot of machine state at the start of the measured window.
-    pub(crate) fn window_start(&self) -> (u64, u64, TlbStats) {
+    fn window_start(&self) -> (u64, u64, TlbStats) {
         (self.cycles, self.instructions, self.tlbs.l2().stats())
     }
 
     /// Assembles the [`RunResult`] for the window opened by
     /// [`window_start`](Self::window_start).
-    pub(crate) fn finish_result(
-        &self,
-        (cycles0, instructions0, stats0): (u64, u64, TlbStats),
-    ) -> RunResult {
+    fn finish_result(&self, (cycles0, instructions0, stats0): (u64, u64, TlbStats)) -> RunResult {
         let stats1 = self.tlbs.l2().stats();
         let measured = TlbStats {
             hits: stats1.hits - stats0.hits,
@@ -323,72 +294,21 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
     }
 }
 
-/// Runs several simulators in lockstep over one streamed trace: each
-/// pulled batch is stepped through every simulator before the next batch
-/// is requested, so a whole benchmark's policy lineup shares a single
-/// generation/decode pass and the trace is never materialised. Every
-/// result is bit-identical to [`Simulator::run_columnar`] on the
-/// materialized trace.
-///
-/// The warmup cut is computed once from [`TraceStream::len`] and applied
-/// at the same absolute instruction index in every simulator (mid-batch
-/// via [`TraceChunk::split_at`]). A stream that ends early (a generator
-/// stopping short of its limit) simply closes the measured window at the
-/// actual end, mirroring a short materialized trace.
-///
-/// # Errors
-///
-/// Propagates the stream's first error; all simulators are then mid-trace
-/// and the batch of runs must be retried from scratch.
-pub fn run_stream_units<P: TlbReplacementPolicy, S: TraceStream + ?Sized>(
-    sims: &mut [Simulator<P>],
-    stream: &mut S,
-    warmup_fraction: f64,
-) -> Result<Vec<RunResult>, StreamError> {
-    let len = stream.len();
-    let warmup = (((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize).min(len);
-    let mut windows: Vec<Option<(u64, u64, TlbStats)>> = vec![None; sims.len()];
-    let mut pos = 0usize;
-    while let Some(batch) = stream.next_batch()? {
-        for chunk in batch.chunks(CHUNK_SIZE) {
-            for (sim, window) in sims.iter_mut().zip(windows.iter_mut()) {
-                if window.is_none() && warmup <= pos + chunk.len() {
-                    let (head, tail) = chunk.split_at(warmup - pos);
-                    sim.step_chunk(&head);
-                    *window = Some(sim.window_start());
-                    sim.step_chunk(&tail);
-                } else {
-                    sim.step_chunk(&chunk);
-                }
-            }
-            pos += chunk.len();
-        }
-    }
-    Ok(sims
-        .iter_mut()
-        .zip(windows)
-        .map(|(sim, window)| {
-            let window = window.unwrap_or_else(|| sim.window_start());
-            sim.finish_result(window)
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::PolicyKind;
     use chirp_trace::gen::{ContextCopy, SpecLoops, WorkloadGen};
 
-    fn run(policy: PolicyKind, trace: &[TraceRecord]) -> RunResult {
+    fn run(policy: PolicyKind, trace: &PackedTrace) -> RunResult {
         let config = SimConfig::default();
         let mut sim = Simulator::with_policy(&config, policy.build_dispatch(config.tlb.l2, 0));
-        sim.run(trace, 0.5)
+        sim.run_columnar(trace, 0.5)
     }
 
     #[test]
     fn cycles_advance_and_ipc_is_sane() {
-        let trace = SpecLoops::default().generate(50_000, 0);
+        let trace = SpecLoops::default().generate_packed(50_000, 0);
         let r = run(PolicyKind::Lru, &trace);
         assert_eq!(r.instructions, 25_000);
         // This workload is deliberately memory-bound (cyclic 2048-page
@@ -400,7 +320,7 @@ mod tests {
     #[test]
     fn small_footprint_has_near_zero_mpki() {
         let g = SpecLoops { arrays: 1, pages_per_array: 16, ..Default::default() };
-        let trace = g.generate(100_000, 0);
+        let trace = g.generate_packed(100_000, 0);
         let r = run(PolicyKind::Lru, &trace);
         assert!(r.mpki() < 0.5, "tiny working set must fit: MPKI {}", r.mpki());
     }
@@ -408,14 +328,14 @@ mod tests {
     #[test]
     fn thrashing_footprint_has_high_mpki() {
         let g = SpecLoops { arrays: 4, pages_per_array: 1024, ..Default::default() };
-        let trace = g.generate(200_000, 0);
+        let trace = g.generate_packed(200_000, 0);
         let r = run(PolicyKind::Lru, &trace);
         assert!(r.mpki() > 1.0, "4096 cyclic pages must thrash LRU: MPKI {}", r.mpki());
     }
 
     #[test]
     fn determinism() {
-        let trace = ContextCopy::default().generate(30_000, 3);
+        let trace = ContextCopy::default().generate_packed(30_000, 3);
         let a = run(PolicyKind::Lru, &trace);
         let b = run(PolicyKind::Lru, &trace);
         assert_eq!(a, b);
@@ -443,35 +363,17 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_stream_units_match_independent_runs() {
-        let g = SpecLoops::default();
-        let trace = g.generate_packed(30_000, 2);
-        let config = SimConfig::default();
-        let kinds = [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Chirp(Default::default())];
-        let mut sims: Vec<_> = kinds
-            .iter()
-            .map(|k| Simulator::with_policy(&config, k.build_dispatch(config.tlb.l2, 0)))
-            .collect();
-        let mut stream = chirp_trace::MaterializedStream::new(&trace, 999);
-        let got = run_stream_units(&mut sims, &mut stream, 0.5).unwrap();
-        for (kind, streamed) in kinds.iter().zip(&got) {
-            let mut solo = Simulator::with_policy(&config, kind.build_dispatch(config.tlb.l2, 0));
-            assert_eq!(streamed, &solo.run_columnar(&trace, 0.5), "{kind:?}");
-        }
-    }
-
-    #[test]
     fn walk_penalty_scales_cycles() {
         let g = SpecLoops { arrays: 4, pages_per_array: 1024, ..Default::default() };
-        let trace = g.generate(100_000, 0);
+        let trace = g.generate_packed(100_000, 0);
         let slow_cfg = SimConfig::default().with_walk_penalty(340);
         let fast_cfg = SimConfig::default().with_walk_penalty(20);
         let mut slow =
             Simulator::with_policy(&slow_cfg, PolicyKind::Lru.build_dispatch(slow_cfg.tlb.l2, 0));
         let mut fast =
             Simulator::with_policy(&fast_cfg, PolicyKind::Lru.build_dispatch(fast_cfg.tlb.l2, 0));
-        let rs = slow.run(&trace, 0.5);
-        let rf = fast.run(&trace, 0.5);
+        let rs = slow.run_columnar(&trace, 0.5);
+        let rf = fast.run_columnar(&trace, 0.5);
         assert!(rs.cycles > rf.cycles, "larger walk penalty must cost cycles");
     }
 }

@@ -108,11 +108,11 @@ pub struct Fig3Result {
 pub fn run(suite: &[BenchmarkSpec], config: &RunnerConfig) -> Fig3Result {
     let mut profiles = Vec::with_capacity(suite.len());
     for bench in suite {
-        let trace = bench.generate(config.instructions);
+        let trace = bench.generate_packed(config.instructions);
         let sim_cfg: SimConfig = config.sim;
         let recorder = ReuseRecorder::new(sim_cfg.tlb.l2);
         let mut sim = Simulator::with_policy(&sim_cfg, recorder);
-        let _ = sim.run(&trace, 0.0);
+        let _ = sim.run_columnar(&trace, 0.0);
         let recorder = sim.tlbs().l2().policy();
         profiles.push(train_on_events(bench.name.clone(), recorder.events(), PC_BITS));
     }

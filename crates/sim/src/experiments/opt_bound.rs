@@ -2,70 +2,20 @@
 //!
 //! The paper cites Bélády's algorithm as the unreachable ideal for pure
 //! replacement (§V). Because the L1 TLBs are fixed-LRU, the L2 access
-//! stream is policy-independent, so a first pass records it and a second
-//! pass replays it under the offline-optimal policy. The gap between
-//! CHiRP and OPT quantifies how much headroom remains.
+//! stream is policy-independent: the factored front end emits it once
+//! per benchmark, LRU and CHiRP replay it as ordinary back ends, and the
+//! offline-optimal policy replays it as one more back end whose oracle is
+//! built from that same stream's page numbers. The gap between CHiRP and
+//! OPT quantifies how much headroom remains.
 
-use crate::config::SimConfig;
-use crate::engine::Simulator;
-use crate::metrics::mean;
+use crate::frontend::{group_sig_config, replay_factored, FactoredTrace};
+use crate::metrics::{mean, RunResult};
 use crate::registry::PolicyKind;
 use crate::report::Table;
 use crate::runner::RunnerConfig;
-use chirp_mem::LruStack;
 use chirp_tlb::policies::{OptOracle, OptPolicy};
-use chirp_tlb::{PolicyStorage, TlbAccess, TlbGeometry, TlbReplacementPolicy};
 use chirp_trace::suite::BenchmarkSpec;
 use serde::{Deserialize, Serialize};
-
-/// LRU replacement that also records the L2 access stream (VPN order).
-pub struct StreamRecorder {
-    lru: Vec<LruStack>,
-    stream: Vec<u64>,
-}
-
-impl StreamRecorder {
-    /// Creates the recorder for `geometry`.
-    pub fn new(geometry: TlbGeometry) -> Self {
-        StreamRecorder {
-            lru: (0..geometry.sets()).map(|_| LruStack::new(geometry.ways)).collect(),
-            stream: Vec::new(),
-        }
-    }
-
-    /// The recorded VPN access stream.
-    pub fn stream(&self) -> &[u64] {
-        &self.stream
-    }
-}
-
-impl TlbReplacementPolicy for StreamRecorder {
-    fn name(&self) -> &str {
-        "lru-stream-recorder"
-    }
-
-    fn choose_victim(&mut self, acc: &TlbAccess) -> usize {
-        self.lru[acc.set].lru()
-    }
-
-    fn on_hit(&mut self, acc: &TlbAccess, way: usize) {
-        self.stream.push(acc.vpn);
-        self.lru[acc.set].touch(way);
-    }
-
-    fn on_fill(&mut self, acc: &TlbAccess, way: usize) {
-        self.stream.push(acc.vpn);
-        self.lru[acc.set].touch(way);
-    }
-
-    fn storage(&self) -> PolicyStorage {
-        PolicyStorage::default()
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-}
 
 /// The OPT-bound result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,30 +29,22 @@ pub struct OptBoundResult {
     pub gap_closed: f64,
 }
 
-/// Runs the OPT-bound comparison (two passes per benchmark).
+/// Runs the OPT-bound comparison: one front-end pass per benchmark,
+/// replayed by LRU, CHiRP and OPT back ends.
 pub fn run(suite: &[BenchmarkSpec], config: &RunnerConfig) -> OptBoundResult {
-    let sim_cfg: SimConfig = config.sim;
+    let sim_cfg = config.sim;
+    let kinds = [PolicyKind::Lru, PolicyKind::Chirp(chirp_core::ChirpConfig::default())];
+    let sig_config = group_sig_config(kinds.iter());
     let mut rows = Vec::with_capacity(suite.len());
     let mut gaps = Vec::new();
     for bench in suite {
-        let trace = bench.generate(config.instructions);
-        // Pass 1: LRU + stream recording. Monomorphized over the concrete
-        // recorder type, so the recorded stream is read straight off the
-        // policy — no downcast needed.
-        let mut sim = Simulator::with_policy(&sim_cfg, StreamRecorder::new(sim_cfg.tlb.l2));
-        let lru = sim.run(&trace, sim_cfg.warmup_fraction);
-        let stream: Vec<u64> = sim.tlbs().l2().policy().stream().to_vec();
-        // Pass 2: Bélády OPT driven by the recorded stream.
-        let oracle = OptOracle::from_vpns(stream);
-        let mut sim = Simulator::with_policy(&sim_cfg, OptPolicy::new(sim_cfg.tlb.l2, oracle));
-        let opt = sim.run(&trace, sim_cfg.warmup_fraction);
-        // CHiRP for the same trace.
-        let mut sim = Simulator::with_policy(
-            &sim_cfg,
-            PolicyKind::Chirp(chirp_core::ChirpConfig::default())
-                .build_dispatch(sim_cfg.tlb.l2, bench.seed),
-        );
-        let chirp = sim.run(&trace, sim_cfg.warmup_fraction);
+        let trace = bench.generate_packed(config.instructions);
+        let events = FactoredTrace::build(&sim_cfg, &trace, sim_cfg.warmup_fraction, &sig_config);
+        let policies = kinds.iter().map(|k| k.build_dispatch(sim_cfg.tlb.l2, bench.seed)).collect();
+        let replayed: Vec<RunResult> =
+            replay_factored(&sim_cfg, &events, policies).into_iter().map(|(r, _)| r).collect();
+        let (lru, chirp) = (&replayed[0], &replayed[1]);
+        let opt = opt_replay(&sim_cfg, &events);
 
         let (l, c, o) = (lru.mpki(), chirp.mpki(), opt.mpki());
         if l - o > 0.05 {
@@ -116,6 +58,15 @@ pub fn run(suite: &[BenchmarkSpec], config: &RunnerConfig) -> OptBoundResult {
         mean(&rows.iter().map(|r| r.3).collect::<Vec<_>>()),
     );
     OptBoundResult { rows, means, gap_closed: mean(&gaps) }
+}
+
+/// Replays `events` through a Bélády-OPT back end whose oracle is the
+/// stream's own L2 access sequence (warmup, then measured).
+fn opt_replay(config: &crate::SimConfig, events: &FactoredTrace) -> RunResult {
+    let vpns = events.warmup.vpns().iter().chain(events.measured.vpns()).copied();
+    let opt = OptPolicy::new(config.tlb.l2, OptOracle::from_vpns(vpns));
+    let (result, _) = replay_factored(config, events, vec![opt]).pop().expect("one back end");
+    result
 }
 
 /// Renders the comparison table.

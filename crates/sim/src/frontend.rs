@@ -24,16 +24,16 @@
 //! [`Backend::finish_result`] is bit-identical to
 //! `Simulator::run_columnar`, pinned by `tests/equivalence_matrix.rs`.
 //!
-//! Decoding is burst-structured like the lane engine: 64 records are
-//! expanded at a time, page numbers are derived in one pass over the
-//! pc/ea columns, and the signature *finalisation* (the multiply/
-//! shift/xor of `hash16`) plus the set-index masking run as batched
-//! word-parallel passes over the burst's new events — only the history
-//! folds themselves stay sequential, because each access's signature
-//! depends on the path history left by the previous one.
+//! Decoding is burst-structured: 64 records are expanded at a time, page
+//! numbers are derived in one pass over the pc/ea columns, and the
+//! signature *finalisation* (the multiply/shift/xor of `hash16`) plus
+//! the set-index masking run as batched word-parallel passes over the
+//! burst's new events — only the history folds themselves stay
+//! sequential, because each access's signature depends on the path
+//! history left by the previous one.
 
 use crate::config::SimConfig;
-use crate::engine::CHUNK_SIZE;
+use crate::engine::{warmup_cut, CHUNK_SIZE};
 use crate::metrics::RunResult;
 use chirp_branch::BranchUnit;
 use chirp_core::signature::hash16;
@@ -47,7 +47,9 @@ use chirp_trace::{
     vpn, BranchClass, DecodedBlock, InstrKind, PackedTrace, StreamError, TraceChunk, TraceStream,
 };
 
-/// Records decoded per front-end burst (mirrors the lane engine's burst).
+/// Records decoded per front-end burst: large enough that the step loop
+/// dominates per-burst bookkeeping, small enough that the decoded columns
+/// stay in L1 cache.
 const BURST: usize = 64;
 
 /// Access events replayed per backend before the next backend takes the
@@ -114,6 +116,12 @@ impl EventSegment {
     /// Instructions covered by the segment.
     pub fn instructions(&self) -> u64 {
         self.instructions
+    }
+
+    /// The virtual page number of every L2 access event, in access order
+    /// — the policy-invariant stream an offline oracle (Bélády OPT) needs.
+    pub fn vpns(&self) -> &[u64] {
+        &self.acc_vpn
     }
 
     /// Empties the segment for reuse, keeping its allocations.
@@ -185,8 +193,7 @@ impl FactoredTrace {
         warmup_fraction: f64,
         sig_config: &ChirpConfig,
     ) -> FactoredTrace {
-        let len = trace.len();
-        let warmup = (((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize).min(len);
+        let warmup = warmup_cut(trace.len(), warmup_fraction);
         let mut fe = FrontEnd::new(config, sig_config);
         let mut warm = EventSegment::default();
         let mut meas = EventSegment::default();
@@ -304,7 +311,7 @@ impl FrontEnd {
         }
     }
 
-    /// Mirrors `Simulator::step_decoded` minus the L2/walker: same event
+    /// Mirrors `Simulator::step` minus the L2/walker: same event
     /// order (i-access, d-access, mispredict, branch), same cycle terms
     /// except the walk.
     #[inline]
@@ -540,7 +547,10 @@ pub fn replay_segment_group<P: TlbReplacementPolicy>(
 
 /// Replays an already-built [`FactoredTrace`] through one backend per
 /// policy. Returns `(result, backend)` pairs in input order, each
-/// bit-identical to `Simulator::run_columnar` of the same unit.
+/// bit-identical to `Simulator::run_columnar` of the same unit. A policy
+/// whose signature configuration does not match the stream's simply
+/// replays with its local registers
+/// ([`TlbReplacementPolicy::replay_hints`]).
 pub fn replay_factored<P: TlbReplacementPolicy>(
     config: &SimConfig,
     trace: &FactoredTrace,
@@ -558,28 +568,13 @@ pub fn replay_factored<P: TlbReplacementPolicy>(
         .collect()
 }
 
-/// One front-end pass + N policy back-ends over a materialized trace:
-/// the factored equivalent of running `Simulator::run_columnar` once per
-/// policy. The signature configuration of the group's first CHiRP
-/// member (else the default) drives the precomputed signatures; every
-/// policy whose own configuration does not match simply replays with its
-/// local registers ([`TlbReplacementPolicy::replay_hints`]).
-pub fn run_factored_group<P: TlbReplacementPolicy>(
-    config: &SimConfig,
-    trace: &PackedTrace,
-    warmup_fraction: f64,
-    sig_config: &ChirpConfig,
-    policies: Vec<P>,
-) -> Vec<(RunResult, Backend<P>)> {
-    let factored = FactoredTrace::build(config, trace, warmup_fraction, sig_config);
-    replay_factored(config, &factored, policies)
-}
-
-/// The streamed form of [`run_factored_group`]: pulls bounded batches,
+/// The streamed form of [`FactoredTrace::build`] + [`replay_factored`]:
+/// pulls bounded batches,
 /// runs the front end over each chunk into a reused [`EventSegment`],
 /// and replays it through every backend before the next chunk is
 /// decoded — peak event residency is O(chunk), and results are
-/// bit-identical to [`crate::run_stream_units`] over the same stream.
+/// bit-identical to [`Simulator::run_stream`](crate::Simulator::run_stream)
+/// of each policy over the same stream.
 ///
 /// # Errors
 ///
@@ -592,8 +587,7 @@ pub fn run_stream_factored<P: TlbReplacementPolicy, S: TraceStream + ?Sized>(
     stream: &mut S,
     warmup_fraction: f64,
 ) -> Result<Vec<(RunResult, Backend<P>)>, StreamError> {
-    let len = stream.len();
-    let warmup = (((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize).min(len);
+    let warmup = warmup_cut(stream.len(), warmup_fraction);
     let sig_code = sig_config.signature_code();
     let mut fe = FrontEnd::new(config, sig_config);
     let mut backends: Vec<Backend<P>> =

@@ -12,19 +12,17 @@
 //! use chirp_sim::{PolicyKind, SimConfig, Simulator};
 //! use chirp_trace::gen::{ContextCopy, WorkloadGen};
 //!
-//! let trace = ContextCopy::default().generate(20_000, 1);
+//! let trace = ContextCopy::default().generate_packed(20_000, 1);
 //! let config = SimConfig::default();
 //! let mut sim = Simulator::with_policy(&config, PolicyKind::Lru.build_dispatch(config.tlb.l2, 0));
-//! let result = sim.run(&trace, config.warmup_fraction);
+//! let result = sim.run_columnar(&trace, config.warmup_fraction);
 //! assert!(result.instructions > 0);
 //! ```
 
-pub mod baseline;
 pub mod config;
 pub mod engine;
 pub mod experiments;
 pub mod frontend;
-pub mod lanes;
 pub mod metrics;
 pub mod registry;
 pub mod report;
@@ -34,19 +32,18 @@ pub mod store_cache;
 pub mod telemetry;
 
 pub use config::SimConfig;
-pub use engine::{run_stream_units, Simulator};
+pub use engine::Simulator;
 pub use frontend::{
-    group_sig_config, replay_factored, run_factored_group, run_stream_factored, Backend,
-    EventSegment, FactoredTrace, FrontEnd,
+    group_sig_config, replay_factored, run_stream_factored, Backend, EventSegment, FactoredTrace,
+    FrontEnd,
 };
-pub use lanes::{run_columnar_lanes, run_columnar_lanes_outcomes, LaneUnit};
 pub use metrics::RunResult;
 pub use registry::{PolicyDispatch, PolicyKind};
 pub use runner::{
     run_policy_group, run_suite, run_suite_cached, run_suite_streamed, BenchRun, CacheStats,
     RunnerConfig, DEFAULT_STREAM_CHUNK,
 };
-pub use sched::{last_scheduler_summary, SchedulerSummary};
+pub use sched::{last_scheduler_summary, take_scheduler_summary, SchedulerSummary};
 pub use telemetry::{
     read_series, run_suite_telemetry, write_series, EpochRecord, TelemetrySpec, UnitSeries,
 };

@@ -105,31 +105,9 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiates the policy as a boxed trait object — the legacy
-    /// dynamic-dispatch form, feature-gated behind `legacy-dyn`. Kept so
-    /// the shim-equivalence test can keep constructing the retired
-    /// per-record path; everything else uses
-    /// [`build_dispatch`](Self::build_dispatch).
-    #[cfg(feature = "legacy-dyn")]
-    pub fn build(&self, geometry: TlbGeometry, seed: u64) -> Box<dyn TlbReplacementPolicy> {
-        match self {
-            PolicyKind::Lru => Box::new(Lru::new(geometry)),
-            PolicyKind::Random => Box::new(RandomPolicy::new(geometry, seed)),
-            PolicyKind::Srrip => Box::new(Srrip::new(geometry)),
-            PolicyKind::Ship => Box::new(ShipTlb::new(geometry, ShipConfig::default())),
-            PolicyKind::Ghrp => Box::new(Ghrp::new(geometry, GhrpConfig::default())),
-            PolicyKind::Chirp(config) => Box::new(Chirp::new(geometry, *config)),
-            PolicyKind::Drrip => Box::new(Drrip::new(geometry)),
-            PolicyKind::PerceptronReuse => {
-                Box::new(PerceptronReuse::new(geometry, PerceptronConfig::default()))
-            }
-        }
-    }
-
-    /// Instantiates the policy as an enum-dispatched [`PolicyDispatch`] —
-    /// the statically-dispatched counterpart of the feature-gated `build` for
-    /// the monomorphized hot loop. Produces the identical initial policy
-    /// state for the same `(geometry, seed)`.
+    /// Instantiates the policy as an enum-dispatched [`PolicyDispatch`]
+    /// for the monomorphized hot loop. Deterministic: the same
+    /// `(geometry, seed)` always yields the same initial policy state.
     pub fn build_dispatch(&self, geometry: TlbGeometry, seed: u64) -> PolicyDispatch {
         match self {
             PolicyKind::Lru => PolicyDispatch::Lru(Lru::new(geometry)),
@@ -272,17 +250,6 @@ mod tests {
         for kind in PolicyKind::paper_lineup() {
             let policy = kind.build_dispatch(geom, 0);
             assert_eq!(policy.name(), kind.name());
-        }
-    }
-
-    /// The legacy boxed constructor must stay name-identical to the
-    /// dispatch form while the shim exists.
-    #[cfg(feature = "legacy-dyn")]
-    #[test]
-    fn legacy_build_matches_dispatch_names() {
-        let geom = TlbGeometry::default();
-        for kind in PolicyKind::paper_lineup() {
-            assert_eq!(kind.build(geom, 0).name(), kind.build_dispatch(geom, 0).name());
         }
     }
 

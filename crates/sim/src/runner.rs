@@ -1,32 +1,32 @@
-//! Parallel suite runner: simulates every benchmark under every policy
-//! with (benchmark × policy)-grained work units.
+//! Parallel suite runner: simulates every benchmark under every policy,
+//! one work item (benchmark × its policy group) at a time per worker.
 //!
 //! [`run_suite`] always simulates everything; [`run_suite_cached`] fronts
 //! it with a `chirp-store` directory and only simulates (benchmark ×
 //! policy) pairs whose results are not already in the run ledger, pulling
-//! traces from the content-addressed archive instead of regenerating them.
+//! traces from the content-addressed archive instead of regenerating them;
+//! [`run_suite_streamed`] does the same over bounded trace streams.
 //!
-//! Both paths run on the scheduler in [`crate::sched`]: traces live in
-//! packed struct-of-arrays form ([`chirp_trace::PackedTrace`], ~13 bytes
-//! per record vs 40 flat), are shared behind an `Arc` by every policy
-//! simulating them, are dropped as soon as their last policy finishes,
-//! and [`RunnerConfig::mem_budget`] caps the packed bytes in flight. On
-//! the cached path the archive mutex is held only for index bookkeeping —
-//! decode, generation and encode all run outside it, so workers needing
-//! different traces fetch concurrently.
+//! All three run on the item scheduler in [`crate::sched`]: a worker
+//! obtains one benchmark's trace, runs its whole policy group through
+//! the engine in one call ([`run_policy_group`] or its streamed
+//! counterpart) and drops the trace, and [`RunnerConfig::mem_budget`]
+//! caps the estimated trace bytes in flight. On the cached path the
+//! archive mutex is held only for index bookkeeping — decode, generation
+//! and encode all run outside it, so workers needing different traces
+//! fetch concurrently.
 
 use crate::config::SimConfig;
-use crate::engine::{run_stream_units, Simulator};
-use crate::frontend::{group_sig_config, run_factored_group, run_stream_factored};
-use crate::lanes::{run_columnar_lanes, LaneUnit};
+use crate::engine::Simulator;
+use crate::frontend::{group_sig_config, replay_factored, run_stream_factored, FactoredTrace};
 use crate::metrics::RunResult;
-use crate::registry::{PolicyDispatch, PolicyKind};
-use crate::sched::{run_streamed, run_unit_groups, WorkItem};
+use crate::registry::PolicyKind;
+use crate::sched::{run_items, WorkItem};
 use crate::store_cache::{record_from_run, run_from_record, run_key};
 use chirp_store::archive::ArchiveOutcome;
-use chirp_store::{ArchiveTraceStream, Store, StoreError, TraceArchive};
+use chirp_store::{ArchiveTraceStream, RunLedger, Store, StoreError, TraceArchive};
 use chirp_trace::suite::BenchmarkSpec;
-use chirp_trace::{Category, PackedTrace};
+use chirp_trace::{Category, PackedTrace, StreamError, TraceStream};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -44,43 +44,19 @@ pub struct RunnerConfig {
     /// at this path: ledger hits skip simulation, traces come from the
     /// archive, and fresh results are recorded for the next run.
     pub store: Option<PathBuf>,
-    /// Cap on packed-trace bytes in flight across workers, `None` for
-    /// unbounded. One trace is always admitted regardless, so a budget
+    /// Cap on estimated trace bytes in flight across workers, `None` for
+    /// unbounded. One item is always admitted regardless, so a budget
     /// smaller than a single trace degrades to serial trace residency
     /// rather than deadlock. Does not enter result identity: ledger keys
     /// ignore it, and results are bit-identical at any budget.
     pub mem_budget: Option<u64>,
-    /// Lane width for the software-pipelined hot loop: up to this many
-    /// same-trace (benchmark × policy) units are interleaved through one
-    /// instruction loop per worker ([`crate::run_columnar_lanes`]).
-    /// `0` and `1` both mean sequential execution. Purely an execution-
-    /// strategy knob — results are bit-identical at any width (pinned by
-    /// `tests/equivalence_matrix.rs`), so it is excluded from ledger run
-    /// keys, and configs serialized before the field existed default to
-    /// sequential.
-    #[serde(default)]
-    pub lanes: usize,
     /// Records per streamed batch for [`run_suite_streamed`]; `0` means
-    /// [`DEFAULT_STREAM_CHUNK`]. Like `lanes`, purely an execution-
-    /// strategy knob: streamed results are bit-identical at any chunk
-    /// size (batch boundaries carry no simulation meaning), so it is
-    /// excluded from ledger run keys by construction — `run_key` never
-    /// sees it.
+    /// [`DEFAULT_STREAM_CHUNK`]. Purely an execution-strategy knob:
+    /// streamed results are bit-identical at any chunk size (batch
+    /// boundaries carry no simulation meaning), so it is excluded from
+    /// ledger run keys by construction — `run_key` never sees it.
     #[serde(default)]
     pub stream_chunk: usize,
-    /// Run multi-policy groups through the factored engine: one shared
-    /// front-end pass over the trace emits the policy-invariant L2-TLB
-    /// event stream, and each policy replays only its L2 + walker over it
-    /// ([`crate::run_factored_group`]). Single-policy groups always take
-    /// the plain columnar loop (there is nothing to share). Like `lanes`,
-    /// purely an execution-strategy knob — results are bit-identical
-    /// either way (pinned by `tests/equivalence_matrix.rs`), so it is
-    /// excluded from ledger run keys. `RunnerConfig::default()` enables
-    /// it; CLI construction goes through that default, so lineup-width
-    /// groups dispatch through the shared front end unless explicitly
-    /// disabled.
-    #[serde(default)]
-    pub factored: bool,
 }
 
 /// Records per streamed batch when [`RunnerConfig::stream_chunk`] is 0:
@@ -96,9 +72,7 @@ impl Default for RunnerConfig {
             sim: SimConfig::default(),
             store: None,
             mem_budget: None,
-            lanes: 1,
             stream_chunk: 0,
-            factored: true,
         }
     }
 }
@@ -112,28 +86,10 @@ impl RunnerConfig {
         self.threads.max(1)
     }
 
-    /// Per-trace byte estimate used for budget admission before a trace's
-    /// real size is known.
+    /// Per-trace byte estimate used for budget admission of a
+    /// materialized work item.
     pub(crate) fn trace_estimate(&self) -> u64 {
         PackedTrace::estimate_bytes(self.instructions)
-    }
-
-    /// Lane width actually dispatched: `lanes` clamped to at least 1, so
-    /// the zero that `#[serde(default)]` gives old configs (and any
-    /// miscomputed width) degrades to sequential execution.
-    pub fn lane_width(&self) -> usize {
-        self.lanes.max(1)
-    }
-
-    /// Group width handed to the scheduler: factored execution wants the
-    /// whole lineup in one group (one shared front end + N back-ends), so
-    /// it widens the configured lane width to the policy count.
-    pub(crate) fn group_width(&self, policies: usize) -> usize {
-        if self.factored {
-            self.lane_width().max(policies)
-        } else {
-            self.lane_width()
-        }
     }
 
     /// Records per streamed batch actually used: `stream_chunk` with 0
@@ -168,8 +124,9 @@ pub struct BenchRun {
 }
 
 /// Runs `policies` over `suite` in parallel. Each benchmark's trace is
-/// generated once (packed) and shared by every policy unit, so results
-/// are directly comparable. Output order matches `suite` × `policies`.
+/// generated once (packed) and shared by its whole policy group, so
+/// results are directly comparable. Output order matches `suite` ×
+/// `policies`.
 ///
 /// With `config.store` set, this delegates to [`run_suite_cached`] — only
 /// missing (benchmark × policy) pairs are simulated. An unusable store
@@ -188,65 +145,54 @@ pub fn run_suite(
             }
         }
     }
-    run_suite_direct(suite, policies, config)
-}
-
-fn run_suite_direct(
-    suite: &[BenchmarkSpec],
-    policies: &[PolicyKind],
-    config: &RunnerConfig,
-) -> Vec<BenchRun> {
     let work: Vec<WorkItem> = (0..suite.len())
         .map(|bench| WorkItem { bench, policies: (0..policies.len()).collect() })
         .collect();
-    let (results, _) = run_unit_groups(
+    let (results, _) = run_items(
         &work,
         config.worker_threads(),
         config.trace_estimate(),
         config.mem_budget,
-        config.group_width(policies.len()),
-        |item| Ok(suite[item.bench].generate_packed(config.instructions)),
-        |w, positions, trace| simulate_group(suite, policies, config, &work[w], positions, trace),
+        |item| {
+            let trace = suite[item.bench].generate_packed(config.instructions);
+            Ok(simulate_item(suite, policies, config, item, &trace))
+        },
     )
     .expect("direct fetch is infallible");
     results.into_iter().flatten().collect()
 }
 
-/// Builds and runs a group of same-benchmark (benchmark × policy)
-/// simulations over a shared packed trace. A multi-unit group with
-/// `factored` set dispatches through the shared front end
-/// ([`run_factored_group`]); otherwise the group runs software-pipelined
-/// through the multi-lane interleaved loop
-/// ([`crate::run_columnar_lanes`]) at its width, a single-unit group
-/// degenerating to the sequential columnar loop. Each unit's result is
-/// bit-identical to the legacy `Simulator::new` + `run` path — pinned by
-/// the lane, shim and factored matrices in `tests/equivalence_matrix.rs`
-/// and by `scheduler_reproduces_benchwise_baseline_exactly` below.
-fn simulate_group(
+/// Runs one work item's policy group over its resident trace
+/// ([`run_policy_group`]) and labels the results with the benchmark.
+fn simulate_item(
     suite: &[BenchmarkSpec],
     policies: &[PolicyKind],
     config: &RunnerConfig,
     item: &WorkItem,
-    positions: &[usize],
     trace: &PackedTrace,
 ) -> Vec<BenchRun> {
     let bench = &suite[item.bench];
-    let kinds: Vec<&PolicyKind> =
-        positions.iter().map(|&pos| &policies[item.policies[pos]]).collect();
-    run_policy_group(&config.sim, &kinds, bench.seed, trace, config.factored)
+    let kinds: Vec<&PolicyKind> = item.policies.iter().map(|&pi| &policies[pi]).collect();
+    label_runs(bench, run_policy_group(&config.sim, &kinds, bench.seed, trace, true))
+}
+
+fn label_runs(bench: &BenchmarkSpec, results: Vec<RunResult>) -> Vec<BenchRun> {
+    results
         .into_iter()
         .map(|result| BenchRun { benchmark: bench.name.clone(), category: bench.category, result })
         .collect()
 }
 
-/// Runs one same-trace group of policies, the primitive `simulate_group`
-/// and `chirp-serve` share. With `factored` set and more than one policy,
-/// the group runs as one front-end pass + per-policy replay back-ends
-/// ([`run_factored_group`]) — the signature stream is computed under the
-/// group's first CHiRP configuration ([`group_sig_config`]). Otherwise
-/// (or for a group of one, which has nothing to share) the policies run
-/// through the lane-interleaved columnar loop at the group's width.
-/// Results are bit-identical either way, in input order.
+/// Runs one same-trace group of policies — the primitive the suite
+/// runners and `chirp-serve` share. With `factored` set, a group of two
+/// or more runs as one front-end pass + per-policy replay back-ends
+/// ([`FactoredTrace::build`] + [`replay_factored`]), the signature
+/// stream computed under the group's first CHiRP configuration
+/// ([`group_sig_config`]); a group of one runs
+/// [`Simulator::run_columnar`], which is faster when there is nothing to
+/// share. With `factored` unset every policy runs
+/// `run_columnar`, the reference loop. Results are bit-identical either
+/// way, in input order.
 pub fn run_policy_group(
     sim: &SimConfig,
     kinds: &[&PolicyKind],
@@ -254,24 +200,40 @@ pub fn run_policy_group(
     trace: &PackedTrace,
     factored: bool,
 ) -> Vec<RunResult> {
-    let build = |kind: &PolicyKind| -> PolicyDispatch { kind.build_dispatch(sim.tlb.l2, seed) };
+    let build = |kind: &PolicyKind| kind.build_dispatch(sim.tlb.l2, seed);
     if factored && kinds.len() > 1 {
         let sig_config = group_sig_config(kinds.iter().copied());
-        let policies: Vec<PolicyDispatch> = kinds.iter().map(|k| build(k)).collect();
-        run_factored_group(sim, trace, sim.warmup_fraction, &sig_config, policies)
-            .into_iter()
-            .map(|(result, _)| result)
-            .collect()
+        let events = FactoredTrace::build(sim, trace, sim.warmup_fraction, &sig_config);
+        let policies = kinds.iter().map(|k| build(k)).collect();
+        replay_factored(sim, &events, policies).into_iter().map(|(result, _)| result).collect()
     } else {
-        let units: Vec<_> = kinds
+        kinds
             .iter()
-            .map(|k| {
-                LaneUnit::new(Simulator::with_policy(sim, build(k)), trace, sim.warmup_fraction)
-            })
-            .collect();
-        let lanes = units.len();
-        run_columnar_lanes(units, lanes)
+            .map(|k| Simulator::with_policy(sim, build(k)).run_columnar(trace, sim.warmup_fraction))
+            .collect()
     }
+}
+
+/// The streamed counterpart of [`run_policy_group`]: one pass over
+/// `stream` for the whole group — the factored engine
+/// ([`run_stream_factored`]) for two or more policies,
+/// [`Simulator::run_stream`] for one.
+fn run_stream_group(
+    sim: &SimConfig,
+    kinds: &[&PolicyKind],
+    seed: u64,
+    stream: &mut dyn TraceStream,
+) -> Result<Vec<RunResult>, StreamError> {
+    let build = |kind: &PolicyKind| kind.build_dispatch(sim.tlb.l2, seed);
+    if let [kind] = kinds {
+        return Ok(vec![
+            Simulator::with_policy(sim, build(kind)).run_stream(stream, sim.warmup_fraction)?
+        ]);
+    }
+    let sig_config = group_sig_config(kinds.iter().copied());
+    let policies = kinds.iter().map(|k| build(k)).collect();
+    let outcomes = run_stream_factored(sim, &sig_config, policies, stream, sim.warmup_fraction)?;
+    Ok(outcomes.into_iter().map(|(result, _)| result).collect())
 }
 
 /// What `run_suite_cached` did to satisfy a request.
@@ -287,6 +249,60 @@ pub struct CacheStats {
     pub trace_generated: u64,
     /// Traces regenerated over a corrupt archive entry.
     pub trace_regenerated: u64,
+}
+
+/// The (benchmark × policy) result matrix of a store-backed run, filled
+/// first from the ledger and then from simulation.
+struct Matrix {
+    /// Row-major `suite × policies` slots.
+    slots: Vec<Option<BenchRun>>,
+    policies: usize,
+}
+
+impl Matrix {
+    /// The ledger-resolution prologue of the store-backed runners: probes
+    /// every pair's run key, fills the hits, and collects the rest as
+    /// per-benchmark work items (benchmarks with nothing missing get no
+    /// item). Returns the matrix, the work and the hit count.
+    fn resolve(
+        ledger: &RunLedger,
+        suite: &[BenchmarkSpec],
+        policies: &[PolicyKind],
+        config: &RunnerConfig,
+    ) -> (Matrix, Vec<WorkItem>, usize) {
+        let mut slots = vec![None; suite.len() * policies.len()];
+        let mut work = Vec::new();
+        let mut hits = 0;
+        for (bi, bench) in suite.iter().enumerate() {
+            let mut need = Vec::new();
+            for (pi, policy) in policies.iter().enumerate() {
+                let key = run_key(&config.sim, policy, &bench.name, config.instructions);
+                match ledger.get(key).and_then(run_from_record) {
+                    Some(run) => {
+                        slots[bi * policies.len() + pi] = Some(run);
+                        hits += 1;
+                    }
+                    None => need.push(pi),
+                }
+            }
+            if !need.is_empty() {
+                work.push(WorkItem { bench: bi, policies: need });
+            }
+        }
+        (Matrix { slots, policies: policies.len() }, work, hits)
+    }
+
+    /// Places one simulated pair.
+    fn place(&mut self, bench: usize, policy: usize, run: BenchRun) {
+        self.slots[bench * self.policies + policy] = Some(run);
+    }
+
+    fn into_runs(self) -> Vec<BenchRun> {
+        self.slots
+            .into_iter()
+            .map(|slot| slot.expect("every pair resolved from ledger or simulation"))
+            .collect()
+    }
 }
 
 /// Like [`run_suite`], but incremental: results already in the run ledger
@@ -312,40 +328,19 @@ pub fn run_suite_cached(
     store_root: &Path,
 ) -> Result<(Vec<BenchRun>, CacheStats), StoreError> {
     let mut store = Store::open(store_root)?;
-    let mut stats = CacheStats::default();
-    let mut slots: Vec<Option<BenchRun>> = vec![None; suite.len() * policies.len()];
-
-    // Resolve everything the ledger already knows; collect the rest as
-    // (benchmark, missing policies) work items.
-    let mut work: Vec<WorkItem> = Vec::new();
-    for (bi, bench) in suite.iter().enumerate() {
-        let mut need = Vec::new();
-        for (pi, policy) in policies.iter().enumerate() {
-            let key = run_key(&config.sim, policy, &bench.name, config.instructions);
-            match store.ledger.get(key).and_then(run_from_record) {
-                Some(run) => {
-                    slots[bi * policies.len() + pi] = Some(run);
-                    stats.ledger_hits += 1;
-                }
-                None => need.push(pi),
-            }
-        }
-        if !need.is_empty() {
-            work.push(WorkItem { bench: bi, policies: need });
-        }
-    }
+    let (mut matrix, work, ledger_hits) = Matrix::resolve(&store.ledger, suite, policies, config);
+    let mut stats = CacheStats { ledger_hits, ..CacheStats::default() };
 
     if !work.is_empty() {
         let archive = Mutex::new(&mut store.archive);
-        let (results, _) = run_unit_groups(
+        let (results, _) = run_items(
             &work,
             config.worker_threads(),
             config.trace_estimate(),
             config.mem_budget,
-            config.group_width(policies.len()),
-            |item| fetch_archived(&archive, &suite[item.bench], config.instructions),
-            |w, positions, trace| {
-                simulate_group(suite, policies, config, &work[w], positions, trace)
+            |item| {
+                let trace = fetch_archived(&archive, &suite[item.bench], config.instructions)?;
+                Ok(simulate_item(suite, policies, config, item, &trace))
             },
         )?;
 
@@ -364,17 +359,12 @@ pub fn run_suite_cached(
                     config.instructions,
                 );
                 store.ledger.append(key, record_from_run(&run, &config.sim, &policies[pi]))?;
-                slots[item.bench * policies.len() + pi] = Some(run);
+                matrix.place(item.bench, pi, run);
                 stats.simulated += 1;
             }
         }
     }
-
-    let runs = slots
-        .into_iter()
-        .map(|slot| slot.expect("every pair resolved from ledger or simulation"))
-        .collect();
-    Ok((runs, stats))
+    Ok((matrix.into_runs(), stats))
 }
 
 /// Like [`run_suite_cached`], but with streamed traces and per-item
@@ -382,9 +372,10 @@ pub fn run_suite_cached(
 ///
 /// * each missing (benchmark × policies) work item opens ONE trace
 ///   stream — archive-backed when a valid entry exists, else a generator
-///   stream — and runs all its missing policies over it in lockstep
-///   ([`crate::engine::run_stream_units`]), so peak per-unit trace
-///   residency is O(stream chunk) instead of O(trace);
+///   stream — and runs all its missing policies over it in one pass
+///   (the factored engine for a group, `Simulator::run_stream` for a
+///   single policy), so peak per-item trace residency is O(stream chunk)
+///   instead of O(trace);
 /// * results are appended to the run ledger as each item completes (not
 ///   batched at the end), so a run interrupted mid-suite keeps every
 ///   finished item and a rerun resumes from the ledger;
@@ -394,10 +385,9 @@ pub fn run_suite_cached(
 ///
 /// Results are bit-identical to [`run_suite_cached`] (and thus to
 /// [`run_suite`]): batch boundaries carry no simulation meaning and the
-/// warmup cut lands on the same absolute instruction. Differences are
-/// operational only: generated traces are *not* archived (there is no
-/// resident trace to encode), and lane interleaving does not apply (the
-/// lockstep pass already shares the stream across the item's policies).
+/// warmup cut lands on the same absolute instruction. The one
+/// operational difference: generated traces are *not* archived (there
+/// is no resident trace to encode).
 pub fn run_suite_streamed(
     suite: &[BenchmarkSpec],
     policies: &[PolicyKind],
@@ -405,32 +395,14 @@ pub fn run_suite_streamed(
     store_root: &Path,
 ) -> Result<(Vec<BenchRun>, CacheStats), StoreError> {
     let mut store = Store::open(store_root)?;
-    let mut stats = CacheStats::default();
-    let mut slots: Vec<Option<BenchRun>> = vec![None; suite.len() * policies.len()];
-
-    let mut work: Vec<WorkItem> = Vec::new();
-    for (bi, bench) in suite.iter().enumerate() {
-        let mut need = Vec::new();
-        for (pi, policy) in policies.iter().enumerate() {
-            let key = run_key(&config.sim, policy, &bench.name, config.instructions);
-            match store.ledger.get(key).and_then(run_from_record) {
-                Some(run) => {
-                    slots[bi * policies.len() + pi] = Some(run);
-                    stats.ledger_hits += 1;
-                }
-                None => need.push(pi),
-            }
-        }
-        if !need.is_empty() {
-            work.push(WorkItem { bench: bi, policies: need });
-        }
-    }
+    let (mut matrix, work, ledger_hits) = Matrix::resolve(&store.ledger, suite, policies, config);
+    let mut stats = CacheStats { ledger_hits, ..CacheStats::default() };
 
     if !work.is_empty() {
         let archive = Mutex::new(&mut store.archive);
         let ledger = Mutex::new(&mut store.ledger);
         let counters = Mutex::new(CacheStats::default());
-        let (results, _) = run_streamed(
+        let (results, _) = run_items(
             &work,
             config.worker_threads(),
             config.stream_unit_estimate(),
@@ -460,23 +432,18 @@ pub fn run_suite_streamed(
         stats.trace_regenerated = streamed.trace_regenerated;
         for (item, runs) in work.iter().zip(results) {
             for (&pi, run) in item.policies.iter().zip(runs) {
-                slots[item.bench * policies.len() + pi] = Some(run);
+                matrix.place(item.bench, pi, run);
                 stats.simulated += 1;
             }
         }
     }
-
-    let runs = slots
-        .into_iter()
-        .map(|slot| slot.expect("every pair resolved from ledger or streamed simulation"))
-        .collect();
-    Ok((runs, stats))
+    Ok((matrix.into_runs(), stats))
 }
 
 /// Runs one streamed work item: probes the archive under its lock, then
-/// (unlocked) streams the trace through every missing policy in lockstep.
-/// Any archive-stream failure falls back to a generator stream on fresh
-/// simulators.
+/// (unlocked) streams the trace once through the item's whole policy
+/// group. Any archive-stream failure falls back to a generator stream on
+/// fresh simulators.
 fn stream_one_item(
     archive: &Mutex<&mut TraceArchive>,
     suite: &[BenchmarkSpec],
@@ -487,42 +454,9 @@ fn stream_one_item(
 ) -> Result<Vec<BenchRun>, StoreError> {
     let bench = &suite[item.bench];
     let chunk = config.stream_chunk_records();
-    // One pass over the stream for all of the item's policies: factored
-    // (shared front end + replay back-ends) when the group is wide enough
-    // and enabled, else the legacy lockstep simulators. Bit-identical
-    // either way (`tests/equivalence_matrix.rs`).
-    let run_item = |stream: &mut dyn chirp_trace::TraceStream| -> Result<Vec<RunResult>, chirp_trace::StreamError> {
-        if config.factored && item.policies.len() > 1 {
-            let kinds: Vec<&PolicyKind> = item.policies.iter().map(|&pi| &policies[pi]).collect();
-            let sig_config = group_sig_config(kinds.iter().copied());
-            let built: Vec<PolicyDispatch> =
-                kinds.iter().map(|k| k.build_dispatch(config.sim.tlb.l2, bench.seed)).collect();
-            run_stream_factored(&config.sim, &sig_config, built, stream, config.sim.warmup_fraction)
-                .map(|outcomes| outcomes.into_iter().map(|(result, _)| result).collect())
-        } else {
-            let mut sims: Vec<Simulator<PolicyDispatch>> = item
-                .policies
-                .iter()
-                .map(|&pi| {
-                    Simulator::with_policy(
-                        &config.sim,
-                        policies[pi].build_dispatch(config.sim.tlb.l2, bench.seed),
-                    )
-                })
-                .collect();
-            run_stream_units(&mut sims, stream, config.sim.warmup_fraction)
-        }
-    };
-    let wrap = |results: Vec<RunResult>| -> Vec<BenchRun> {
-        results
-            .into_iter()
-            .map(|result| BenchRun {
-                benchmark: bench.name.clone(),
-                category: bench.category,
-                result,
-            })
-            .collect()
-    };
+    let kinds: Vec<&PolicyKind> = item.policies.iter().map(|&pi| &policies[pi]).collect();
+    let run_item =
+        |stream: &mut dyn TraceStream| run_stream_group(&config.sim, &kinds, bench.seed, stream);
 
     let key = TraceArchive::content_key(bench, config.instructions);
     let probe = {
@@ -535,7 +469,7 @@ fn stream_one_item(
             .and_then(|mut stream| run_item(&mut stream));
         if let Ok(results) = attempt {
             counters.lock().trace_hits += 1;
-            return Ok(wrap(results));
+            return Ok(label_runs(bench, results));
         }
         // Corrupt entry (open, decode or checksum failure): fall back to
         // regeneration below, like the materialized path.
@@ -550,7 +484,7 @@ fn stream_one_item(
     let mut stream = bench.stream(config.instructions, chunk);
     let results = run_item(&mut stream)
         .map_err(|e| StoreError::Corrupt(format!("generator stream failed: {e}")))?;
-    Ok(wrap(results))
+    Ok(label_runs(bench, results))
 }
 
 /// Fetches one benchmark's packed trace through the archive, holding the
@@ -599,7 +533,6 @@ pub fn group_by_benchmark(runs: &[BenchRun], policies: usize) -> Vec<&[BenchRun]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::run_suite_benchwise;
     use chirp_store::TempDir;
     use chirp_trace::suite::{build_suite, SuiteConfig};
 
@@ -626,25 +559,80 @@ mod tests {
         assert_eq!(run_suite(&suite, &policies, &serial), run_suite(&suite, &policies, &parallel));
     }
 
-    /// The tentpole equivalence gate: the packed-trace scheduler must
-    /// reproduce the pre-rework benchwise runner bit-for-bit over a
-    /// 4-benchmark × 3-policy matrix, at several thread counts and under
-    /// a trace-at-a-time memory budget.
+    /// The oracle: a serial loop of `Simulator::run_columnar`, one fresh
+    /// simulator per (benchmark × policy), in suite × policy order.
+    fn columnar_oracle(
+        suite: &[BenchmarkSpec],
+        policies: &[PolicyKind],
+        config: &RunnerConfig,
+    ) -> Vec<BenchRun> {
+        let mut runs = Vec::new();
+        for bench in suite {
+            let trace = bench.generate_packed(config.instructions);
+            for policy in policies {
+                let mut sim = Simulator::with_policy(
+                    &config.sim,
+                    policy.build_dispatch(config.sim.tlb.l2, bench.seed),
+                );
+                let result = sim.run_columnar(&trace, config.sim.warmup_fraction);
+                runs.push(BenchRun {
+                    benchmark: bench.name.clone(),
+                    category: bench.category,
+                    result,
+                });
+            }
+        }
+        runs
+    }
+
+    /// The runner equivalence gate: every entry point — plain, cached
+    /// and streamed — must reproduce the serial `run_columnar` oracle
+    /// bit-for-bit over a 4-benchmark × 3-policy matrix, at several
+    /// thread counts and under an item-at-a-time memory budget.
     #[test]
-    fn scheduler_reproduces_benchwise_baseline_exactly() {
+    fn runners_reproduce_the_columnar_oracle_exactly() {
         let suite = build_suite(&SuiteConfig { benchmarks: 4 });
         let policies = [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Ghrp];
         let base_config = RunnerConfig { instructions: 12_000, threads: 2, ..Default::default() };
-        let baseline = run_suite_benchwise(&suite, &policies, &base_config);
-        assert_eq!(baseline.len(), 12);
+        let oracle = columnar_oracle(&suite, &policies, &base_config);
+        assert_eq!(oracle.len(), 12);
         for threads in [1, 4] {
             for mem_budget in [None, Some(1)] {
                 let config = RunnerConfig { threads, mem_budget, ..base_config.clone() };
-                assert_eq!(
-                    run_suite(&suite, &policies, &config),
-                    baseline,
-                    "threads={threads} mem_budget={mem_budget:?}"
-                );
+                let label = format!("threads={threads} mem_budget={mem_budget:?}");
+                assert_eq!(run_suite(&suite, &policies, &config), oracle, "plain {label}");
+                let root = TempDir::new("runner-oracle-cached");
+                let (cached, _) =
+                    run_suite_cached(&suite, &policies, &config, root.path()).unwrap();
+                assert_eq!(cached, oracle, "cached {label}");
+                let root = TempDir::new("runner-oracle-streamed");
+                let (streamed, _) =
+                    run_suite_streamed(&suite, &policies, &config, root.path()).unwrap();
+                assert_eq!(streamed, oracle, "streamed {label}");
+            }
+        }
+    }
+
+    /// `run_policy_group`'s two engines — the factored group (or
+    /// `run_columnar` for a group of one) and the all-`run_columnar`
+    /// reference — agree bit for bit, in input order.
+    #[test]
+    fn policy_group_engines_agree() {
+        let suite = build_suite(&SuiteConfig { benchmarks: 2 });
+        let config = SimConfig::default();
+        let lineup = [
+            PolicyKind::Lru,
+            PolicyKind::Chirp(Default::default()),
+            PolicyKind::Ghrp,
+            PolicyKind::Drrip,
+        ];
+        for bench in &suite {
+            let trace = bench.generate_packed(20_000);
+            for width in [1, lineup.len()] {
+                let kinds: Vec<&PolicyKind> = lineup[..width].iter().collect();
+                let factored = run_policy_group(&config, &kinds, bench.seed, &trace, true);
+                let reference = run_policy_group(&config, &kinds, bench.seed, &trace, false);
+                assert_eq!(factored, reference, "{} at width {width}", bench.name);
             }
         }
     }

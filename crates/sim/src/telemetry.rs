@@ -19,7 +19,7 @@
 use crate::engine::Simulator;
 use crate::registry::PolicyKind;
 use crate::runner::{BenchRun, RunnerConfig};
-use crate::sched::{run_units, WorkItem};
+use crate::sched::{run_items, WorkItem};
 use crate::store_cache::run_key;
 use chirp_store::json::JsonObject;
 use chirp_store::{hex16, parse_hex16, StoreError};
@@ -232,33 +232,47 @@ pub fn run_suite_telemetry(
     let work: Vec<WorkItem> = (0..suite.len())
         .map(|bench| WorkItem { bench, policies: (0..policies.len()).collect() })
         .collect();
-    let (results, _) = run_units(
+    let (results, _) = run_items(
         &work,
         config.worker_threads(),
         config.trace_estimate(),
         config.mem_budget,
-        |item| Ok(suite[item.bench].generate_packed(config.instructions)),
-        |w, pos, trace| {
-            let bench = &suite[work[w].bench];
-            let policy = &policies[work[w].policies[pos]];
-            let mut sim = Simulator::with_policy(
-                &config.sim,
-                policy.build_dispatch(config.sim.tlb.l2, bench.seed),
-            );
-            let (result, rows) = if spec.mode.is_enabled() {
-                sim.run_instrumented(trace, config.sim.warmup_fraction, spec.epoch_instructions)
-            } else {
-                (sim.run_columnar(trace, config.sim.warmup_fraction), Vec::new())
-            };
-            let run = BenchRun { benchmark: bench.name.clone(), category: bench.category, result };
-            let series = UnitSeries {
-                benchmark: bench.name.clone(),
-                policy: policy.name().to_string(),
-                run_key: run_key(&config.sim, policy, &bench.name, config.instructions),
-                epoch_instructions: spec.epoch_instructions,
-                rows: rows.iter().map(EpochRecord::from_row).collect(),
-            };
-            (run, series)
+        |item| {
+            let bench = &suite[item.bench];
+            let trace = bench.generate_packed(config.instructions);
+            Ok(item
+                .policies
+                .iter()
+                .map(|&pi| {
+                    let policy = &policies[pi];
+                    let mut sim = Simulator::with_policy(
+                        &config.sim,
+                        policy.build_dispatch(config.sim.tlb.l2, bench.seed),
+                    );
+                    let (result, rows) = if spec.mode.is_enabled() {
+                        sim.run_instrumented(
+                            &trace,
+                            config.sim.warmup_fraction,
+                            spec.epoch_instructions,
+                        )
+                    } else {
+                        (sim.run_columnar(&trace, config.sim.warmup_fraction), Vec::new())
+                    };
+                    let run = BenchRun {
+                        benchmark: bench.name.clone(),
+                        category: bench.category,
+                        result,
+                    };
+                    let series = UnitSeries {
+                        benchmark: bench.name.clone(),
+                        policy: policy.name().to_string(),
+                        run_key: run_key(&config.sim, policy, &bench.name, config.instructions),
+                        epoch_instructions: spec.epoch_instructions,
+                        rows: rows.iter().map(EpochRecord::from_row).collect(),
+                    };
+                    (run, series)
+                })
+                .collect())
         },
     )
     .expect("direct fetch is infallible");

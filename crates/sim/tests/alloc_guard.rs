@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use chirp_core::ChirpConfig;
-use chirp_sim::{run_columnar_lanes, LaneUnit, PolicyKind, SimConfig, Simulator};
+use chirp_sim::{PolicyKind, SimConfig, Simulator};
 use chirp_trace::suite::{build_suite, SuiteConfig};
 
 struct CountingAlloc;
@@ -44,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `ALLOCATIONS` is process-global, but libtest runs the two tests below
+/// `ALLOCATIONS` is process-global, but libtest runs the tests below
 /// on separate threads: one test's setup allocations can land inside the
 /// other's measured window and fail it spuriously. Each test holds this
 /// lock for its whole body so a measured window owns the counter.
@@ -86,43 +86,6 @@ fn hot_loop_does_not_allocate_per_instruction() {
             policy.name()
         );
     }
-}
-
-/// Allocation count of one `run_columnar_lanes` call over all 9 policies
-/// at the given trace length, unit/simulator construction excluded.
-fn allocs_for_lane_run(config: &SimConfig, instructions: usize, lanes: usize) -> u64 {
-    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
-    let trace = suite[0].generate_packed(instructions);
-    let units: Vec<_> = lineup9()
-        .iter()
-        .map(|policy| {
-            let sim = Simulator::with_policy(config, policy.build_dispatch(config.tlb.l2, 7));
-            LaneUnit::new(sim, &trace, config.warmup_fraction)
-        })
-        .collect();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let results = run_columnar_lanes(units, lanes);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(results.len(), 9);
-    after - before
-}
-
-/// The lane engine's interleaved loop must not allocate per instruction
-/// either: its per-lane decode blocks and vpn columns are allocated once
-/// per lane (covered by both counts), so a longer trace may not add
-/// allocations. 9 units at width 4 exercises lane retirement and refill
-/// (three waves) inside the measured window.
-#[test]
-fn lane_engine_does_not_allocate_per_instruction() {
-    let _counter = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let config = SimConfig::default();
-    let short = allocs_for_lane_run(&config, 4_000, 4);
-    let long = allocs_for_lane_run(&config, 40_000, 4);
-    assert_eq!(
-        long, short,
-        "lane engine allocates per instruction: {short} allocations over 4k instructions \
-         vs {long} over 40k"
-    );
 }
 
 /// Allocation count of replaying a prebuilt front-end event stream

@@ -1,30 +1,24 @@
-//! The tentpole equivalence gates for the fast execution paths.
+//! The equivalence gates for every execution engine.
 //!
-//! Three layers, all pinning bit-identical `RunResult`s (which embed the
-//! measured `TlbStats`), L2 totals and CHiRP's internal counters:
+//! `Simulator::run_columnar` is the oracle. Each layer pins bit-identical
+//! `RunResult`s (which embed the measured `TlbStats`), L2 totals and
+//! CHiRP's internal counters against it:
 //!
-//! 1. **Lane matrix** (always on): the multi-lane software-pipelined
-//!    engine ([`chirp_sim::run_columnar_lanes`]) must reproduce a
-//!    sequential `run_columnar` of every unit, for every in-tree policy
-//!    on suite benchmarks, across lane widths (including widths that do
-//!    not divide the unit count) and warmup fractions that cut
-//!    mid-chunk.
-//! 2. **Factored matrix** (always on): the shared front-end +
-//!    per-policy replay back-ends ([`chirp_sim::run_factored_group`],
-//!    materialized and streamed) must reproduce the sequential
-//!    `run_columnar` of every unit, across warmup cuts, chunk sizes,
-//!    signature-config mismatches and wrong-path-pollution
-//!    configurations — plus the policy-invariance gate: the front-end
-//!    event stream is byte-identical no matter which policy (if any)
-//!    consumes it.
-//! 3. **Legacy shim** (behind the `legacy-dyn` feature): the retired
-//!    dynamic-dispatch path (`Simulator::new` over
-//!    `Box<dyn TlbReplacementPolicy>` + per-record `run`) must agree
-//!    with the monomorphized columnar path — run via
-//!    `cargo test --features legacy-dyn` (CI does) to prove the shim.
+//! 1. **Streamed**: `Simulator::run_stream` over bounded generator
+//!    streams, across chunk sizes and warmup cuts.
+//! 2. **Factored**: the shared front end + per-policy replay back-ends
+//!    ([`chirp_sim::replay_factored`], materialized and streamed),
+//!    across warmup cuts, chunk sizes, signature-config mismatches and
+//!    wrong-path-pollution configurations — plus the policy-invariance
+//!    gate: the front-end event stream is byte-identical no matter which
+//!    policy (if any) consumes it.
+//! 3. **OPT back end**: Bélády OPT replayed over the front end's own vpn
+//!    stream equals a columnar OPT run with the same oracle, and bounds
+//!    every lineup policy's measured misses from below.
 
 use chirp_core::{Chirp, ChirpConfig};
-use chirp_sim::{run_columnar_lanes, LaneUnit, PolicyKind, RunResult, SimConfig, Simulator};
+use chirp_sim::{PolicyKind, RunResult, SimConfig, Simulator};
+use chirp_tlb::policies::{OptOracle, OptPolicy};
 use chirp_tlb::{TlbReplacementPolicy, TlbStats};
 use chirp_trace::suite::{build_suite, SuiteConfig};
 use chirp_trace::PackedTrace;
@@ -73,144 +67,6 @@ fn columnar_path(
     outcome_of(sim, result)
 }
 
-/// Runs one unit per (trace, policy) pair through the lane engine at the
-/// given width and returns each unit's outcome, in input order.
-fn lane_path(
-    pairs: &[(&PackedTrace, &PolicyKind, u64)],
-    config: &SimConfig,
-    lanes: usize,
-) -> Vec<RunResult> {
-    let units = pairs
-        .iter()
-        .map(|(trace, policy, seed)| {
-            LaneUnit::new(
-                Simulator::with_policy(config, policy.build_dispatch(config.tlb.l2, *seed)),
-                trace,
-                config.warmup_fraction,
-            )
-        })
-        .collect();
-    run_columnar_lanes(units, lanes)
-}
-
-/// The tentpole gate: every (benchmark × policy) unit through the lane
-/// engine, at widths 1/2/4/8, must be bit-identical to its sequential
-/// `run_columnar`. The 9-policy × `BENCHMARKS` grid gives 36 units, so
-/// widths 8 and (after retirements) 4 exercise unit counts that do not
-/// divide the lane width and traces retiring mid-flight.
-#[test]
-fn lane_engine_matches_sequential_for_every_policy_and_benchmark() {
-    let suite = build_suite(&SuiteConfig { benchmarks: BENCHMARKS });
-    let config = SimConfig::default();
-    let policies = lineup9();
-    assert_eq!(policies.len(), 9);
-
-    let traces: Vec<(String, u64, PackedTrace)> = suite
-        .iter()
-        .map(|b| (b.name.to_string(), b.seed, b.generate_packed(INSTRUCTIONS)))
-        .collect();
-    let mut pairs = Vec::new();
-    let mut expected = Vec::new();
-    for (name, seed, trace) in &traces {
-        for policy in &policies {
-            pairs.push((trace, policy, *seed));
-            expected.push((
-                format!("{} on {}", policy.name(), name),
-                columnar_path(policy, &config, trace, *seed),
-            ));
-        }
-    }
-    for lanes in [1, 2, 4, 8] {
-        let got = lane_path(&pairs, &config, lanes);
-        for (result, (label, want)) in got.into_iter().zip(&expected) {
-            assert_eq!(result, want.result, "RunResult diverged at lanes={lanes}: {label}");
-        }
-    }
-}
-
-/// Lane-engine policy state must match too, not just the run totals: the
-/// CHiRP counters and L2 stats of a laned unit agree with sequential.
-#[test]
-fn lane_engine_preserves_policy_state() {
-    let suite = build_suite(&SuiteConfig { benchmarks: 2 });
-    let config = SimConfig::default();
-    let policy = PolicyKind::Chirp(ChirpConfig::default());
-    let traces: Vec<PackedTrace> = suite.iter().map(|b| b.generate_packed(INSTRUCTIONS)).collect();
-
-    let units = traces
-        .iter()
-        .zip(&suite)
-        .map(|(trace, bench)| {
-            LaneUnit::new(
-                Simulator::with_policy(&config, policy.build_dispatch(config.tlb.l2, bench.seed)),
-                trace,
-                config.warmup_fraction,
-            )
-        })
-        .collect();
-    let laned = chirp_sim::run_columnar_lanes_outcomes(units, 2);
-    for ((trace, bench), (result, sim)) in traces.iter().zip(&suite).zip(laned) {
-        let got = outcome_of(sim, result);
-        let want = columnar_path(&policy, &config, trace, bench.seed);
-        assert_eq!(got, want, "policy state diverged on {}", bench.name);
-        assert!(got.chirp.is_some(), "CHiRP counters must be reachable");
-    }
-}
-
-/// An empty trace, a warmup-only unit and a normal unit must coexist in
-/// one lane group without panicking or diverging.
-#[test]
-fn lane_engine_handles_empty_and_degenerate_units() {
-    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
-    let bench = &suite[0];
-    let trace = bench.generate_packed(10_000);
-    let empty = PackedTrace::from_records(&[]);
-    let config = SimConfig::default();
-    let policy = PolicyKind::Lru;
-
-    let pairs =
-        [(&trace, &policy, bench.seed), (&empty, &policy, 0), (&trace, &policy, bench.seed)];
-    for lanes in [1, 2, 3, 8] {
-        let got = lane_path(&pairs, &config, lanes);
-        assert_eq!(got[0], columnar_path(&policy, &config, &trace, bench.seed).result);
-        assert_eq!(got[1].instructions, 0, "empty trace must measure zero instructions");
-        assert_eq!(got[0], got[2], "identical units must produce identical results");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Random warmup fractions (cutting mid-chunk at arbitrary record
-    /// indices, including at lane-burst boundaries), random lane widths
-    /// and random trace lengths straddling the 4096-record chunk size:
-    /// every laned unit stays bit-identical to its sequential run.
-    #[test]
-    fn lane_engine_matches_sequential_under_random_warmup_cuts(
-        warmup_pm in 0u32..1001,
-        lanes in 1usize..9,
-        lens in proptest::collection::vec(1usize..9_000, 1..6),
-    ) {
-        let warmup = f64::from(warmup_pm) / 1000.0;
-        let suite = build_suite(&SuiteConfig { benchmarks: 1 });
-        let bench = &suite[0];
-        let config = SimConfig { warmup_fraction: warmup, ..SimConfig::default() };
-        let policies = lineup9();
-        let traces: Vec<PackedTrace> =
-            lens.iter().map(|&n| bench.generate_packed(n)).collect();
-        let pairs: Vec<(&PackedTrace, &PolicyKind, u64)> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t, &policies[i % policies.len()], bench.seed))
-            .collect();
-        let got = lane_path(&pairs, &config, lanes);
-        for ((trace, policy, seed), result) in pairs.iter().zip(got) {
-            let want = columnar_path(policy, &config, trace, *seed);
-            prop_assert_eq!(&result, &want.result, "lanes={}, warmup={}", lanes, warmup);
-        }
-    }
-}
-
 /// One streamed unit: fresh simulator fed from a generator stream with
 /// the given chunk size, compared field-for-field (including policy
 /// state) against the sequential columnar run of the materialized trace.
@@ -257,32 +113,6 @@ fn streamed_matches_materialized_for_every_policy_and_benchmark() {
     }
 }
 
-/// Lockstep streaming — several policies sharing one stream pass — must
-/// equal each policy's independent materialized run, including policy
-/// state.
-#[test]
-fn lockstep_stream_matches_independent_materialized_runs() {
-    let suite = build_suite(&SuiteConfig { benchmarks: 2 });
-    let config = SimConfig::default();
-    let policies = lineup9();
-
-    for bench in &suite {
-        let trace = bench.generate_packed(INSTRUCTIONS);
-        let mut sims: Vec<_> = policies
-            .iter()
-            .map(|p| Simulator::with_policy(&config, p.build_dispatch(config.tlb.l2, bench.seed)))
-            .collect();
-        let mut stream = bench.stream(INSTRUCTIONS, 1_111);
-        let results =
-            chirp_sim::run_stream_units(&mut sims, &mut stream, config.warmup_fraction).unwrap();
-        for ((policy, sim), result) in policies.iter().zip(sims).zip(results) {
-            let got = outcome_of(sim, result);
-            let want = columnar_path(policy, &config, &trace, bench.seed);
-            assert_eq!(got, want, "lockstep diverged: {} on {}", policy.name(), bench.name);
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -325,7 +155,9 @@ fn factored_group_path(
     let sig_config = chirp_sim::group_sig_config(policies.iter());
     let built: Vec<chirp_sim::PolicyDispatch> =
         policies.iter().map(|p| p.build_dispatch(config.tlb.l2, seed)).collect();
-    chirp_sim::run_factored_group(config, trace, config.warmup_fraction, &sig_config, built)
+    let events =
+        chirp_sim::FactoredTrace::build(config, trace, config.warmup_fraction, &sig_config);
+    chirp_sim::replay_factored(config, &events, built)
         .into_iter()
         .map(|(result, backend)| backend_outcome(result, &backend))
         .collect()
@@ -555,77 +387,46 @@ proptest! {
     }
 }
 
-/// The retired dynamic-dispatch path must still agree with the columnar
-/// path while the `legacy-dyn` shim exists.
-#[cfg(feature = "legacy-dyn")]
-mod legacy_shim {
-    use super::*;
+/// The OPT layer: on every matrix benchmark at two warmup cuts, the
+/// Bélády back end replayed over the front end's vpn stream equals a
+/// columnar OPT run driven by the same oracle — run totals and L2
+/// stats, bit for bit — and its measured L2 misses are no more than
+/// those of any `lineup9` policy on the same trace.
+#[test]
+fn opt_backend_matches_columnar_and_bounds_the_lineup() {
+    let suite = build_suite(&SuiteConfig { benchmarks: BENCHMARKS });
+    let policies = lineup9();
+    let sig_config = chirp_sim::group_sig_config(policies.iter());
 
-    fn legacy_path(
-        policy: &PolicyKind,
-        config: &SimConfig,
-        trace: &PackedTrace,
-        seed: u64,
-    ) -> PathOutcome {
-        let mut sim = Simulator::new(config, policy.build(config.tlb.l2, seed));
-        let result = sim.run(trace, config.warmup_fraction);
-        let stats_total = sim.tlbs().l2().stats();
-        let chirp = sim
-            .tlbs()
-            .l2()
-            .policy()
-            .as_any()
-            .and_then(|a| a.downcast_ref::<Chirp>())
-            .map(|c| c.counters());
-        PathOutcome { result, stats_total, chirp }
-    }
+    for bench in &suite {
+        let trace = bench.generate_packed(INSTRUCTIONS);
+        for warmup in [0.1337, 0.5] {
+            let config = SimConfig { warmup_fraction: warmup, ..SimConfig::default() };
+            let events = chirp_sim::FactoredTrace::build(&config, &trace, warmup, &sig_config);
+            let vpns: Vec<u64> =
+                events.warmup.vpns().iter().chain(events.measured.vpns()).copied().collect();
+            let oracle = OptOracle::from_vpns(vpns);
 
-    #[test]
-    fn columnar_dispatch_matches_legacy_for_every_policy_and_benchmark() {
-        let suite = build_suite(&SuiteConfig { benchmarks: BENCHMARKS });
-        let config = SimConfig::default();
-        let policies = lineup9();
+            let opt = OptPolicy::new(config.tlb.l2, oracle.clone());
+            let (replayed, backend) = chirp_sim::replay_factored(&config, &events, vec![opt])
+                .pop()
+                .expect("one back end");
+            let mut sim = Simulator::with_policy(&config, OptPolicy::new(config.tlb.l2, oracle));
+            let columnar = sim.run_columnar(&trace, warmup);
+            let label = format!("{} at warmup {warmup}", bench.name);
+            assert_eq!(replayed, columnar, "OPT back end diverged: {label}");
+            assert_eq!(backend.l2().stats(), sim.tlbs().l2().stats(), "OPT totals: {label}");
 
-        for bench in &suite {
-            let trace = bench.generate_packed(INSTRUCTIONS);
             for policy in &policies {
-                let legacy = legacy_path(policy, &config, &trace, bench.seed);
-                let columnar = columnar_path(policy, &config, &trace, bench.seed);
-                let label = format!("{} on {}", policy.name(), bench.name);
-                assert_eq!(columnar, legacy, "paths diverged: {label}");
-                if matches!(policy, PolicyKind::Chirp(_)) {
-                    assert!(columnar.chirp.is_some(), "CHiRP counters must be reachable: {label}");
-                }
+                let other = columnar_path(policy, &config, &trace, bench.seed).result;
+                assert!(
+                    replayed.l2_tlb.misses <= other.l2_tlb.misses,
+                    "OPT ({}) misses more than {} ({}): {label}",
+                    replayed.l2_tlb.misses,
+                    policy.name(),
+                    other.l2_tlb.misses
+                );
             }
         }
-    }
-
-    /// Warmup edge cases: 0% (whole trace measured), 100% (empty window)
-    /// and a fraction that cuts mid-chunk must all agree between the paths.
-    #[test]
-    fn columnar_matches_legacy_at_warmup_extremes() {
-        let suite = build_suite(&SuiteConfig { benchmarks: 1 });
-        let bench = &suite[0];
-        let trace = bench.generate_packed(10_000);
-        let policy = PolicyKind::Chirp(ChirpConfig::default());
-        for warmup in [0.0, 0.1337, 0.5, 1.0] {
-            let config = SimConfig { warmup_fraction: warmup, ..SimConfig::default() };
-            let legacy = legacy_path(&policy, &config, &trace, bench.seed);
-            let columnar = columnar_path(&policy, &config, &trace, bench.seed);
-            assert_eq!(columnar, legacy, "warmup={warmup}");
-        }
-    }
-
-    /// An empty trace must produce the same (all-zero window) result on
-    /// both paths without panicking.
-    #[test]
-    fn columnar_handles_empty_trace() {
-        let trace = PackedTrace::from_records(&[]);
-        let config = SimConfig::default();
-        let policy = PolicyKind::Lru;
-        let legacy = legacy_path(&policy, &config, &trace, 0);
-        let columnar = columnar_path(&policy, &config, &trace, 0);
-        assert_eq!(columnar.result, legacy.result);
-        assert_eq!(columnar.result.instructions, 0);
     }
 }

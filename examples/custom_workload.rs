@@ -66,7 +66,7 @@ fn main() {
     println!("{:<8} {:>8} {:>10}", "policy", "MPKI", "IPC");
     for kind in PolicyKind::paper_lineup() {
         let mut sim = Simulator::with_policy(&config, kind.build_dispatch(config.tlb.l2, 0));
-        let r = sim.run(&trace, config.warmup_fraction);
+        let r = sim.run_columnar(&trace, config.warmup_fraction);
         println!("{:<8} {:>8.3} {:>10.4}", r.policy, r.mpki(), r.ipc());
     }
 }

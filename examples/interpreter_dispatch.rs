@@ -14,13 +14,13 @@ use chirp_repro::trace::gen::{Interpreter, WorkloadGen};
 
 fn main() {
     let workload = Interpreter::default();
-    let trace = workload.generate(1_500_000, 11);
+    let trace = workload.generate_packed(1_500_000, 11);
     println!("workload: {} ({} instructions)", workload.name(), trace.len());
 
     let config = SimConfig::default();
     let run = |label: &str, kind: PolicyKind| {
         let mut sim = Simulator::with_policy(&config, kind.build_dispatch(config.tlb.l2, 11));
-        let r = sim.run(&trace, config.warmup_fraction);
+        let r = sim.run_columnar(&trace, config.warmup_fraction);
         println!("{label:<24} MPKI {:>8.3}  IPC {:.4}", r.mpki(), r.ipc());
     };
 

@@ -15,19 +15,19 @@ fn main() {
     // context*: a shared copy helper serves a resident buffer from one call
     // site and a streaming region from another.
     let workload = ContextCopy::default();
-    let trace = workload.generate(1_000_000, 42);
+    let trace = workload.generate_packed(1_000_000, 42);
     println!("workload: {} ({} instructions)", workload.name(), trace.len());
 
     let config = SimConfig::default();
 
     // Baseline: true LRU, the policy TLB literature usually assumes.
     let mut sim = Simulator::with_policy(&config, Lru::new(config.tlb.l2));
-    let lru = sim.run(&trace, config.warmup_fraction);
+    let lru = sim.run_columnar(&trace, config.warmup_fraction);
 
     // CHiRP with the paper's default configuration (1 KB prediction table).
     let chirp_policy = Chirp::new(config.tlb.l2, ChirpConfig::default());
     let mut sim = Simulator::with_policy(&config, chirp_policy);
-    let chirp = sim.run(&trace, config.warmup_fraction);
+    let chirp = sim.run_columnar(&trace, config.warmup_fraction);
 
     println!("\n             {:>10} {:>10}", "LRU", "CHiRP");
     println!("L2 TLB MPKI  {:>10.3} {:>10.3}", lru.mpki(), chirp.mpki());

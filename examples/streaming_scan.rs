@@ -13,7 +13,7 @@ use chirp_repro::trace::gen::{ScanIndex, WorkloadGen};
 fn main() {
     let workload =
         ScanIndex { index_pages: 1024, zipf_s: 0.9, scan_burst_pages: 64, ..Default::default() };
-    let trace = workload.generate(2_000_000, 7);
+    let trace = workload.generate_packed(2_000_000, 7);
     println!("workload: {} ({} instructions)", workload.name(), trace.len());
     println!(
         "{:<8} {:>8} {:>8} {:>12} {:>16}",
@@ -24,7 +24,7 @@ fn main() {
     let mut lru_ipc = None;
     for kind in PolicyKind::paper_lineup() {
         let mut sim = Simulator::with_policy(&config, kind.build_dispatch(config.tlb.l2, 7));
-        let r = sim.run(&trace, config.warmup_fraction);
+        let r = sim.run_columnar(&trace, config.warmup_fraction);
         let speedup = match lru_ipc {
             None => {
                 lru_ipc = Some(r.ipc());

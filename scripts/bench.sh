@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # Performance benchmarks appending to the BENCH_runner.json trajectory:
 #
-#   1. suite_runner — packed-trace scheduler vs the flat benchwise
-#      baseline, 1 vs 8 threads, 4 benchmarks x 9 policies, plus an
-#      epoch-telemetry variant guarding instrumentation overhead
-#      (telemetry_overhead_8t in the trajectory line).
+#   1. suite_runner — the item scheduler at 1 vs 8 threads, 4
+#      benchmarks x 9 policies, plus an epoch-telemetry variant guarding
+#      instrumentation overhead (telemetry_overhead_8t in the trajectory
+#      line).
 #   2. sim_throughput — single-thread instructions/sec of the
-#      monomorphized columnar hot loop (instr_per_sec_1t, the lanes=1
-#      sequential baseline) plus the multi-lane engine sweep
-#      (instr_per_sec_1t_lanes{2,4,8}, best_lanes, lane_speedup) and the
-#      factored engine (instr_per_sec_1t_factored: one shared front-end
-#      pass + 9 replay back-ends per benchmark, with
-#      frontend_events_per_instr and factored_speedup). The
+#      monomorphized columnar hot loop (instr_per_sec_1t, the sequential
+#      run_columnar baseline) and the factored engine
+#      (instr_per_sec_1t_factored: one shared front-end pass + 9 replay
+#      back-ends per benchmark, with frontend_events_per_instr and
+#      factored_speedup). The
 #      factored_speedup >= 3.0 acceptance floor is checked after the
 #      regression guards (warning, exit non-zero under
 #      CHIRP_BENCH_STRICT=1).
@@ -24,9 +23,9 @@
 #
 # Each bench appends one JSON line per invocation, so the file
 # accumulates a trajectory across commits. After running, the new
-# instr_per_sec_1t (lanes=1 baseline) AND the best number across the
-# lane sweep are each compared against the previous sim_throughput line;
-# a >10% regression on either prints a loud warning (and exits non-zero
+# instr_per_sec_1t (sequential baseline) AND instr_per_sec_1t_factored
+# are each compared against the previous sim_throughput line; a >10%
+# regression on either prints a loud warning (and exits non-zero
 # under CHIRP_BENCH_STRICT=1). Release profile: Criterion benches always
 # build optimized.
 #
@@ -65,13 +64,6 @@ extract_ips() {
     query_traj "last instr_per_sec_1t from bench where bench=sim_throughput"
 }
 
-extract_best_ips() {
-    # Best throughput across the lane sweep in the last sim_throughput
-    # line. Falls back to instr_per_sec_1t alone on pre-lane-sweep lines
-    # (best() skips fields a line does not carry).
-    query_traj "last best(instr_per_sec_1t,instr_per_sec_1t_dyn,instr_per_sec_1t_lanes2,instr_per_sec_1t_lanes4,instr_per_sec_1t_lanes8) from bench where bench=sim_throughput"
-}
-
 extract_factored() {
     query_traj "last instr_per_sec_1t_factored from bench where bench=sim_throughput"
 }
@@ -89,16 +81,6 @@ legacy_ips() {
     [[ -f "$out" ]] || return 0
     grep '"bench":"sim_throughput"' "$out" | tail -n 1 |
         sed -n 's/.*"instr_per_sec_1t":\([0-9][0-9]*\).*/\1/p'
-}
-
-legacy_best_ips() {
-    # Lane-sweep fields only: the factored number is a different engine
-    # with its own guard, so it must stay out of this maximum (the query
-    # path above enumerates the same lane fields explicitly).
-    [[ -f "$out" ]] || return 0
-    grep '"bench":"sim_throughput"' "$out" | tail -n 1 |
-        grep -o '"instr_per_sec_1t\(_dyn\|_lanes[0-9]*\)\{0,1\}":[0-9]*' |
-        sed 's/.*://' | sort -n | tail -n 1
 }
 
 legacy_factored() {
@@ -146,7 +128,6 @@ guard() {
 }
 
 prev_ips="$(extract_ips)"
-prev_best_ips="$(extract_best_ips)"
 prev_factored="$(extract_factored)"
 prev_serve="$(extract_serve)"
 
@@ -164,17 +145,14 @@ if [[ -f "$out" ]]; then
 fi
 
 new_ips="$(extract_ips)"
-new_best_ips="$(extract_best_ips)"
 new_factored="$(extract_factored)"
 new_factored_speedup="$(extract_factored_speedup)"
 new_serve="$(extract_serve)"
 assert_paths_agree instr_per_sec_1t "$new_ips" "$(legacy_ips)"
-assert_paths_agree instr_per_sec_1t_best_lanes "$new_best_ips" "$(legacy_best_ips)"
 assert_paths_agree instr_per_sec_1t_factored "$new_factored" "$(legacy_factored)"
 assert_paths_agree factored_speedup "$new_factored_speedup" "$(legacy_factored_speedup)"
 assert_paths_agree serve_req_per_sec "$new_serve" "$(legacy_serve)"
 guard instr_per_sec_1t "$prev_ips" "$new_ips"
-guard instr_per_sec_1t_best_lanes "$prev_best_ips" "$new_best_ips"
 guard instr_per_sec_1t_factored "$prev_factored" "$new_factored"
 guard serve_req_per_sec "$prev_serve" "$new_serve"
 

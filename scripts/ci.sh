@@ -26,43 +26,13 @@ cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> lane + factored equivalence matrix (--release, plus the legacy-dyn shim)"
+echo "==> equivalence matrix (--release)"
 # The engines' bit-identity gates rerun under the optimized profile: the
-# fast paths they pin (branchless probe, packed order word, lane
-# interleave, SWAR burst signature/set hashing in the shared front end)
-# only take their real shape with optimizations on. The test file carries
-# the lane matrix AND the factored front-end/back-end matrix.
+# fast paths they pin (branchless probe, packed order word, SWAR burst
+# signature/set hashing in the shared front end) only take their real
+# shape with optimizations on. The test file carries the streamed,
+# factored and OPT back-end layers against the run_columnar oracle.
 cargo test --release -q -p chirp-sim --test equivalence_matrix
-cargo test --release -q -p chirp-sim --test equivalence_matrix --features legacy-dyn
-
-echo "==> factored-default gate (lineup groups must share one front end)"
-# Suite runs at lineup width > 1 must dispatch through the shared
-# front-end pass by default: the runner's group dispatcher routes
-# multi-policy groups to the factored engine, and RunnerConfig's Default
-# turns the knob on. If either grep fails, a refactor silently dropped
-# the default back to N full simulations per trace.
-grep -q 'factored && kinds.len() > 1' crates/sim/src/runner.rs || {
-    echo "ERROR: run_policy_group no longer routes multi-policy groups through the factored engine" >&2
-    exit 1
-}
-grep -q 'factored: true' crates/sim/src/runner.rs || {
-    echo "ERROR: RunnerConfig::default() no longer enables the factored engine" >&2
-    exit 1
-}
-
-echo "==> legacy-dyn gate (dynamic dispatch must stay behind the feature)"
-# Simulator::new and PolicyKind::build exist only under the legacy-dyn
-# feature, so the default-feature builds above already reject ungated
-# callers at compile time. This check is the belt to that suspender:
-# every file with a Simulator::new call site must carry the cfg gate.
-ungated=""
-while IFS= read -r f; do
-    grep -q 'feature = "legacy-dyn"' "$f" || ungated="$ungated $f"
-done < <(grep -rl --include='*.rs' 'Simulator::new(' crates examples tests 2>/dev/null || true)
-if [[ -n "$ungated" ]]; then
-    echo "ERROR: Simulator::new used without a legacy-dyn feature gate in:$ungated" >&2
-    exit 1
-fi
 
 echo "==> cargo doc (no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
@@ -84,6 +54,16 @@ test -s "$smoke_dir/telemetry_epochs.jsonl"
 cargo run --release -q -p chirp-bench --bin telemetry_report -- \
     --input "$smoke_dir/telemetry_epochs.jsonl" > "$smoke_dir/report.out"
 grep -q "Per-policy rollup" "$smoke_dir/report.out"
+
+echo "==> OPT-bound smoke (Belady back end over the shared front end)"
+# ext_opt_bound writes results/ext_opt_bound.csv relative to its working
+# directory, so run it inside the scratch dir.
+repo_root="$PWD"
+(cd "$smoke_dir" && cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
+    -p chirp-bench --bin ext_opt_bound -- \
+    --benchmarks 2 --instructions 20000 > "$smoke_dir/opt.out")
+grep -q "LRU->OPT gap" "$smoke_dir/opt.out"
+test "$(wc -l < "$smoke_dir/results/ext_opt_bound.csv")" -eq 3
 
 echo "==> chirp-query smoke (ledger-backed answers)"
 query_store="$smoke_dir/query-store"

@@ -7,15 +7,15 @@ use chirp_repro::tlb::policies::Lru;
 use chirp_repro::trace::gen::{ContextCopy, ScanIndex, WorkloadGen};
 use chirp_repro::trace::suite::{build_suite, SuiteConfig};
 
-fn mpki_for(policy: PolicyKind, trace: &[chirp_repro::trace::TraceRecord], seed: u64) -> f64 {
+fn mpki_for(policy: PolicyKind, trace: &chirp_repro::trace::PackedTrace, seed: u64) -> f64 {
     let config = SimConfig::default();
     let mut sim = Simulator::with_policy(&config, policy.build_dispatch(config.tlb.l2, seed));
-    sim.run(trace, config.warmup_fraction).mpki()
+    sim.run_columnar(trace, config.warmup_fraction).mpki()
 }
 
 #[test]
 fn chirp_beats_lru_on_the_context_copy_mechanism_workload() {
-    let trace = ContextCopy::default().generate(600_000, 1);
+    let trace = ContextCopy::default().generate_packed(600_000, 1);
     let lru = mpki_for(PolicyKind::Lru, &trace, 1);
     let chirp = mpki_for(PolicyKind::Chirp(ChirpConfig::default()), &trace, 1);
     assert!(chirp < lru * 0.8, "CHiRP ({chirp:.2}) must cut at least 20% of LRU misses ({lru:.2})");
@@ -25,7 +25,7 @@ fn chirp_beats_lru_on_the_context_copy_mechanism_workload() {
 fn ship_cannot_separate_contexts_through_shared_pcs() {
     // Paper Observation 2: on the mixed-context workload, PC-indexed SHiP
     // degenerates to roughly LRU.
-    let trace = ContextCopy::default().generate(600_000, 1);
+    let trace = ContextCopy::default().generate_packed(600_000, 1);
     let lru = mpki_for(PolicyKind::Lru, &trace, 1);
     let ship = mpki_for(PolicyKind::Ship, &trace, 1);
     let chirp = mpki_for(PolicyKind::Chirp(ChirpConfig::default()), &trace, 1);
@@ -38,7 +38,7 @@ fn ship_cannot_separate_contexts_through_shared_pcs() {
 
 #[test]
 fn chirp_beats_lru_on_database_scans() {
-    let trace = ScanIndex::default().generate(600_000, 3);
+    let trace = ScanIndex::default().generate_packed(600_000, 3);
     let lru = mpki_for(PolicyKind::Lru, &trace, 3);
     let chirp = mpki_for(PolicyKind::Chirp(ChirpConfig::default()), &trace, 3);
     assert!(chirp < lru * 0.85, "CHiRP ({chirp:.2}) vs LRU ({lru:.2}) on scan+index");
@@ -73,13 +73,13 @@ fn simulation_is_deterministic_across_runs() {
 
 #[test]
 fn warmup_window_is_excluded_from_measurement() {
-    let trace = ContextCopy::default().generate(200_000, 0);
+    let trace = ContextCopy::default().generate_packed(200_000, 0);
     let config = SimConfig::default();
     let mut sim = Simulator::with_policy(&config, Lru::new(config.tlb.l2));
-    let r = sim.run(&trace, 0.5);
+    let r = sim.run_columnar(&trace, 0.5);
     assert_eq!(r.instructions, 100_000);
     let mut sim = Simulator::with_policy(&config, Lru::new(config.tlb.l2));
-    let r_full = sim.run(&trace, 0.0);
+    let r_full = sim.run_columnar(&trace, 0.0);
     assert_eq!(r_full.instructions, 200_000);
     // Cold-start misses land in the warmup half: measured MPKI after warmup
     // must not exceed the whole-run MPKI by much.

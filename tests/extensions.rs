@@ -9,11 +9,11 @@ use chirp_repro::trace::gen::{ContextCopy, Interpreter, WorkloadGen};
 
 #[test]
 fn drrip_and_perceptron_run_end_to_end() {
-    let trace = ContextCopy::default().generate(200_000, 1);
+    let trace = ContextCopy::default().generate_packed(200_000, 1);
     let config = SimConfig::default();
     for kind in [PolicyKind::Drrip, PolicyKind::PerceptronReuse] {
         let mut sim = Simulator::with_policy(&config, kind.build_dispatch(config.tlb.l2, 1));
-        let r = sim.run(&trace, config.warmup_fraction);
+        let r = sim.run_columnar(&trace, config.warmup_fraction);
         assert_eq!(r.policy, kind.name());
         assert!(r.mpki() > 0.0);
     }
@@ -21,11 +21,11 @@ fn drrip_and_perceptron_run_end_to_end() {
 
 #[test]
 fn perceptron_beats_lru_on_context_workload_but_not_chirp() {
-    let trace = ContextCopy::default().generate(600_000, 2);
+    let trace = ContextCopy::default().generate_packed(600_000, 2);
     let config = SimConfig::default();
     let run = |kind: PolicyKind| {
         let mut sim = Simulator::with_policy(&config, kind.build_dispatch(config.tlb.l2, 2));
-        sim.run(&trace, config.warmup_fraction).mpki()
+        sim.run_columnar(&trace, config.warmup_fraction).mpki()
     };
     let lru = run(PolicyKind::Lru);
     let perceptron = run(PolicyKind::PerceptronReuse);
@@ -36,11 +36,11 @@ fn perceptron_beats_lru_on_context_workload_but_not_chirp() {
 
 #[test]
 fn indirect_history_matters_on_threaded_interpreters() {
-    let trace = Interpreter::default().generate(800_000, 11);
+    let trace = Interpreter::default().generate_packed(800_000, 11);
     let config = SimConfig::default();
     let run = |cfg: ChirpConfig| {
         let mut sim = Simulator::with_policy(&config, Chirp::new(config.tlb.l2, cfg));
-        sim.run(&trace, config.warmup_fraction).mpki()
+        sim.run_columnar(&trace, config.warmup_fraction).mpki()
     };
     let full = run(ChirpConfig::default());
     let no_indirect = run(ChirpConfig { use_uncond: false, ..Default::default() });
@@ -52,7 +52,7 @@ fn indirect_history_matters_on_threaded_interpreters() {
 
 #[test]
 fn psc_reduces_cycles_without_changing_miss_counts() {
-    let trace = ContextCopy::default().generate(200_000, 3);
+    let trace = ContextCopy::default().generate_packed(200_000, 3);
     let mut base_cfg = SimConfig::default();
     base_cfg.tlb = TlbHierarchyConfig { psc: None, ..base_cfg.tlb };
     let mut psc_cfg = SimConfig::default();
@@ -60,10 +60,10 @@ fn psc_reduces_cycles_without_changing_miss_counts() {
 
     let mut sim =
         Simulator::with_policy(&base_cfg, PolicyKind::Lru.build_dispatch(base_cfg.tlb.l2, 0));
-    let base = sim.run(&trace, 0.5);
+    let base = sim.run_columnar(&trace, 0.5);
     let mut sim =
         Simulator::with_policy(&psc_cfg, PolicyKind::Lru.build_dispatch(psc_cfg.tlb.l2, 0));
-    let psc = sim.run(&trace, 0.5);
+    let psc = sim.run_columnar(&trace, 0.5);
 
     assert_eq!(base.l2_tlb.misses, psc.l2_tlb.misses, "PSC must not change TLB behaviour");
     assert!(psc.cycles < base.cycles, "PSC must cut walk cycles");
