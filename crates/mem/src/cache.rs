@@ -224,27 +224,6 @@ impl Cache {
         false
     }
 
-    /// Hints the host to pull the set `addr` maps to into its own cache.
-    /// Purely a performance hint — no simulated state changes.
-    #[inline]
-    pub fn prefetch(&self, addr: u64) {
-        let (set_idx, _) = self.key(addr);
-        let base = set_idx * self.config.ways;
-        let bytes = self.config.ways * 8;
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let p = self.meta.as_ptr().add(base).cast::<i8>();
-            let mut off = 0;
-            while off < bytes {
-                _mm_prefetch(p.add(off), _MM_HINT_T0);
-                off += 64;
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = (base, bytes);
-    }
-
     /// True if the line holding `addr` is currently resident (no side
     /// effects — does not update recency or stats).
     pub fn probe(&self, addr: u64) -> bool {

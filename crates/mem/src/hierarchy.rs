@@ -80,20 +80,6 @@ impl MemoryHierarchy {
         self.load(addr)
     }
 
-    /// Hints the host to pull the L1d/L2/L3 metadata sets `addr` maps to
-    /// into its own caches. Set mapping is static, so the hint can be
-    /// issued any number of records ahead of the access that will probe
-    /// them — the trace knows future effective addresses, and the
-    /// lower-level meta arrays (the L3's runs to a megabyte) otherwise
-    /// serve each probe a dependent host-memory stall. Purely a
-    /// performance hint: no simulated state changes.
-    #[inline]
-    pub fn prefetch_data(&self, addr: u64) {
-        self.l1d.prefetch(addr);
-        self.l2.prefetch(addr);
-        self.l3.prefetch(addr);
-    }
-
     fn beyond_l1(&mut self, addr: u64, l1_latency: u64) -> u64 {
         if self.l2.access(addr) {
             return l1_latency + self.l2.config().hit_latency;

@@ -459,4 +459,15 @@ mod tests {
         let reopened = TraceArchive::open(root.path()).unwrap();
         assert_eq!(reopened.len(), 1);
     }
+
+    #[test]
+    fn encoding_is_pinned_byte_for_byte() {
+        // Archive checksums and serve content hashes are computed over the
+        // encoded bytes, so an encoder change that alters them would
+        // silently orphan every stored trace and cached result.
+        let spec = build_suite(&SuiteConfig { benchmarks: 1 }).remove(0);
+        let bytes = write_trace_packed(&spec.generate_packed(20_000));
+        assert_eq!(bytes.len(), 156_735);
+        assert_eq!(fnv64(&bytes), 0xeaf1_084c_3a60_3a8c);
+    }
 }

@@ -3,13 +3,14 @@
 //! [`ArchiveTraceStream`] decodes an archived `.chrp` file in bounded
 //! batches through the codec's chunked path, so replaying an archived
 //! trace never materialises it: peak residency is O(chunk) plus the
-//! reader's buffer. Integrity matches the materialized archive path —
-//! the file's FNV-1a checksum is accumulated incrementally as bytes are
-//! consumed and verified against the manifest entry before the final
-//! batch is handed out, so a consumer that receives every batch has
-//! replayed a checksum-clean file. On any failure (I/O, decode,
-//! checksum) callers treat the entry as corrupt and regenerate, exactly
-//! like [`TraceArchive::decode_file`](crate::TraceArchive::decode_file)
+//! decoder's 64 KiB read window. Integrity matches the materialized
+//! archive path — the file's FNV-1a checksum is accumulated as the
+//! decoder reads each block into its window and verified against the
+//! manifest entry before the final batch is handed out, so a consumer
+//! that receives every batch has replayed a checksum-clean file. On any
+//! failure (I/O, decode, checksum) callers treat the entry as corrupt and
+//! regenerate, exactly like
+//! [`TraceArchive::decode_file`](crate::TraceArchive::decode_file)
 //! returning `None`.
 //!
 //! Locking discipline mirrors the materialized path: probe
@@ -22,12 +23,16 @@ use chirp_trace::codec::ChunkedDecoder;
 use chirp_trace::stream::{StreamError, TraceStream};
 use chirp_trace::PackedTrace;
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::Read;
 use std::path::Path;
 
-/// A reader adapter that checksums and counts exactly the bytes the
-/// caller consumes. Sits *outside* the buffered reader so read-ahead
-/// never contaminates the hash.
+/// A reader adapter that checksums and counts every byte read through
+/// it. The decoder reads the file through it in 64 KiB blocks, so the
+/// hash is updated once per block and each byte is hashed exactly once,
+/// when it enters the decoder's window. Bytes read ahead of the last
+/// decoded record are already counted, and [`ArchiveTraceStream`] drains
+/// the rest of the file to EOF before comparing, so the checksum covers
+/// the whole file.
 #[derive(Debug)]
 struct HashingReader<R> {
     inner: R,
@@ -54,7 +59,7 @@ impl<R: Read> Read for HashingReader<R> {
 /// verifying the manifest checksum over the whole file as a side effect
 /// of consumption.
 pub struct ArchiveTraceStream {
-    decoder: Option<ChunkedDecoder<HashingReader<BufReader<File>>>>,
+    decoder: Option<ChunkedDecoder<HashingReader<File>>>,
     meta: EntryMeta,
     chunk: usize,
     len: usize,
@@ -84,7 +89,7 @@ impl ArchiveTraceStream {
         chunk: usize,
     ) -> Result<ArchiveTraceStream, StreamError> {
         let file = File::open(path)?;
-        let decoder = ChunkedDecoder::new(HashingReader::new(BufReader::new(file)))?;
+        let decoder = ChunkedDecoder::new(HashingReader::new(file))?;
         let len = decoder.remaining();
         Ok(ArchiveTraceStream { decoder: Some(decoder), meta, chunk: chunk.max(1), len })
     }
@@ -167,14 +172,21 @@ mod tests {
     #[test]
     fn streamed_archive_matches_materialized_decode() {
         let root = TempDir::new("archive-stream-ok");
-        let (archive, key, want) = archived(&root, 6_000);
-        let meta = archive.entry_meta(key).unwrap();
-        for chunk in [1usize, 497, 4096, 10_000] {
-            let mut stream =
-                ArchiveTraceStream::open(&archive.trace_path(key), meta, chunk).unwrap();
-            assert_eq!(stream.len(), 6_000);
-            let got = collect_stream(&mut stream).unwrap();
-            assert_eq!(got.to_records(), want.to_records(), "chunk {chunk}");
+        // 6k records fit one read window; 25k (~150 KB) take several
+        // refills, so records straddle window boundaries.
+        for len in [6_000usize, 25_000] {
+            let (archive, key, want) = archived(&root, len);
+            let meta = archive.entry_meta(key).unwrap();
+            if len > 20_000 {
+                assert!(meta.bytes > 2 * 64 * 1024, "{} bytes", meta.bytes);
+            }
+            for chunk in [1usize, 497, 4096, 10_000] {
+                let mut stream =
+                    ArchiveTraceStream::open(&archive.trace_path(key), meta, chunk).unwrap();
+                assert_eq!(stream.len(), len);
+                let got = collect_stream(&mut stream).unwrap();
+                assert_eq!(got.to_records(), want.to_records(), "len {len} chunk {chunk}");
+            }
         }
     }
 

@@ -18,11 +18,23 @@
 
 use crate::packed::{PackedTrace, PackedTraceBuilder};
 use crate::record::{InstrKind, TraceRecord};
-use bytes::{BufMut, BytesMut};
 use std::fmt;
+use std::io::{ErrorKind, Read};
 
 const MAGIC: &[u8; 4] = b"CHRP";
 const VERSION: u8 = 1;
+/// Magic + version + record count.
+const HEADER_BYTES: usize = 4 + 1 + 8;
+/// Longest encoded record: kind + flags + three 10-byte varints. A
+/// decoder holding this many bytes can decode the next record (or fail
+/// it) without running off the end of its buffer.
+const MAX_RECORD_BYTES: usize = 1 + 1 + 3 * 10;
+/// Shortest encoded record: kind + flags + a one-byte PC delta. Bounds
+/// how many records a buffer can hold, whatever its header declares.
+const MIN_RECORD_BYTES: usize = 3;
+/// Size of [`ChunkedDecoder`]'s read window: the most it asks its source
+/// for in one `read`.
+const WINDOW_BYTES: usize = 64 * 1024;
 
 const FLAG_TAKEN: u8 = 1 << 0;
 const FLAG_HAS_EA: u8 = 1 << 1;
@@ -67,43 +79,23 @@ fn zigzag_decode(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
     }
+    buf.push(v as u8);
 }
 
-/// Internal byte source for decoding: slice cursors (the in-memory decode
-/// paths) and `io::Read` adapters (the chunked streaming path) feed the
-/// same record decoder, so the two paths cannot diverge. End-of-source
-/// must surface as [`CodecError::Truncated`] (possibly wrapped in the
-/// source's error type).
-trait ByteSource {
-    /// The error decoding through this source produces.
-    type Error: From<CodecError>;
-
-    /// The next byte, or `Truncated` at end of source.
-    fn get_u8(&mut self) -> Result<u8, Self::Error>;
-
-    /// Fills `out` exactly, or fails with `Truncated`.
-    fn fill_exact(&mut self, out: &mut [u8]) -> Result<(), Self::Error>;
-}
-
-/// Cursor over an in-memory buffer.
+/// Cursor over an in-memory buffer: the one byte source every decode
+/// path reads records from. End of buffer surfaces as
+/// [`CodecError::Truncated`].
 struct SliceSource<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
-impl ByteSource for SliceSource<'_> {
-    type Error = CodecError;
-
+impl SliceSource<'_> {
     #[inline]
     fn get_u8(&mut self) -> Result<u8, CodecError> {
         let byte = *self.data.get(self.pos).ok_or(CodecError::Truncated)?;
@@ -111,56 +103,20 @@ impl ByteSource for SliceSource<'_> {
         Ok(byte)
     }
 
-    fn fill_exact(&mut self, out: &mut [u8]) -> Result<(), CodecError> {
-        let end = self.pos.checked_add(out.len()).ok_or(CodecError::Truncated)?;
-        if end > self.data.len() {
-            return Err(CodecError::Truncated);
-        }
-        out.copy_from_slice(&self.data[self.pos..end]);
-        self.pos = end;
-        Ok(())
-    }
-}
-
-/// Adapter over any `io::Read`; wrap the reader in a `BufReader` (the
-/// decoder pulls single bytes).
-struct ReaderSource<R: std::io::Read> {
-    inner: R,
-}
-
-impl<R: std::io::Read> ByteSource for ReaderSource<R> {
-    type Error = ChunkedDecodeError;
-
     #[inline]
-    fn get_u8(&mut self) -> Result<u8, ChunkedDecodeError> {
-        let mut byte = [0u8; 1];
-        self.fill_exact(&mut byte)?;
-        Ok(byte[0])
-    }
-
-    fn fill_exact(&mut self, out: &mut [u8]) -> Result<(), ChunkedDecodeError> {
-        self.inner.read_exact(out).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                ChunkedDecodeError::Codec(CodecError::Truncated)
-            } else {
-                ChunkedDecodeError::Io(e)
+    fn get_varint(&mut self) -> Result<u64, CodecError> {
+        let mut shift = 0u32;
+        let mut out = 0u64;
+        for _ in 0..10 {
+            let byte = self.get_u8()?;
+            out |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(out);
             }
-        })
-    }
-}
-
-fn get_varint<S: ByteSource>(src: &mut S) -> Result<u64, S::Error> {
-    let mut shift = 0u32;
-    let mut out = 0u64;
-    for _ in 0..10 {
-        let byte = src.get_u8()?;
-        out |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(out);
+            shift += 7;
         }
-        shift += 7;
+        Err(CodecError::BadVarint)
     }
-    Err(CodecError::BadVarint.into())
 }
 
 /// Serialises a trace into the compact binary format.
@@ -185,10 +141,10 @@ pub fn write_trace_packed(trace: &PackedTrace) -> Vec<u8> {
 }
 
 fn encode<I: Iterator<Item = TraceRecord>>(count: usize, records: I) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(16 + count * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(count as u64);
+    let mut buf = Vec::with_capacity(HEADER_BYTES + count * 4);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&(count as u64).to_le_bytes());
     let mut prev_pc = 0u64;
     for rec in records {
         let mut flags = 0u8;
@@ -203,8 +159,8 @@ fn encode<I: Iterator<Item = TraceRecord>>(count: usize, records: I) -> Vec<u8> 
         if has_target {
             flags |= FLAG_HAS_TARGET;
         }
-        buf.put_u8(rec.kind as u8);
-        buf.put_u8(flags);
+        buf.push(rec.kind as u8);
+        buf.push(flags);
         put_varint(&mut buf, zigzag_encode(rec.pc.wrapping_sub(prev_pc) as i64));
         prev_pc = rec.pc;
         if has_ea {
@@ -214,35 +170,33 @@ fn encode<I: Iterator<Item = TraceRecord>>(count: usize, records: I) -> Vec<u8> 
             put_varint(&mut buf, rec.target);
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Record-level decode state shared by every decode path: header
 /// validation up front, then one record per [`DecoderCore::next_record`]
-/// call. [`read_trace`], [`read_trace_packed`] and [`ChunkedDecoder`] all
-/// drive this, so the paths cannot diverge.
+/// call, both over a [`SliceSource`]. [`read_trace`] and
+/// [`read_trace_packed`] hand it the whole buffer and [`ChunkedDecoder`]
+/// its read window, so the paths cannot diverge.
 struct DecoderCore {
     remaining: usize,
     prev_pc: u64,
 }
 
 impl DecoderCore {
-    fn read_header<S: ByteSource>(src: &mut S) -> Result<DecoderCore, S::Error> {
-        let mut magic = [0u8; 4];
-        src.fill_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(CodecError::BadMagic.into());
-        }
-        let version = src.get_u8()?;
-        if version != VERSION {
-            return Err(CodecError::UnsupportedVersion(version).into());
-        }
-        let mut count = [0u8; 8];
-        src.fill_exact(&mut count)?;
-        Ok(DecoderCore { remaining: u64::from_le_bytes(count) as usize, prev_pc: 0 })
+    fn read_header(src: &mut SliceSource<'_>) -> Result<DecoderCore, CodecError> {
+        let count = peek_record_count(&src.data[src.pos..])?;
+        src.pos += HEADER_BYTES;
+        // A count past `usize` cannot be backed by a buffer: saturate and
+        // let decoding fail as `Truncated`.
+        Ok(DecoderCore { remaining: usize::try_from(count).unwrap_or(usize::MAX), prev_pc: 0 })
     }
 
-    fn next_record<S: ByteSource>(&mut self, src: &mut S) -> Result<Option<TraceRecord>, S::Error> {
+    #[inline]
+    fn next_record(
+        &mut self,
+        src: &mut SliceSource<'_>,
+    ) -> Result<Option<TraceRecord>, CodecError> {
         if self.remaining == 0 {
             return Ok(None);
         }
@@ -250,11 +204,11 @@ impl DecoderCore {
         let kind_byte = src.get_u8()?;
         let kind = InstrKind::from_u8(kind_byte).ok_or(CodecError::BadKind(kind_byte))?;
         let flags = src.get_u8()?;
-        let delta = zigzag_decode(get_varint(src)?);
+        let delta = zigzag_decode(src.get_varint()?);
         let pc = self.prev_pc.wrapping_add(delta as u64);
         self.prev_pc = pc;
-        let effective_address = if flags & FLAG_HAS_EA != 0 { get_varint(src)? } else { 0 };
-        let target = if flags & FLAG_HAS_TARGET != 0 { get_varint(src)? } else { 0 };
+        let effective_address = if flags & FLAG_HAS_EA != 0 { src.get_varint()? } else { 0 };
+        let target = if flags & FLAG_HAS_TARGET != 0 { src.get_varint()? } else { 0 };
         Ok(Some(TraceRecord {
             pc,
             kind,
@@ -274,11 +228,6 @@ struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     fn new(data: &'a [u8]) -> Result<Decoder<'a>, CodecError> {
-        // Historical contract: an undersized buffer is Truncated even when
-        // its first bytes would also fail the magic check.
-        if data.len() < 4 + 1 + 8 {
-            return Err(CodecError::Truncated);
-        }
         let mut src = SliceSource { data, pos: 0 };
         let core = DecoderCore::read_header(&mut src)?;
         Ok(Decoder { src, core })
@@ -288,8 +237,11 @@ impl<'a> Decoder<'a> {
         self.core.next_record(&mut self.src)
     }
 
-    fn remaining(&self) -> usize {
-        self.core.remaining
+    /// Records to preallocate for: the declared count, capped by what
+    /// the buffer can hold, so a corrupt count cannot force a huge
+    /// allocation before decoding fails.
+    fn capacity(&self) -> usize {
+        self.core.remaining.min(self.src.data.len() / MIN_RECORD_BYTES)
     }
 }
 
@@ -323,12 +275,11 @@ impl std::error::Error for ChunkedDecodeError {}
 
 /// Chunked decode path over any [`std::io::Read`]: records come out in
 /// bounded [`PackedTrace`] batches, so peak decode memory is O(chunk)
-/// instead of O(trace). Drives the same decoder core as the in-memory
-/// paths, so the decoded record sequence is bit-identical to
-/// [`read_trace_packed`] on the concatenated chunks.
-///
-/// Wrap file readers in a [`std::io::BufReader`] — the decoder pulls
-/// single bytes from the source.
+/// instead of O(trace). The decoder reads its source in 64 KiB blocks
+/// into a window of its own (no `BufReader` needed) and decodes records
+/// out of that window with the same decoder core as the in-memory paths,
+/// so the decoded record sequence — and the error for a malformed one —
+/// is identical to [`read_trace_packed`] on the concatenated bytes.
 ///
 /// ```
 /// use chirp_trace::{codec::ChunkedDecoder, write_trace, TraceRecord};
@@ -341,13 +292,19 @@ impl std::error::Error for ChunkedDecodeError {}
 /// assert_eq!(chunk.len(), 1);
 /// # Ok::<(), chirp_trace::codec::ChunkedDecodeError>(())
 /// ```
-pub struct ChunkedDecoder<R: std::io::Read> {
-    src: ReaderSource<R>,
+pub struct ChunkedDecoder<R: Read> {
+    reader: R,
+    /// Bytes read from `reader`; `window[pos..end]` is not yet decoded.
+    window: Box<[u8]>,
+    pos: usize,
+    end: usize,
+    /// The reader has returned end of stream.
+    eof: bool,
     core: DecoderCore,
 }
 
-impl<R: std::io::Read> ChunkedDecoder<R> {
-    /// Reads and validates the `CHRP` header, leaving the reader
+impl<R: Read> ChunkedDecoder<R> {
+    /// Reads and validates the `CHRP` header, leaving the decoder
     /// positioned at the first record.
     ///
     /// # Errors
@@ -355,9 +312,19 @@ impl<R: std::io::Read> ChunkedDecoder<R> {
     /// Fails on a bad magic/version, a header cut short
     /// (`Codec(Truncated)`), or a reader I/O error.
     pub fn new(reader: R) -> Result<ChunkedDecoder<R>, ChunkedDecodeError> {
-        let mut src = ReaderSource { inner: reader };
-        let core = DecoderCore::read_header(&mut src)?;
-        Ok(ChunkedDecoder { src, core })
+        let mut dec = ChunkedDecoder {
+            reader,
+            window: vec![0u8; WINDOW_BYTES].into_boxed_slice(),
+            pos: 0,
+            end: 0,
+            eof: false,
+            core: DecoderCore { remaining: 0, prev_pc: 0 },
+        };
+        dec.fill(HEADER_BYTES)?;
+        let mut src = SliceSource { data: &dec.window[..dec.end], pos: 0 };
+        dec.core = DecoderCore::read_header(&mut src)?;
+        dec.pos = src.pos;
+        Ok(dec)
     }
 
     /// Records not yet decoded (per the header's declared count).
@@ -379,19 +346,55 @@ impl<R: std::io::Read> ChunkedDecoder<R> {
         }
         let take = max.max(1).min(self.core.remaining);
         let mut builder = PackedTraceBuilder::with_capacity(take);
-        for _ in 0..take {
-            match self.core.next_record(&mut self.src)? {
-                Some(rec) => builder.push(rec),
-                None => break,
+        let mut left = take;
+        while left > 0 {
+            self.fill(MAX_RECORD_BYTES)?;
+            // Decode straight out of the window while a whole record is
+            // guaranteed buffered. Past EOF the window holds all that is
+            // left: decode to its end, where a record cut short fails as
+            // `Truncated`.
+            let safe_end = if self.eof { usize::MAX } else { self.end + 1 - MAX_RECORD_BYTES };
+            let mut src = SliceSource { data: &self.window[..self.end], pos: self.pos };
+            while left > 0 && src.pos < safe_end {
+                let rec = self.core.next_record(&mut src)?.expect("take <= remaining");
+                builder.push(rec);
+                left -= 1;
             }
+            self.pos = src.pos;
         }
         Ok(Some(builder.finish()))
     }
 
     /// Consumes the decoder, returning the underlying reader — lets a
-    /// checksumming reader be inspected once decoding is done.
+    /// checksumming reader be inspected once decoding is done. The reader
+    /// is positioned at the end of the last block read, which may lie
+    /// past the last decoded record.
     pub fn into_inner(self) -> R {
-        self.src.inner
+        self.reader
+    }
+
+    /// Reads until at least `want` undecoded bytes are buffered or the
+    /// reader hits EOF, first moving the undecoded tail to the front of
+    /// the window.
+    fn fill(&mut self, want: usize) -> Result<(), ChunkedDecodeError> {
+        if self.end - self.pos >= want || self.eof {
+            return Ok(());
+        }
+        self.window.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        while self.end < want {
+            match self.reader.read(&mut self.window[self.end..]) {
+                Ok(0) => {
+                    self.eof = true;
+                    break;
+                }
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(ChunkedDecodeError::Io(e)),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -403,11 +406,34 @@ impl<R: std::io::Read> ChunkedDecoder<R> {
 /// version or kind, or contains a malformed varint.
 pub fn read_trace(data: &[u8]) -> Result<Vec<TraceRecord>, CodecError> {
     let mut decoder = Decoder::new(data)?;
-    let mut out = Vec::with_capacity(decoder.remaining());
+    let mut out = Vec::with_capacity(decoder.capacity());
     while let Some(rec) = decoder.next_record()? {
         out.push(rec);
     }
     Ok(out)
+}
+
+/// Reads the record count out of a `CHRP` header without decoding any
+/// records — lets a client declare a trace's size (for server-side
+/// admission control) from the first 13 bytes of the file.
+///
+/// # Errors
+///
+/// Rejects buffers whose header is truncated, carries the wrong magic or
+/// an unsupported version. The records themselves are not validated.
+pub fn peek_record_count(data: &[u8]) -> Result<u64, CodecError> {
+    // A buffer shorter than a header is Truncated even when its first
+    // bytes would also fail the magic check.
+    if data.len() < HEADER_BYTES {
+        return Err(CodecError::Truncated);
+    }
+    if &data[..4] != MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    if data[4] != VERSION {
+        return Err(CodecError::UnsupportedVersion(data[4]));
+    }
+    Ok(u64::from_le_bytes(data[5..HEADER_BYTES].try_into().expect("8-byte slice")))
 }
 
 /// Deserialises a trace directly into [`PackedTrace`] form, never
@@ -418,30 +444,9 @@ pub fn read_trace(data: &[u8]) -> Result<Vec<TraceRecord>, CodecError> {
 /// # Errors
 ///
 /// Same failure modes as [`read_trace`].
-/// Reads the record count out of a `CHRP` header without decoding any
-/// records — lets a client declare a trace's size (for server-side
-/// admission control) from the first 13 bytes of the file.
-///
-/// # Errors
-///
-/// Rejects buffers whose header is truncated, carries the wrong magic or
-/// an unsupported version. The records themselves are not validated.
-pub fn peek_record_count(data: &[u8]) -> Result<u64, CodecError> {
-    if data.len() < 4 + 1 + 8 {
-        return Err(CodecError::Truncated);
-    }
-    if &data[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    if data[4] != VERSION {
-        return Err(CodecError::UnsupportedVersion(data[4]));
-    }
-    Ok(u64::from_le_bytes(data[5..13].try_into().expect("8-byte slice")))
-}
-
 pub fn read_trace_packed(data: &[u8]) -> Result<PackedTrace, CodecError> {
     let mut decoder = Decoder::new(data)?;
-    let mut builder = PackedTraceBuilder::with_capacity(decoder.remaining());
+    let mut builder = PackedTraceBuilder::with_capacity(decoder.capacity());
     while let Some(rec) = decoder.next_record()? {
         builder.push(rec);
     }
@@ -510,6 +515,16 @@ mod tests {
         // kind byte of first record sits right after the 13-byte header
         bytes[13] = 42;
         assert_eq!(read_trace(&bytes), Err(CodecError::BadKind(42)));
+    }
+
+    #[test]
+    fn huge_declared_count_fails_without_preallocating() {
+        // A corrupt count must fail as Truncated, not size an allocation.
+        let mut bytes = write_trace(&[TraceRecord::alu(0)]);
+        bytes[5..13].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        assert_eq!(read_trace(&bytes), Err(CodecError::Truncated));
+        assert_eq!(read_trace_packed(&bytes).map(|t| t.len()), Err(CodecError::Truncated));
+        assert_eq!(drain_chunked(&bytes[..], 1 << 16), Err(CodecError::Truncated));
     }
 
     #[test]
@@ -612,6 +627,113 @@ mod tests {
         assert!(dec.next_chunk(16).unwrap().is_none());
     }
 
+    /// Reader that hands out at most `k` bytes per `read` and fails every
+    /// third call with `Interrupted`, so records straddle refills.
+    struct ShortReads<'a> {
+        data: &'a [u8],
+        pos: usize,
+        k: usize,
+        calls: usize,
+    }
+
+    impl<'a> ShortReads<'a> {
+        fn new(data: &'a [u8], k: usize) -> ShortReads<'a> {
+            ShortReads { data, pos: 0, k, calls: 0 }
+        }
+    }
+
+    impl std::io::Read for ShortReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = self.k.min(buf.len()).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Drains a [`ChunkedDecoder`] in batches of `chunk`, checking each
+    /// batch's bound; an I/O error fails the test.
+    fn drain_chunked<R: Read>(reader: R, chunk: usize) -> Result<Vec<TraceRecord>, CodecError> {
+        let run = || -> Result<Vec<TraceRecord>, ChunkedDecodeError> {
+            let mut dec = ChunkedDecoder::new(reader)?;
+            let mut got = Vec::new();
+            while let Some(batch) = dec.next_chunk(chunk)? {
+                assert!(batch.len() <= chunk);
+                got.extend(batch.iter());
+            }
+            assert_eq!(dec.remaining(), 0);
+            Ok(got)
+        };
+        run().map_err(|e| match e {
+            ChunkedDecodeError::Codec(e) => e,
+            ChunkedDecodeError::Io(e) => panic!("unexpected I/O error: {e}"),
+        })
+    }
+
+    #[test]
+    fn chunked_decode_crosses_window_refills() {
+        // Every field a 10-byte varint (a PC delta with the top bit set,
+        // addresses and targets >= 2^63): 40k records of up to 32 bytes
+        // span many 64 KiB windows, so records cross real refills.
+        let trace: Vec<TraceRecord> = (0..40_000u64)
+            .map(|i| {
+                let high = (1u64 << 63) | i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let pc = if i % 2 == 0 { high } else { i };
+                match i % 3 {
+                    0 => TraceRecord::load(pc, high),
+                    1 => TraceRecord::cond_branch(pc, high ^ 0x55, i % 5 == 0),
+                    _ => TraceRecord::alu(pc),
+                }
+            })
+            .collect();
+        let bytes = write_trace(&trace);
+        assert!(bytes.len() > 8 * WINDOW_BYTES, "{} bytes", bytes.len());
+        for chunk in [1usize, 997, 65_536] {
+            assert_eq!(drain_chunked(&bytes[..], chunk).unwrap(), trace, "chunk {chunk}");
+        }
+        for k in [1usize, 31, 40] {
+            let got = drain_chunked(ShortReads::new(&bytes, k), 4_096).unwrap();
+            assert_eq!(got, trace, "k {k}");
+        }
+    }
+
+    #[test]
+    fn reader_failure_surfaces_as_io() {
+        /// Serves `good` bytes of `data`, then fails hard.
+        struct FailAfter<'a> {
+            data: &'a [u8],
+            good: usize,
+        }
+        impl std::io::Read for FailAfter<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.good == 0 {
+                    return Err(std::io::Error::other("disk on fire"));
+                }
+                let n = self.good.min(buf.len()).min(self.data.len());
+                buf[..n].copy_from_slice(&self.data[..n]);
+                self.data = &self.data[n..];
+                self.good -= n;
+                Ok(n)
+            }
+        }
+        let trace: Vec<TraceRecord> = (0..1_000).map(|i| TraceRecord::alu(i * 4)).collect();
+        let bytes = write_trace(&trace);
+        assert!(matches!(
+            ChunkedDecoder::new(FailAfter { data: &bytes, good: 5 }),
+            Err(ChunkedDecodeError::Io(_))
+        ));
+        let mut dec = ChunkedDecoder::new(FailAfter { data: &bytes, good: 100 }).unwrap();
+        let outcome = (|| {
+            while dec.next_chunk(64)?.is_some() {}
+            Ok::<(), ChunkedDecodeError>(())
+        })();
+        assert!(matches!(outcome, Err(ChunkedDecodeError::Io(_))), "got {outcome:?}");
+    }
+
     #[test]
     fn zigzag_is_involutive() {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN, 0x7fff_ffff_ffff] {
@@ -672,16 +794,35 @@ mod tests {
 
             #[test]
             fn chunked_decode_agrees_with_flat_decode(
-                trace in vec(arb_record(), 0..200usize),
+                trace in vec(arb_record(), 0..300usize),
+                k in 1usize..41,
                 chunk in 1usize..64,
             ) {
                 let bytes = write_trace(&trace);
-                let mut dec = ChunkedDecoder::new(&bytes[..]).unwrap();
-                let mut got = Vec::new();
-                while let Some(batch) = dec.next_chunk(chunk).unwrap() {
-                    got.extend(batch.iter());
+                let want = read_trace_packed(&bytes).unwrap().to_records();
+                prop_assert_eq!(drain_chunked(ShortReads::new(&bytes, k), chunk), Ok(want));
+            }
+
+            #[test]
+            fn damaged_buffers_fail_like_the_slice_path(
+                trace in vec(arb_record(), 0..60usize),
+                at in any::<u64>(),
+                flip in 1u16..256,
+                cut in any::<bool>(),
+                k in 1usize..41,
+            ) {
+                // One flipped byte or a cut at any point: the chunked
+                // decoder yields the same records, or the same error, as
+                // the whole-buffer decoder.
+                let mut bytes = write_trace(&trace);
+                let i = (at % bytes.len() as u64) as usize;
+                if cut {
+                    bytes.truncate(i);
+                } else {
+                    bytes[i] ^= flip as u8;
                 }
-                prop_assert_eq!(got, trace);
+                let want = read_trace_packed(&bytes).map(|t| t.to_records());
+                prop_assert_eq!(drain_chunked(ShortReads::new(&bytes, k), 7), want);
             }
 
             #[test]

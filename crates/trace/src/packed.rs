@@ -356,10 +356,10 @@ impl<'a> TraceChunk<'a> {
 /// Unlike the packed side tables, every column here has one slot per
 /// record: `eas[i]` is 0 unless record `i` is a memory access and
 /// `targets[i]` is 0 unless it is a branch — exactly the canonical
-/// [`TraceRecord`] field values. Consumers that software-pipeline several
-/// traces (the lane engine in `chirp-sim`) decode a block per lane up
-/// front, then walk the dense columns in an interleaved loop without any
-/// side-table cursor bookkeeping on the hot path.
+/// [`TraceRecord`] field values. The shared front end in `chirp-sim`
+/// decodes one burst of records into a block up front, then runs its
+/// batched passes (page numbers, signatures, set indices) over the dense
+/// columns without any side-table cursor bookkeeping on the hot path.
 #[derive(Debug, Clone, Default)]
 pub struct DecodedBlock {
     /// Instruction address per record.
@@ -887,7 +887,7 @@ mod tests {
 
             /// Block decoding through `ChunkCursor` at any block size over
             /// any chunking yields the identical record sequence — the
-            /// contract the lane engine's per-lane decode phase rests on.
+            /// contract the front end's per-burst decode rests on.
             #[test]
             fn cursor_decode_matches_per_record_path(
                 trace in vec(arb_record(), 0..300usize),

@@ -97,6 +97,24 @@ grep -q 'instr_per_sec_1t' "$smoke_dir/dashboard.html"
 grep -q 'sim_throughput_factored' "$smoke_dir/dashboard.html"
 grep -q 'mpki_by_policy' "$smoke_dir/dashboard.html"
 
+echo "==> archive streaming smoke (full_suite over packed traces vs generated)"
+# The streamed runner falls back to regenerating a trace on any decode
+# or checksum failure, so a broken decoder would only show as slower runs
+# with identical results. Pin that every unit streamed from the archive
+# (two ~780 KB files, about 12 read windows each, decoded in batches of
+# 997 records) and that the ledger matches a run that generated instead.
+stream_store="$smoke_dir/stream-store"
+gen_store="$smoke_dir/gen-store"
+cargo build --release -q -p chirp-bench
+target/release/trace_tool pack "$stream_store" 2 100_000 > /dev/null
+target/release/full_suite --store "$stream_store" --benchmarks 2 \
+    --instructions 100_000 --stream-chunk 997 > /dev/null 2> "$smoke_dir/stream.err"
+grep -q "2 archive streams, 0 generated, 0 regenerated" "$smoke_dir/stream.err"
+target/release/full_suite --store "$gen_store" --benchmarks 2 \
+    --instructions 100_000 --stream-chunk 997 > /dev/null 2> "$smoke_dir/gen.err"
+grep -q "0 archive streams, 2 generated" "$smoke_dir/gen.err"
+cmp <(sort "$stream_store/runs.jsonl") <(sort "$gen_store/runs.jsonl")
+
 echo "==> chirp-serve smoke (submit, archived re-run, graceful shutdown)"
 cargo build --release -q -p chirp-serve -p chirp-bench
 serve_log="$smoke_dir/serve.log"
