@@ -31,6 +31,14 @@
 //! burst's new events — only the history folds themselves stay
 //! sequential, because each access's signature depends on the path
 //! history left by the previous one.
+//!
+//! Resident and streamed groups both run on one chunk driver
+//! ([`run_stream_factored`]; `run_policy_group` for resident traces):
+//! the front end emits one segment per 4096-record chunk, and the back
+//! ends replay it either inline or, when the scheduler leaves a core
+//! idle, on a second thread that overlaps replay with the front end's
+//! next chunk. The whole-trace [`FactoredTrace`] stays for callers that
+//! need every event at once (the OPT bound).
 
 use crate::config::SimConfig;
 use crate::engine::{warmup_cut, CHUNK_SIZE};
@@ -46,6 +54,7 @@ use chirp_tlb::{
 use chirp_trace::{
     vpn, BranchClass, DecodedBlock, InstrKind, PackedTrace, StreamError, TraceChunk, TraceStream,
 };
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// Records decoded per front-end burst: large enough that the step loop
 /// dominates per-burst bookkeeping, small enough that the decoded columns
@@ -122,6 +131,27 @@ impl EventSegment {
     /// — the policy-invariant stream an offline oracle (Bélády OPT) needs.
     pub fn vpns(&self) -> &[u64] {
         &self.acc_vpn
+    }
+
+    /// An empty segment whose columns already hold one full front-end
+    /// chunk: a record emits at most two access events (instruction and
+    /// data side) and two control events (a misprediction and the
+    /// branch), so filling it from at most [`CHUNK_SIZE`] records never
+    /// reallocates.
+    fn for_chunk() -> EventSegment {
+        let events = 2 * CHUNK_SIZE;
+        EventSegment {
+            acc_pc: Vec::with_capacity(events),
+            acc_vpn: Vec::with_capacity(events),
+            acc_set: Vec::with_capacity(events),
+            acc_sig: Vec::with_capacity(events),
+            acc_kind: Vec::with_capacity(events),
+            ctl_after: Vec::with_capacity(events),
+            ctl_pc: Vec::with_capacity(events),
+            ctl_kind: Vec::with_capacity(events),
+            instructions: 0,
+            invariant_cycles: 0,
+        }
     }
 
     /// Empties the segment for reuse, keeping its allocations.
@@ -403,6 +433,8 @@ pub struct Backend<P: TlbReplacementPolicy> {
     hints: ReplayHints,
     cycles: u64,
     instructions: u64,
+    /// Control-event cursor into the segment being replayed.
+    ctl: usize,
 }
 
 impl<P: TlbReplacementPolicy> Backend<P> {
@@ -416,18 +448,26 @@ impl<P: TlbReplacementPolicy> Backend<P> {
             walker = walker.with_psc(entries, hit_penalty);
         }
         let hints = policy.replay_hints(sig_code);
-        Backend { l2: L2Tlb::new(config.tlb.l2, policy), walker, hints, cycles: 0, instructions: 0 }
+        Backend {
+            l2: L2Tlb::new(config.tlb.l2, policy),
+            walker,
+            hints,
+            cycles: 0,
+            instructions: 0,
+            ctl: 0,
+        }
     }
 
     /// Replays access events `range` of `seg`, draining control events
-    /// interleaved before each access. `ctl` is this backend's control
-    /// cursor into the segment.
+    /// interleaved before each access.
     #[inline]
-    fn replay_range(&mut self, seg: &EventSegment, range: std::ops::Range<usize>, ctl: &mut usize) {
+    fn replay_range(&mut self, seg: &EventSegment, range: std::ops::Range<usize>) {
+        // A local cursor stays in a register across the policy calls.
+        let mut ctl = self.ctl;
         for i in range {
-            while *ctl < seg.ctl_after.len() && seg.ctl_after[*ctl] as usize <= i {
-                self.apply_control(seg, *ctl);
-                *ctl += 1;
+            while ctl < seg.ctl_after.len() && seg.ctl_after[ctl] as usize <= i {
+                self.apply_control(seg, ctl);
+                ctl += 1;
             }
             if self.hints.accepts_signatures {
                 self.l2.supply_signature(seg.acc_sig[i]);
@@ -447,6 +487,7 @@ impl<P: TlbReplacementPolicy> Backend<P> {
                 self.cycles += self.walker.walk(acc.vpn);
             }
         }
+        self.ctl = ctl;
     }
 
     #[inline]
@@ -467,21 +508,22 @@ impl<P: TlbReplacementPolicy> Backend<P> {
     }
 
     /// Finishes a segment after its access events ran: drains trailing
-    /// control events and adds the segment's invariant totals.
-    fn finish_segment(&mut self, seg: &EventSegment, ctl: &mut usize) {
-        while *ctl < seg.ctl_after.len() {
-            self.apply_control(seg, *ctl);
-            *ctl += 1;
+    /// control events, adds the segment's invariant totals and rewinds
+    /// the control cursor for the next segment.
+    fn finish_segment(&mut self, seg: &EventSegment) {
+        while self.ctl < seg.ctl_after.len() {
+            self.apply_control(seg, self.ctl);
+            self.ctl += 1;
         }
+        self.ctl = 0;
         self.cycles += seg.invariant_cycles;
         self.instructions += seg.instructions;
     }
 
     /// Replays one whole segment.
     pub fn replay(&mut self, seg: &EventSegment) {
-        let mut ctl = 0usize;
-        self.replay_range(seg, 0..seg.access_events(), &mut ctl);
-        self.finish_segment(seg, &mut ctl);
+        self.replay_range(seg, 0..seg.access_events());
+        self.finish_segment(seg);
     }
 
     /// Snapshot of machine state at the start of the measured window
@@ -531,17 +573,16 @@ pub fn replay_segment_group<P: TlbReplacementPolicy>(
     seg: &EventSegment,
 ) {
     let n = seg.access_events();
-    let mut cursors = vec![0usize; backends.len()];
     let mut start = 0usize;
     while start < n {
         let end = (start + REPLAY_BLOCK).min(n);
-        for (backend, ctl) in backends.iter_mut().zip(cursors.iter_mut()) {
-            backend.replay_range(seg, start..end, ctl);
+        for backend in backends.iter_mut() {
+            backend.replay_range(seg, start..end);
         }
         start = end;
     }
-    for (backend, ctl) in backends.iter_mut().zip(cursors.iter_mut()) {
-        backend.finish_segment(seg, ctl);
+    for backend in backends.iter_mut() {
+        backend.finish_segment(seg);
     }
 }
 
@@ -556,74 +597,271 @@ pub fn replay_factored<P: TlbReplacementPolicy>(
     trace: &FactoredTrace,
     policies: Vec<P>,
 ) -> Vec<(RunResult, Backend<P>)> {
-    let mut backends: Vec<Backend<P>> =
-        policies.into_iter().map(|p| Backend::new(config, p, trace.sig_code)).collect();
-    replay_segment_group(&mut backends, &trace.warmup);
-    let windows: Vec<_> = backends.iter().map(|b| b.window_start()).collect();
-    replay_segment_group(&mut backends, &trace.measured);
-    backends
-        .into_iter()
-        .zip(windows)
-        .map(|(backend, window)| (backend.finish_result(window), backend))
-        .collect()
+    let mut replay = Replay::new(config, policies, trace.sig_code);
+    replay.replay(&trace.warmup, true);
+    replay.replay(&trace.measured, false);
+    replay.finish()
+}
+
+/// Segments the pipelined driver circulates between the front end and
+/// the replay thread: one being filled, one being replayed and two
+/// queued, so a short stall on either side does not stop the other.
+const SEGMENT_POOL: usize = 4;
+
+/// How a factored group's back ends run relative to its front end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReplayForm {
+    /// Each segment is replayed on the calling thread right after the
+    /// front end built it.
+    Inline,
+    /// The back ends run on a thread of their own and replay one segment
+    /// while the front end builds the next.
+    Pipelined,
+}
+
+impl ReplayForm {
+    /// The form for a group run on the current thread: pipelined only
+    /// when a core would otherwise sit idle — the host has more than one,
+    /// and the caller is not a [`run_items`](crate::sched::run_items)
+    /// worker whose pool already covers every core.
+    pub(crate) fn for_this_thread() -> ReplayForm {
+        if crate::sched::cpus() > 1 && !crate::sched::pool_covers_cores() {
+            ReplayForm::Pipelined
+        } else {
+            ReplayForm::Inline
+        }
+    }
+}
+
+/// Measured-window snapshot of one backend ([`Backend::window_start`]).
+type Window = (u64, u64, TlbStats);
+
+/// A filled segment on its way to the back ends, and whether the
+/// measured window opens right after it (it ends at the warmup cut).
+type Handoff = (EventSegment, bool);
+
+/// The back ends of one factored group and the measured-window
+/// snapshots they took at the warmup cut.
+struct Replay<P: TlbReplacementPolicy> {
+    backends: Vec<Backend<P>>,
+    windows: Vec<Window>,
+}
+
+impl<P: TlbReplacementPolicy> Replay<P> {
+    fn new(config: &SimConfig, policies: Vec<P>, sig_code: u64) -> Replay<P> {
+        let backends: Vec<Backend<P>> =
+            policies.into_iter().map(|p| Backend::new(config, p, sig_code)).collect();
+        let windows = Vec::with_capacity(backends.len());
+        Replay { backends, windows }
+    }
+
+    fn replay(&mut self, seg: &EventSegment, ends_warmup: bool) {
+        replay_segment_group(&mut self.backends, seg);
+        if ends_warmup {
+            self.windows.extend(self.backends.iter().map(Backend::window_start));
+        }
+    }
+
+    /// One `(result, backend)` pair per policy, in input order. A stream
+    /// that ended before its warmup cut measures an empty window.
+    fn finish(mut self) -> Vec<(RunResult, Backend<P>)> {
+        if self.windows.is_empty() {
+            self.windows.extend(self.backends.iter().map(Backend::window_start));
+        }
+        self.backends
+            .into_iter()
+            .zip(self.windows)
+            .map(|(backend, window)| (backend.finish_result(window), backend))
+            .collect()
+    }
+}
+
+/// Where the front end's finished segments go.
+enum Sink<'r, P: TlbReplacementPolicy> {
+    /// Replayed on the calling thread; one segment is reused.
+    Inline { replay: &'r mut Replay<P>, seg: EventSegment },
+    /// Sent to the replay thread; emptied segments come back on `empty`.
+    Pipelined { full: SyncSender<Handoff>, empty: Receiver<EventSegment> },
+}
+
+/// The calling thread's half of the chunk driver: the front end, the
+/// warmup cut, and the path its segments take to the back ends.
+struct Feeder<'r, P: TlbReplacementPolicy> {
+    fe: FrontEnd,
+    /// Instruction index at which the measured window opens.
+    warmup: usize,
+    /// Records fed so far.
+    pos: usize,
+    /// Whether the segment ending at `warmup` has been handed off.
+    cut: bool,
+    sink: Sink<'r, P>,
+}
+
+impl<P: TlbReplacementPolicy> Feeder<'_, P> {
+    /// Runs the front end over one chunk of at most [`CHUNK_SIZE`]
+    /// records and hands its events to the back ends — as two segments
+    /// when the warmup cut falls inside the chunk. Returns `false` once
+    /// the back ends are gone (their thread panicked); the caller then
+    /// stops feeding.
+    fn push(&mut self, chunk: &TraceChunk<'_>) -> bool {
+        let alive = if !self.cut && self.warmup <= self.pos + chunk.len() {
+            self.cut = true;
+            let (head, tail) = chunk.split_at(self.warmup - self.pos);
+            self.emit(&head, true) && self.emit(&tail, false)
+        } else {
+            self.emit(chunk, false)
+        };
+        self.pos += chunk.len();
+        alive
+    }
+
+    fn emit(&mut self, chunk: &TraceChunk<'_>, ends_warmup: bool) -> bool {
+        match &mut self.sink {
+            Sink::Inline { replay, seg } => {
+                seg.clear();
+                self.fe.process_chunk(chunk, seg);
+                replay.replay(seg, ends_warmup);
+                true
+            }
+            Sink::Pipelined { full, empty } => {
+                let Ok(mut seg) = empty.recv() else { return false };
+                seg.clear();
+                self.fe.process_chunk(chunk, &mut seg);
+                full.send((seg, ends_warmup)).is_ok()
+            }
+        }
+    }
+}
+
+/// The factored chunk driver both group paths run on. `feed` pushes the
+/// trace through the [`Feeder`] one chunk at a time, on the calling
+/// thread; the back ends replay each segment inline or, pipelined, on a
+/// scoped thread fed through a bounded channel, with emptied segments
+/// returning through a second one from a pool of [`SEGMENT_POOL`]. Either
+/// way every backend sees the same segments in the same order, and the
+/// measured window opens right after the segment that ends at `warmup`,
+/// so results are bit-identical across forms.
+///
+/// # Errors
+///
+/// Returns `feed`'s error after the replay thread has drained and
+/// joined. A panic on the replay thread resumes on the caller.
+fn drive_factored<P, F>(
+    config: &SimConfig,
+    sig_config: &ChirpConfig,
+    policies: Vec<P>,
+    warmup: usize,
+    form: ReplayForm,
+    feed: F,
+) -> Result<Vec<(RunResult, Backend<P>)>, StreamError>
+where
+    P: TlbReplacementPolicy + Send,
+    F: FnOnce(&mut Feeder<'_, P>) -> Result<(), StreamError>,
+{
+    let mut replay = Replay::new(config, policies, sig_config.signature_code());
+    let fe = FrontEnd::new(config, sig_config);
+    match form {
+        ReplayForm::Inline => {
+            let seg = EventSegment::for_chunk();
+            let sink = Sink::Inline { replay: &mut replay, seg };
+            feed(&mut Feeder { fe, warmup, pos: 0, cut: false, sink })?;
+            Ok(replay.finish())
+        }
+        ReplayForm::Pipelined => {
+            let (full_tx, full_rx) = sync_channel::<Handoff>(SEGMENT_POOL);
+            let (empty_tx, empty_rx) = sync_channel(SEGMENT_POOL);
+            for _ in 0..SEGMENT_POOL {
+                empty_tx.send(EventSegment::for_chunk()).expect("the pool fits its channel");
+            }
+            std::thread::scope(|scope| {
+                let worker = scope.spawn(move || {
+                    for (seg, ends_warmup) in full_rx {
+                        replay.replay(&seg, ends_warmup);
+                        // Never blocks: the channel holds the whole pool.
+                        // Refused only once the front end has stopped.
+                        let _ = empty_tx.send(seg);
+                    }
+                    replay
+                });
+                let sink = Sink::Pipelined { full: full_tx, empty: empty_rx };
+                let mut feeder = Feeder { fe, warmup, pos: 0, cut: false, sink };
+                let fed = feed(&mut feeder);
+                // Closing the feed ends the replay loop once it drains.
+                drop(feeder);
+                match worker.join() {
+                    Ok(replay) => fed.map(|()| replay.finish()),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            })
+        }
+    }
+}
+
+/// Runs a factored group over a resident trace through the chunk
+/// driver: the streamed engine's O(chunk) event residency, without first
+/// building a whole [`FactoredTrace`]. Bit-identical to
+/// [`FactoredTrace::build`] + [`replay_factored`].
+pub(crate) fn replay_trace_group<P: TlbReplacementPolicy + Send>(
+    config: &SimConfig,
+    sig_config: &ChirpConfig,
+    policies: Vec<P>,
+    trace: &PackedTrace,
+    warmup_fraction: f64,
+    form: ReplayForm,
+) -> Vec<(RunResult, Backend<P>)> {
+    let warmup = warmup_cut(trace.len(), warmup_fraction);
+    drive_factored(config, sig_config, policies, warmup, form, |feeder| {
+        // `all` stops at the first chunk the back ends can no longer take.
+        trace.chunks(CHUNK_SIZE).all(|chunk| feeder.push(&chunk));
+        Ok(())
+    })
+    .expect("a resident trace has no stream to fail")
+}
+
+/// [`run_stream_factored`] in a chosen [`ReplayForm`].
+fn replay_stream_group<P, S>(
+    config: &SimConfig,
+    sig_config: &ChirpConfig,
+    policies: Vec<P>,
+    stream: &mut S,
+    warmup_fraction: f64,
+    form: ReplayForm,
+) -> Result<Vec<(RunResult, Backend<P>)>, StreamError>
+where
+    P: TlbReplacementPolicy + Send,
+    S: TraceStream + ?Sized,
+{
+    let warmup = warmup_cut(stream.len(), warmup_fraction);
+    drive_factored(config, sig_config, policies, warmup, form, |feeder| {
+        while let Some(batch) = stream.next_batch()? {
+            if !batch.chunks(CHUNK_SIZE).all(|chunk| feeder.push(&chunk)) {
+                break;
+            }
+        }
+        Ok(())
+    })
 }
 
 /// The streamed form of [`FactoredTrace::build`] + [`replay_factored`]:
-/// pulls bounded batches,
-/// runs the front end over each chunk into a reused [`EventSegment`],
-/// and replays it through every backend before the next chunk is
-/// decoded — peak event residency is O(chunk), and results are
+/// pulls bounded batches and runs them through the factored chunk
+/// driver, so peak event residency is O(chunk), and results are
 /// bit-identical to [`Simulator::run_stream`](crate::Simulator::run_stream)
-/// of each policy over the same stream.
+/// of each policy over the same stream. The back ends replay on a second
+/// thread when the scheduler leaves a core idle, inline otherwise.
 ///
 /// # Errors
 ///
 /// Propagates the stream's first error; all backends are then mid-trace
 /// and the batch of runs must be retried from scratch.
-pub fn run_stream_factored<P: TlbReplacementPolicy, S: TraceStream + ?Sized>(
+pub fn run_stream_factored<P: TlbReplacementPolicy + Send, S: TraceStream + ?Sized>(
     config: &SimConfig,
     sig_config: &ChirpConfig,
     policies: Vec<P>,
     stream: &mut S,
     warmup_fraction: f64,
 ) -> Result<Vec<(RunResult, Backend<P>)>, StreamError> {
-    let warmup = warmup_cut(stream.len(), warmup_fraction);
-    let sig_code = sig_config.signature_code();
-    let mut fe = FrontEnd::new(config, sig_config);
-    let mut backends: Vec<Backend<P>> =
-        policies.into_iter().map(|p| Backend::new(config, p, sig_code)).collect();
-    let mut windows: Vec<(u64, u64, TlbStats)> = Vec::with_capacity(backends.len());
-    let mut window_open = false;
-    let mut seg = EventSegment::default();
-    let mut pos = 0usize;
-    while let Some(batch) = stream.next_batch()? {
-        for chunk in batch.chunks(CHUNK_SIZE) {
-            if !window_open && warmup <= pos + chunk.len() {
-                let (head, tail) = chunk.split_at(warmup - pos);
-                seg.clear();
-                fe.process_chunk(&head, &mut seg);
-                replay_segment_group(&mut backends, &seg);
-                windows.extend(backends.iter().map(|b| b.window_start()));
-                window_open = true;
-                seg.clear();
-                fe.process_chunk(&tail, &mut seg);
-                replay_segment_group(&mut backends, &seg);
-            } else {
-                seg.clear();
-                fe.process_chunk(&chunk, &mut seg);
-                replay_segment_group(&mut backends, &seg);
-            }
-            pos += chunk.len();
-        }
-    }
-    if !window_open {
-        windows.extend(backends.iter().map(|b| b.window_start()));
-    }
-    Ok(backends
-        .into_iter()
-        .zip(windows)
-        .map(|(backend, window)| (backend.finish_result(window), backend))
-        .collect())
+    let form = ReplayForm::for_this_thread();
+    replay_stream_group(config, sig_config, policies, stream, warmup_fraction, form)
 }
 
 /// Picks the signature configuration a group's front end computes under:
@@ -640,4 +878,243 @@ where
             _ => None,
         })
         .unwrap_or_default()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{PolicyDispatch, PolicyKind, Simulator};
+    use chirp_tlb::{PolicyStorage, TlbAccess};
+    use chirp_trace::suite::{build_suite, SuiteConfig};
+    use chirp_trace::MaterializedStream;
+    use std::collections::VecDeque;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc::{channel, Sender};
+
+    /// Ten whole chunks and a partial one: more segments than the pool
+    /// holds, so every pooled segment is recycled at least twice.
+    const LEN: usize = 10 * CHUNK_SIZE + 1_000;
+
+    const FORMS: [ReplayForm; 2] = [ReplayForm::Inline, ReplayForm::Pipelined];
+
+    /// Policies with every replay need: signatures (CHiRP), branches
+    /// (GHRP), mispredictions and nothing at all (LRU).
+    fn group() -> Vec<PolicyKind> {
+        vec![
+            PolicyKind::Lru,
+            PolicyKind::Ghrp,
+            PolicyKind::Chirp(ChirpConfig::default()),
+            PolicyKind::Chirp(ChirpConfig { wrong_path_pollution: 2, ..ChirpConfig::default() }),
+        ]
+    }
+
+    fn trace() -> PackedTrace {
+        build_suite(&SuiteConfig { benchmarks: 1 })[0].generate_packed(LEN)
+    }
+
+    fn build(kinds: &[PolicyKind], config: &SimConfig) -> Vec<PolicyDispatch> {
+        kinds.iter().map(|k| k.build_dispatch(config.tlb.l2, 3)).collect()
+    }
+
+    /// Both forms of the driver equal `run_columnar` bit for bit with the
+    /// warmup cut at 0, exactly on a chunk boundary, mid-chunk and at
+    /// `len`, over a resident trace and over a stream whose batches do
+    /// not align with the chunks.
+    #[test]
+    fn both_forms_match_the_columnar_oracle_at_every_cut() {
+        let trace = trace();
+        let kinds = group();
+        let boundary = (4 * CHUNK_SIZE) as f64 + 0.5;
+        for (fraction, cut) in
+            [(0.0, 0), (boundary / LEN as f64, 4 * CHUNK_SIZE), (0.5, LEN / 2), (1.0, LEN)]
+        {
+            assert_eq!(warmup_cut(LEN, fraction), cut);
+            let config = SimConfig { warmup_fraction: fraction, ..SimConfig::default() };
+            let sig = group_sig_config(kinds.iter());
+            let want: Vec<RunResult> = build(&kinds, &config)
+                .into_iter()
+                .map(|p| Simulator::with_policy(&config, p).run_columnar(&trace, fraction))
+                .collect();
+            for form in FORMS {
+                let resident = replay_trace_group(
+                    &config,
+                    &sig,
+                    build(&kinds, &config),
+                    &trace,
+                    fraction,
+                    form,
+                );
+                let mut stream = MaterializedStream::new(&trace, 3_000);
+                let streamed = replay_stream_group(
+                    &config,
+                    &sig,
+                    build(&kinds, &config),
+                    &mut stream,
+                    fraction,
+                    form,
+                )
+                .expect("materialized stream");
+                for got in [resident, streamed] {
+                    let got: Vec<RunResult> = got.into_iter().map(|(r, _)| r).collect();
+                    assert_eq!(got, want, "{form:?} at cut {cut}");
+                }
+            }
+        }
+    }
+
+    /// Test policy around LRU: optionally waits on `gate` before its
+    /// first access, and optionally panics on its `panic_at`-th access.
+    struct Probe {
+        inner: PolicyDispatch,
+        gate: Option<Receiver<()>>,
+        panic_at: Option<u64>,
+        accesses: u64,
+    }
+
+    impl Probe {
+        fn new(gate: Option<Receiver<()>>, panic_at: Option<u64>) -> Probe {
+            let inner = PolicyKind::Lru.build_dispatch(SimConfig::default().tlb.l2, 0);
+            Probe { inner, gate, panic_at, accesses: 0 }
+        }
+
+        fn access(&mut self) {
+            if let Some(gate) = self.gate.take() {
+                // Opens when the stream drops the sending half.
+                let _ = gate.recv();
+            }
+            self.accesses += 1;
+            assert_ne!(Some(self.accesses), self.panic_at, "probe policy panics on request");
+        }
+    }
+
+    impl TlbReplacementPolicy for Probe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+
+        fn choose_victim(&mut self, acc: &TlbAccess) -> usize {
+            self.inner.choose_victim(acc)
+        }
+
+        fn on_hit(&mut self, acc: &TlbAccess, way: usize) {
+            self.access();
+            self.inner.on_hit(acc, way);
+        }
+
+        fn on_fill(&mut self, acc: &TlbAccess, way: usize) {
+            self.access();
+            self.inner.on_fill(acc, way);
+        }
+
+        fn storage(&self) -> PolicyStorage {
+            self.inner.storage()
+        }
+    }
+
+    /// A stream that serves prepared batches, then `Err` (or the end),
+    /// and opens a channel gate — drops `gate` — when asked for item
+    /// `open_at`. Progress on the replay side is thus tied to how far
+    /// the front end has read, with no timing involved.
+    struct GatedStream {
+        items: VecDeque<Result<PackedTrace, StreamError>>,
+        len: usize,
+        served: usize,
+        open_at: usize,
+        gate: Option<Sender<()>>,
+    }
+
+    impl GatedStream {
+        /// The first `batches` chunk-sized batches of `trace`, then
+        /// `error` if given.
+        fn new(trace: &PackedTrace, batches: usize, error: Option<StreamError>) -> GatedStream {
+            let mut source = MaterializedStream::new(trace, CHUNK_SIZE);
+            let mut items: VecDeque<_> =
+                (0..batches).map(|_| Ok(source.next_batch().unwrap().expect("batch"))).collect();
+            items.extend(error.map(Err));
+            GatedStream { items, len: trace.len(), served: 0, open_at: usize::MAX, gate: None }
+        }
+
+        /// Returns the gate a [`Probe`] waits on, opened at item `at`.
+        fn gate_at(&mut self, at: usize) -> Receiver<()> {
+            let (tx, rx) = channel();
+            self.gate = Some(tx);
+            self.open_at = at;
+            rx
+        }
+    }
+
+    impl TraceStream for GatedStream {
+        fn len(&self) -> usize {
+            self.len
+        }
+
+        fn chunk_records(&self) -> usize {
+            CHUNK_SIZE
+        }
+
+        fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
+            if self.served == self.open_at {
+                self.gate = None;
+            }
+            self.served += 1;
+            self.items.pop_front().transpose()
+        }
+    }
+
+    fn run(
+        stream: &mut GatedStream,
+        policies: Vec<Probe>,
+        form: ReplayForm,
+    ) -> Result<Vec<(RunResult, Backend<Probe>)>, StreamError> {
+        let config = SimConfig::default();
+        let sig = ChirpConfig::default();
+        replay_stream_group(&config, &sig, policies, stream, config.warmup_fraction, form)
+    }
+
+    /// A stream that fails after some batches returns that error from
+    /// either form. Pipelined, the replay thread is held at its first
+    /// access until the front end asks for the failing batch, so the
+    /// error arrives with every earlier segment still in flight.
+    #[test]
+    fn stream_error_stops_the_feed_and_returns() {
+        let trace = trace();
+        let batches = SEGMENT_POOL - 1;
+        for form in FORMS {
+            let failure = StreamError::Corrupt("cut off".into());
+            let mut stream = GatedStream::new(&trace, batches, Some(failure));
+            let gate = (form == ReplayForm::Pipelined).then(|| stream.gate_at(batches));
+            let policies = vec![Probe::new(gate, None), Probe::new(None, None)];
+            match run(&mut stream, policies, form) {
+                Err(StreamError::Corrupt(why)) => assert_eq!(why, "cut off", "{form:?}"),
+                other => panic!("{form:?}: expected the stream's error, got {:?}", other.is_ok()),
+            }
+            assert_eq!(stream.served, batches + 1, "{form:?}: the feed stops at the error");
+        }
+    }
+
+    /// A policy that panics mid-trace makes the group panic, in either
+    /// form and through `run_stream_factored`, instead of deadlocking.
+    /// Pipelined, the panic is held back until the front end has filled
+    /// every pooled segment and reads one more batch, so the front end is
+    /// (or is about to be) waiting on the recycle channel when the replay
+    /// thread dies.
+    #[test]
+    fn replay_panic_reaches_the_caller() {
+        let trace = trace();
+        let chunks = LEN.div_ceil(CHUNK_SIZE);
+        for form in FORMS {
+            let mut stream = GatedStream::new(&trace, chunks, None);
+            let gate = (form == ReplayForm::Pipelined).then(|| stream.gate_at(SEGMENT_POOL));
+            let policies = vec![Probe::new(None, None), Probe::new(gate, Some(1))];
+            let outcome = catch_unwind(AssertUnwindSafe(|| run(&mut stream, policies, form)));
+            assert!(outcome.is_err(), "{form:?}: the replay panic must reach the caller");
+        }
+        let mut stream = GatedStream::new(&trace, chunks, None);
+        let policies = vec![Probe::new(None, Some(100)), Probe::new(None, None)];
+        let config = SimConfig::default();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_stream_factored(&config, &ChirpConfig::default(), policies, &mut stream, 0.5)
+        }));
+        assert!(outcome.is_err(), "run_stream_factored must panic");
+    }
 }

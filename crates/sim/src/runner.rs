@@ -18,7 +18,7 @@
 
 use crate::config::SimConfig;
 use crate::engine::Simulator;
-use crate::frontend::{group_sig_config, replay_factored, run_stream_factored, FactoredTrace};
+use crate::frontend::{group_sig_config, replay_trace_group, run_stream_factored, ReplayForm};
 use crate::metrics::RunResult;
 use crate::registry::PolicyKind;
 use crate::sched::{run_items, WorkItem};
@@ -185,10 +185,12 @@ fn label_runs(bench: &BenchmarkSpec, results: Vec<RunResult>) -> Vec<BenchRun> {
 
 /// Runs one same-trace group of policies — the primitive the suite
 /// runners and `chirp-serve` share. With `factored` set, a group of two
-/// or more runs as one front-end pass + per-policy replay back-ends
-/// ([`FactoredTrace::build`] + [`replay_factored`]), the signature
-/// stream computed under the group's first CHiRP configuration
-/// ([`group_sig_config`]); a group of one runs
+/// or more runs as one front-end pass + per-policy replay back-ends over
+/// 4096-record segments (the chunk driver behind
+/// [`run_stream_factored`], replaying on a second thread when the
+/// scheduler leaves a core idle), the signature stream computed under
+/// the group's first CHiRP configuration ([`group_sig_config`]); a
+/// group of one runs
 /// [`Simulator::run_columnar`], which is faster when there is nothing to
 /// share. With `factored` unset every policy runs
 /// `run_columnar`, the reference loop. Results are bit-identical either
@@ -203,9 +205,12 @@ pub fn run_policy_group(
     let build = |kind: &PolicyKind| kind.build_dispatch(sim.tlb.l2, seed);
     if factored && kinds.len() > 1 {
         let sig_config = group_sig_config(kinds.iter().copied());
-        let events = FactoredTrace::build(sim, trace, sim.warmup_fraction, &sig_config);
         let policies = kinds.iter().map(|k| build(k)).collect();
-        replay_factored(sim, &events, policies).into_iter().map(|(result, _)| result).collect()
+        let form = ReplayForm::for_this_thread();
+        replay_trace_group(sim, &sig_config, policies, trace, sim.warmup_fraction, form)
+            .into_iter()
+            .map(|(result, _)| result)
+            .collect()
     } else {
         kinds
             .iter()

@@ -22,7 +22,8 @@
 
 use chirp_store::StoreError;
 use chirp_telemetry::{HistogramSnapshot, Log2Histogram};
-use std::sync::{Condvar, Mutex};
+use std::cell::Cell;
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One unit of work: a benchmark index plus the policy indices to
@@ -44,12 +45,18 @@ pub struct SchedulerSummary {
     pub work_units: usize,
     /// (benchmark × policy) pairs simulated across all items.
     pub sim_tasks: usize,
-    /// Worker threads used.
+    /// Worker threads used. A worker running a factored group may add
+    /// one replay thread when the pool leaves cores over
+    /// ([`replay_pipelined`](Self::replay_pipelined)).
     pub threads: usize,
-    /// Logical CPUs available to this process when the run executed —
+    /// Logical CPUs available to this process (read once per process) —
     /// context for interpreting thread-scaling numbers (an 8-thread run on
     /// one CPU cannot be expected to speed up).
     pub cpus: usize,
+    /// Whether factored groups replayed on a thread of their own: true
+    /// when the host has more than one CPU and the workers
+    /// (`threads.min(work_units)`) leave at least one of them idle.
+    pub replay_pipelined: bool,
     /// Most items (and so traces) in flight at any instant.
     pub peak_resident_traces: usize,
     /// Most estimated trace bytes in flight at any instant.
@@ -65,12 +72,13 @@ impl SchedulerSummary {
     /// One-line human-readable rendering for harness output.
     pub fn render(&self) -> String {
         format!(
-            "{} work units ({} sims) on {} threads / {} cpus | peak {} traces / {:.1} MiB in \
-             flight | item latency p50 {} us / p99 {} us | {:.2}s wall",
+            "{} work units ({} sims) on {} threads / {} cpus, replay {} | peak {} traces / \
+             {:.1} MiB in flight | item latency p50 {} us / p99 {} us | {:.2}s wall",
             self.work_units,
             self.sim_tasks,
             self.threads,
             self.cpus,
+            if self.replay_pipelined { "pipelined" } else { "inline" },
             self.peak_resident_traces,
             self.peak_resident_bytes as f64 / (1024.0 * 1024.0),
             self.sim_latency_us.quantile(0.5),
@@ -97,6 +105,24 @@ pub fn take_scheduler_summary() -> Option<SchedulerSummary> {
 }
 
 static LAST: Mutex<Option<SchedulerSummary>> = Mutex::new(None);
+
+/// Logical CPUs available to this process, read once.
+pub(crate) fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+thread_local! {
+    /// Set on [`run_items`] workers whose pool covers every CPU.
+    static POOL_COVERS_CORES: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the current thread is a [`run_items`] worker in a pool that
+/// already keeps every CPU busy (`threads.min(items) >= cpus`) — the
+/// factored driver then replays inline instead of taking another thread.
+pub(crate) fn pool_covers_cores() -> bool {
+    POOL_COVERS_CORES.with(Cell::get)
+}
 
 /// Admission state, guarded by one mutex; workers sleep on the paired
 /// condvar while the budget admits nothing.
@@ -134,6 +160,8 @@ where
 {
     let started = Instant::now();
     let threads = threads.max(1);
+    let cpus = cpus();
+    let covers_cores = threads.min(work.len()) >= cpus;
     let state = Mutex::new(State {
         next: 0,
         active: 0,
@@ -153,54 +181,58 @@ where
             let results = &results;
             let exec = &exec;
             let latency = &latency;
-            scope.spawn(move || loop {
-                let w = {
-                    let mut st = state.lock().expect("scheduler lock");
-                    loop {
-                        if st.next < work.len() && st.error.is_none() {
-                            let alone = st.active == 0;
-                            let fits = budget.is_none_or(|b| st.resident_bytes + item_bytes <= b);
-                            if alone || fits {
-                                let w = st.next;
-                                st.next += 1;
-                                st.active += 1;
-                                st.resident_bytes += item_bytes;
-                                st.peak_active = st.peak_active.max(st.active);
-                                st.peak_bytes = st.peak_bytes.max(st.resident_bytes);
-                                break Some(w);
-                            }
-                        } else if st.active == 0 {
-                            break None;
-                        }
-                        st = cvar.wait(st).expect("scheduler lock");
-                    }
-                };
-                let Some(w) = w else { return };
-                let item_started = Instant::now();
-                let outcome = exec(&work[w]);
-                latency.record(item_started.elapsed().as_micros() as u64);
-                match outcome {
-                    Ok(rs) => {
-                        assert_eq!(
-                            rs.len(),
-                            work[w].policies.len(),
-                            "one result per policy position"
-                        );
-                        results.lock().expect("results lock")[w] = Some(rs);
-                    }
-                    Err(e) => {
+            scope.spawn(move || {
+                POOL_COVERS_CORES.with(|flag| flag.set(covers_cores));
+                loop {
+                    let w = {
                         let mut st = state.lock().expect("scheduler lock");
-                        if st.error.is_none() {
-                            st.error = Some(e);
+                        loop {
+                            if st.next < work.len() && st.error.is_none() {
+                                let alone = st.active == 0;
+                                let fits =
+                                    budget.is_none_or(|b| st.resident_bytes + item_bytes <= b);
+                                if alone || fits {
+                                    let w = st.next;
+                                    st.next += 1;
+                                    st.active += 1;
+                                    st.resident_bytes += item_bytes;
+                                    st.peak_active = st.peak_active.max(st.active);
+                                    st.peak_bytes = st.peak_bytes.max(st.resident_bytes);
+                                    break Some(w);
+                                }
+                            } else if st.active == 0 {
+                                break None;
+                            }
+                            st = cvar.wait(st).expect("scheduler lock");
                         }
-                        st.next = work.len();
+                    };
+                    let Some(w) = w else { return };
+                    let item_started = Instant::now();
+                    let outcome = exec(&work[w]);
+                    latency.record(item_started.elapsed().as_micros() as u64);
+                    match outcome {
+                        Ok(rs) => {
+                            assert_eq!(
+                                rs.len(),
+                                work[w].policies.len(),
+                                "one result per policy position"
+                            );
+                            results.lock().expect("results lock")[w] = Some(rs);
+                        }
+                        Err(e) => {
+                            let mut st = state.lock().expect("scheduler lock");
+                            if st.error.is_none() {
+                                st.error = Some(e);
+                            }
+                            st.next = work.len();
+                        }
                     }
+                    let mut st = state.lock().expect("scheduler lock");
+                    st.active -= 1;
+                    st.resident_bytes -= item_bytes;
+                    drop(st);
+                    cvar.notify_all();
                 }
-                let mut st = state.lock().expect("scheduler lock");
-                st.active -= 1;
-                st.resident_bytes -= item_bytes;
-                drop(st);
-                cvar.notify_all();
             });
         }
     });
@@ -213,7 +245,8 @@ where
         work_units: work.len(),
         sim_tasks: work.iter().map(|w| w.policies.len()).sum(),
         threads,
-        cpus: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        cpus,
+        replay_pipelined: cpus > 1 && !work.is_empty() && !covers_cores,
         peak_resident_traces: st.peak_active,
         peak_resident_bytes: st.peak_bytes,
         sim_latency_us: latency.snapshot(),
@@ -327,5 +360,29 @@ mod tests {
         assert!(results.is_empty());
         assert_eq!(summary.sim_tasks, 0);
         assert_eq!(summary.peak_resident_traces, 0);
+    }
+
+    /// Workers learn whether their pool keeps every CPU busy: set when
+    /// `threads.min(items) >= cpus`, clear for a single worker on a host
+    /// with more cores, and clear on threads outside the scheduler.
+    #[test]
+    fn workers_know_whether_their_pool_covers_every_core() {
+        let cpus = cpus();
+        let flags = |threads: usize, items: usize| {
+            let work: Vec<WorkItem> =
+                (0..items).map(|bench| WorkItem { bench, policies: vec![0] }).collect();
+            let (results, summary) =
+                run_items(&work, threads, 64, None, |_| Ok(vec![pool_covers_cores()])).unwrap();
+            let flags: Vec<bool> = results.into_iter().flatten().collect();
+            assert_eq!(summary.replay_pipelined, cpus > 1 && !flags[0]);
+            flags
+        };
+        assert!(!pool_covers_cores(), "clear outside the scheduler");
+        assert!(flags(cpus, cpus).iter().all(|&f| f), "threads = items = cpus covers the host");
+        if cpus > 1 {
+            assert!(flags(1, 3).iter().all(|&f| !f), "one worker leaves cores idle");
+            assert!(flags(cpus, 1).iter().all(|&f| !f), "one item keeps one worker busy");
+        }
+        assert!(!pool_covers_cores(), "the flag never leaks to the caller");
     }
 }

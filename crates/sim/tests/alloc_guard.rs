@@ -1,8 +1,9 @@
-//! Zero-allocation guard for the monomorphized columnar hot loop.
+//! Zero-allocation guard for the monomorphized columnar hot loop, the
+//! factored replay and the chunk-pipelined factored group.
 //!
-//! A counting global allocator wraps the system allocator; the test then
-//! measures `Simulator::run_columnar` on a short and a long trace with the
-//! same policy. Every per-run constant (the policy-name `String` in the
+//! A counting global allocator wraps the system allocator; the tests then
+//! measure each engine on a short and a long trace with the same
+//! policies. Every per-run constant (the policy-name `String` in the
 //! result, for instance) appears in both counts, so the counts can only
 //! differ if something inside the per-instruction loop allocates — which
 //! is exactly what the packed-age/flat-array rework eliminated. This file
@@ -50,6 +51,16 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// lock for its whole body so a measured window owns the counter.
 static GATE: Mutex<()> = Mutex::new(());
 
+/// The fewest allocations `count` reports over `runs` calls. Work on
+/// other threads can still land in a window — the harness's bookkeeping
+/// for a test that has just released `GATE`, or the wait context and
+/// wait-list entry the standard library allocates the first time a
+/// thread blocks on a channel — but it only ever adds to one run, while
+/// an allocation inside the measured loop adds to every run.
+fn fewest(runs: usize, mut count: impl FnMut() -> u64) -> u64 {
+    (0..runs).map(|_| count()).min().expect("at least one run")
+}
+
 /// Allocation count of one `run_columnar` call, simulator construction
 /// excluded.
 fn allocs_for_run(policy: &PolicyKind, config: &SimConfig, instructions: usize, seed: u64) -> u64 {
@@ -76,8 +87,8 @@ fn hot_loop_does_not_allocate_per_instruction() {
     let _counter = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let config = SimConfig::default();
     for policy in &lineup9() {
-        let short = allocs_for_run(policy, &config, 4_000, 7);
-        let long = allocs_for_run(policy, &config, 40_000, 7);
+        let short = fewest(3, || allocs_for_run(policy, &config, 4_000, 7));
+        let long = fewest(3, || allocs_for_run(policy, &config, 40_000, 7));
         assert_eq!(
             long,
             short,
@@ -91,7 +102,7 @@ fn hot_loop_does_not_allocate_per_instruction() {
 /// Allocation count of replaying a prebuilt front-end event stream
 /// through all 9 policy back-ends (`chirp_sim::replay_factored`). The
 /// stream and the trace are built outside the measured window; backend
-/// construction, the per-segment control cursors and the policy-name
+/// construction, the measured-window snapshots and the policy-name
 /// `String`s in the results are per-run constants appearing in both
 /// counts.
 fn allocs_for_factored_replay(config: &SimConfig, instructions: usize) -> u64 {
@@ -116,11 +127,50 @@ fn allocs_for_factored_replay(config: &SimConfig, instructions: usize) -> u64 {
 fn factored_replay_does_not_allocate_per_instruction() {
     let _counter = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let config = SimConfig::default();
-    let short = allocs_for_factored_replay(&config, 4_000);
-    let long = allocs_for_factored_replay(&config, 40_000);
+    let short = fewest(3, || allocs_for_factored_replay(&config, 4_000));
+    let long = fewest(3, || allocs_for_factored_replay(&config, 40_000));
     assert_eq!(
         long, short,
         "factored replay allocates per instruction: {short} allocations over 4k instructions \
          vs {long} over 40k"
+    );
+}
+
+/// Allocation count of one `run_policy_group` call over the 9-policy
+/// lineup: the factored chunk driver, pipelined on a host with more than
+/// one core (this test thread is no scheduler worker), inline otherwise.
+/// Backend construction, the segment pool (each segment sized for a
+/// full chunk up front), the channels, the replay thread and the result
+/// `String`s are per-run constants.
+fn allocs_for_policy_group(config: &SimConfig, instructions: usize) -> u64 {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let trace = suite[0].generate_packed(instructions);
+    let policies = lineup9();
+    let kinds: Vec<&PolicyKind> = policies.iter().collect();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let results = chirp_sim::run_policy_group(config, &kinds, 7, &trace, true);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(results.len(), 9);
+    after - before
+}
+
+/// The pipelined group must not allocate per segment: a 5× longer trace
+/// (49 chunks against 10) may not add a single allocation. Whether a
+/// side of a channel blocks at all in a given run depends on timing
+/// (see [`fewest`]), hence the larger run count; a per-segment
+/// allocation would add about 39 to every long run.
+#[test]
+fn pipelined_group_does_not_allocate_per_segment() {
+    let _counter = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let config = SimConfig::default();
+    // Warm-up: process-wide lazy state (the cached CPU count, the test
+    // thread's channel wait context) is set up outside the comparison.
+    allocs_for_policy_group(&config, 40_000);
+    let short = fewest(5, || allocs_for_policy_group(&config, 40_000));
+    let long = fewest(5, || allocs_for_policy_group(&config, 200_000));
+    assert_eq!(
+        long, short,
+        "the factored group allocates per segment: {short} allocations over 40k instructions \
+         vs {long} over 200k"
     );
 }

@@ -115,6 +115,30 @@ target/release/full_suite --store "$gen_store" --benchmarks 2 \
 grep -q "0 archive streams, 2 generated" "$smoke_dir/gen.err"
 cmp <(sort "$stream_store/runs.jsonl") <(sort "$gen_store/runs.jsonl")
 
+echo "==> pipelined vs inline ledgers (factored replay on a second thread or inline)"
+# A factored group replays on a thread of its own only when the scheduler
+# leaves a core idle: one worker does on a host with two or more cores,
+# while one worker per core replays inline. Results must not depend on
+# the form, so the two ledgers must hold the same lines.
+cpus="$(nproc)"
+pipelined_store="$smoke_dir/pipelined-store"
+inline_store="$smoke_dir/inline-store"
+target/release/run_all --benchmarks 2 --instructions 50_000 --threads 1 \
+    --store "$pipelined_store" > "$smoke_dir/pipelined.out"
+target/release/run_all --benchmarks 2 --instructions 50_000 --threads "$cpus" \
+    --store "$inline_store" > "$smoke_dir/inline.out"
+if [[ "$cpus" -eq 1 ]]; then
+    echo "    1 cpu: both runs replayed inline"
+else
+    # Every scheduled experiment of the one-worker run pipelined.
+    grep -q "replay pipelined" "$smoke_dir/pipelined.out"
+    awk '/^\[scheduler\]/ && !/replay pipelined/ { bad = 1 } END { exit bad }' \
+        "$smoke_dir/pipelined.out"
+    grep -q "replay inline" "$smoke_dir/inline.out" \
+        || echo "    $cpus cpus exceed the 2 work items: the second run pipelined too"
+fi
+cmp <(sort "$pipelined_store/runs.jsonl") <(sort "$inline_store/runs.jsonl")
+
 echo "==> chirp-serve smoke (submit, archived re-run, graceful shutdown)"
 cargo build --release -q -p chirp-serve -p chirp-bench
 serve_log="$smoke_dir/serve.log"
