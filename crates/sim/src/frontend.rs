@@ -620,16 +620,14 @@ pub(crate) enum ReplayForm {
 }
 
 impl ReplayForm {
-    /// The form for a group run on the current thread: pipelined only
-    /// when a core would otherwise sit idle — the host has more than one,
-    /// and the caller is not a [`run_items`](crate::sched::run_items)
-    /// worker whose pool already covers every core.
-    pub(crate) fn for_this_thread() -> ReplayForm {
-        if crate::sched::cpus() > 1 && !crate::sched::pool_covers_cores() {
-            ReplayForm::Pipelined
-        } else {
-            ReplayForm::Inline
-        }
+    /// The form for a group about to run: pipelined only when a core
+    /// would otherwise sit idle ([`spare_core`](crate::sched::spare_core)).
+    /// A pipelined group keeps the core counted as busy until the
+    /// returned guard drops.
+    pub(crate) fn choose() -> (ReplayForm, Option<crate::sched::Busy<'static>>) {
+        let core = crate::sched::spare_core();
+        let form = if core.is_some() { ReplayForm::Pipelined } else { ReplayForm::Inline };
+        (form, core)
     }
 }
 
@@ -678,7 +676,8 @@ impl<P: TlbReplacementPolicy> Replay<P> {
 
 /// Where the front end's finished segments go.
 enum Sink<'r, P: TlbReplacementPolicy> {
-    /// Replayed on the calling thread; one segment is reused.
+    /// Replayed on the calling thread; one segment is reused, growing
+    /// as needed.
     Inline { replay: &'r mut Replay<P>, seg: EventSegment },
     /// Sent to the replay thread; emptied segments come back on `empty`.
     Pipelined { full: SyncSender<Handoff>, empty: Receiver<EventSegment> },
@@ -762,12 +761,12 @@ where
     let fe = FrontEnd::new(config, sig_config);
     match form {
         ReplayForm::Inline => {
-            let seg = EventSegment::for_chunk();
-            let sink = Sink::Inline { replay: &mut replay, seg };
+            let sink = Sink::Inline { replay: &mut replay, seg: EventSegment::default() };
             feed(&mut Feeder { fe, warmup, pos: 0, cut: false, sink })?;
             Ok(replay.finish())
         }
         ReplayForm::Pipelined => {
+            crate::sched::note_pipelined();
             let (full_tx, full_rx) = sync_channel::<Handoff>(SEGMENT_POOL);
             let (empty_tx, empty_rx) = sync_channel(SEGMENT_POOL);
             for _ in 0..SEGMENT_POOL {
@@ -847,7 +846,7 @@ where
 /// driver, so peak event residency is O(chunk), and results are
 /// bit-identical to [`Simulator::run_stream`](crate::Simulator::run_stream)
 /// of each policy over the same stream. The back ends replay on a second
-/// thread when the scheduler leaves a core idle, inline otherwise.
+/// thread when a core would otherwise sit idle, inline otherwise.
 ///
 /// # Errors
 ///
@@ -860,7 +859,7 @@ pub fn run_stream_factored<P: TlbReplacementPolicy + Send, S: TraceStream + ?Siz
     stream: &mut S,
     warmup_fraction: f64,
 ) -> Result<Vec<(RunResult, Backend<P>)>, StreamError> {
-    let form = ReplayForm::for_this_thread();
+    let (form, _core) = ReplayForm::choose();
     replay_stream_group(config, sig_config, policies, stream, warmup_fraction, form)
 }
 

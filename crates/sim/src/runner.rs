@@ -187,8 +187,8 @@ fn label_runs(bench: &BenchmarkSpec, results: Vec<RunResult>) -> Vec<BenchRun> {
 /// runners and `chirp-serve` share. With `factored` set, a group of two
 /// or more runs as one front-end pass + per-policy replay back-ends over
 /// 4096-record segments (the chunk driver behind
-/// [`run_stream_factored`], replaying on a second thread when the
-/// scheduler leaves a core idle), the signature stream computed under
+/// [`run_stream_factored`], replaying on a second thread when a core
+/// would otherwise sit idle), the signature stream computed under
 /// the group's first CHiRP configuration ([`group_sig_config`]); a
 /// group of one runs
 /// [`Simulator::run_columnar`], which is faster when there is nothing to
@@ -206,7 +206,7 @@ pub fn run_policy_group(
     if factored && kinds.len() > 1 {
         let sig_config = group_sig_config(kinds.iter().copied());
         let policies = kinds.iter().map(|k| build(k)).collect();
-        let form = ReplayForm::for_this_thread();
+        let (form, _core) = ReplayForm::choose();
         replay_trace_group(sim, &sig_config, policies, trace, sim.warmup_fraction, form)
             .into_iter()
             .map(|(result, _)| result)

@@ -23,6 +23,7 @@
 use chirp_store::StoreError;
 use chirp_telemetry::{HistogramSnapshot, Log2Histogram};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -53,9 +54,10 @@ pub struct SchedulerSummary {
     /// context for interpreting thread-scaling numbers (an 8-thread run on
     /// one CPU cannot be expected to speed up).
     pub cpus: usize,
-    /// Whether factored groups replayed on a thread of their own: true
-    /// when the host has more than one CPU and the workers
-    /// (`threads.min(work_units)`) leave at least one of them idle.
+    /// Whether at least one factored group replayed on a thread of its
+    /// own, which happens when a core was idle as it started: the
+    /// process's busy simulation threads (every worker of every pool,
+    /// plus replay threads) numbered fewer than `cpus`.
     pub replay_pipelined: bool,
     /// Most items (and so traces) in flight at any instant.
     pub peak_resident_traces: usize,
@@ -112,16 +114,68 @@ pub(crate) fn cpus() -> usize {
     *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-thread_local! {
-    /// Set on [`run_items`] workers whose pool covers every CPU.
-    static POOL_COVERS_CORES: Cell<bool> = const { Cell::new(false) };
+/// Simulation threads running in this process: every [`run_items`]
+/// worker that has an item to run, counted from the pool's start, and
+/// every replay thread taken through [`spare_core`]. Process-wide, so
+/// concurrent pools (one per `chirp-serve` session) see each other.
+static SIM_THREADS: SimThreads = SimThreads::new();
+
+/// A count of busy simulation threads, checked against the CPUs.
+pub(crate) struct SimThreads {
+    busy: AtomicUsize,
 }
 
-/// Whether the current thread is a [`run_items`] worker in a pool that
-/// already keeps every CPU busy (`threads.min(items) >= cpus`) — the
-/// factored driver then replays inline instead of taking another thread.
-pub(crate) fn pool_covers_cores() -> bool {
-    POOL_COVERS_CORES.with(Cell::get)
+impl SimThreads {
+    pub(crate) const fn new() -> SimThreads {
+        SimThreads { busy: AtomicUsize::new(0) }
+    }
+
+    /// Counts `n` more busy threads until the guard drops.
+    pub(crate) fn hold(&self, n: usize) -> Busy<'_> {
+        self.busy.fetch_add(n, Ordering::SeqCst);
+        Busy { threads: self, n }
+    }
+
+    /// Counts one more busy thread if the host has more than one CPU
+    /// and fewer than `cpus` are busy — a core would otherwise sit idle.
+    /// The check and the count are one atomic step, so two callers never
+    /// take the same idle core.
+    pub(crate) fn spare(&self, cpus: usize) -> Option<Busy<'_>> {
+        let take = |busy: usize| (cpus > 1 && busy < cpus).then_some(busy + 1);
+        self.busy.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take).ok()?;
+        Some(Busy { threads: self, n: 1 })
+    }
+}
+
+/// Busy simulation threads counted by [`SimThreads`], released on drop.
+pub(crate) struct Busy<'a> {
+    threads: &'a SimThreads,
+    n: usize,
+}
+
+impl Drop for Busy<'_> {
+    fn drop(&mut self) {
+        self.threads.busy.fetch_sub(self.n, Ordering::SeqCst);
+    }
+}
+
+/// Takes an idle core for a factored group's replay thread, held until
+/// the guard drops; `None` when every CPU already runs a simulation
+/// thread.
+pub(crate) fn spare_core() -> Option<Busy<'static>> {
+    SIM_THREADS.spare(cpus())
+}
+
+thread_local! {
+    /// Set when a factored group replayed on a thread of its own
+    /// ([`note_pipelined`]); read back by the [`run_items`] worker.
+    static PIPELINED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Records that a factored group run on this thread replayed on a
+/// second thread, for [`SchedulerSummary::replay_pipelined`].
+pub(crate) fn note_pipelined() {
+    PIPELINED.with(|p| p.set(true));
 }
 
 /// Admission state, guarded by one mutex; workers sleep on the paired
@@ -158,10 +212,29 @@ where
     E: Fn(&WorkItem) -> Result<Vec<R>, StoreError> + Sync,
     R: Send,
 {
+    run_items_on(&SIM_THREADS, work, threads, item_bytes, budget, exec)
+}
+
+/// [`run_items`], counting its workers in `sim_threads`.
+fn run_items_on<E, R>(
+    sim_threads: &SimThreads,
+    work: &[WorkItem],
+    threads: usize,
+    item_bytes: u64,
+    budget: Option<u64>,
+    exec: E,
+) -> Result<(Vec<Vec<R>>, SchedulerSummary), StoreError>
+where
+    E: Fn(&WorkItem) -> Result<Vec<R>, StoreError> + Sync,
+    R: Send,
+{
     let started = Instant::now();
     let threads = threads.max(1);
     let cpus = cpus();
-    let covers_cores = threads.min(work.len()) >= cpus;
+    // Every worker with an item to run counts as busy from the start, so
+    // the first item's replay thread sees the workers spawned after it.
+    let busy = sim_threads.hold(threads.min(work.len()));
+    let pipelined = AtomicBool::new(false);
     let state = Mutex::new(State {
         next: 0,
         active: 0,
@@ -181,8 +254,8 @@ where
             let results = &results;
             let exec = &exec;
             let latency = &latency;
+            let pipelined = &pipelined;
             scope.spawn(move || {
-                POOL_COVERS_CORES.with(|flag| flag.set(covers_cores));
                 loop {
                     let w = {
                         let mut st = state.lock().expect("scheduler lock");
@@ -206,7 +279,7 @@ where
                             st = cvar.wait(st).expect("scheduler lock");
                         }
                     };
-                    let Some(w) = w else { return };
+                    let Some(w) = w else { break };
                     let item_started = Instant::now();
                     let outcome = exec(&work[w]);
                     latency.record(item_started.elapsed().as_micros() as u64);
@@ -233,9 +306,13 @@ where
                     drop(st);
                     cvar.notify_all();
                 }
+                if PIPELINED.with(Cell::get) {
+                    pipelined.store(true, Ordering::Relaxed);
+                }
             });
         }
     });
+    drop(busy);
 
     let st = state.into_inner().expect("scheduler lock");
     if let Some(e) = st.error {
@@ -246,7 +323,7 @@ where
         sim_tasks: work.iter().map(|w| w.policies.len()).sum(),
         threads,
         cpus,
-        replay_pipelined: cpus > 1 && !work.is_empty() && !covers_cores,
+        replay_pipelined: pipelined.into_inner(),
         peak_resident_traces: st.peak_active,
         peak_resident_bytes: st.peak_bytes,
         sim_latency_us: latency.snapshot(),
@@ -265,7 +342,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_land_in_item_order() {
@@ -362,27 +438,81 @@ mod tests {
         assert_eq!(summary.peak_resident_traces, 0);
     }
 
-    /// Workers learn whether their pool keeps every CPU busy: set when
-    /// `threads.min(items) >= cpus`, clear for a single worker on a host
-    /// with more cores, and clear on threads outside the scheduler.
+    /// An idle core is taken only on a host with more than one CPU,
+    /// only while fewer threads than CPUs are busy, and returns on drop.
     #[test]
-    fn workers_know_whether_their_pool_covers_every_core() {
-        let cpus = cpus();
-        let flags = |threads: usize, items: usize| {
+    fn a_spare_core_is_taken_only_while_one_is_idle() {
+        let threads = SimThreads::new();
+        assert!(threads.spare(1).is_none(), "one CPU has no second core");
+        let workers = threads.hold(2);
+        assert!(threads.spare(2).is_none(), "two workers cover two CPUs");
+        drop(workers);
+        let worker = threads.hold(1);
+        let replay = threads.spare(2).expect("one worker leaves a CPU idle");
+        assert!(threads.spare(2).is_none(), "the idle CPU is taken");
+        drop((worker, replay));
+        assert_eq!(threads.busy.load(Ordering::SeqCst), 0, "guards release what they hold");
+    }
+
+    /// Workers count as busy while their pool runs, whatever pool they
+    /// belong to, so on a two-CPU host a factored group finds an idle
+    /// core under one worker but not under two — nor under two
+    /// concurrent one-item pools, as two `chirp-serve` sessions run.
+    #[test]
+    fn pool_workers_count_as_busy_threads() {
+        let threads = SimThreads::new();
+        let spare_inside = |workers: usize, items: usize| {
             let work: Vec<WorkItem> =
                 (0..items).map(|bench| WorkItem { bench, policies: vec![0] }).collect();
-            let (results, summary) =
-                run_items(&work, threads, 64, None, |_| Ok(vec![pool_covers_cores()])).unwrap();
-            let flags: Vec<bool> = results.into_iter().flatten().collect();
-            assert_eq!(summary.replay_pipelined, cpus > 1 && !flags[0]);
-            flags
+            let (results, _) = run_items_on(&threads, &work, workers, 64, None, |_| {
+                Ok(vec![threads.spare(2).is_some()])
+            })
+            .unwrap();
+            results.into_iter().flatten().collect::<Vec<bool>>()
         };
-        assert!(!pool_covers_cores(), "clear outside the scheduler");
-        assert!(flags(cpus, cpus).iter().all(|&f| f), "threads = items = cpus covers the host");
-        if cpus > 1 {
-            assert!(flags(1, 3).iter().all(|&f| !f), "one worker leaves cores idle");
-            assert!(flags(cpus, 1).iter().all(|&f| !f), "one item keeps one worker busy");
-        }
-        assert!(!pool_covers_cores(), "the flag never leaks to the caller");
+        assert!(spare_inside(2, 2).iter().all(|&s| !s), "two workers cover two CPUs");
+        assert!(spare_inside(1, 3).iter().all(|&s| s), "one worker leaves a CPU idle");
+        assert!(spare_inside(2, 1).iter().all(|&s| s), "one item keeps one worker busy");
+
+        let both_in = std::sync::Barrier::new(2);
+        let session = || {
+            let work = [WorkItem { bench: 0, policies: vec![0] }];
+            run_items_on(&threads, &work, 1, 64, None, |_| {
+                both_in.wait();
+                let spare = threads.spare(2).is_some();
+                both_in.wait();
+                Ok(vec![spare])
+            })
+            .unwrap()
+            .0
+        };
+        std::thread::scope(|scope| {
+            let sessions = [scope.spawn(session), scope.spawn(session)];
+            for s in sessions {
+                assert_eq!(s.join().unwrap(), vec![vec![false]], "two sessions cover two CPUs");
+            }
+        });
+        assert_eq!(threads.busy.load(Ordering::SeqCst), 0, "pools release their workers");
+    }
+
+    /// The summary reports whether a group actually pipelined, as noted
+    /// on the worker that ran it.
+    #[test]
+    fn summary_reports_pipelined_replay_when_it_happened() {
+        let work: Vec<WorkItem> =
+            (0..3).map(|bench| WorkItem { bench, policies: vec![0] }).collect();
+        let run = |pipelined_bench: Option<usize>| {
+            run_items(&work, 2, 64, None, |item| {
+                if Some(item.bench) == pipelined_bench {
+                    note_pipelined();
+                }
+                Ok(vec![()])
+            })
+            .unwrap()
+            .1
+            .replay_pipelined
+        };
+        assert!(!run(None));
+        assert!(run(Some(2)));
     }
 }

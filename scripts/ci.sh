@@ -116,9 +116,9 @@ grep -q "0 archive streams, 2 generated" "$smoke_dir/gen.err"
 cmp <(sort "$stream_store/runs.jsonl") <(sort "$gen_store/runs.jsonl")
 
 echo "==> pipelined vs inline ledgers (factored replay on a second thread or inline)"
-# A factored group replays on a thread of its own only when the scheduler
-# leaves a core idle: one worker does on a host with two or more cores,
-# while one worker per core replays inline. Results must not depend on
+# A factored group replays on a thread of its own only when a core would
+# otherwise sit idle: under one worker it does on a host with two or more
+# cores, while one worker per core replays inline. Results must not depend on
 # the form, so the two ledgers must hold the same lines.
 cpus="$(nproc)"
 pipelined_store="$smoke_dir/pipelined-store"
@@ -130,7 +130,8 @@ target/release/run_all --benchmarks 2 --instructions 50_000 --threads "$cpus" \
 if [[ "$cpus" -eq 1 ]]; then
     echo "    1 cpu: both runs replayed inline"
 else
-    # Every scheduled experiment of the one-worker run pipelined.
+    # Every scheduled experiment of the one-worker run reports that its
+    # groups actually pipelined.
     grep -q "replay pipelined" "$smoke_dir/pipelined.out"
     awk '/^\[scheduler\]/ && !/replay pipelined/ { bad = 1 } END { exit bad }' \
         "$smoke_dir/pipelined.out"
