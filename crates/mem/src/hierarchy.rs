@@ -65,6 +65,16 @@ impl MemoryHierarchy {
         self.beyond_l1(pc, self.l1i.config().hit_latency)
     }
 
+    /// Instruction fetch from `pc` that has already missed an L1i kept
+    /// outside this hierarchy: a front end that filters fetches through
+    /// its own copy of the L1i hands on only its misses. Returns the
+    /// latency [`fetch`](Self::fetch) returns on an L1i miss; this
+    /// hierarchy's own L1i is left untouched.
+    #[inline]
+    pub fn fetch_after_l1i_miss(&mut self, pc: u64) -> u64 {
+        self.beyond_l1(pc, self.l1i.config().hit_latency)
+    }
+
     /// Data load from `addr`; returns the access latency in cycles.
     #[inline]
     pub fn load(&mut self, addr: u64) -> u64 {
@@ -151,6 +161,30 @@ mod tests {
         // because the fetch filled L2 inclusively.
         assert_eq!(mem.load(0x40_0000), 4 + 12);
         assert_eq!(mem.fetch(0x40_0000), 4);
+    }
+
+    /// An outside L1i in front of `fetch_after_l1i_miss` gives every
+    /// fetch and load the latency the whole hierarchy gives, over a
+    /// stream whose instruction and data sides thrash the shared L2.
+    #[test]
+    fn outside_l1i_matches_the_whole_hierarchy() {
+        let config = HierarchyConfig::default();
+        let mut whole = MemoryHierarchy::new(config);
+        let mut l1i = Cache::new(config.l1i);
+        let mut rest = MemoryHierarchy::new(config);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..200_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let pc = 0x40_0000 + (x % (96 << 10));
+            let fetched =
+                if l1i.access(pc) { config.l1i.hit_latency } else { rest.fetch_after_l1i_miss(pc) };
+            assert_eq!(fetched, whole.fetch(pc), "fetch {i}");
+            let ea = 0x1000_0000 + (x >> 20) % (16 << 20);
+            assert_eq!(rest.load(ea), whole.load(ea), "load {i}");
+        }
+        assert_eq!(rest.dram_accesses(), whole.dram_accesses());
     }
 
     #[test]

@@ -16,13 +16,21 @@
 //! [`EventSegment`] stream — per L2 access: vpn, page class
 //! (instruction/data), precomputed CHiRP signature and set index; per
 //! segment: the instruction count and the policy-invariant cycle total
-//! (base + cache penalties + branch penalties + L2-hit latencies).
-//! Each [`Backend`] then replays only `L2Tlb::access_at` + walker +
-//! residual cycle accounting over that stream. Cycle totals are exact
-//! `u64` sums, so splitting them into an invariant part (summed by the
-//! front end) and a per-backend walk part reassociates nothing:
+//! (base + L1i-hit + branch penalties + L2-hit latencies). Each
+//! [`Backend`] then replays only `L2Tlb::access_at` + walker + residual
+//! cycle accounting over that stream. Cycle totals are exact `u64` sums,
+//! so splitting them into an invariant part (summed by the front end)
+//! and a per-backend walk part reassociates nothing:
 //! [`Backend::finish_result`] is bit-identical to
 //! `Simulator::run_columnar`, pinned by `tests/equivalence_matrix.rs`.
+//!
+//! The cache model is policy-invariant too, and is split the same way.
+//! The front end keeps only the L1i, whose MRU memo absorbs nearly every
+//! fetch; it appends each data access and each L1i miss, in program
+//! order, to the segment's memory column. A memory stage — the rest of
+//! the hierarchy (L1d, L2, L3, DRAM) — runs that column on the replay
+//! side before the segment's back ends, and its penalty cycles are added
+//! to every back end, again an exact `u64` sum.
 //!
 //! Decoding is burst-structured: 64 records are expanded at a time, page
 //! numbers are derived in one pass over the pc/ea columns, and the
@@ -34,11 +42,15 @@
 //!
 //! Resident and streamed groups both run on one chunk driver
 //! ([`run_stream_factored`]; `run_policy_group` for resident traces):
-//! the front end emits one segment per 4096-record chunk, and the back
-//! ends replay it either inline or, when the scheduler leaves a core
-//! idle, on a second thread that overlaps replay with the front end's
-//! next chunk. The whole-trace [`FactoredTrace`] stays for callers that
-//! need every event at once (the OPT bound).
+//! the front end emits one segment per 4096-record chunk into a ring of
+//! segments, and the replay side runs the memory stage over each one and
+//! then replays it through the back ends, one claim per back end and
+//! segment. Inline, the calling thread does both in turn. When the
+//! scheduler leaves a core idle, the replay side runs on a second thread
+//! and overlaps the front end's next chunks; whenever the front end would
+//! wait for the ring (full, or draining at the end) it claims back ends
+//! itself instead. The whole-trace [`FactoredTrace`] stays for callers
+//! that need every event at once (the OPT bound).
 
 use crate::config::SimConfig;
 use crate::engine::{warmup_cut, CHUNK_SIZE};
@@ -46,25 +58,20 @@ use crate::metrics::RunResult;
 use chirp_branch::BranchUnit;
 use chirp_core::signature::hash16;
 use chirp_core::{ChirpConfig, SignatureBuilder};
-use chirp_mem::MemoryHierarchy;
+use chirp_mem::{Cache, MemoryHierarchy};
 use chirp_tlb::{
     L1FrontEnd, L2Tlb, PageWalker, ReplayHints, TlbAccess, TlbReplacementPolicy, TlbStats,
     TranslationKind,
 };
 use chirp_trace::{
-    vpn, BranchClass, DecodedBlock, InstrKind, PackedTrace, StreamError, TraceChunk, TraceStream,
+    vpn, BranchClass, DecodedBlock, PackedTrace, StreamError, TraceChunk, TraceStream,
 };
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Records decoded per front-end burst: large enough that the step loop
 /// dominates per-burst bookkeeping, small enough that the decoded columns
 /// stay in L1 cache.
 const BURST: usize = 64;
-
-/// Access events replayed per backend before the next backend takes the
-/// same block — keeps every backend's L2 metadata cache-resident while
-/// still letting their independent probe chains overlap.
-const REPLAY_BLOCK: usize = 256;
 
 /// Control-event kinds, packed into `ctl_kind` (low 2 bits; bit 6 marks
 /// a misprediction, bit 7 the taken flag of a branch).
@@ -103,11 +110,17 @@ pub struct EventSegment {
     ctl_pc: Vec<u64>,
     /// Per control event: kind bits (`CTL_*`).
     ctl_kind: Vec<u8>,
+    /// Per memory-side event, in program order: the effective address of
+    /// a data access, or the pc of a fetch that missed the L1i.
+    mem_addr: Vec<u64>,
+    /// Per memory-side event: whether it is an L1i-missed fetch.
+    mem_fetch: Vec<bool>,
     /// Instructions covered by this segment.
     instructions: u64,
-    /// Policy-invariant cycles of this segment: base + cache penalties +
-    /// branch penalties + one L2-hit latency per access event. Walk
-    /// cycles are the backends' business.
+    /// Front-end cycles of this segment: base + L1i-hit penalties +
+    /// branch penalties + one L2-hit latency per access event. The
+    /// memory column's penalties are the memory stage's business, walk
+    /// cycles the backends'.
     invariant_cycles: u64,
 }
 
@@ -135,9 +148,9 @@ impl EventSegment {
 
     /// An empty segment whose columns already hold one full front-end
     /// chunk: a record emits at most two access events (instruction and
-    /// data side) and two control events (a misprediction and the
-    /// branch), so filling it from at most [`CHUNK_SIZE`] records never
-    /// reallocates.
+    /// data side), two control events (a misprediction and the branch)
+    /// and two memory-side events (an L1i miss and a data access), so
+    /// filling it from at most [`CHUNK_SIZE`] records never reallocates.
     fn for_chunk() -> EventSegment {
         let events = 2 * CHUNK_SIZE;
         EventSegment {
@@ -149,6 +162,8 @@ impl EventSegment {
             ctl_after: Vec::with_capacity(events),
             ctl_pc: Vec::with_capacity(events),
             ctl_kind: Vec::with_capacity(events),
+            mem_addr: Vec::with_capacity(events),
+            mem_fetch: Vec::with_capacity(events),
             instructions: 0,
             invariant_cycles: 0,
         }
@@ -164,6 +179,8 @@ impl EventSegment {
         self.ctl_after.clear();
         self.ctl_pc.clear();
         self.ctl_kind.clear();
+        self.mem_addr.clear();
+        self.mem_fetch.clear();
         self.instructions = 0;
         self.invariant_cycles = 0;
     }
@@ -195,6 +212,11 @@ impl EventSegment {
             out.extend(v.to_le_bytes());
         }
         out.extend(&self.ctl_kind);
+        len(&mut out, self.mem_addr.len());
+        for &v in &self.mem_addr {
+            out.extend(v.to_le_bytes());
+        }
+        out.extend(self.mem_fetch.iter().map(|&f| u8::from(f)));
         out.extend(self.instructions.to_le_bytes());
         out.extend(self.invariant_cycles.to_le_bytes());
         out
@@ -270,11 +292,14 @@ impl FactoredTrace {
     }
 }
 
-/// The policy-invariant half of the machine: caches, branch unit, L1
-/// TLBs and one [`SignatureBuilder`] evolving under the stream's
-/// signature configuration.
+/// The policy-invariant half of the machine up to the cut line: the L1i,
+/// branch unit, L1 TLBs and one [`SignatureBuilder`] evolving under the
+/// stream's signature configuration. The rest of the cache hierarchy is
+/// the replay side's memory stage.
 pub struct FrontEnd {
-    mem: MemoryHierarchy,
+    l1i: Cache,
+    /// Penalty of an L1i hit beyond the 4 cycles the pipeline covers.
+    l1i_hit_penalty: u64,
     branch: BranchUnit,
     l1: L1FrontEnd,
     sigs: SignatureBuilder,
@@ -299,7 +324,8 @@ impl FrontEnd {
     /// `sig_config`.
     pub fn new(config: &SimConfig, sig_config: &ChirpConfig) -> FrontEnd {
         FrontEnd {
-            mem: MemoryHierarchy::new(config.mem),
+            l1i: Cache::new(config.mem.l1i),
+            l1i_hit_penalty: config.mem.l1i.hit_latency.saturating_sub(4),
             branch: BranchUnit::new(config.branch),
             l1: L1FrontEnd::new(&config.tlb),
             sigs: SignatureBuilder::new(sig_config),
@@ -341,9 +367,11 @@ impl FrontEnd {
         }
     }
 
-    /// Mirrors `Simulator::step` minus the L2/walker: same event
-    /// order (i-access, d-access, mispredict, branch), same cycle terms
-    /// except the walk.
+    /// Mirrors `Simulator::step` minus the L2/walker and the caches past
+    /// the L1i: same event order (i-access, d-access, mispredict,
+    /// branch), same cycle terms except the walk and the memory column's
+    /// penalties. Loads and stores cost the same (the hierarchy is
+    /// write-allocate), so the column does not tell them apart.
     #[inline]
     fn step_record(&mut self, k: usize, seg: &mut EventSegment) {
         let rec = self.block.record(k);
@@ -353,20 +381,20 @@ impl FrontEnd {
             self.emit_access(rec.pc, self.ivpns[k], 0, seg);
             cycles += self.l2_hit_latency;
         }
-        cycles += self.mem.fetch(rec.pc).saturating_sub(4);
+        if self.l1i.access(rec.pc) {
+            cycles += self.l1i_hit_penalty;
+        } else {
+            seg.mem_addr.push(rec.pc);
+            seg.mem_fetch.push(true);
+        }
 
         if rec.kind.is_memory() {
-            let ea = rec.effective_address;
             if !self.l1.hit(self.dvpns[k], TranslationKind::Data) {
                 self.emit_access(rec.pc, self.dvpns[k], 1, seg);
                 cycles += self.l2_hit_latency;
             }
-            let lat = match rec.kind {
-                InstrKind::Load => self.mem.load(ea),
-                InstrKind::Store => self.mem.store(ea),
-                _ => unreachable!("is_memory() covers loads and stores only"),
-            };
-            cycles += lat.saturating_sub(4);
+            seg.mem_addr.push(rec.effective_address);
+            seg.mem_fetch.push(false);
         }
 
         let penalty = self.branch.observe(&rec);
@@ -424,6 +452,34 @@ impl FrontEnd {
     }
 }
 
+/// The policy-invariant memory side past the L1i: L1d, unified L2 and
+/// L3, and DRAM (paper Table II). It runs a segment's memory column on
+/// the replay side of a group, before that segment's back ends, and
+/// always on one thread, so its ~1.2 MiB of tags stays in one core's
+/// cache.
+struct MemoryStage {
+    mem: MemoryHierarchy,
+}
+
+impl MemoryStage {
+    fn new(config: &SimConfig) -> MemoryStage {
+        MemoryStage { mem: MemoryHierarchy::new(config.mem) }
+    }
+
+    /// Runs `seg`'s memory column in program order and returns its
+    /// penalty cycles: each access's latency beyond the 4 cycles an L1
+    /// hit costs, as `Simulator::step` charges it.
+    fn run(&mut self, seg: &EventSegment) -> u64 {
+        let mut cycles = 0u64;
+        for (&addr, &fetch) in seg.mem_addr.iter().zip(&seg.mem_fetch) {
+            let latency =
+                if fetch { self.mem.fetch_after_l1i_miss(addr) } else { self.mem.load(addr) };
+            cycles += latency.saturating_sub(4);
+        }
+        cycles
+    }
+}
+
 /// The per-policy half: the unified L2 TLB, its replacement policy, the
 /// page walker (and PSC) whose state depends on the policy's miss
 /// sequence, and the residual cycle accounting.
@@ -433,8 +489,6 @@ pub struct Backend<P: TlbReplacementPolicy> {
     hints: ReplayHints,
     cycles: u64,
     instructions: u64,
-    /// Control-event cursor into the segment being replayed.
-    ctl: usize,
 }
 
 impl<P: TlbReplacementPolicy> Backend<P> {
@@ -448,46 +502,58 @@ impl<P: TlbReplacementPolicy> Backend<P> {
             walker = walker.with_psc(entries, hit_penalty);
         }
         let hints = policy.replay_hints(sig_code);
-        Backend {
-            l2: L2Tlb::new(config.tlb.l2, policy),
-            walker,
-            hints,
-            cycles: 0,
-            instructions: 0,
-            ctl: 0,
-        }
+        Backend { l2: L2Tlb::new(config.tlb.l2, policy), walker, hints, cycles: 0, instructions: 0 }
     }
 
-    /// Replays access events `range` of `seg`, draining control events
-    /// interleaved before each access.
-    #[inline]
-    fn replay_range(&mut self, seg: &EventSegment, range: std::ops::Range<usize>) {
-        // A local cursor stays in a register across the policy calls.
-        let mut ctl = self.ctl;
-        for i in range {
-            while ctl < seg.ctl_after.len() && seg.ctl_after[ctl] as usize <= i {
-                self.apply_control(seg, ctl);
-                ctl += 1;
+    /// Replays one whole segment, interleaving its control events with
+    /// its access events exactly as the full simulator would, and adds
+    /// the segment's front-end cycles and the `memory_cycles` its memory
+    /// column cost. A backend that reads no control event jumps straight
+    /// over them.
+    pub fn replay(&mut self, seg: &EventSegment, memory_cycles: u64) {
+        if self.hints.needs_branches || self.hints.needs_mispredicts {
+            // A local cursor stays in a register across the policy calls.
+            let mut ctl = 0usize;
+            for i in 0..seg.access_events() {
+                while ctl < seg.ctl_after.len() && seg.ctl_after[ctl] as usize <= i {
+                    self.apply_control(seg, ctl);
+                    ctl += 1;
+                }
+                self.access(seg, i);
             }
-            if self.hints.accepts_signatures {
-                self.l2.supply_signature(seg.acc_sig[i]);
+            for i in ctl..seg.control_events() {
+                self.apply_control(seg, i);
             }
-            let acc = TlbAccess {
-                pc: seg.acc_pc[i],
-                vpn: seg.acc_vpn[i],
-                kind: if seg.acc_kind[i] == 0 {
-                    TranslationKind::Instruction
-                } else {
-                    TranslationKind::Data
-                },
-                set: seg.acc_set[i] as usize,
-            };
-            let outcome = self.l2.access_at(acc);
-            if !outcome.hit {
-                self.cycles += self.walker.walk(acc.vpn);
+        } else {
+            for i in 0..seg.access_events() {
+                self.access(seg, i);
             }
         }
-        self.ctl = ctl;
+        self.cycles += seg.invariant_cycles + memory_cycles;
+        self.instructions += seg.instructions;
+    }
+
+    /// Replays access event `i` of `seg`: the L2 lookup and, on a miss,
+    /// the walk.
+    #[inline]
+    fn access(&mut self, seg: &EventSegment, i: usize) {
+        if self.hints.accepts_signatures {
+            self.l2.supply_signature(seg.acc_sig[i]);
+        }
+        let acc = TlbAccess {
+            pc: seg.acc_pc[i],
+            vpn: seg.acc_vpn[i],
+            kind: if seg.acc_kind[i] == 0 {
+                TranslationKind::Instruction
+            } else {
+                TranslationKind::Data
+            },
+            set: seg.acc_set[i] as usize,
+        };
+        let outcome = self.l2.access_at(acc);
+        if !outcome.hit {
+            self.cycles += self.walker.walk(acc.vpn);
+        }
     }
 
     #[inline]
@@ -505,25 +571,6 @@ impl<P: TlbReplacementPolicy> Backend<P> {
             };
             self.l2.on_branch(seg.ctl_pc[i], class, kind & CTL_TAKEN != 0);
         }
-    }
-
-    /// Finishes a segment after its access events ran: drains trailing
-    /// control events, adds the segment's invariant totals and rewinds
-    /// the control cursor for the next segment.
-    fn finish_segment(&mut self, seg: &EventSegment) {
-        while self.ctl < seg.ctl_after.len() {
-            self.apply_control(seg, self.ctl);
-            self.ctl += 1;
-        }
-        self.ctl = 0;
-        self.cycles += seg.invariant_cycles;
-        self.instructions += seg.instructions;
-    }
-
-    /// Replays one whole segment.
-    pub fn replay(&mut self, seg: &EventSegment) {
-        self.replay_range(seg, 0..seg.access_events());
-        self.finish_segment(seg);
     }
 
     /// Snapshot of machine state at the start of the measured window
@@ -564,28 +611,6 @@ impl<P: TlbReplacementPolicy> Backend<P> {
     }
 }
 
-/// Replays one segment through every backend, block-interleaved: each
-/// backend replays `REPLAY_BLOCK` (256) access events before the next
-/// backend takes the same block, so all backends' L2 state stays
-/// cache-resident and their independent probe chains overlap.
-pub fn replay_segment_group<P: TlbReplacementPolicy>(
-    backends: &mut [Backend<P>],
-    seg: &EventSegment,
-) {
-    let n = seg.access_events();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + REPLAY_BLOCK).min(n);
-        for backend in backends.iter_mut() {
-            backend.replay_range(seg, start..end);
-        }
-        start = end;
-    }
-    for backend in backends.iter_mut() {
-        backend.finish_segment(seg);
-    }
-}
-
 /// Replays an already-built [`FactoredTrace`] through one backend per
 /// policy. Returns `(result, backend)` pairs in input order, each
 /// bit-identical to `Simulator::run_columnar` of the same unit. A policy
@@ -597,10 +622,15 @@ pub fn replay_factored<P: TlbReplacementPolicy>(
     trace: &FactoredTrace,
     policies: Vec<P>,
 ) -> Vec<(RunResult, Backend<P>)> {
-    let mut replay = Replay::new(config, policies, trace.sig_code);
-    replay.replay(&trace.warmup, true);
-    replay.replay(&trace.measured, false);
-    replay.finish()
+    let lanes = Lanes::new(config, policies, trace.sig_code);
+    let mut memory = MemoryStage::new(config);
+    for (seg, ends_warmup) in [(&trace.warmup, true), (&trace.measured, false)] {
+        let memory_cycles = memory.run(seg);
+        for lane in 0..lanes.len() {
+            lanes.replay(lane, seg, memory_cycles, ends_warmup);
+        }
+    }
+    lanes.finish()
 }
 
 /// Segments the pipelined driver circulates between the front end and
@@ -614,8 +644,9 @@ pub(crate) enum ReplayForm {
     /// Each segment is replayed on the calling thread right after the
     /// front end built it.
     Inline,
-    /// The back ends run on a thread of their own and replay one segment
-    /// while the front end builds the next.
+    /// The replay side runs on a thread of its own and replays one
+    /// segment while the front end builds the next; the front end claims
+    /// back ends itself whenever it would otherwise wait for the ring.
     Pipelined,
 }
 
@@ -634,57 +665,293 @@ impl ReplayForm {
 /// Measured-window snapshot of one backend ([`Backend::window_start`]).
 type Window = (u64, u64, TlbStats);
 
-/// A filled segment on its way to the back ends, and whether the
-/// measured window opens right after it (it ends at the warmup cut).
-type Handoff = (EventSegment, bool);
-
-/// The back ends of one factored group and the measured-window
-/// snapshots they took at the warmup cut.
-struct Replay<P: TlbReplacementPolicy> {
-    backends: Vec<Backend<P>>,
-    windows: Vec<Window>,
+/// One backend of a group and the measured-window snapshot it took at
+/// the warmup cut.
+struct Lane<P: TlbReplacementPolicy> {
+    backend: Backend<P>,
+    window: Option<Window>,
 }
 
-impl<P: TlbReplacementPolicy> Replay<P> {
-    fn new(config: &SimConfig, policies: Vec<P>, sig_code: u64) -> Replay<P> {
-        let backends: Vec<Backend<P>> =
-            policies.into_iter().map(|p| Backend::new(config, p, sig_code)).collect();
-        let windows = Vec::with_capacity(backends.len());
-        Replay { backends, windows }
+/// The backends of one factored group, each behind a lock of its own so
+/// that whichever thread claims a backend's replay of a segment can run
+/// it. A claim is exclusive, so the locks are never contended.
+struct Lanes<P: TlbReplacementPolicy>(Vec<Mutex<Lane<P>>>);
+
+impl<P: TlbReplacementPolicy> Lanes<P> {
+    fn new(config: &SimConfig, policies: Vec<P>, sig_code: u64) -> Lanes<P> {
+        let lane =
+            |p| Mutex::new(Lane { backend: Backend::new(config, p, sig_code), window: None });
+        Lanes(policies.into_iter().map(lane).collect())
     }
 
-    fn replay(&mut self, seg: &EventSegment, ends_warmup: bool) {
-        replay_segment_group(&mut self.backends, seg);
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Replays backend `lane` over `seg`, snapshotting its measured
+    /// window when the segment ends at the warmup cut.
+    fn replay(&self, lane: usize, seg: &EventSegment, memory_cycles: u64, ends_warmup: bool) {
+        let mut lane = self.0[lane].lock().expect("a panicked claim stops its group");
+        lane.backend.replay(seg, memory_cycles);
         if ends_warmup {
-            self.windows.extend(self.backends.iter().map(Backend::window_start));
+            lane.window = Some(lane.backend.window_start());
         }
     }
 
     /// One `(result, backend)` pair per policy, in input order. A stream
     /// that ended before its warmup cut measures an empty window.
-    fn finish(mut self) -> Vec<(RunResult, Backend<P>)> {
-        if self.windows.is_empty() {
-            self.windows.extend(self.backends.iter().map(Backend::window_start));
-        }
-        self.backends
+    fn finish(self) -> Vec<(RunResult, Backend<P>)> {
+        self.0
             .into_iter()
-            .zip(self.windows)
-            .map(|(backend, window)| (backend.finish_result(window), backend))
+            .map(|lane| {
+                let Lane { backend, window } =
+                    lane.into_inner().expect("a panicked claim stops its group");
+                let window = window.unwrap_or_else(|| backend.window_start());
+                (backend.finish_result(window), backend)
+            })
             .collect()
     }
 }
 
-/// Where the front end's finished segments go.
-enum Sink<'r, P: TlbReplacementPolicy> {
-    /// Replayed on the calling thread; one segment is reused, growing
-    /// as needed.
-    Inline { replay: &'r mut Replay<P>, seg: EventSegment },
-    /// Sent to the replay thread; emptied segments come back on `empty`.
-    Pipelined { full: SyncSender<Handoff>, empty: Receiver<EventSegment> },
+/// The segment ring between a group's front end and its replay side.
+///
+/// Segment `s` (counted from 0 in feed order) fills slot
+/// `s % slots.len()`. The replay side runs the memory stage over handed
+/// off segments in order; each backend then replays them in order, one
+/// claim per (segment, backend), taken by whichever thread asks first:
+/// the oldest staged segment a backend has not replayed yet, lowest
+/// backend first. The front end refills a slot only once every backend
+/// has replayed the segment that held it. So each backend replays every
+/// segment, in order, on one thread at a time, and the memory stage
+/// stays on the replay side's thread.
+struct Ring<P: TlbReplacementPolicy> {
+    lanes: Lanes<P>,
+    slots: Vec<RwLock<EventSegment>>,
+    state: Mutex<RingState>,
+    /// Wakes the replay side: a segment was handed off, a claim finished,
+    /// the feed closed or the group failed.
+    replay_cv: Condvar,
+    /// Wakes the front end: a claim finished (freeing a slot or
+    /// readying another claim), a segment was staged or the group failed.
+    feed_cv: Condvar,
+}
+
+struct RingState {
+    /// Segments the front end has handed off.
+    filled: usize,
+    /// Segments the memory stage has run over.
+    staged: usize,
+    /// Memory-stage cycles of the staged segment in each slot.
+    memory_cycles: Vec<u64>,
+    /// Per backend: the next segment it replays, and whether a claim on
+    /// it is running.
+    progress: Vec<(usize, bool)>,
+    /// The segment that ends at the warmup cut, once handed off.
+    cut: Option<usize>,
+    /// The front end has handed off its last segment.
+    closed: bool,
+    /// A thread panicked or the feed failed: both sides stop.
+    failed: bool,
+    /// A side is waiting on its condvar, so the other must notify it.
+    replay_waits: bool,
+    feed_waits: bool,
+    /// Claims the front-end thread took while it would otherwise have
+    /// waited for the ring.
+    front_end_claims: u64,
+}
+
+/// One backend's replay of one staged segment.
+struct Claim {
+    lane: usize,
+    slot: usize,
+    memory_cycles: u64,
+    ends_warmup: bool,
+}
+
+impl RingState {
+    /// Segments every backend has replayed: their slots are free again.
+    fn replayed(&self) -> usize {
+        self.progress.iter().map(|&(next, _)| next).min().unwrap_or(self.staged)
+    }
+
+    /// Takes a claim on the oldest staged segment an idle backend has
+    /// not replayed yet, if any.
+    fn claim(&mut self) -> Option<Claim> {
+        let staged = self.staged;
+        let (lane, (next, busy)) = self
+            .progress
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, (next, busy))| !*busy && *next < staged)
+            .min_by_key(|(_, (next, _))| *next)?;
+        *busy = true;
+        let slot = *next % self.memory_cycles.len();
+        let ends_warmup = self.cut == Some(*next);
+        Some(Claim { lane, slot, memory_cycles: self.memory_cycles[slot], ends_warmup })
+    }
+}
+
+impl<P: TlbReplacementPolicy> Ring<P> {
+    fn new(lanes: Lanes<P>, slots: usize) -> Ring<P> {
+        let state = RingState {
+            filled: 0,
+            staged: 0,
+            memory_cycles: vec![0; slots],
+            progress: vec![(0, false); lanes.len()],
+            cut: None,
+            closed: false,
+            failed: false,
+            replay_waits: false,
+            feed_waits: false,
+            front_end_claims: 0,
+        };
+        Ring {
+            lanes,
+            slots: (0..slots).map(|_| RwLock::new(EventSegment::for_chunk())).collect(),
+            state: Mutex::new(state),
+            replay_cv: Condvar::new(),
+            feed_cv: Condvar::new(),
+        }
+    }
+
+    /// The ring state. No code that can panic runs under this lock, so
+    /// a poisoned lock still holds consistent state.
+    fn state(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wakes whichever side is waiting; `st` is dropped first.
+    fn wake(&self, st: MutexGuard<'_, RingState>) {
+        let (replay, feed) = (st.replay_waits, st.feed_waits);
+        drop(st);
+        if replay {
+            self.replay_cv.notify_one();
+        }
+        if feed {
+            self.feed_cv.notify_one();
+        }
+    }
+
+    /// Runs one claim on the calling thread.
+    fn run(&self, claim: Claim) {
+        let seg = self.slots[claim.slot].read().unwrap_or_else(PoisonError::into_inner);
+        self.lanes.replay(claim.lane, &seg, claim.memory_cycles, claim.ends_warmup);
+        drop(seg);
+        let mut st = self.state();
+        let (next, busy) = &mut st.progress[claim.lane];
+        *next += 1;
+        *busy = false;
+        self.wake(st);
+    }
+
+    /// Front end: the slot its next segment goes into, once one is free.
+    /// `None` once the group failed.
+    fn acquire(&self) -> Option<usize> {
+        self.help_until(self.slots.len() - 1).then(|| self.state().filled % self.slots.len())
+    }
+
+    /// Front end: returns once at most `backlog` handed-off segments are
+    /// left to replay — `true` — or the group failed. Until then it
+    /// claims backends itself instead of waiting, and waits only when no
+    /// claim is ready.
+    fn help_until(&self, backlog: usize) -> bool {
+        let mut st = self.state();
+        loop {
+            if st.failed {
+                return false;
+            }
+            if st.filled - st.replayed() <= backlog {
+                return true;
+            }
+            if let Some(claim) = st.claim() {
+                st.front_end_claims += 1;
+                drop(st);
+                self.run(claim);
+                st = self.state();
+            } else {
+                st.feed_waits = true;
+                st = self.feed_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.feed_waits = false;
+            }
+        }
+    }
+
+    /// Front end: hands off the segment it just filled.
+    fn hand_off(&self, ends_warmup: bool) {
+        let mut st = self.state();
+        if ends_warmup {
+            st.cut = Some(st.filled);
+        }
+        st.filled += 1;
+        self.wake(st);
+    }
+
+    /// Replay side: stages segments and runs claims until neither is
+    /// left, then returns — or, with `wait`, waits for more until the
+    /// feed has closed and every segment is replayed, or the group
+    /// failed. It stages first, since no other thread may. Inline, the
+    /// calling thread runs this without waiting after each hand-off;
+    /// pipelined, it is the replay thread's whole life.
+    fn replay(&self, memory: &mut MemoryStage, wait: bool) {
+        let mut st = self.state();
+        loop {
+            if st.failed {
+                return;
+            }
+            if st.staged < st.filled {
+                let slot = st.staged % self.slots.len();
+                drop(st);
+                let seg = self.slots[slot].read().unwrap_or_else(PoisonError::into_inner);
+                let cycles = memory.run(&seg);
+                drop(seg);
+                st = self.state();
+                st.memory_cycles[slot] = cycles;
+                st.staged += 1;
+                if st.feed_waits {
+                    self.wake(st);
+                    st = self.state();
+                }
+            } else if let Some(claim) = st.claim() {
+                drop(st);
+                self.run(claim);
+                st = self.state();
+            } else if !wait || (st.closed && st.replayed() == st.filled) {
+                return;
+            } else {
+                st.replay_waits = true;
+                st = self.replay_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.replay_waits = false;
+            }
+        }
+    }
+
+    /// Closes the feed; with `fail`, both sides also stop at once.
+    fn hang_up(&self, fail: bool) {
+        let mut st = self.state();
+        st.closed = true;
+        st.failed |= fail;
+        drop(st);
+        self.replay_cv.notify_all();
+        self.feed_cv.notify_all();
+    }
+}
+
+/// Hangs up a ring when dropped, so the other side never waits on a
+/// thread that has stopped: the feed closes, and a panic in flight (or
+/// a failed feed) stops both sides.
+struct HangUp<'r, P: TlbReplacementPolicy> {
+    ring: &'r Ring<P>,
+    failed: bool,
+}
+
+impl<P: TlbReplacementPolicy> Drop for HangUp<'_, P> {
+    fn drop(&mut self) {
+        self.ring.hang_up(self.failed || std::thread::panicking());
+    }
 }
 
 /// The calling thread's half of the chunk driver: the front end, the
-/// warmup cut, and the path its segments take to the back ends.
+/// warmup cut, and the ring its segments go through.
 struct Feeder<'r, P: TlbReplacementPolicy> {
     fe: FrontEnd,
     /// Instruction index at which the measured window opens.
@@ -693,14 +960,17 @@ struct Feeder<'r, P: TlbReplacementPolicy> {
     pos: usize,
     /// Whether the segment ending at `warmup` has been handed off.
     cut: bool,
-    sink: Sink<'r, P>,
+    ring: &'r Ring<P>,
+    /// Inline, the replay side's memory stage: the calling thread
+    /// replays each segment right after handing it off.
+    inline: Option<MemoryStage>,
 }
 
 impl<P: TlbReplacementPolicy> Feeder<'_, P> {
     /// Runs the front end over one chunk of at most [`CHUNK_SIZE`]
     /// records and hands its events to the back ends — as two segments
     /// when the warmup cut falls inside the chunk. Returns `false` once
-    /// the back ends are gone (their thread panicked); the caller then
+    /// the group has failed (its replay thread panicked); the caller then
     /// stops feeding.
     fn push(&mut self, chunk: &TraceChunk<'_>) -> bool {
         let alive = if !self.cut && self.warmup <= self.pos + chunk.len() {
@@ -715,36 +985,37 @@ impl<P: TlbReplacementPolicy> Feeder<'_, P> {
     }
 
     fn emit(&mut self, chunk: &TraceChunk<'_>, ends_warmup: bool) -> bool {
-        match &mut self.sink {
-            Sink::Inline { replay, seg } => {
-                seg.clear();
-                self.fe.process_chunk(chunk, seg);
-                replay.replay(seg, ends_warmup);
-                true
-            }
-            Sink::Pipelined { full, empty } => {
-                let Ok(mut seg) = empty.recv() else { return false };
-                seg.clear();
-                self.fe.process_chunk(chunk, &mut seg);
-                full.send((seg, ends_warmup)).is_ok()
-            }
+        let Some(slot) = self.ring.acquire() else { return false };
+        let mut seg = self.ring.slots[slot].write().unwrap_or_else(PoisonError::into_inner);
+        seg.clear();
+        self.fe.process_chunk(chunk, &mut seg);
+        drop(seg);
+        self.ring.hand_off(ends_warmup);
+        if let Some(memory) = &mut self.inline {
+            self.ring.replay(memory, false);
         }
+        true
     }
 }
 
 /// The factored chunk driver both group paths run on. `feed` pushes the
 /// trace through the [`Feeder`] one chunk at a time, on the calling
-/// thread; the back ends replay each segment inline or, pipelined, on a
-/// scoped thread fed through a bounded channel, with emptied segments
-/// returning through a second one from a pool of [`SEGMENT_POOL`]. Either
-/// way every backend sees the same segments in the same order, and the
-/// measured window opens right after the segment that ends at `warmup`,
-/// so results are bit-identical across forms.
+/// thread, into a [`Ring`]. Inline, the calling thread replays each
+/// segment right after building it, through a ring of one slot.
+/// Pipelined, a scoped thread runs the replay side over a ring of
+/// [`SEGMENT_POOL`] slots, and the calling thread claims backends itself
+/// whenever the ring is full, and again while the ring drains once the
+/// feed is done. Either way every backend sees the same
+/// segments in the same order with the same memory-stage cycles, and
+/// its measured window opens right after the segment that ends at
+/// `warmup`, so results are bit-identical across forms.
 ///
 /// # Errors
 ///
-/// Returns `feed`'s error after the replay thread has drained and
-/// joined. A panic on the replay thread resumes on the caller.
+/// Returns `feed`'s error once the replay thread has stopped (it
+/// abandons the segments still in flight) and joined. A panic on either
+/// thread, in a claim or elsewhere, stops the other side and resumes on
+/// the caller.
 fn drive_factored<P, F>(
     config: &SimConfig,
     sig_config: &ChirpConfig,
@@ -757,41 +1028,42 @@ where
     P: TlbReplacementPolicy + Send,
     F: FnOnce(&mut Feeder<'_, P>) -> Result<(), StreamError>,
 {
-    let mut replay = Replay::new(config, policies, sig_config.signature_code());
+    let lanes = Lanes::new(config, policies, sig_config.signature_code());
     let fe = FrontEnd::new(config, sig_config);
+    let mut memory = MemoryStage::new(config);
     match form {
         ReplayForm::Inline => {
-            let sink = Sink::Inline { replay: &mut replay, seg: EventSegment::default() };
-            feed(&mut Feeder { fe, warmup, pos: 0, cut: false, sink })?;
-            Ok(replay.finish())
+            let ring = Ring::new(lanes, 1);
+            let inline = Some(memory);
+            feed(&mut Feeder { fe, warmup, pos: 0, cut: false, ring: &ring, inline })?;
+            Ok(ring.lanes.finish())
         }
         ReplayForm::Pipelined => {
-            crate::sched::note_pipelined();
-            let (full_tx, full_rx) = sync_channel::<Handoff>(SEGMENT_POOL);
-            let (empty_tx, empty_rx) = sync_channel(SEGMENT_POOL);
-            for _ in 0..SEGMENT_POOL {
-                empty_tx.send(EventSegment::for_chunk()).expect("the pool fits its channel");
-            }
-            std::thread::scope(|scope| {
-                let worker = scope.spawn(move || {
-                    for (seg, ends_warmup) in full_rx {
-                        replay.replay(&seg, ends_warmup);
-                        // Never blocks: the channel holds the whole pool.
-                        // Refused only once the front end has stopped.
-                        let _ = empty_tx.send(seg);
-                    }
-                    replay
+            let ring = Ring::new(lanes, SEGMENT_POOL);
+            let fed = std::thread::scope(|scope| {
+                let worker = scope.spawn(|| {
+                    let _hang_up = HangUp { ring: &ring, failed: false };
+                    ring.replay(&mut memory, true);
                 });
-                let sink = Sink::Pipelined { full: full_tx, empty: empty_rx };
-                let mut feeder = Feeder { fe, warmup, pos: 0, cut: false, sink };
-                let fed = feed(&mut feeder);
-                // Closing the feed ends the replay loop once it drains.
-                drop(feeder);
+                let mut hang_up = HangUp { ring: &ring, failed: false };
+                let mut feeder =
+                    Feeder { fe, warmup, pos: 0, cut: false, ring: &ring, inline: None };
+                // Once fed, the front end helps drain the ring.
+                let fed = feed(&mut feeder).map(|()| {
+                    ring.help_until(0);
+                });
+                hang_up.failed = fed.is_err();
+                drop(hang_up);
                 match worker.join() {
-                    Ok(replay) => fed.map(|()| replay.finish()),
+                    Ok(()) => fed,
                     Err(panic) => std::panic::resume_unwind(panic),
                 }
-            })
+            });
+            let st = ring.state.into_inner().unwrap_or_else(PoisonError::into_inner);
+            let replays = (st.replayed() * ring.lanes.len()) as u64;
+            crate::sched::note_pipelined(replays, st.front_end_claims);
+            fed?;
+            Ok(ring.lanes.finish())
         }
     }
 }
@@ -888,7 +1160,7 @@ mod tests {
     use chirp_trace::MaterializedStream;
     use std::collections::VecDeque;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::mpsc::{channel, Sender};
+    use std::sync::mpsc::{channel, Receiver, Sender};
 
     /// Ten whole chunks and a partial one: more segments than the pool
     /// holds, so every pooled segment is recycled at least twice.
@@ -930,10 +1202,7 @@ mod tests {
             assert_eq!(warmup_cut(LEN, fraction), cut);
             let config = SimConfig { warmup_fraction: fraction, ..SimConfig::default() };
             let sig = group_sig_config(kinds.iter());
-            let want: Vec<RunResult> = build(&kinds, &config)
-                .into_iter()
-                .map(|p| Simulator::with_policy(&config, p).run_columnar(&trace, fraction))
-                .collect();
+            let want = columnar(&kinds, &config, &trace);
             for form in FORMS {
                 let resident = replay_trace_group(
                     &config,
@@ -961,24 +1230,51 @@ mod tests {
         }
     }
 
-    /// Test policy around LRU: optionally waits on `gate` before its
-    /// first access, and optionally panics on its `panic_at`-th access.
+    /// The columnar oracle's result for each of `kinds`.
+    fn columnar(kinds: &[PolicyKind], config: &SimConfig, trace: &PackedTrace) -> Vec<RunResult> {
+        build(kinds, config)
+            .into_iter()
+            .map(|p| Simulator::with_policy(config, p).run_columnar(trace, config.warmup_fraction))
+            .collect()
+    }
+
+    /// Test policy around any lineup policy, forwarding every hook. At
+    /// its first access it drops `release` (opening a gate something else
+    /// waits on), then waits on `gate`; it optionally panics on its
+    /// `panic_at`-th access.
     struct Probe {
         inner: PolicyDispatch,
         gate: Option<Receiver<()>>,
+        release: Option<Sender<()>>,
         panic_at: Option<u64>,
         accesses: u64,
     }
 
     impl Probe {
-        fn new(gate: Option<Receiver<()>>, panic_at: Option<u64>) -> Probe {
-            let inner = PolicyKind::Lru.build_dispatch(SimConfig::default().tlb.l2, 0);
-            Probe { inner, gate, panic_at, accesses: 0 }
+        fn new(kind: &PolicyKind) -> Probe {
+            let inner = kind.build_dispatch(SimConfig::default().tlb.l2, 3);
+            Probe { inner, gate: None, release: None, panic_at: None, accesses: 0 }
+        }
+
+        fn gated(mut self, gate: Option<Receiver<()>>) -> Probe {
+            self.gate = gate;
+            self
+        }
+
+        fn releasing(mut self, release: Option<Sender<()>>) -> Probe {
+            self.release = release;
+            self
+        }
+
+        fn panicking_at(mut self, access: u64) -> Probe {
+            self.panic_at = Some(access);
+            self
         }
 
         fn access(&mut self) {
+            self.release = None;
             if let Some(gate) = self.gate.take() {
-                // Opens when the stream drops the sending half.
+                // Opens when the sending half drops.
                 let _ = gate.recv();
             }
             self.accesses += 1;
@@ -988,7 +1284,7 @@ mod tests {
 
     impl TlbReplacementPolicy for Probe {
         fn name(&self) -> &str {
-            "probe"
+            self.inner.name()
         }
 
         fn choose_victim(&mut self, acc: &TlbAccess) -> usize {
@@ -1005,8 +1301,90 @@ mod tests {
             self.inner.on_fill(acc, way);
         }
 
+        fn on_evict(&mut self, set: usize, way: usize) {
+            self.inner.on_evict(set, way);
+        }
+
+        fn on_branch(&mut self, pc: u64, class: BranchClass, taken: bool) {
+            self.inner.on_branch(pc, class, taken);
+        }
+
+        fn on_mispredict(&mut self, pc: u64) {
+            self.inner.on_mispredict(pc);
+        }
+
+        fn prediction_table_accesses(&self) -> u64 {
+            self.inner.prediction_table_accesses()
+        }
+
+        fn dead_eviction_count(&self) -> u64 {
+            self.inner.dead_eviction_count()
+        }
+
+        fn predicts_dead(&self, set: usize, way: usize) -> Option<bool> {
+            self.inner.predicts_dead(set, way)
+        }
+
         fn storage(&self) -> PolicyStorage {
             self.inner.storage()
+        }
+
+        fn replay_hints(&self, sig_code: u64) -> ReplayHints {
+            self.inner.replay_hints(sig_code)
+        }
+
+        fn supply_signature(&mut self, sig: u16) {
+            self.inner.supply_signature(sig);
+        }
+    }
+
+    /// The pipelined set-up in which the front end must claim backend 1:
+    /// the stream holds the front end before the batch that overfills its
+    /// ring until backend 0 has started its first claim, which is then
+    /// on the replay thread, and backend 0 waits there until backend 1 —
+    /// which only the front end is left to claim — opens its gate.
+    /// Returns the stream and the two probes' gate and release.
+    fn front_end_must_claim(trace: &PackedTrace) -> (GatedStream, Probe, Probe) {
+        let mut stream = GatedStream::new(trace, LEN.div_ceil(CHUNK_SIZE), None);
+        let started = stream.hold_at(SEGMENT_POOL);
+        let (release, gate) = channel();
+        let first = Probe::new(&PolicyKind::Lru).releasing(Some(started)).gated(Some(gate));
+        let second = Probe::new(&PolicyKind::Ghrp).releasing(Some(release));
+        (stream, first, second)
+    }
+
+    /// Both forms still equal `run_columnar` when the front-end thread
+    /// replays backends ([`front_end_must_claim`]), and the noted replay
+    /// counts show the front end's share.
+    #[test]
+    fn front_end_claims_keep_both_forms_exact() {
+        let trace = trace();
+        let config = SimConfig::default();
+        let mut kinds = vec![PolicyKind::Lru, PolicyKind::Ghrp];
+        kinds.extend(group());
+        let want = columnar(&kinds, &config, &trace);
+        // Eleven chunks, one of them split at the warmup cut.
+        let segments = (LEN.div_ceil(CHUNK_SIZE) + 1) as u64;
+        for form in FORMS {
+            let (mut stream, first, second) = front_end_must_claim(&trace);
+            let mut policies: Vec<Probe> = kinds[2..].iter().map(Probe::new).collect();
+            if form == ReplayForm::Pipelined {
+                policies.splice(0..0, [first, second]);
+            } else {
+                stream = GatedStream::new(&trace, LEN.div_ceil(CHUNK_SIZE), None);
+                policies.splice(0..0, kinds[..2].iter().map(Probe::new));
+            }
+            let got = run(&mut stream, policies, form).expect("the stream does not fail");
+            let got: Vec<RunResult> = got.into_iter().map(|(r, _)| r).collect();
+            assert_eq!(got, want, "{form:?}");
+            let noted = crate::sched::take_pipelined();
+            if form == ReplayForm::Pipelined {
+                let (replays, by_front_end) = noted.expect("a pipelined group notes its replays");
+                assert_eq!(replays, segments * kinds.len() as u64);
+                assert!(by_front_end >= 1, "the front end must have claimed backend 1");
+            } else {
+                assert_eq!(noted, None, "an inline group notes nothing");
+            }
         }
     }
 
@@ -1020,6 +1398,7 @@ mod tests {
         served: usize,
         open_at: usize,
         gate: Option<Sender<()>>,
+        hold: Option<(usize, Receiver<()>)>,
     }
 
     impl GatedStream {
@@ -1030,7 +1409,8 @@ mod tests {
             let mut items: VecDeque<_> =
                 (0..batches).map(|_| Ok(source.next_batch().unwrap().expect("batch"))).collect();
             items.extend(error.map(Err));
-            GatedStream { items, len: trace.len(), served: 0, open_at: usize::MAX, gate: None }
+            let len = trace.len();
+            GatedStream { items, len, served: 0, open_at: usize::MAX, gate: None, hold: None }
         }
 
         /// Returns the gate a [`Probe`] waits on, opened at item `at`.
@@ -1039,6 +1419,13 @@ mod tests {
             self.gate = Some(tx);
             self.open_at = at;
             rx
+        }
+
+        /// Makes item `at` wait until the returned sender drops.
+        fn hold_at(&mut self, at: usize) -> Sender<()> {
+            let (tx, rx) = channel();
+            self.hold = Some((at, rx));
+            tx
         }
     }
 
@@ -1052,6 +1439,9 @@ mod tests {
         }
 
         fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
+            if let Some((_, hold)) = self.hold.take_if(|(at, _)| *at == self.served) {
+                let _ = hold.recv();
+            }
             if self.served == self.open_at {
                 self.gate = None;
             }
@@ -1071,9 +1461,9 @@ mod tests {
     }
 
     /// A stream that fails after some batches returns that error from
-    /// either form. Pipelined, the replay thread is held at its first
-    /// access until the front end asks for the failing batch, so the
-    /// error arrives with every earlier segment still in flight.
+    /// either form. Pipelined, the replay thread is held inside its first
+    /// claim until the front end asks for the failing batch, so the error
+    /// arrives with that claim in flight and every later segment queued.
     #[test]
     fn stream_error_stops_the_feed_and_returns() {
         let trace = trace();
@@ -1082,7 +1472,8 @@ mod tests {
             let failure = StreamError::Corrupt("cut off".into());
             let mut stream = GatedStream::new(&trace, batches, Some(failure));
             let gate = (form == ReplayForm::Pipelined).then(|| stream.gate_at(batches));
-            let policies = vec![Probe::new(gate, None), Probe::new(None, None)];
+            let policies =
+                vec![Probe::new(&PolicyKind::Lru).gated(gate), Probe::new(&PolicyKind::Lru)];
             match run(&mut stream, policies, form) {
                 Err(StreamError::Corrupt(why)) => assert_eq!(why, "cut off", "{form:?}"),
                 other => panic!("{form:?}: expected the stream's error, got {:?}", other.is_ok()),
@@ -1091,29 +1482,57 @@ mod tests {
         }
     }
 
-    /// A policy that panics mid-trace makes the group panic, in either
-    /// form and through `run_stream_factored`, instead of deadlocking.
-    /// Pipelined, the panic is held back until the front end has filled
-    /// every pooled segment and reads one more batch, so the front end is
-    /// (or is about to be) waiting on the recycle channel when the replay
-    /// thread dies.
+    /// A policy that panics mid-trace on the replay side makes the group
+    /// panic, in either form and through `run_stream_factored`, instead
+    /// of deadlocking. Pipelined, the panicking backend starts its first
+    /// claim on the replay thread while the stream holds the front end,
+    /// and panics once the front end has filled every slot of its ring
+    /// and reads one more batch, so the front end is (or is about to be)
+    /// claiming or waiting for a slot when the replay thread dies.
     #[test]
     fn replay_panic_reaches_the_caller() {
         let trace = trace();
         let chunks = LEN.div_ceil(CHUNK_SIZE);
         for form in FORMS {
             let mut stream = GatedStream::new(&trace, chunks, None);
-            let gate = (form == ReplayForm::Pipelined).then(|| stream.gate_at(SEGMENT_POOL));
-            let policies = vec![Probe::new(None, None), Probe::new(gate, Some(1))];
+            let (gate, started) = match form {
+                ReplayForm::Inline => (None, None),
+                ReplayForm::Pipelined => {
+                    (Some(stream.gate_at(SEGMENT_POOL)), Some(stream.hold_at(SEGMENT_POOL)))
+                }
+            };
+            let policies = vec![
+                Probe::new(&PolicyKind::Lru),
+                Probe::new(&PolicyKind::Lru).releasing(started).gated(gate).panicking_at(1),
+            ];
             let outcome = catch_unwind(AssertUnwindSafe(|| run(&mut stream, policies, form)));
             assert!(outcome.is_err(), "{form:?}: the replay panic must reach the caller");
         }
         let mut stream = GatedStream::new(&trace, chunks, None);
-        let policies = vec![Probe::new(None, Some(100)), Probe::new(None, None)];
+        let policies =
+            vec![Probe::new(&PolicyKind::Lru).panicking_at(100), Probe::new(&PolicyKind::Lru)];
         let config = SimConfig::default();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             run_stream_factored(&config, &ChirpConfig::default(), policies, &mut stream, 0.5)
         }));
         assert!(outcome.is_err(), "run_stream_factored must panic");
+    }
+
+    /// A policy that panics while the front-end thread replays its claim
+    /// ([`front_end_must_claim`]) reaches the caller, and the replay
+    /// thread — held inside the claim before it until the panicking probe
+    /// opens its gate — stops instead of waiting for a claim that never
+    /// finishes.
+    #[test]
+    fn front_end_claim_panic_reaches_the_caller() {
+        let trace = trace();
+        let (mut stream, first, second) = front_end_must_claim(&trace);
+        let policies = vec![first, second.panicking_at(1)];
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| run(&mut stream, policies, ReplayForm::Pipelined)));
+        let panic = outcome.err().expect("the front end's claim panic must reach the caller");
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("probe policy panics on request"), "{message}");
+        assert_eq!(stream.served, SEGMENT_POOL + 1, "the front end claimed once its ring was full");
     }
 }

@@ -23,7 +23,7 @@
 use chirp_store::StoreError;
 use chirp_telemetry::{HistogramSnapshot, Log2Histogram};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -59,6 +59,12 @@ pub struct SchedulerSummary {
     /// process's busy simulation threads (every worker of every pool,
     /// plus replay threads) numbered fewer than `cpus`.
     pub replay_pipelined: bool,
+    /// (segment × back end) replays in the groups that pipelined.
+    pub pipelined_replays: u64,
+    /// Of [`pipelined_replays`](Self::pipelined_replays), those the
+    /// calling (front-end) thread took because its segment ring was full
+    /// or draining, where it would otherwise have waited.
+    pub front_end_replays: u64,
     /// Most items (and so traces) in flight at any instant.
     pub peak_resident_traces: usize,
     /// Most estimated trace bytes in flight at any instant.
@@ -80,7 +86,15 @@ impl SchedulerSummary {
             self.sim_tasks,
             self.threads,
             self.cpus,
-            if self.replay_pipelined { "pipelined" } else { "inline" },
+            if self.replay_pipelined {
+                format!(
+                    "pipelined (front end took {:.1}% of {} replays)",
+                    100.0 * self.front_end_replays as f64 / self.pipelined_replays.max(1) as f64,
+                    self.pipelined_replays
+                )
+            } else {
+                "inline".to_string()
+            },
             self.peak_resident_traces,
             self.peak_resident_bytes as f64 / (1024.0 * 1024.0),
             self.sim_latency_us.quantile(0.5),
@@ -167,15 +181,28 @@ pub(crate) fn spare_core() -> Option<Busy<'static>> {
 }
 
 thread_local! {
-    /// Set when a factored group replayed on a thread of its own
-    /// ([`note_pipelined`]); read back by the [`run_items`] worker.
-    static PIPELINED: Cell<bool> = const { Cell::new(false) };
+    /// `(replays, front_end_replays)` summed over the factored groups run
+    /// on this thread that replayed on a thread of their own
+    /// ([`note_pipelined`]), `None` while none did; taken back by the
+    /// [`run_items`] worker ([`take_pipelined`]).
+    static PIPELINED: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
 /// Records that a factored group run on this thread replayed on a
-/// second thread, for [`SchedulerSummary::replay_pipelined`].
-pub(crate) fn note_pipelined() {
-    PIPELINED.with(|p| p.set(true));
+/// second thread, with its (segment × back end) `replays` and the
+/// `front_end_replays` among them the calling thread took, for
+/// [`SchedulerSummary::replay_pipelined`] and its replay counts.
+pub(crate) fn note_pipelined(replays: u64, front_end_replays: u64) {
+    PIPELINED.with(|p| {
+        let (r, f) = p.get().unwrap_or_default();
+        p.set(Some((r + replays, f + front_end_replays)));
+    });
+}
+
+/// Takes the replay counts [`note_pipelined`] summed on this thread
+/// since the previous take; `None` if no group pipelined.
+pub(crate) fn take_pipelined() -> Option<(u64, u64)> {
+    PIPELINED.take()
 }
 
 /// Admission state, guarded by one mutex; workers sleep on the paired
@@ -234,7 +261,7 @@ where
     // Every worker with an item to run counts as busy from the start, so
     // the first item's replay thread sees the workers spawned after it.
     let busy = sim_threads.hold(threads.min(work.len()));
-    let pipelined = AtomicBool::new(false);
+    let pipelined: Mutex<Option<(u64, u64)>> = Mutex::new(None);
     let state = Mutex::new(State {
         next: 0,
         active: 0,
@@ -306,8 +333,10 @@ where
                     drop(st);
                     cvar.notify_all();
                 }
-                if PIPELINED.with(Cell::get) {
-                    pipelined.store(true, Ordering::Relaxed);
+                if let Some((replays, by_front_end)) = take_pipelined() {
+                    let mut sum = pipelined.lock().expect("pipelined lock");
+                    let (r, f) = sum.unwrap_or_default();
+                    *sum = Some((r + replays, f + by_front_end));
                 }
             });
         }
@@ -315,6 +344,7 @@ where
     drop(busy);
 
     let st = state.into_inner().expect("scheduler lock");
+    let pipelined = pipelined.into_inner().expect("pipelined lock");
     if let Some(e) = st.error {
         return Err(e);
     }
@@ -323,7 +353,9 @@ where
         sim_tasks: work.iter().map(|w| w.policies.len()).sum(),
         threads,
         cpus,
-        replay_pipelined: pipelined.into_inner(),
+        replay_pipelined: pipelined.is_some(),
+        pipelined_replays: pipelined.map_or(0, |(r, _)| r),
+        front_end_replays: pipelined.map_or(0, |(_, f)| f),
         peak_resident_traces: st.peak_active,
         peak_resident_bytes: st.peak_bytes,
         sim_latency_us: latency.snapshot(),
@@ -496,23 +528,31 @@ mod tests {
     }
 
     /// The summary reports whether a group actually pipelined, as noted
-    /// on the worker that ran it.
+    /// on the worker that ran it, and sums the replay counts of every
+    /// pipelined group across workers.
     #[test]
     fn summary_reports_pipelined_replay_when_it_happened() {
         let work: Vec<WorkItem> =
             (0..3).map(|bench| WorkItem { bench, policies: vec![0] }).collect();
-        let run = |pipelined_bench: Option<usize>| {
+        let run = |pipelined: &[usize]| {
             run_items(&work, 2, 64, None, |item| {
-                if Some(item.bench) == pipelined_bench {
-                    note_pipelined();
+                if pipelined.contains(&item.bench) {
+                    note_pipelined(10 * item.bench as u64, item.bench as u64);
                 }
                 Ok(vec![()])
             })
             .unwrap()
             .1
-            .replay_pipelined
         };
-        assert!(!run(None));
-        assert!(run(Some(2)));
+        let inline = run(&[]);
+        assert!(!inline.replay_pipelined);
+        assert_eq!((inline.pipelined_replays, inline.front_end_replays), (0, 0));
+        assert!(inline.render().contains("replay inline"));
+        let pipelined = run(&[1, 2]);
+        assert!(pipelined.replay_pipelined);
+        assert_eq!((pipelined.pipelined_replays, pipelined.front_end_replays), (30, 3));
+        assert!(pipelined
+            .render()
+            .contains("replay pipelined (front end took 10.0% of 30 replays)"));
     }
 }

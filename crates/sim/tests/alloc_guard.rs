@@ -9,17 +9,22 @@
 //! is exactly what the packed-age/flat-array rework eliminated. The
 //! single-threaded engines are counted on the measuring thread alone;
 //! the pipelined group, which replays on a thread of its own, is counted
-//! process-wide. This file is a separate integration test so the
-//! allocator swap owns its process.
+//! process-wide. Its two threads meet only on a mutex and condvars,
+//! which never allocate, so one run of each length gives an exact count
+//! whichever thread waits when. This file is a separate integration test
+//! so the allocator swap owns its process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Barrier, Mutex};
 
 use chirp_core::ChirpConfig;
-use chirp_sim::{PolicyKind, SimConfig, Simulator};
+use chirp_sim::{PolicyDispatch, PolicyKind, SimConfig, Simulator};
+use chirp_tlb::{PolicyStorage, TlbAccess, TlbReplacementPolicy};
 use chirp_trace::suite::{build_suite, SuiteConfig};
+use chirp_trace::{MaterializedStream, PackedTrace, StreamError, TraceStream};
 
 struct CountingAlloc;
 
@@ -68,20 +73,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// `ALLOCATIONS` is process-global, but libtest runs the tests below
 /// on separate threads: one test's allocations could land inside the
-/// pipelined test's measured window and fail it spuriously. Each test
+/// pipelined tests' measured windows and fail them spuriously. Each test
 /// holds this lock for its whole body so that window owns the counter.
 static GATE: Mutex<()> = Mutex::new(());
-
-/// The fewest process-wide allocations `count` reports over `runs`
-/// calls, for the multi-threaded pipelined group. Work on other threads
-/// can still land in its window — the harness's bookkeeping for a test
-/// that has just released `GATE`, or the wait context and wait-list
-/// entry the standard library allocates the first time a thread blocks
-/// on a channel, which depends on timing — but it only ever adds to
-/// some runs, while an allocation per segment adds to every run.
-fn fewest(runs: usize, mut count: impl FnMut() -> u64) -> u64 {
-    (0..runs).map(|_| count()).min().expect("at least one run")
-}
 
 /// Allocation count of one `run_columnar` call on this thread,
 /// simulator construction excluded.
@@ -161,9 +155,9 @@ fn factored_replay_does_not_allocate_per_instruction() {
 /// Process-wide allocation count of one `run_policy_group` call over the
 /// 9-policy lineup: the factored chunk driver, pipelined whenever the
 /// host has more than one CPU (no other simulation thread runs in this
-/// process). Backend construction, the segment pool (each segment sized
-/// for a full chunk up front), the channels, the replay thread and the
-/// result `String`s are per-run constants.
+/// process), inline otherwise. Backend construction, the segment ring
+/// (each segment sized for a full chunk up front), the replay thread and
+/// the result `String`s are per-run constants.
 fn allocs_for_policy_group(config: &SimConfig, instructions: usize) -> u64 {
     let suite = build_suite(&SuiteConfig { benchmarks: 1 });
     let trace = suite[0].generate_packed(instructions);
@@ -176,30 +170,147 @@ fn allocs_for_policy_group(config: &SimConfig, instructions: usize) -> u64 {
     after - before
 }
 
-/// The pipelined group must not allocate per segment: a 5× longer trace
-/// (49 chunks against 10) may not add a single allocation. Whether a
-/// side of a channel blocks at all in a given run depends on timing
-/// (see [`fewest`]), hence the larger run count; a per-segment
-/// allocation would add about 39 to every long run.
+/// The factored group must not allocate per segment: a 5× longer trace
+/// (49 chunks against 10) may not add a single allocation, in one run
+/// of each length.
 #[test]
 fn pipelined_group_does_not_allocate_per_segment() {
     let _counter = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    if std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
-        // One CPU: the group replays inline, through one segment that
-        // grows to the largest chunk seen, so a longer trace may add a
-        // doubling. There is no pipelined form to measure.
-        eprintln!("single CPU: the factored group replays inline; nothing to measure");
-        return;
-    }
     let config = SimConfig::default();
-    // Warm-up: process-wide lazy state (the cached CPU count, the test
-    // thread's channel wait context) is set up outside the comparison.
+    // Warm-up: process-wide lazy state (the cached CPU count) is set up
+    // outside the comparison.
     allocs_for_policy_group(&config, 40_000);
-    let short = fewest(5, || allocs_for_policy_group(&config, 40_000));
-    let long = fewest(5, || allocs_for_policy_group(&config, 200_000));
+    let short = allocs_for_policy_group(&config, 40_000);
+    let long = allocs_for_policy_group(&config, 200_000);
     assert_eq!(
         long, short,
         "the factored group allocates per segment: {short} allocations over 40k instructions \
          vs {long} over 200k"
+    );
+}
+
+/// A lineup policy that, at its first access, meets each of its
+/// barriers in turn. Barriers wait on a mutex and a condvar, so meeting
+/// one allocates nothing.
+struct Meet {
+    inner: PolicyDispatch,
+    barriers: Vec<Arc<Barrier>>,
+}
+
+impl Meet {
+    fn access(&mut self) {
+        for barrier in self.barriers.drain(..) {
+            barrier.wait();
+        }
+    }
+}
+
+impl TlbReplacementPolicy for Meet {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn choose_victim(&mut self, acc: &TlbAccess) -> usize {
+        self.inner.choose_victim(acc)
+    }
+
+    fn on_hit(&mut self, acc: &TlbAccess, way: usize) {
+        self.access();
+        self.inner.on_hit(acc, way);
+    }
+
+    fn on_fill(&mut self, acc: &TlbAccess, way: usize) {
+        self.access();
+        self.inner.on_fill(acc, way);
+    }
+
+    fn on_evict(&mut self, set: usize, way: usize) {
+        self.inner.on_evict(set, way);
+    }
+
+    fn storage(&self) -> PolicyStorage {
+        self.inner.storage()
+    }
+}
+
+/// Serves prebuilt batches (moving each out, so serving allocates
+/// nothing) and meets `hold` before serving batch `hold_at`.
+struct Prebuilt {
+    batches: VecDeque<PackedTrace>,
+    len: usize,
+    served: usize,
+    hold_at: usize,
+    hold: Arc<Barrier>,
+}
+
+impl TraceStream for Prebuilt {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn chunk_records(&self) -> usize {
+        4096
+    }
+
+    fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
+        if self.served == self.hold_at {
+            self.hold.wait();
+        }
+        self.served += 1;
+        Ok(self.batches.pop_front())
+    }
+}
+
+/// Process-wide allocation count of one pipelined `run_stream_factored`
+/// call in which the front-end thread claims backends. The stream holds
+/// the front end before the batch that overfills its 4-segment ring
+/// until backend 0 has started its first replay — on the replay thread —
+/// and backend 0 waits there until backend 1, which only the front end
+/// is left to claim, starts too.
+fn allocs_for_front_end_claims(config: &SimConfig, instructions: usize) -> u64 {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let trace = suite[0].generate_packed(instructions);
+    let mut source = MaterializedStream::new(&trace, 4096);
+    let batches = std::iter::from_fn(|| source.next_batch().expect("resident batch")).collect();
+    let started = Arc::new(Barrier::new(2));
+    let release = Arc::new(Barrier::new(2));
+    let meet = |barriers: Vec<Arc<Barrier>>| Meet {
+        inner: PolicyKind::Lru.build_dispatch(config.tlb.l2, 7),
+        barriers,
+    };
+    let policies = vec![
+        meet(vec![started.clone(), release.clone()]),
+        meet(vec![release]),
+        meet(Vec::new()),
+        meet(Vec::new()),
+    ];
+    let mut stream = Prebuilt { batches, len: trace.len(), served: 0, hold_at: 4, hold: started };
+    let sig = ChirpConfig::default();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let results = chirp_sim::run_stream_factored(config, &sig, policies, &mut stream, 0.5)
+        .expect("prebuilt batches do not fail");
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(results.len(), 4);
+    after - before
+}
+
+/// The claim path — the front-end thread replaying backends while its
+/// ring is full — must not allocate per segment or per claim either.
+#[test]
+fn front_end_claims_do_not_allocate() {
+    let _counter = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
+        // One CPU: the group replays inline and the front end never
+        // claims; backend 0 would wait forever for backend 1.
+        eprintln!("single CPU: the factored group replays inline; nothing to measure");
+        return;
+    }
+    let config = SimConfig::default();
+    allocs_for_front_end_claims(&config, 40_000);
+    let short = allocs_for_front_end_claims(&config, 40_000);
+    let long = allocs_for_front_end_claims(&config, 200_000);
+    assert_eq!(
+        long, short,
+        "front-end claims allocate: {short} allocations over 40k instructions vs {long} over 200k"
     );
 }
