@@ -396,8 +396,9 @@ pub fn read_series(path: &Path) -> Result<Vec<UnitSeries>, StoreError> {
 mod tests {
     use super::*;
     use crate::runner::run_suite;
+    use crate::SimConfig;
     use chirp_core::ChirpConfig;
-    use chirp_store::TempDir;
+    use chirp_store::{fnv64, TempDir};
     use chirp_trace::suite::{build_suite, SuiteConfig};
 
     fn spec(epoch: u64) -> TelemetrySpec {
@@ -432,6 +433,56 @@ mod tests {
                 "epoch miss deltas must sum to the run total"
             );
         }
+    }
+
+    /// `fnv64` of the [`write_series`] bytes for each case of
+    /// [`series_match_the_pinned_digests`], in its loop order.
+    const SERIES_DIGESTS: [u64; 12] = [
+        0x0b46_ca2a_898b_613a,
+        0x3a91_d572_728e_19cb,
+        0xdf2d_e495_d630_89d6,
+        0x58ee_e175_6ecd_8cfe,
+        0xdcb7_f528_8388_fba3,
+        0x7cf2_fec2_1c3f_af50,
+        0x5b04_ae80_1fe2_0a8d,
+        0x46c2_c777_a374_1017,
+        // A warmup cut at 1.0 measures nothing: every series is empty.
+        0xcbf2_9ce4_8422_2325,
+        0xcbf2_9ce4_8422_2325,
+        0xcbf2_9ce4_8422_2325,
+        0xcbf2_9ce4_8422_2325,
+    ];
+
+    /// The series themselves, pinned byte for byte: 4 benchmarks, the
+    /// 9-policy lineup (its short-history CHiRP replays with local
+    /// registers, since the group computes signatures under the default
+    /// configuration) and that CHiRP as a group of one, at warmup cuts
+    /// 0, 0.5 and 1.0 and epochs shorter and longer than the window.
+    #[test]
+    fn series_match_the_pinned_digests() {
+        let suite = build_suite(&SuiteConfig { benchmarks: 4 });
+        let mut lineup = PolicyKind::paper_lineup();
+        lineup.push(PolicyKind::Drrip);
+        lineup.push(PolicyKind::PerceptronReuse);
+        lineup.push(PolicyKind::Chirp(ChirpConfig { path_length: 8, ..ChirpConfig::default() }));
+        let alone = [lineup[8].clone()];
+        let dir = TempDir::new("telemetry-digests");
+        let path = dir.path().join("telemetry_epochs.jsonl");
+        let mut digests = Vec::new();
+        for warmup_fraction in [0.0, 0.5, 1.0] {
+            let sim = SimConfig { warmup_fraction, ..SimConfig::default() };
+            let config =
+                RunnerConfig { instructions: 16_000, threads: 2, sim, ..Default::default() };
+            for epoch in [1_500, 100_000] {
+                for policies in [&lineup[..], &alone[..]] {
+                    let (_, series) = run_suite_telemetry(&suite, policies, &config, &spec(epoch));
+                    write_series(&path, &series).expect("write series");
+                    digests.push(fnv64(&std::fs::read(&path).expect("read series")));
+                }
+            }
+        }
+        let hex: Vec<String> = digests.iter().map(|d| format!("{d:#018x}")).collect();
+        assert_eq!(digests, SERIES_DIGESTS, "got [{}]", hex.join(", "));
     }
 
     #[test]
