@@ -12,11 +12,8 @@ use crate::config::SimConfig;
 use crate::metrics::RunResult;
 use chirp_branch::BranchUnit;
 use chirp_mem::MemoryHierarchy;
-use chirp_telemetry::{EpochRow, EpochSampler};
 use chirp_tlb::{TlbHierarchy, TlbReplacementPolicy, TlbStats, TranslationKind};
-use chirp_trace::{
-    vpn, InstrKind, PackedTrace, StreamError, TraceChunk, TraceRecord, TraceSource, TraceStream,
-};
+use chirp_trace::{vpn, InstrKind, PackedTrace, StreamError, TraceChunk, TraceRecord, TraceStream};
 
 /// Records streamed per [`TraceChunk`] by the columnar run loop. Large
 /// enough to amortise per-chunk bookkeeping, small enough that the chunk's
@@ -184,48 +181,6 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
         Ok(self.finish_result(window))
     }
 
-    /// Runs the whole trace like [`run_columnar`](Self::run_columnar),
-    /// additionally sampling telemetry counters every
-    /// `epoch_instructions` measured instructions.
-    ///
-    /// Returns the identical [`RunResult`] that `run_columnar` would produce — the
-    /// instrumentation is strictly observational: the per-epoch probes go
-    /// through `&self` accessors (policy state, occupancy) and the
-    /// dead-outcome scoreboard is shadow state on the L2 TLB that never
-    /// feeds back into replacement decisions. The equivalence is pinned by
-    /// a suite-level test in the runner.
-    ///
-    /// Epochs cover the measured window only (warmup is excluded, like the
-    /// run totals); a trace whose measured length is not a multiple of the
-    /// epoch size ends with one shorter row. Deltas follow the
-    /// [`crate::telemetry::COUNTER_SCHEMA`] order; gauge 0 is L2 TLB
-    /// occupancy at the epoch boundary.
-    pub fn run_instrumented<T: TraceSource + ?Sized>(
-        &mut self,
-        trace: &T,
-        warmup_fraction: f64,
-        epoch_instructions: u64,
-    ) -> (RunResult, Vec<EpochRow>) {
-        self.tlbs.l2_mut().enable_outcome_tracking();
-        let warmup = warmup_cut(trace.len(), warmup_fraction);
-        let mut records = trace.records();
-        for rec in records.by_ref().take(warmup) {
-            self.step(&rec);
-        }
-        let window = self.window_start();
-        let mut sampler = EpochSampler::new(epoch_instructions, self.telemetry_counters());
-        for rec in records {
-            self.step(&rec);
-            if sampler.tick() {
-                let counters = self.telemetry_counters();
-                sampler.sample(&counters, vec![self.tlbs.l2().occupancy()]);
-            }
-        }
-        let counters = self.telemetry_counters();
-        let rows = sampler.finish(&counters, vec![self.tlbs.l2().occupancy()]);
-        (self.finish_result(window), rows)
-    }
-
     /// Snapshot of machine state at the start of the measured window.
     fn window_start(&self) -> (u64, u64, TlbStats) {
         (self.cycles, self.instructions, self.tlbs.l2().stats())
@@ -251,26 +206,6 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
             l2_accesses_total: stats1.accesses(),
             efficiency: self.tlbs.l2().efficiency(),
         }
-    }
-
-    /// Absolute telemetry counter values, in
-    /// [`crate::telemetry::COUNTER_SCHEMA`] order.
-    fn telemetry_counters(&self) -> Vec<u64> {
-        let l2 = self.tlbs.l2();
-        let stats = l2.stats();
-        let outcomes = l2.dead_outcomes();
-        vec![
-            self.cycles,
-            stats.hits,
-            stats.misses,
-            stats.cold_fills,
-            stats.dead_evictions,
-            l2.policy().prediction_table_accesses(),
-            outcomes.true_dead,
-            outcomes.false_dead,
-            outcomes.true_live,
-            outcomes.false_live,
-        ]
     }
 
     /// Total cycles so far.

@@ -51,6 +51,14 @@
 //! wait for the ring (full, or draining at the end) it claims back ends
 //! itself instead. The whole-trace [`FactoredTrace`] stays for callers
 //! that need every event at once (the OPT bound).
+//!
+//! Epoch telemetry observes the same driver. With an epoch length, the
+//! front end also cuts its segments at every epoch boundary of the
+//! measured window, so no segment straddles one, and each back end closes
+//! an epoch of its [`EpochSampler`] after the segment that ends it. Its
+//! cycles, L2 statistics, table accesses and dead-prediction outcomes are
+//! all `u64` sums, exact at every segment boundary, so the series matches
+//! a per-instruction sampler's.
 
 use crate::config::SimConfig;
 use crate::engine::{warmup_cut, CHUNK_SIZE};
@@ -59,6 +67,7 @@ use chirp_branch::BranchUnit;
 use chirp_core::signature::hash16;
 use chirp_core::{ChirpConfig, SignatureBuilder};
 use chirp_mem::{Cache, MemoryHierarchy};
+use chirp_telemetry::{EpochRow, EpochSampler};
 use chirp_tlb::{
     L1FrontEnd, L2Tlb, PageWalker, ReplayHints, TlbAccess, TlbReplacementPolicy, TlbStats,
     TranslationKind,
@@ -609,6 +618,26 @@ impl<P: TlbReplacementPolicy> Backend<P> {
     pub fn l2(&self) -> &L2Tlb<P> {
         &self.l2
     }
+
+    /// Absolute telemetry counter values, in
+    /// [`crate::telemetry::COUNTER_SCHEMA`] order. The one gauge, L2 TLB
+    /// occupancy, is read off [`l2`](Self::l2) directly.
+    fn telemetry_counters(&self) -> Vec<u64> {
+        let stats = self.l2.stats();
+        let outcomes = self.l2.dead_outcomes();
+        vec![
+            self.cycles,
+            stats.hits,
+            stats.misses,
+            stats.cold_fills,
+            stats.dead_evictions,
+            self.l2.policy().prediction_table_accesses(),
+            outcomes.true_dead,
+            outcomes.false_dead,
+            outcomes.true_live,
+            outcomes.false_live,
+        ]
+    }
 }
 
 /// Replays an already-built [`FactoredTrace`] through one backend per
@@ -622,7 +651,7 @@ pub fn replay_factored<P: TlbReplacementPolicy>(
     trace: &FactoredTrace,
     policies: Vec<P>,
 ) -> Vec<(RunResult, Backend<P>)> {
-    let lanes = Lanes::new(config, policies, trace.sig_code);
+    let lanes = Lanes::new(config, policies, trace.sig_code, None);
     let mut memory = MemoryStage::new(config);
     for (seg, ends_warmup) in [(&trace.warmup, true), (&trace.measured, false)] {
         let memory_cycles = memory.run(seg);
@@ -630,7 +659,7 @@ pub fn replay_factored<P: TlbReplacementPolicy>(
             lanes.replay(lane, seg, memory_cycles, ends_warmup);
         }
     }
-    lanes.finish()
+    lanes.finish().into_iter().map(|(result, backend, _)| (result, backend)).collect()
 }
 
 /// Segments the pipelined driver circulates between the front end and
@@ -665,49 +694,91 @@ impl ReplayForm {
 /// Measured-window snapshot of one backend ([`Backend::window_start`]).
 type Window = (u64, u64, TlbStats);
 
-/// One backend of a group and the measured-window snapshot it took at
-/// the warmup cut.
+/// What one backend of a group ends with: its result, the backend itself
+/// and its epoch series, empty unless the group samples.
+type LaneEnd<P> = (RunResult, Backend<P>, Vec<EpochRow>);
+
+/// One backend of a group, the measured-window snapshot it took at the
+/// warmup cut and, with telemetry, the epoch sampler it started there.
 struct Lane<P: TlbReplacementPolicy> {
     backend: Backend<P>,
     window: Option<Window>,
+    sampler: Option<EpochSampler>,
+}
+
+impl<P: TlbReplacementPolicy> Lane<P> {
+    /// Samples after a replay of `instructions` records: the segment that
+    /// ends at the warmup cut starts the sampler, and a measured segment
+    /// advances it, closing an epoch when it ends on a boundary. Out of
+    /// line, so that it takes no registers from the replay loop inlined
+    /// into [`Lanes::replay`].
+    #[inline(never)]
+    fn sample(&mut self, epoch: u64, instructions: u64, ends_warmup: bool) {
+        let backend = &self.backend;
+        if ends_warmup {
+            self.sampler = Some(EpochSampler::new(epoch, backend.telemetry_counters()));
+        } else if let Some(sampler) = &mut self.sampler {
+            if sampler.advance(instructions) {
+                sampler.sample(&backend.telemetry_counters(), vec![backend.l2.occupancy()]);
+            }
+        }
+    }
 }
 
 /// The backends of one factored group, each behind a lock of its own so
 /// that whichever thread claims a backend's replay of a segment can run
 /// it. A claim is exclusive, so the locks are never contended.
-struct Lanes<P: TlbReplacementPolicy>(Vec<Mutex<Lane<P>>>);
+struct Lanes<P: TlbReplacementPolicy> {
+    lanes: Vec<Mutex<Lane<P>>>,
+    /// Measured instructions per telemetry epoch, if the group samples.
+    epoch: Option<u64>,
+}
 
 impl<P: TlbReplacementPolicy> Lanes<P> {
-    fn new(config: &SimConfig, policies: Vec<P>, sig_code: u64) -> Lanes<P> {
-        let lane =
-            |p| Mutex::new(Lane { backend: Backend::new(config, p, sig_code), window: None });
-        Lanes(policies.into_iter().map(lane).collect())
+    fn new(config: &SimConfig, policies: Vec<P>, sig_code: u64, epoch: Option<u64>) -> Lanes<P> {
+        let lane = |p| {
+            let mut backend = Backend::new(config, p, sig_code);
+            if epoch.is_some() {
+                // Scored from instruction 0, so a measured eviction of an
+                // entry filled during warmup counts too.
+                backend.l2.enable_outcome_tracking();
+            }
+            Mutex::new(Lane { backend, window: None, sampler: None })
+        };
+        Lanes { lanes: policies.into_iter().map(lane).collect(), epoch }
     }
 
     fn len(&self) -> usize {
-        self.0.len()
+        self.lanes.len()
     }
 
     /// Replays backend `lane` over `seg`, snapshotting its measured
-    /// window when the segment ends at the warmup cut.
+    /// window when the segment ends at the warmup cut, and samples it
+    /// when the group samples.
     fn replay(&self, lane: usize, seg: &EventSegment, memory_cycles: u64, ends_warmup: bool) {
-        let mut lane = self.0[lane].lock().expect("a panicked claim stops its group");
+        let mut lane = self.lanes[lane].lock().expect("a panicked claim stops its group");
         lane.backend.replay(seg, memory_cycles);
         if ends_warmup {
             lane.window = Some(lane.backend.window_start());
         }
+        if let Some(epoch) = self.epoch {
+            lane.sample(epoch, seg.instructions, ends_warmup);
+        }
     }
 
-    /// One `(result, backend)` pair per policy, in input order. A stream
-    /// that ended before its warmup cut measures an empty window.
-    fn finish(self) -> Vec<(RunResult, Backend<P>)> {
-        self.0
+    /// One [`LaneEnd`] per policy, in input order. A stream that ended
+    /// before its warmup cut measures an empty window.
+    fn finish(self) -> Vec<LaneEnd<P>> {
+        self.lanes
             .into_iter()
             .map(|lane| {
-                let Lane { backend, window } =
+                let Lane { backend, window, sampler } =
                     lane.into_inner().expect("a panicked claim stops its group");
                 let window = window.unwrap_or_else(|| backend.window_start());
-                (backend.finish_result(window), backend)
+                let rows = sampler.map_or_else(Vec::new, |sampler| {
+                    sampler.finish(&backend.telemetry_counters(), vec![backend.l2.occupancy()])
+                });
+                (backend.finish_result(window), backend, rows)
             })
             .collect()
     }
@@ -951,37 +1022,60 @@ impl<P: TlbReplacementPolicy> Drop for HangUp<'_, P> {
 }
 
 /// The calling thread's half of the chunk driver: the front end, the
-/// warmup cut, and the ring its segments go through.
+/// cuts its segments end at, and the ring they go through.
 struct Feeder<'r, P: TlbReplacementPolicy> {
     fe: FrontEnd,
     /// Instruction index at which the measured window opens.
     warmup: usize,
+    /// Measured instructions per telemetry epoch, if the group samples:
+    /// segments are also cut every `epoch` records after `warmup`.
+    epoch: Option<usize>,
     /// Records fed so far.
     pos: usize,
-    /// Whether the segment ending at `warmup` has been handed off.
-    cut: bool,
+    /// The next instruction index a segment must end at: `warmup`, then
+    /// each epoch boundary, or `usize::MAX` once none is left.
+    next_cut: usize,
     ring: &'r Ring<P>,
     /// Inline, the replay side's memory stage: the calling thread
     /// replays each segment right after handing it off.
     inline: Option<MemoryStage>,
 }
 
-impl<P: TlbReplacementPolicy> Feeder<'_, P> {
+impl<'r, P: TlbReplacementPolicy> Feeder<'r, P> {
+    fn new(
+        fe: FrontEnd,
+        warmup: usize,
+        epoch: Option<u64>,
+        ring: &'r Ring<P>,
+        inline: Option<MemoryStage>,
+    ) -> Feeder<'r, P> {
+        // A zero epoch would never move the next cut past this one.
+        assert_ne!(epoch, Some(0), "epoch length must be positive");
+        let epoch = epoch.map(|e| usize::try_from(e).unwrap_or(usize::MAX));
+        Feeder { fe, warmup, epoch, pos: 0, next_cut: warmup, ring, inline }
+    }
+
     /// Runs the front end over one chunk of at most [`CHUNK_SIZE`]
-    /// records and hands its events to the back ends — as two segments
-    /// when the warmup cut falls inside the chunk. Returns `false` once
-    /// the group has failed (its replay thread panicked); the caller then
-    /// stops feeding.
+    /// records and hands its events to the back ends, one segment per
+    /// stretch between the cuts that fall inside the chunk. Returns
+    /// `false` once the group has failed (its replay thread panicked);
+    /// the caller then stops feeding.
     fn push(&mut self, chunk: &TraceChunk<'_>) -> bool {
-        let alive = if !self.cut && self.warmup <= self.pos + chunk.len() {
-            self.cut = true;
-            let (head, tail) = chunk.split_at(self.warmup - self.pos);
-            self.emit(&head, true) && self.emit(&tail, false)
-        } else {
-            self.emit(chunk, false)
-        };
-        self.pos += chunk.len();
-        alive
+        let end = self.pos + chunk.len();
+        let mut rest = *chunk;
+        while self.next_cut <= end {
+            let (head, tail) = rest.split_at(self.next_cut - self.pos);
+            // The segment ending at the warmup cut goes out even when
+            // empty: its back ends open their measured window after it.
+            if !self.emit(&head, self.next_cut == self.warmup) {
+                return false;
+            }
+            self.pos = self.next_cut;
+            self.next_cut = self.epoch.map_or(usize::MAX, |e| self.next_cut.saturating_add(e));
+            rest = tail;
+        }
+        self.pos = end;
+        rest.is_empty() || self.emit(&rest, false)
     }
 
     fn emit(&mut self, chunk: &TraceChunk<'_>, ends_warmup: bool) -> bool {
@@ -1008,7 +1102,9 @@ impl<P: TlbReplacementPolicy> Feeder<'_, P> {
 /// feed is done. Either way every backend sees the same
 /// segments in the same order with the same memory-stage cycles, and
 /// its measured window opens right after the segment that ends at
-/// `warmup`, so results are bit-identical across forms.
+/// `warmup`, so results are bit-identical across forms. With an `epoch`
+/// length each backend also samples an epoch series over the measured
+/// window, returned beside its result (empty without one).
 ///
 /// # Errors
 ///
@@ -1021,21 +1117,21 @@ fn drive_factored<P, F>(
     sig_config: &ChirpConfig,
     policies: Vec<P>,
     warmup: usize,
+    epoch: Option<u64>,
     form: ReplayForm,
     feed: F,
-) -> Result<Vec<(RunResult, Backend<P>)>, StreamError>
+) -> Result<Vec<LaneEnd<P>>, StreamError>
 where
     P: TlbReplacementPolicy + Send,
     F: FnOnce(&mut Feeder<'_, P>) -> Result<(), StreamError>,
 {
-    let lanes = Lanes::new(config, policies, sig_config.signature_code());
+    let lanes = Lanes::new(config, policies, sig_config.signature_code(), epoch);
     let fe = FrontEnd::new(config, sig_config);
     let mut memory = MemoryStage::new(config);
     match form {
         ReplayForm::Inline => {
             let ring = Ring::new(lanes, 1);
-            let inline = Some(memory);
-            feed(&mut Feeder { fe, warmup, pos: 0, cut: false, ring: &ring, inline })?;
+            feed(&mut Feeder::new(fe, warmup, epoch, &ring, Some(memory)))?;
             Ok(ring.lanes.finish())
         }
         ReplayForm::Pipelined => {
@@ -1046,8 +1142,7 @@ where
                     ring.replay(&mut memory, true);
                 });
                 let mut hang_up = HangUp { ring: &ring, failed: false };
-                let mut feeder =
-                    Feeder { fe, warmup, pos: 0, cut: false, ring: &ring, inline: None };
+                let mut feeder = Feeder::new(fe, warmup, epoch, &ring, None);
                 // Once fed, the front end helps drain the ring.
                 let fed = feed(&mut feeder).map(|()| {
                     ring.help_until(0);
@@ -1070,23 +1165,28 @@ where
 
 /// Runs a factored group over a resident trace through the chunk
 /// driver: the streamed engine's O(chunk) event residency, without first
-/// building a whole [`FactoredTrace`]. Bit-identical to
-/// [`FactoredTrace::build`] + [`replay_factored`].
+/// building a whole [`FactoredTrace`]. Results are bit-identical to
+/// [`FactoredTrace::build`] + [`replay_factored`]; each comes with its
+/// epoch series when `epoch` is given.
 pub(crate) fn replay_trace_group<P: TlbReplacementPolicy + Send>(
     config: &SimConfig,
     sig_config: &ChirpConfig,
     policies: Vec<P>,
     trace: &PackedTrace,
     warmup_fraction: f64,
+    epoch: Option<u64>,
     form: ReplayForm,
-) -> Vec<(RunResult, Backend<P>)> {
+) -> Vec<(RunResult, Vec<EpochRow>)> {
     let warmup = warmup_cut(trace.len(), warmup_fraction);
-    drive_factored(config, sig_config, policies, warmup, form, |feeder| {
+    drive_factored(config, sig_config, policies, warmup, epoch, form, |feeder| {
         // `all` stops at the first chunk the back ends can no longer take.
         trace.chunks(CHUNK_SIZE).all(|chunk| feeder.push(&chunk));
         Ok(())
     })
     .expect("a resident trace has no stream to fail")
+    .into_iter()
+    .map(|(result, _, rows)| (result, rows))
+    .collect()
 }
 
 /// [`run_stream_factored`] in a chosen [`ReplayForm`].
@@ -1103,14 +1203,15 @@ where
     S: TraceStream + ?Sized,
 {
     let warmup = warmup_cut(stream.len(), warmup_fraction);
-    drive_factored(config, sig_config, policies, warmup, form, |feeder| {
+    let outcomes = drive_factored(config, sig_config, policies, warmup, None, form, |feeder| {
         while let Some(batch) = stream.next_batch()? {
             if !batch.chunks(CHUNK_SIZE).all(|chunk| feeder.push(&chunk)) {
                 break;
             }
         }
         Ok(())
-    })
+    })?;
+    Ok(outcomes.into_iter().map(|(result, backend, _)| (result, backend)).collect())
 }
 
 /// The streamed form of [`FactoredTrace::build`] + [`replay_factored`]:
@@ -1187,47 +1288,88 @@ mod tests {
         kinds.iter().map(|k| k.build_dispatch(config.tlb.l2, 3)).collect()
     }
 
-    /// Both forms of the driver equal `run_columnar` bit for bit with the
-    /// warmup cut at 0, exactly on a chunk boundary, mid-chunk and at
-    /// `len`, over a resident trace and over a stream whose batches do
-    /// not align with the chunks.
+    /// Warmup fractions whose cut falls at 0, exactly on a chunk
+    /// boundary, mid-chunk and at `len`, with that cut.
+    fn cuts() -> [(f64, usize); 4] {
+        let boundary = ((4 * CHUNK_SIZE) as f64 + 0.5) / LEN as f64;
+        let cuts = [(0.0, 0), (boundary, 4 * CHUNK_SIZE), (0.5, LEN / 2), (1.0, LEN)];
+        for (fraction, cut) in cuts {
+            assert_eq!(warmup_cut(LEN, fraction), cut);
+        }
+        cuts
+    }
+
+    /// Both forms of the driver equal `run_columnar` bit for bit at every
+    /// cut, over a resident trace and over a stream whose batches do not
+    /// align with the chunks.
     #[test]
     fn both_forms_match_the_columnar_oracle_at_every_cut() {
         let trace = trace();
         let kinds = group();
-        let boundary = (4 * CHUNK_SIZE) as f64 + 0.5;
-        for (fraction, cut) in
-            [(0.0, 0), (boundary / LEN as f64, 4 * CHUNK_SIZE), (0.5, LEN / 2), (1.0, LEN)]
-        {
-            assert_eq!(warmup_cut(LEN, fraction), cut);
+        for (fraction, cut) in cuts() {
             let config = SimConfig { warmup_fraction: fraction, ..SimConfig::default() };
             let sig = group_sig_config(kinds.iter());
             let want = columnar(&kinds, &config, &trace);
             for form in FORMS {
-                let resident = replay_trace_group(
-                    &config,
-                    &sig,
-                    build(&kinds, &config),
-                    &trace,
-                    fraction,
-                    form,
-                );
+                let policies = build(&kinds, &config);
+                let resident =
+                    replay_trace_group(&config, &sig, policies, &trace, fraction, None, form);
+                let resident: Vec<RunResult> = resident.into_iter().map(|(r, _)| r).collect();
+                assert_eq!(resident, want, "resident {form:?} at cut {cut}");
                 let mut stream = MaterializedStream::new(&trace, 3_000);
-                let streamed = replay_stream_group(
-                    &config,
-                    &sig,
-                    build(&kinds, &config),
-                    &mut stream,
-                    fraction,
-                    form,
-                )
-                .expect("materialized stream");
-                for got in [resident, streamed] {
-                    let got: Vec<RunResult> = got.into_iter().map(|(r, _)| r).collect();
-                    assert_eq!(got, want, "{form:?} at cut {cut}");
+                let policies = build(&kinds, &config);
+                let streamed =
+                    replay_stream_group(&config, &sig, policies, &mut stream, fraction, form)
+                        .expect("materialized stream");
+                let streamed: Vec<RunResult> = streamed.into_iter().map(|(r, _)| r).collect();
+                assert_eq!(streamed, want, "streamed {form:?} at cut {cut}");
+            }
+        }
+    }
+
+    /// Both forms sample the same epoch series at every cut, with epochs
+    /// shorter than, equal to and longer than a chunk. Sampling leaves
+    /// every result equal to `run_columnar`'s, and each series tiles the
+    /// measured window: full epochs and one shorter last one, whose
+    /// deltas sum to the result's totals.
+    #[test]
+    fn both_forms_sample_the_same_series_at_every_cut() {
+        let trace = trace();
+        let kinds = group();
+        for (fraction, cut) in cuts() {
+            let config = SimConfig { warmup_fraction: fraction, ..SimConfig::default() };
+            let sig = group_sig_config(kinds.iter());
+            let want = columnar(&kinds, &config, &trace);
+            let measured = (LEN - cut) as u64;
+            for epoch in [1_500, CHUNK_SIZE as u64, 7_000] {
+                let [inline, pipelined] = FORMS.map(|form| {
+                    let policies = build(&kinds, &config);
+                    replay_trace_group(&config, &sig, policies, &trace, fraction, Some(epoch), form)
+                });
+                assert_eq!(inline, pipelined, "epoch {epoch} at cut {cut}");
+                for ((result, rows), want) in inline.iter().zip(&want) {
+                    assert_eq!(result, want, "epoch {epoch} at cut {cut}");
+                    assert_eq!(rows.len() as u64, measured.div_ceil(epoch));
+                    let (last, full) =
+                        rows.split_last().map_or((0, &rows[..]), |(l, f)| (l.instructions, f));
+                    assert!(full.iter().all(|row| row.instructions == epoch));
+                    assert_eq!(full.len() as u64 * epoch + last, measured);
+                    let sum = |i: usize| rows.iter().map(|row| row.deltas[i]).sum::<u64>();
+                    let stats = result.l2_tlb;
+                    assert_eq!([sum(0), sum(1), sum(2)], [result.cycles, stats.hits, stats.misses]);
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch length must be positive")]
+    fn zero_epoch_is_rejected() {
+        let trace = build_suite(&SuiteConfig { benchmarks: 1 })[0].generate_packed(1_000);
+        let config = SimConfig::default();
+        let policies = build(&[PolicyKind::Lru], &config);
+        let sig = ChirpConfig::default();
+        replay_trace_group(&config, &sig, policies, &trace, 0.5, Some(0), ReplayForm::Inline);
     }
 
     /// The columnar oracle's result for each of `kinds`.

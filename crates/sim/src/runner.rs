@@ -25,6 +25,7 @@ use crate::sched::{run_items, WorkItem};
 use crate::store_cache::{record_from_run, run_from_record, run_key};
 use chirp_store::archive::ArchiveOutcome;
 use chirp_store::{ArchiveTraceStream, RunLedger, Store, StoreError, TraceArchive};
+use chirp_telemetry::EpochRow;
 use chirp_trace::suite::BenchmarkSpec;
 use chirp_trace::{Category, PackedTrace, StreamError, TraceStream};
 use parking_lot::Mutex;
@@ -145,6 +146,20 @@ pub fn run_suite(
             }
         }
     }
+    run_generated(suite, policies, config, None).into_iter().map(|(run, _)| run).collect()
+}
+
+/// The uncached suite run behind [`run_suite`] and
+/// [`run_suite_telemetry`](crate::telemetry::run_suite_telemetry): one
+/// work item per benchmark, whose trace is generated and run through
+/// [`simulate_item`] with `epoch`. Output in `suite` × `policies` order,
+/// each run beside its epoch series (empty without `epoch`).
+pub(crate) fn run_generated(
+    suite: &[BenchmarkSpec],
+    policies: &[PolicyKind],
+    config: &RunnerConfig,
+    epoch: Option<u64>,
+) -> Vec<(BenchRun, Vec<EpochRow>)> {
     let work: Vec<WorkItem> = (0..suite.len())
         .map(|bench| WorkItem { bench, policies: (0..policies.len()).collect() })
         .collect();
@@ -155,7 +170,7 @@ pub fn run_suite(
         config.mem_budget,
         |item| {
             let trace = suite[item.bench].generate_packed(config.instructions);
-            Ok(simulate_item(suite, policies, config, item, &trace))
+            Ok(simulate_item(suite, policies, config, item, &trace, epoch))
         },
     )
     .expect("direct fetch is infallible");
@@ -163,24 +178,27 @@ pub fn run_suite(
 }
 
 /// Runs one work item's policy group over its resident trace
-/// ([`run_policy_group`]) and labels the results with the benchmark.
+/// ([`run_group`]) and labels the results with the benchmark.
 fn simulate_item(
     suite: &[BenchmarkSpec],
     policies: &[PolicyKind],
     config: &RunnerConfig,
     item: &WorkItem,
     trace: &PackedTrace,
-) -> Vec<BenchRun> {
+    epoch: Option<u64>,
+) -> Vec<(BenchRun, Vec<EpochRow>)> {
     let bench = &suite[item.bench];
     let kinds: Vec<&PolicyKind> = item.policies.iter().map(|&pi| &policies[pi]).collect();
-    label_runs(bench, run_policy_group(&config.sim, &kinds, bench.seed, trace, true))
+    let runs = run_group(&config.sim, &kinds, bench.seed, trace, epoch);
+    runs.into_iter().map(|(result, rows)| (label(bench, result), rows)).collect()
+}
+
+fn label(bench: &BenchmarkSpec, result: RunResult) -> BenchRun {
+    BenchRun { benchmark: bench.name.clone(), category: bench.category, result }
 }
 
 fn label_runs(bench: &BenchmarkSpec, results: Vec<RunResult>) -> Vec<BenchRun> {
-    results
-        .into_iter()
-        .map(|result| BenchRun { benchmark: bench.name.clone(), category: bench.category, result })
-        .collect()
+    results.into_iter().map(|result| label(bench, result)).collect()
 }
 
 /// Runs one same-trace group of policies — the primitive the suite
@@ -188,11 +206,10 @@ fn label_runs(bench: &BenchmarkSpec, results: Vec<RunResult>) -> Vec<BenchRun> {
 /// or more runs as one front-end pass + per-policy replay back-ends over
 /// 4096-record segments (the chunk driver behind
 /// [`run_stream_factored`], replaying on a second thread when a core
-/// would otherwise sit idle), the signature stream computed under
-/// the group's first CHiRP configuration ([`group_sig_config`]); a
-/// group of one runs
-/// [`Simulator::run_columnar`], which is faster when there is nothing to
-/// share. With `factored` unset every policy runs
+/// would otherwise sit idle), the signature stream computed under the
+/// group's first CHiRP configuration ([`group_sig_config`]); a group of
+/// one runs [`Simulator::run_columnar`], which is faster when there is
+/// nothing to share. With `factored` unset every policy runs
 /// `run_columnar`, the reference loop. Results are bit-identical either
 /// way, in input order.
 pub fn run_policy_group(
@@ -202,21 +219,40 @@ pub fn run_policy_group(
     trace: &PackedTrace,
     factored: bool,
 ) -> Vec<RunResult> {
-    let build = |kind: &PolicyKind| kind.build_dispatch(sim.tlb.l2, seed);
-    if factored && kinds.len() > 1 {
-        let sig_config = group_sig_config(kinds.iter().copied());
-        let policies = kinds.iter().map(|k| build(k)).collect();
-        let (form, _core) = ReplayForm::choose();
-        replay_trace_group(sim, &sig_config, policies, trace, sim.warmup_fraction, form)
-            .into_iter()
-            .map(|(result, _)| result)
-            .collect()
+    if factored {
+        run_group(sim, kinds, seed, trace, None).into_iter().map(|(result, _)| result).collect()
     } else {
-        kinds
-            .iter()
-            .map(|k| Simulator::with_policy(sim, build(k)).run_columnar(trace, sim.warmup_fraction))
-            .collect()
+        kinds.iter().map(|kind| run_columnar(sim, kind, seed, trace)).collect()
     }
+}
+
+/// [`run_policy_group`]'s factored engines, with telemetry: each result
+/// comes with its epoch series, sampled every `epoch` measured
+/// instructions (empty without). A group that samples runs on the chunk
+/// driver even when it holds one policy, since `run_columnar` has no
+/// sampler.
+pub(crate) fn run_group(
+    sim: &SimConfig,
+    kinds: &[&PolicyKind],
+    seed: u64,
+    trace: &PackedTrace,
+    epoch: Option<u64>,
+) -> Vec<(RunResult, Vec<EpochRow>)> {
+    if epoch.is_none() && kinds.len() < 2 {
+        return kinds
+            .iter()
+            .map(|kind| (run_columnar(sim, kind, seed, trace), Vec::new()))
+            .collect();
+    }
+    let sig_config = group_sig_config(kinds.iter().copied());
+    let policies = kinds.iter().map(|kind| kind.build_dispatch(sim.tlb.l2, seed)).collect();
+    let (form, _core) = ReplayForm::choose();
+    replay_trace_group(sim, &sig_config, policies, trace, sim.warmup_fraction, epoch, form)
+}
+
+fn run_columnar(sim: &SimConfig, kind: &PolicyKind, seed: u64, trace: &PackedTrace) -> RunResult {
+    let policy = kind.build_dispatch(sim.tlb.l2, seed);
+    Simulator::with_policy(sim, policy).run_columnar(trace, sim.warmup_fraction)
 }
 
 /// The streamed counterpart of [`run_policy_group`]: one pass over
@@ -345,7 +381,8 @@ pub fn run_suite_cached(
             config.mem_budget,
             |item| {
                 let trace = fetch_archived(&archive, &suite[item.bench], config.instructions)?;
-                Ok(simulate_item(suite, policies, config, item, &trace))
+                let runs = simulate_item(suite, policies, config, item, &trace, None);
+                Ok(runs.into_iter().map(|(run, _)| run).collect())
             },
         )?;
 

@@ -1,25 +1,23 @@
 //! Epoch-resolved run telemetry: phase series for every (benchmark ×
 //! policy) unit of a suite run.
 //!
-//! [`run_suite_telemetry`] drives the same scheduler as
-//! [`run_suite`](crate::runner::run_suite) but simulates through
-//! [`Simulator::run_instrumented`], collecting one [`UnitSeries`] per
-//! (benchmark × policy) pair alongside the ordinary [`BenchRun`]s. The
-//! instrumentation is strictly observational — the returned results are
-//! bit-identical to an uninstrumented run (pinned by
-//! `instrumented_run_matches_plain_suite` below) — but telemetry runs
-//! always simulate directly: they bypass the run ledger, because a ledger
-//! hit has no epoch series to return.
+//! [`run_suite_telemetry`] runs the same work items as
+//! [`run_suite`](crate::runner::run_suite), through the same factored
+//! chunk driver, whose back ends also sample an epoch series (see
+//! [`crate::frontend`]), and collects one [`UnitSeries`] per (benchmark ×
+//! policy) pair alongside the ordinary [`BenchRun`]s. The sampling is
+//! strictly observational — the returned results are bit-identical to an
+//! uninstrumented run (pinned by `instrumented_run_matches_plain_suite`
+//! below) — but telemetry runs always simulate directly: they bypass the
+//! run ledger, because a ledger hit has no epoch series to return.
 //!
 //! Series serialise to JSONL ([`write_series`]) — one flat object per
 //! epoch with the unit identity inlined, so `chirp-store`'s flat JSON
 //! parser ([`read_series`]) and external tooling (jq, pandas) read them
 //! without a schema.
 
-use crate::engine::Simulator;
 use crate::registry::PolicyKind;
-use crate::runner::{BenchRun, RunnerConfig};
-use crate::sched::{run_items, WorkItem};
+use crate::runner::{run_generated, BenchRun, RunnerConfig};
 use crate::store_cache::run_key;
 use chirp_store::json::JsonObject;
 use chirp_store::{hex16, parse_hex16, StoreError};
@@ -28,8 +26,8 @@ use chirp_tlb::DeadOutcomes;
 use chirp_trace::suite::BenchmarkSpec;
 use std::path::Path;
 
-/// Names of the per-epoch delta counters, in the order
-/// `Simulator::run_instrumented` snapshots them into [`EpochRow::deltas`].
+/// Names of the per-epoch delta counters, in the order each factored back
+/// end snapshots them into [`EpochRow::deltas`].
 pub const COUNTER_SCHEMA: [&str; 10] = [
     "cycles",
     "hits",
@@ -212,71 +210,37 @@ impl UnitSeries {
     }
 }
 
-/// Runs `policies` over `suite` with instrumented simulations, returning
-/// the ordinary results plus one epoch series per (benchmark × policy)
-/// pair, both in `suite` × `policies` order.
+/// Runs `policies` over `suite` with epoch sampling, returning the
+/// ordinary results plus one epoch series per (benchmark × policy) pair,
+/// both in `suite` × `policies` order.
 ///
 /// The results are bit-identical to [`run_suite`](crate::runner::run_suite)
-/// on the same inputs — instrumentation never feeds back into the
-/// simulation. Unlike `run_suite`, this path never consults the store:
-/// ledger hits skip simulation and therefore cannot produce a series.
-/// With `spec.mode` off the simulations run uninstrumented (today's exact
-/// hot loop) and every series is empty — that degenerate call is what the
-/// overhead benchmark compares against.
+/// on the same inputs — sampling never feeds back into the simulation.
+/// Unlike `run_suite`, this path never consults the store: ledger hits
+/// skip simulation and therefore cannot produce a series. With
+/// `spec.mode` off nothing is sampled and every series is empty.
 pub fn run_suite_telemetry(
     suite: &[BenchmarkSpec],
     policies: &[PolicyKind],
     config: &RunnerConfig,
     spec: &TelemetrySpec,
 ) -> (Vec<BenchRun>, Vec<UnitSeries>) {
-    let work: Vec<WorkItem> = (0..suite.len())
-        .map(|bench| WorkItem { bench, policies: (0..policies.len()).collect() })
-        .collect();
-    let (results, _) = run_items(
-        &work,
-        config.worker_threads(),
-        config.trace_estimate(),
-        config.mem_budget,
-        |item| {
-            let bench = &suite[item.bench];
-            let trace = bench.generate_packed(config.instructions);
-            Ok(item
-                .policies
-                .iter()
-                .map(|&pi| {
-                    let policy = &policies[pi];
-                    let mut sim = Simulator::with_policy(
-                        &config.sim,
-                        policy.build_dispatch(config.sim.tlb.l2, bench.seed),
-                    );
-                    let (result, rows) = if spec.mode.is_enabled() {
-                        sim.run_instrumented(
-                            &trace,
-                            config.sim.warmup_fraction,
-                            spec.epoch_instructions,
-                        )
-                    } else {
-                        (sim.run_columnar(&trace, config.sim.warmup_fraction), Vec::new())
-                    };
-                    let run = BenchRun {
-                        benchmark: bench.name.clone(),
-                        category: bench.category,
-                        result,
-                    };
-                    let series = UnitSeries {
-                        benchmark: bench.name.clone(),
-                        policy: policy.name().to_string(),
-                        run_key: run_key(&config.sim, policy, &bench.name, config.instructions),
-                        epoch_instructions: spec.epoch_instructions,
-                        rows: rows.iter().map(EpochRecord::from_row).collect(),
-                    };
-                    (run, series)
-                })
-                .collect())
-        },
-    )
-    .expect("direct fetch is infallible");
-    results.into_iter().flatten().unzip()
+    let epoch = spec.mode.is_enabled().then_some(spec.epoch_instructions);
+    let units = suite.iter().flat_map(|bench| policies.iter().map(move |policy| (bench, policy)));
+    run_generated(suite, policies, config, epoch)
+        .into_iter()
+        .zip(units)
+        .map(|((run, rows), (bench, policy))| {
+            let series = UnitSeries {
+                benchmark: bench.name.clone(),
+                policy: policy.name().to_string(),
+                run_key: run_key(&config.sim, policy, &bench.name, config.instructions),
+                epoch_instructions: spec.epoch_instructions,
+                rows: rows.iter().map(EpochRecord::from_row).collect(),
+            };
+            (run, series)
+        })
+        .unzip()
 }
 
 /// Serialises series to JSONL: one flat object per epoch, unit identity
@@ -427,10 +391,18 @@ mod tests {
                 run.result.instructions,
                 "epochs must tile the measured window exactly"
             );
+            let sum = |field: fn(&EpochRecord) -> u64| unit.rows.iter().map(field).sum::<u64>();
+            let (result, stats) = (&run.result, run.result.l2_tlb);
             assert_eq!(
-                unit.rows.iter().map(|r| r.misses).sum::<u64>(),
-                run.result.l2_tlb.misses,
-                "epoch miss deltas must sum to the run total"
+                [
+                    sum(|r| r.cycles),
+                    sum(|r| r.hits),
+                    sum(|r| r.misses),
+                    sum(|r| r.cold_fills),
+                    sum(|r| r.dead_evictions),
+                ],
+                [result.cycles, stats.hits, stats.misses, stats.cold_fills, stats.dead_evictions],
+                "epoch deltas must sum to the run totals"
             );
         }
     }

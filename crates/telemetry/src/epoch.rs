@@ -3,11 +3,13 @@
 //!
 //! The driving loop owns the counters (they are usually plain `u64`s on
 //! simulator state, not atomics — single-threaded per simulation unit) and
-//! the sampler owns the cadence: call [`EpochSampler::tick`] once per
-//! instruction, and when it returns `true` hand over a fresh absolute
-//! snapshot via [`EpochSampler::sample`]. [`EpochSampler::finish`] flushes
-//! the final partial epoch, so traces whose length is not a multiple of
-//! the epoch size lose no instructions — the last row is simply shorter.
+//! the sampler owns the cadence: call [`EpochSampler::advance`] after each
+//! step of the loop with the instructions it covered, and when it returns
+//! `true` hand over a fresh absolute snapshot via [`EpochSampler::sample`].
+//! A step must not straddle an epoch boundary, so the loop cuts its steps
+//! there. [`EpochSampler::finish`] flushes the final partial epoch, so
+//! traces whose length is not a multiple of the epoch size lose no
+//! instructions — the last row is simply shorter.
 
 /// One epoch's worth of deltas plus point-in-time gauge readings.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,11 +52,13 @@ impl EpochSampler {
         self.epoch_instructions
     }
 
-    /// Counts one instruction; returns `true` when the epoch is full and
-    /// the caller must [`sample`](Self::sample).
+    /// Counts `n` more instructions; returns `true` when the epoch is full
+    /// and the caller must [`sample`](Self::sample). The caller's steps
+    /// end at every epoch boundary, so `n` never overruns the epoch.
     #[inline]
-    pub fn tick(&mut self) -> bool {
-        self.in_epoch += 1;
+    pub fn advance(&mut self, n: u64) -> bool {
+        self.in_epoch += n;
+        debug_assert!(self.in_epoch <= self.epoch_instructions, "a step overran its epoch");
         self.in_epoch == self.epoch_instructions
     }
 
@@ -101,14 +105,15 @@ impl EpochSampler {
 mod tests {
     use super::*;
 
-    /// Drives a sampler over `total` ticks with a counter that increments
-    /// twice per instruction, sampling at every boundary.
+    /// Drives a sampler over `total` single-instruction steps with a
+    /// counter that increments twice per instruction, sampling at every
+    /// boundary.
     fn drive(epoch: u64, total: u64) -> Vec<EpochRow> {
         let mut sampler = EpochSampler::new(epoch, vec![0]);
         let mut count = 0u64;
         for i in 0..total {
             count += 2;
-            if sampler.tick() {
+            if sampler.advance(1) {
                 sampler.sample(&[count], vec![i as f64]);
             }
         }
@@ -156,16 +161,44 @@ mod tests {
     #[test]
     fn deltas_are_per_epoch_not_cumulative() {
         let mut sampler = EpochSampler::new(2, vec![10, 0]);
-        sampler.tick();
-        assert!(sampler.tick());
+        sampler.advance(1);
+        assert!(sampler.advance(1));
         sampler.sample(&[13, 5], vec![]);
-        sampler.tick();
-        assert!(sampler.tick());
+        sampler.advance(1);
+        assert!(sampler.advance(1));
         sampler.sample(&[14, 9], vec![]);
         let rows = sampler.finish(&[14, 9], vec![]);
         assert_eq!(rows.len(), 2, "finish with nothing pending adds no row");
         assert_eq!(rows[0].deltas, vec![3, 5]);
         assert_eq!(rows[1].deltas, vec![1, 4]);
+    }
+
+    #[test]
+    fn multi_instruction_steps_match_single_steps() {
+        let mut sampler = EpochSampler::new(1000, vec![0]);
+        let mut count = 0u64;
+        // Steps of 300 and 200 instructions, cut at every 1000th.
+        for (i, step) in [300u64, 200, 500, 300, 200, 500, 300, 200].into_iter().enumerate() {
+            count += 2 * step;
+            if sampler.advance(step) {
+                sampler.sample(&[count], vec![i as f64]);
+            }
+        }
+        let rows = sampler.finish(&[count], vec![]);
+        let single = drive(1000, 2500);
+        let shape = |rows: &[EpochRow]| -> Vec<(u64, Vec<u64>)> {
+            rows.iter().map(|r| (r.instructions, r.deltas.clone())).collect()
+        };
+        assert_eq!(shape(&rows), shape(&single));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overran its epoch")]
+    fn step_overrunning_its_epoch_rejected() {
+        let mut sampler = EpochSampler::new(4, vec![]);
+        sampler.advance(3);
+        sampler.advance(2);
     }
 
     #[test]
@@ -178,7 +211,7 @@ mod tests {
     #[should_panic(expected = "schema changed")]
     fn schema_drift_rejected() {
         let mut sampler = EpochSampler::new(1, vec![0, 0]);
-        sampler.tick();
+        sampler.advance(1);
         sampler.sample(&[1], vec![]);
     }
 }

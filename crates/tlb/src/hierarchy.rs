@@ -284,12 +284,6 @@ impl<P: TlbReplacementPolicy> TlbHierarchy<P> {
         &self.l2
     }
 
-    /// Mutable L2 TLB access, for enabling telemetry tracking
-    /// ([`L2Tlb::enable_outcome_tracking`]) before a run.
-    pub fn l2_mut(&mut self) -> &mut L2Tlb<P> {
-        &mut self.l2
-    }
-
     /// L1 statistics: (i-TLB hits, i-TLB misses, d-TLB hits, d-TLB misses).
     pub fn l1_stats(&self) -> (u64, u64, u64, u64) {
         (self.l1i.hits, self.l1i.misses, self.l1d.hits, self.l1d.misses)

@@ -40,7 +40,6 @@ pub use codec::{
 pub use gen::Category;
 pub use packed::{
     ChunkCursor, DecodedBlock, PackedTrace, PackedTraceBuilder, TraceChunk, TraceChunks,
-    TraceSource,
 };
 pub use record::{BranchClass, InstrKind, TraceRecord};
 pub use stats::TraceStats;

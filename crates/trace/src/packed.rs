@@ -16,9 +16,6 @@
 //! the invariant [`TraceRecord`] documents and the on-disk codec already
 //! relies on. Non-canonical field values are dropped, the same way
 //! [`crate::write_trace`] drops them.
-//!
-//! [`TraceSource`] abstracts over packed and flat storage so consumers
-//! (the simulator, the codec) accept either without conversion.
 
 use crate::record::{InstrKind, TraceRecord};
 
@@ -587,65 +584,6 @@ impl Iterator for ChunkRecords<'_> {
 
 impl ExactSizeIterator for ChunkRecords<'_> {}
 
-/// Anything the simulator can replay: a length plus a record stream.
-///
-/// Implemented for flat slices/vectors and for [`PackedTrace`], so
-/// `Simulator::run` (and every experiment built on it) accepts either
-/// representation through one code path.
-pub trait TraceSource {
-    /// Iterator type yielding the records in order.
-    type Records<'a>: Iterator<Item = TraceRecord> + 'a
-    where
-        Self: 'a;
-
-    /// Number of records.
-    fn len(&self) -> usize;
-
-    /// True when the trace holds no records.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The records, first to last.
-    fn records(&self) -> Self::Records<'_>;
-}
-
-impl TraceSource for [TraceRecord] {
-    type Records<'a> = std::iter::Copied<std::slice::Iter<'a, TraceRecord>>;
-
-    fn len(&self) -> usize {
-        <[TraceRecord]>::len(self)
-    }
-
-    fn records(&self) -> Self::Records<'_> {
-        self.iter().copied()
-    }
-}
-
-impl TraceSource for Vec<TraceRecord> {
-    type Records<'a> = std::iter::Copied<std::slice::Iter<'a, TraceRecord>>;
-
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    fn records(&self) -> Self::Records<'_> {
-        self.as_slice().iter().copied()
-    }
-}
-
-impl TraceSource for PackedTrace {
-    type Records<'a> = PackedIter<'a>;
-
-    fn len(&self) -> usize {
-        PackedTrace::len(self)
-    }
-
-    fn records(&self) -> Self::Records<'_> {
-        self.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,19 +746,6 @@ mod tests {
         let _ = PackedTrace::from_records(&mixed_trace()).chunks(0);
     }
 
-    #[test]
-    fn trace_source_is_uniform_over_representations() {
-        let trace = mixed_trace();
-        let packed = PackedTrace::from_records(&trace);
-        fn collect<T: TraceSource + ?Sized>(t: &T) -> Vec<TraceRecord> {
-            t.records().collect()
-        }
-        assert_eq!(collect(trace.as_slice()), trace);
-        assert_eq!(collect(&trace), trace);
-        assert_eq!(collect(&packed), trace);
-        assert_eq!(TraceSource::len(&packed), TraceSource::len(&trace));
-    }
-
     mod properties {
         use super::*;
         use proptest::collection::vec;
@@ -859,15 +784,14 @@ mod tests {
 
             /// The columnar-path equivalence satellite: chunked iteration
             /// (any chunk size, tail chunks, empty traces) yields the
-            /// identical record sequence as the per-record `TraceSource`
-            /// path.
+            /// identical record sequence as the per-record iterator.
             #[test]
             fn chunked_iteration_matches_per_record_path(
                 trace in vec(arb_record(), 0..300usize),
                 chunk_size in 1usize..80,
             ) {
                 let packed = PackedTrace::from_records(&trace);
-                let per_record: Vec<TraceRecord> = packed.records().collect();
+                let per_record: Vec<TraceRecord> = packed.iter().collect();
                 let chunked: Vec<TraceRecord> =
                     packed.chunks(chunk_size).flat_map(|c| c.records()).collect();
                 prop_assert_eq!(&chunked, &per_record);

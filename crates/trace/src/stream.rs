@@ -1,9 +1,8 @@
-//! Streaming trace sources (TraceSource v2).
+//! Streaming trace sources.
 //!
-//! The materialized [`TraceSource`](crate::packed::TraceSource) path holds
-//! a whole [`PackedTrace`] resident per benchmark — fine for short runs,
-//! but at production lengths (1M+ instructions × hundreds of suite units)
-//! the trace dominates memory. A [`TraceStream`] instead yields bounded
+//! A materialized [`PackedTrace`] is resident whole per benchmark — fine
+//! for short runs, but at production lengths (1M+ instructions × hundreds
+//! of suite units) the trace dominates memory. A [`TraceStream`] instead yields bounded
 //! [`PackedTrace`] batches on demand, so peak per-unit residency is
 //! O(chunk) rather than O(trace):
 //!

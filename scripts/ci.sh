@@ -40,19 +40,33 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run
 
-echo "==> telemetry smoke (tiny epoch run + report round-trip)"
+echo "==> telemetry smoke (epoch runs, pipelined vs inline series, report round-trip)"
 smoke_dir="$(mktemp -d)"
 serve_pid=""
 trap 'if [[ -n "$serve_pid" ]]; then kill "$serve_pid" 2>/dev/null || true; fi; rm -rf "$smoke_dir"' EXIT
-cargo run --release -q -p chirp-bench --bin run_all -- \
-    --benchmarks 2 --instructions 20_000 --threads 2 \
-    --telemetry epochs --epoch-instructions 5_000 \
-    --telemetry-out "$smoke_dir" > "$smoke_dir/run_all.out"
-test -s "$smoke_dir/telemetry_epochs.jsonl"
+# The factored back ends sample the epoch series, so the series must not
+# depend on the replay form: one worker pipelines on a host with two or
+# more cores, one worker per core replays inline (see "pipelined vs
+# inline ledgers" below).
+cpus="$(nproc)"
+telemetry_run() { # THREADS OUT_DIR
+    cargo run --release -q -p chirp-bench --bin run_all -- \
+        --benchmarks 2 --instructions 20_000 --threads "$1" \
+        --telemetry epochs --epoch-instructions 5_000 \
+        --telemetry-out "$2" > "$2.out"
+    test -s "$2/telemetry_epochs.jsonl"
+}
+telemetry_run 1 "$smoke_dir/telemetry-pipelined"
+telemetry_run "$cpus" "$smoke_dir/telemetry-inline"
+if [[ "$cpus" -gt 1 ]]; then
+    grep -q "replay pipelined" "$smoke_dir/telemetry-pipelined.out"
+fi
+cmp "$smoke_dir/telemetry-pipelined/telemetry_epochs.jsonl" \
+    "$smoke_dir/telemetry-inline/telemetry_epochs.jsonl"
 # Buffer the report before grepping: `grep -q` exits on first match and
 # would close the pipe mid-write, crashing the reporter with SIGPIPE.
 cargo run --release -q -p chirp-bench --bin telemetry_report -- \
-    --input "$smoke_dir/telemetry_epochs.jsonl" > "$smoke_dir/report.out"
+    --input "$smoke_dir/telemetry-pipelined/telemetry_epochs.jsonl" > "$smoke_dir/report.out"
 grep -q "Per-policy rollup" "$smoke_dir/report.out"
 
 echo "==> OPT-bound smoke (Belady back end over the shared front end)"
@@ -122,7 +136,6 @@ echo "==> pipelined vs inline ledgers (factored replay on a second thread or inl
 # thread also replays back ends whenever its segment ring is full. Results
 # must not depend on the form or on which thread replayed what, so the two
 # ledgers must hold the same lines.
-cpus="$(nproc)"
 pipelined_store="$smoke_dir/pipelined-store"
 inline_store="$smoke_dir/inline-store"
 target/release/run_all --benchmarks 2 --instructions 50_000 --threads 1 \
