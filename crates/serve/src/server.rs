@@ -17,23 +17,40 @@
 //! (`chirp_sim::sched`), one request is always admitted when nothing is
 //! in flight, so a single oversized trace degrades to serial service
 //! rather than livelock.
+//!
+//! Each request touches its trace bytes once. An upload is hashed chunk by
+//! chunk as it arrives; the run keys take their instruction count from the
+//! `CHRP` header; the ledger is probed before any decode. Only the
+//! policies the ledger does not answer run, in one streamed pass
+//! ([`chirp_sim::run_stream_group`]) that decodes the bytes batch by batch
+//! as the engine consumes them — never a whole decoded trace. An upload is
+//! archived, and its runs appended to the ledger, only once that pass has
+//! decoded every declared record; a full ledger hit on bytes the archive
+//! already holds (same checksum and length) skips decoding altogether.
+//! `RunArchived` streams the archived file the same way, checking its
+//! checksum before the last batch is replayed.
 
 use crate::wire::{
     self, err, read_request, write_response, Request, Response, VerdictReply, WireError,
 };
 use chirp_sim::sched::{run_items, WorkItem};
 use chirp_sim::store_cache::{record_from_run, run_from_record, run_key};
-use chirp_sim::{run_policy_group, BenchRun, PolicyKind, SimConfig};
+use chirp_sim::{run_stream_group, BenchRun, PolicyKind, SimConfig, DEFAULT_STREAM_CHUNK};
 use chirp_store::archive::ArchiveOutcome;
-use chirp_store::{fnv64, hex16, EncodedTrace, Store, StoreError, TraceArchive};
+use chirp_store::{
+    hex16, ArchiveTraceStream, EncodedTrace, EntryMeta, Fnv64, Store, StoreError, TraceArchive,
+};
 use chirp_telemetry::{Gauge, Registry};
-use chirp_trace::{peek_record_count, read_trace_packed, Category, PackedTrace};
+use chirp_trace::{
+    peek_record_count, Category, PackedTrace, SliceStream, StreamError, TraceStream,
+};
+use std::collections::HashSet;
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -129,6 +146,11 @@ struct Shared {
     /// `Stats`.
     admitted: Mutex<u64>,
     in_flight: Arc<Gauge>,
+    /// Archive entries whose file failed to stream on a `RunArchived`
+    /// (checksum, decode or I/O): no longer treated as archived, until an
+    /// upload of the same bytes rewrites them. Locked after `store`, never
+    /// before.
+    distrusted: Mutex<HashSet<u64>>,
     stop: AtomicBool,
 }
 
@@ -146,6 +168,24 @@ impl Shared {
         *admitted += cost;
         self.in_flight.set(*admitted as i64);
         Ok(AdmitGuard { shared: self, cost })
+    }
+
+    fn lock_store(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The manifest entry for `hash` in the locked `store`, unless its
+    /// file has failed to stream since the server started.
+    fn trusted_entry(&self, store: &Store, hash: u64) -> Option<EntryMeta> {
+        let meta = store.archive.entry_meta(hash)?;
+        let distrusted = self.distrusted.lock().unwrap_or_else(|e| e.into_inner());
+        (!distrusted.contains(&hash)).then_some(meta)
+    }
+
+    /// Whether the archive holds trusted bytes with content hash `hash`
+    /// and length `len`: bytes that decoded cleanly when archived.
+    fn holds(&self, store: &Store, hash: u64, len: usize) -> bool {
+        self.trusted_entry(store, hash) == Some(EntryMeta { checksum: hash, bytes: len as u64 })
     }
 
     fn release(&self, cost: u64) {
@@ -236,12 +276,18 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     metrics.counter("ledger_hits");
     metrics.counter("ledger_misses");
     let in_flight = metrics.gauge("in_flight_bytes");
+    // Request latency, then the stages a request spends it in: receiving
+    // and hashing an upload, the streamed pass, the archive write.
+    for stage in ["request_us", "ingest_us", "simulate_us", "archive_us"] {
+        metrics.histogram(stage);
+    }
     let shared = Arc::new(Shared {
         config,
         store: Mutex::new(store),
         metrics,
         admitted: Mutex::new(0),
         in_flight,
+        distrusted: Mutex::new(HashSet::new()),
         stop: AtomicBool::new(false),
     });
 
@@ -338,7 +384,7 @@ fn control_loop(listener: &TcpListener, shared: &Arc<Shared>, data_addr: SocketA
 /// numbers the query CLI would return for the same store.
 fn stats_text(shared: &Shared) -> String {
     let mut text = shared.metrics.render_text();
-    let store = shared.store.lock().unwrap_or_else(|e| e.into_inner());
+    let store = shared.lock_store();
     text.push_str(&chirp_query::ledger_overview(&store.ledger));
     text
 }
@@ -413,7 +459,7 @@ fn session(mut stream: TcpStream, shared: &Arc<Shared>) {
                 write_response(&mut stream, &resp).is_ok()
             }
         };
-        shared.metrics.histogram("request_us").record(started.elapsed().as_micros() as u64);
+        shared.metrics.histogram("request_us").record(elapsed_us(started));
         if !keep_going {
             return;
         }
@@ -492,8 +538,13 @@ impl RunSpec {
     }
 }
 
-/// Handles one `Submit`: admission, chunk ingestion, archive, simulate,
-/// verdict. Returns false when the session must close (protocol error).
+/// Handles one `Submit`: admission, then one pass over the uploaded
+/// bytes. They are hashed as they arrive; a full ledger hit on bytes the
+/// archive already holds is answered without decoding them; otherwise the
+/// bytes are decoded in batches straight into the missing policies' run,
+/// and only once every declared record has decoded is the trace archived
+/// and the ledger appended. Returns false when the session must close
+/// (protocol error).
 fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, header: SubmitHeader) -> bool {
     shared.metrics.counter("submits").inc();
     // Validate before admitting: a rejected request reserves nothing and
@@ -517,7 +568,8 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, header: SubmitHea
         return write_response(stream, &resp).is_ok();
     }
 
-    // Admission before transfer: encoded bytes buffered + decoded trace.
+    // Admission before transfer: encoded bytes buffered + a decoded-trace
+    // estimate (an upper bound: the pass holds one decoded batch).
     let cost = header.trace_bytes + PackedTrace::estimate_bytes(header.records as usize);
     let guard = match shared.admit(cost) {
         Ok(guard) => guard,
@@ -535,8 +587,10 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, header: SubmitHea
         return false;
     }
 
-    // Ingest the declared chunk stream.
+    // Ingest the declared chunk stream, hashing each chunk on receipt.
+    let ingest = Instant::now();
     let mut buf: Vec<u8> = Vec::with_capacity(header.trace_bytes as usize);
+    let mut hasher = Fnv64::new();
     loop {
         match read_request(stream) {
             Ok(Some(Request::TraceChunk(chunk))) => {
@@ -547,6 +601,7 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, header: SubmitHea
                     let _ = write_response(stream, &resp);
                     return false;
                 }
+                hasher.update(&chunk);
                 buf.extend_from_slice(&chunk);
             }
             Ok(Some(Request::TraceEnd)) => break,
@@ -568,6 +623,7 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, header: SubmitHea
             Ok(None) | Err(_) => return false,
         }
     }
+    shared.metrics.histogram("ingest_us").record(elapsed_us(ingest));
     if buf.len() as u64 != header.trace_bytes {
         let resp = error_response(
             err::BAD_REQUEST,
@@ -576,94 +632,112 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, header: SubmitHea
         return write_response(stream, &resp).is_ok();
     }
     shared.metrics.counter("trace_bytes_received").add(buf.len() as u64);
-
-    // Decode and cross-check the declaration admission was based on.
-    let trace = match read_trace_packed(&buf) {
-        Ok(trace) => trace,
-        Err(e) => {
-            shared.metrics.counter("bad_traces").inc();
-            let resp = error_response(err::BAD_TRACE, format!("trace bytes do not decode: {e}"));
-            return write_response(stream, &resp).is_ok();
-        }
-    };
-    if trace.len() as u64 != header.records {
-        let resp = error_response(
-            err::BAD_REQUEST,
-            format!("declared {} records, trace has {}", header.records, trace.len()),
-        );
-        return write_response(stream, &resp).is_ok();
-    }
-
-    // Archive by content hash so the upload is replayable via
-    // RunArchived; then simulate.
-    let hash = fnv64(&buf);
-    let resp = match archive_upload(shared, hash, buf) {
-        Err(e) => {
-            shared.metrics.counter("internal_errors").inc();
-            error_response(err::INTERNAL, format!("archive upload: {e}"))
-        }
-        Ok(()) => match run_policies(shared, &spec, hash, trace) {
-            Ok(reply) => Response::Verdict(reply),
-            Err(resp) => resp,
-        },
-    };
+    let resp = verdict_response(submit_trace(shared, &spec, header.records, hasher.finish(), buf));
     drop(guard);
     write_response(stream, &resp).is_ok()
 }
 
-/// Stores uploaded `CHRP` bytes in the archive under their content hash
-/// (idempotent: a hash already present is left untouched).
-fn archive_upload(shared: &Shared, hash: u64, bytes: Vec<u8>) -> Result<(), StoreError> {
-    let records = peek_record_count(&bytes).unwrap_or(0);
-    let mut store = shared.store.lock().unwrap_or_else(|e| e.into_inner());
-    if store.archive.entry_meta(hash).is_some() {
+/// Answers a fully received upload whose content hash is `hash`.
+fn submit_trace(
+    shared: &Shared,
+    spec: &RunSpec,
+    records: u64,
+    hash: u64,
+    bytes: Vec<u8>,
+) -> Result<VerdictReply, Response> {
+    let bad_trace = |e: &dyn fmt::Display| {
+        shared.metrics.counter("bad_traces").inc();
+        error_response(err::BAD_TRACE, format!("trace bytes do not decode: {e}"))
+    };
+    // The run keys take the instruction count from the header, so it must
+    // be the count admission was sized for; decoding then proves it.
+    let declared = peek_record_count(&bytes).map_err(|e| bad_trace(&e))?;
+    if declared != records {
+        return Err(error_response(
+            err::BAD_REQUEST,
+            format!("declared {records} records, trace has {declared}"),
+        ));
+    }
+    let probe = Probe::new(shared, spec, records);
+    // Bytes the archive already holds decoded cleanly when they were
+    // archived, so a full ledger hit on them needs no second decode.
+    let archived = shared.holds(&shared.lock_store(), hash, bytes.len());
+    let fresh = if archived && probe.missing.is_empty() {
+        Vec::new()
+    } else {
+        let mut trace =
+            SliceStream::new(&bytes, DEFAULT_STREAM_CHUNK).map_err(|e| bad_trace(&e))?;
+        simulate(shared, spec, &probe.missing, &mut trace).map_err(|e| bad_trace(&e))?
+    };
+    let started = Instant::now();
+    let stored = archive_upload(shared, hash, records, bytes);
+    shared.metrics.histogram("archive_us").record(elapsed_us(started));
+    if let Err(e) = stored {
+        shared.metrics.counter("internal_errors").inc();
+        return Err(error_response(err::INTERNAL, format!("archive upload: {e}")));
+    }
+    probe.commit(shared, spec, hash, fresh)
+}
+
+/// Stores validated `CHRP` bytes in the archive under their content
+/// hash, with the hash as checksum. Bytes the archive already holds (an
+/// identical upload may have landed meanwhile) only count a hit; an entry
+/// the server no longer trusts is rewritten.
+fn archive_upload(
+    shared: &Shared,
+    hash: u64,
+    records: u64,
+    bytes: Vec<u8>,
+) -> Result<(), StoreError> {
+    let mut store = shared.lock_store();
+    if shared.holds(&store, hash, bytes.len()) {
         store.archive.record_hit();
         return Ok(());
     }
-    let encoded = EncodedTrace { checksum: fnv64(&bytes), records, bytes };
+    let outcome = if store.archive.entry_meta(hash).is_some() {
+        ArchiveOutcome::CorruptRegenerated
+    } else {
+        ArchiveOutcome::MissGenerated
+    };
+    let encoded = EncodedTrace { checksum: hash, records, bytes };
     let path = store.archive.trace_path(hash);
     TraceArchive::store_file(&path, &encoded)?;
-    store.archive.commit(hash, &encoded, ArchiveOutcome::MissGenerated)?;
+    store.archive.commit(hash, &encoded, outcome)?;
+    shared.distrusted.lock().unwrap_or_else(|e| e.into_inner()).remove(&hash);
     shared.metrics.counter("traces_archived").inc();
     Ok(())
 }
 
-/// Handles one `RunArchived`: admission sized from the manifest, then
-/// the shared resolve/simulate path.
+/// Handles one `RunArchived`: the ledger is probed first, so a full hit
+/// never touches the file; otherwise, with admission sized from the
+/// manifest, the archived file is streamed through the missing policies'
+/// run with its checksum verified before the last batch. A file that
+/// fails to stream is no longer treated as archived, so the next upload
+/// of the same bytes heals it.
 fn run_archived(shared: &Arc<Shared>, hash: u64, spec: Result<RunSpec, Response>) -> Response {
     let spec = match spec {
         Ok(spec) => spec,
         Err(resp) => return resp,
     };
     shared.metrics.counter("archived_runs").inc();
-    let (path, meta) = {
-        let store = shared.store.lock().unwrap_or_else(|e| e.into_inner());
-        match store.archive.entry_meta(hash) {
-            Some(meta) => (store.archive.trace_path(hash), meta),
-            None => {
-                return error_response(
-                    err::NOT_FOUND,
-                    format!("no archived trace with hash {}", hex16(hash)),
-                )
-            }
-        }
+    let entry = {
+        let store = shared.lock_store();
+        shared.trusted_entry(&store, hash).and_then(|meta| {
+            Some((store.archive.trace_path(hash), meta, store.archive.entry_records(hash)?))
+        })
     };
-    // Read + validate outside the store lock (the archive's own locking
-    // discipline), peeking the record count for admission sizing.
-    let bytes = match std::fs::read(&path) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            shared.metrics.counter("internal_errors").inc();
-            return error_response(err::INTERNAL, format!("read archived trace: {e}"));
-        }
+    let Some((path, meta, records)) = entry else {
+        return error_response(
+            err::NOT_FOUND,
+            format!("no archived trace with hash {}", hex16(hash)),
+        );
     };
-    if bytes.len() as u64 != meta.bytes || fnv64(&bytes) != meta.checksum {
-        shared.metrics.counter("internal_errors").inc();
-        return error_response(err::INTERNAL, "archived trace fails its checksum".into());
+    let probe = Probe::new(shared, &spec, records);
+    if probe.missing.is_empty() {
+        return verdict_response(probe.commit(shared, &spec, hash, Vec::new()));
     }
-    let records = peek_record_count(&bytes).unwrap_or(0);
     let cost = meta.bytes + PackedTrace::estimate_bytes(records as usize);
-    let guard = match shared.admit(cost) {
+    let _guard = match shared.admit(cost) {
         Ok(guard) => guard,
         Err((in_flight_bytes, budget_bytes)) => {
             shared.metrics.counter("busy_rejections").inc();
@@ -674,116 +748,171 @@ fn run_archived(shared: &Arc<Shared>, hash: u64, spec: Result<RunSpec, Response>
             };
         }
     };
-    let trace = match read_trace_packed(&bytes) {
-        Ok(trace) => trace,
+    let fresh = ArchiveTraceStream::open(&path, meta, DEFAULT_STREAM_CHUNK)
+        .and_then(|trace| {
+            if trace.len() as u64 == records {
+                Ok(trace)
+            } else {
+                Err(StreamError::Corrupt(format!(
+                    "archived trace has {} records, manifest says {records}",
+                    trace.len()
+                )))
+            }
+        })
+        .and_then(|mut trace| simulate(shared, &spec, &probe.missing, &mut trace));
+    match fresh {
+        Ok(fresh) => verdict_response(probe.commit(shared, &spec, hash, fresh)),
         Err(e) => {
+            shared.distrusted.lock().unwrap_or_else(|e| e.into_inner()).insert(hash);
             shared.metrics.counter("internal_errors").inc();
-            return error_response(err::INTERNAL, format!("archived trace undecodable: {e}"));
+            error_response(err::INTERNAL, format!("archived trace unusable: {e}"))
         }
-    };
-    drop(bytes);
-    let resp = match run_policies(shared, &spec, hash, trace) {
-        Ok(reply) => Response::Verdict(reply),
-        Err(resp) => resp,
-    };
-    drop(guard);
-    resp
+    }
 }
 
-/// Resolves one run request: ledger hits answer without simulating;
-/// the rest go through the scheduler and are recorded for next time.
-fn run_policies(
+fn verdict_response(reply: Result<VerdictReply, Response>) -> Response {
+    reply.map_or_else(|resp| resp, Response::Verdict)
+}
+
+fn elapsed_us(since: Instant) -> u64 {
+    since.elapsed().as_micros() as u64
+}
+
+/// A run request's ledger probe: the run keys for its instruction count
+/// and each policy's stored run, if any.
+struct Probe {
+    instructions: u64,
+    keys: Vec<u64>,
+    resolved: Vec<Option<BenchRun>>,
+    /// Positions of the policies the ledger does not answer.
+    missing: Vec<usize>,
+}
+
+impl Probe {
+    /// Probes the ledger under the store lock — cheap, no simulation
+    /// inside.
+    fn new(shared: &Shared, spec: &RunSpec, instructions: u64) -> Probe {
+        let sim_config = &shared.config.sim;
+        let keys: Vec<u64> = spec
+            .policies
+            .iter()
+            .map(|p| run_key(sim_config, p, &spec.name, instructions as usize))
+            .collect();
+        let resolved: Vec<Option<BenchRun>> = {
+            let store = shared.lock_store();
+            keys.iter().map(|&key| store.ledger.get(key).and_then(run_from_record)).collect()
+        };
+        let missing = (0..resolved.len()).filter(|&i| resolved[i].is_none()).collect();
+        Probe { instructions, keys, resolved, missing }
+    }
+
+    /// Appends the `fresh` runs of the missing policies to the ledger and
+    /// builds the verdict.
+    fn commit(
+        self,
+        shared: &Shared,
+        spec: &RunSpec,
+        hash: u64,
+        fresh: Vec<BenchRun>,
+    ) -> Result<VerdictReply, Response> {
+        let Probe { instructions, keys, mut resolved, missing } = self;
+        let sim_config = &shared.config.sim;
+        shared.metrics.counter("ledger_hits").add((resolved.len() - missing.len()) as u64);
+        shared.metrics.counter("ledger_misses").add(missing.len() as u64);
+        if !fresh.is_empty() {
+            let mut store = shared.lock_store();
+            for (&i, run) in missing.iter().zip(fresh) {
+                let record = record_from_run(&run, sim_config, &spec.policies[i]);
+                if let Err(e) = store.ledger.append(keys[i], record) {
+                    shared.metrics.counter("internal_errors").inc();
+                    return Err(error_response(err::INTERNAL, format!("ledger append: {e}")));
+                }
+                resolved[i] = Some(run);
+            }
+        }
+
+        let mut verdicts = Vec::with_capacity(resolved.len());
+        let mut best = 0usize;
+        let mut best_mpki = f64::INFINITY;
+        for (i, run) in resolved.into_iter().enumerate() {
+            let r = run.expect("all policies resolved").result;
+            if r.mpki() < best_mpki {
+                best = i;
+                best_mpki = r.mpki();
+            }
+            verdicts.push(wire::PolicyVerdict {
+                policy: spec.labels[i].clone(),
+                from_ledger: !missing.contains(&i),
+                instructions: r.instructions,
+                cycles: r.cycles,
+                hits: r.l2_tlb.hits,
+                misses: r.l2_tlb.misses,
+                dead_evictions: r.l2_tlb.dead_evictions,
+                cold_fills: r.l2_tlb.cold_fills,
+                l2_accesses: r.l2_accesses,
+                prediction_table_accesses: r.prediction_table_accesses,
+                l2_accesses_total: r.l2_accesses_total,
+                efficiency: r.efficiency,
+                mpki: r.mpki(),
+            });
+        }
+        Ok(VerdictReply {
+            name: spec.name.clone(),
+            content_hash: hash,
+            trace_records: instructions,
+            verdicts,
+            best_policy: spec.labels[best].clone(),
+            summary: spec.telemetry.then(|| shared.metrics.render_text()),
+        })
+    }
+}
+
+/// One streamed pass over `trace`: the `missing` policies run through
+/// the scheduler as one group (`run_stream_group`: one shared front end
+/// and a replay back end per policy, or a single policy's own loop),
+/// bit-identical to per-policy `run_columnar` over the same records. With
+/// no policy missing the pass only decodes, to validate the bytes. Every
+/// declared record is decoded, or the pass fails.
+fn simulate(
     shared: &Shared,
     spec: &RunSpec,
-    hash: u64,
-    trace: PackedTrace,
-) -> Result<VerdictReply, Response> {
-    let sim_config = &shared.config.sim;
-    let instructions = trace.len();
-    let keys: Vec<u64> =
-        spec.policies.iter().map(|p| run_key(sim_config, p, &spec.name, instructions)).collect();
-
-    // Ledger probe under the store lock — cheap, no simulation inside.
-    let mut resolved: Vec<Option<BenchRun>> = {
-        let store = shared.store.lock().unwrap_or_else(|e| e.into_inner());
-        keys.iter().map(|&key| store.ledger.get(key).and_then(run_from_record)).collect()
-    };
-    let from_ledger: Vec<bool> = resolved.iter().map(Option::is_some).collect();
-    let ledger_hits = from_ledger.iter().filter(|&&hit| hit).count();
-    shared.metrics.counter("ledger_hits").add(ledger_hits as u64);
-
-    let missing: Vec<usize> = (0..spec.policies.len()).filter(|&i| resolved[i].is_none()).collect();
-    shared.metrics.counter("ledger_misses").add(missing.len() as u64);
-    if !missing.is_empty() {
+    missing: &[usize],
+    trace: &mut (dyn TraceStream + Send),
+) -> Result<Vec<BenchRun>, StreamError> {
+    let started = Instant::now();
+    let results = if missing.is_empty() {
+        while trace.next_batch()?.is_some() {}
+        Vec::new()
+    } else {
         shared.metrics.counter("simulated_pairs").add(missing.len() as u64);
-        let est = trace.resident_bytes();
-        let work = [WorkItem { bench: 0, policies: missing.clone() }];
-        // The whole missing lineup is one item: one shared front-end pass
-        // over the trace and one tiny replay back-end per policy, or the
-        // plain columnar loop for a single policy (`run_policy_group`).
-        // Bit-identical to per-policy `run_columnar`.
+        let sim_config = &shared.config.sim;
+        let trace = Mutex::new(trace);
+        let work = [WorkItem { bench: 0, policies: missing.to_vec() }];
+        let est = PackedTrace::estimate_bytes(DEFAULT_STREAM_CHUNK);
+        // The scheduler fails only with the error `exec` returns, which
+        // cannot carry the stream's own error; that waits here.
+        let failure = Mutex::new(None);
         let outcome = run_items(&work, shared.config.threads, est, None, |item| {
             let kinds: Vec<&PolicyKind> =
                 item.policies.iter().map(|&i| &spec.policies[i]).collect();
-            Ok(run_policy_group(sim_config, &kinds, spec.seed, &trace, true)
-                .into_iter()
-                .map(|result| BenchRun {
-                    benchmark: spec.name.clone(),
-                    category: spec.category,
-                    result,
-                })
-                .collect::<Vec<_>>())
+            let mut trace = trace.lock().unwrap_or_else(|e| e.into_inner());
+            run_stream_group(sim_config, &kinds, spec.seed, &mut **trace).map_err(|e| {
+                let why = e.to_string();
+                *failure.lock().unwrap_or_else(|e| e.into_inner()) = Some(e);
+                StoreError::Corrupt(why)
+            })
         });
-        let (mut results, _) = match outcome {
-            Ok(v) => v,
-            Err(e) => {
-                shared.metrics.counter("internal_errors").inc();
-                return Err(error_response(err::INTERNAL, format!("simulation failed: {e}")));
+        match outcome {
+            Ok((mut rows, _)) => rows.pop().expect("one work item yields one result row"),
+            Err(_) => {
+                let failure = failure.into_inner().unwrap_or_else(|e| e.into_inner());
+                return Err(failure.expect("only the streamed pass fails"));
             }
-        };
-        let fresh = results.pop().expect("one work item yields one result row");
-        let mut store = shared.store.lock().unwrap_or_else(|e| e.into_inner());
-        for (&i, run) in missing.iter().zip(fresh) {
-            let record = record_from_run(&run, sim_config, &spec.policies[i]);
-            if let Err(e) = store.ledger.append(keys[i], record) {
-                shared.metrics.counter("internal_errors").inc();
-                return Err(error_response(err::INTERNAL, format!("ledger append: {e}")));
-            }
-            resolved[i] = Some(run);
         }
-    }
-
-    let runs: Vec<BenchRun> =
-        resolved.into_iter().map(|r| r.expect("all policies resolved")).collect();
-    let mut verdicts = Vec::with_capacity(runs.len());
-    let mut best = 0usize;
-    for (i, run) in runs.iter().enumerate() {
-        let r = &run.result;
-        if r.mpki() < runs[best].result.mpki() {
-            best = i;
-        }
-        verdicts.push(wire::PolicyVerdict {
-            policy: spec.labels[i].clone(),
-            from_ledger: from_ledger[i],
-            instructions: r.instructions,
-            cycles: r.cycles,
-            hits: r.l2_tlb.hits,
-            misses: r.l2_tlb.misses,
-            dead_evictions: r.l2_tlb.dead_evictions,
-            cold_fills: r.l2_tlb.cold_fills,
-            l2_accesses: r.l2_accesses,
-            prediction_table_accesses: r.prediction_table_accesses,
-            l2_accesses_total: r.l2_accesses_total,
-            efficiency: r.efficiency,
-            mpki: r.mpki(),
-        });
-    }
-    Ok(VerdictReply {
-        name: spec.name.clone(),
-        content_hash: hash,
-        trace_records: instructions as u64,
-        verdicts,
-        best_policy: spec.labels[best].clone(),
-        summary: spec.telemetry.then(|| shared.metrics.render_text()),
-    })
+    };
+    shared.metrics.histogram("simulate_us").record(elapsed_us(started));
+    Ok(results
+        .into_iter()
+        .map(|result| BenchRun { benchmark: spec.name.clone(), category: spec.category, result })
+        .collect())
 }

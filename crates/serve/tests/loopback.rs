@@ -11,17 +11,21 @@
 //!   bytes travelling;
 //! * admission under a tiny `--mem-budget` answers `Busy`
 //!   deterministically, and the load generator drives through the
-//!   backpressure to completion.
+//!   backpressure to completion;
+//! * an upload that fails to decode is neither archived nor written to
+//!   the ledger, and an archived file that fails its checksum heals when
+//!   the same bytes are uploaded again.
 
 use chirp_serve::client::{shutdown_server, Client, SubmitOutcome};
 use chirp_serve::loadgen::{run_load, LoadGenConfig};
 use chirp_serve::server::{serve, ServeConfig, ServerHandle};
 use chirp_serve::wire::{self, err, read_response, write_request, Request, Response, VerdictReply};
 use chirp_sim::{run_suite, BenchRun, PolicyKind, RunnerConfig};
-use chirp_store::TempDir;
+use chirp_store::{fnv64, TempDir, TraceArchive};
 use chirp_trace::suite::{build_suite, BenchmarkSpec, SuiteConfig};
-use chirp_trace::write_trace_packed;
+use chirp_trace::{read_trace, write_trace, write_trace_packed};
 use std::net::TcpStream;
+use std::path::Path;
 use std::time::Duration;
 
 const INSTRUCTIONS: usize = 8_000;
@@ -340,4 +344,135 @@ fn control_socket_shutdown_drains_cleanly() {
 
     shutdown_server(handle.control_addr()).expect("shutdown acked");
     handle.join();
+}
+
+/// Lines in the store's run ledger (0 before the first append).
+fn ledger_lines(root: &Path) -> usize {
+    std::fs::read_to_string(root.join("runs.jsonl")).map_or(0, |text| text.lines().count())
+}
+
+fn server_error(outcome: Result<SubmitOutcome, chirp_serve::ClientError>) -> (u16, String) {
+    match outcome {
+        Err(chirp_serve::ClientError::Server { code, message }) => (code, message),
+        Err(other) => panic!("expected a server error, got {other}"),
+        Ok(_) => panic!("expected a server error, got an answer"),
+    }
+}
+
+/// Offset of the first record at or past `from` in an encoded trace: the
+/// encoding of a prefix of the records is a prefix of the encoding, so
+/// record `n` starts where the first `n` records' encoding ends.
+fn record_start(bytes: &[u8], from: usize) -> usize {
+    let records = read_trace(bytes).expect("valid trace");
+    let offset = |n: usize| write_trace(&records[..n]).len();
+    let (mut lo, mut hi) = (0, records.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if offset(mid) < from {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    assert!(lo < records.len(), "trace shorter than {from} bytes");
+    offset(lo)
+}
+
+#[test]
+fn undecodable_upload_is_neither_archived_nor_recorded() {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let spec = &suite[0];
+    let mut bytes = write_trace_packed(&spec.generate_packed(30_000));
+    // A valid header and a first 64 KiB that decode: the bad kind byte
+    // only shows once the streamed pass is well under way.
+    let at = record_start(&bytes, 100 << 10);
+    bytes[at] = 0xEE;
+    let hash = fnv64(&bytes);
+
+    let root = TempDir::new("serve-bad-kind");
+    let handle = start_server(&root, None);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let (code, message) = server_error(client.submit_bytes(
+        &spec.name,
+        spec.category.label(),
+        spec.seed,
+        &policy_labels(),
+        false,
+        &bytes,
+    ));
+    assert_eq!(code, err::BAD_TRACE, "{message}");
+    let archive = TraceArchive::open(root.path()).expect("open archive");
+    assert!(archive.entry_meta(hash).is_none(), "an undecodable upload must not be archived");
+    assert_eq!(ledger_lines(root.path()), 0, "an undecodable upload must not reach the ledger");
+    client.ping().expect("the session survives a bad trace");
+
+    drop(client);
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn corrupt_archived_upload_heals_on_resubmit() {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let spec = &suite[0];
+    let bytes = write_trace_packed(&spec.generate_packed(INSTRUCTIONS));
+    let root = TempDir::new("serve-heal");
+    let handle = start_server(&root, None);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let hash = submit(&mut client, spec, &bytes).content_hash;
+
+    let path = TraceArchive::open(root.path()).expect("open archive").trace_path(hash);
+    let mut flipped = std::fs::read(&path).expect("archived file");
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x01;
+    std::fs::write(&path, &flipped).expect("corrupt the archived file");
+
+    // A policy the ledger does not hold, so the file must be read.
+    let srrip = vec!["srrip".to_string()];
+    let run = |client: &mut Client| {
+        client.run_archived(hash, &spec.name, spec.category.label(), spec.seed, &srrip, false)
+    };
+    let lines = ledger_lines(root.path());
+    let (code, message) = server_error(run(&mut client));
+    assert_eq!(code, err::INTERNAL, "{message}");
+    assert_eq!(ledger_lines(root.path()), lines, "a failed stream appends nothing");
+    let (code, message) = server_error(run(&mut client));
+    assert_eq!(code, err::NOT_FOUND, "the corrupt entry no longer counts as archived: {message}");
+
+    // The resubmit is a full ledger hit, yet it must decode and rewrite
+    // the distrusted file.
+    let verdict = submit(&mut client, spec, &bytes);
+    assert!(verdict.verdicts.iter().all(|v| v.from_ledger));
+    assert_eq!(std::fs::read(&path).expect("rewritten file"), bytes, "file healed");
+    let SubmitOutcome::Verdict(healed) = run(&mut client).expect("archived run answers") else {
+        panic!("expected a verdict")
+    };
+    assert_eq!(healed.verdicts.len(), 1);
+    assert!(!healed.verdicts[0].from_ledger);
+    assert_eq!(ledger_lines(root.path()), lines + 1);
+
+    drop(client);
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn stats_break_requests_into_stages() {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let spec = &suite[0];
+    let bytes = write_trace_packed(&spec.generate_packed(INSTRUCTIONS));
+    let root = TempDir::new("serve-stages");
+    let handle = start_server(&root, None);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    submit(&mut client, spec, &bytes);
+
+    let stats = client.stats().expect("stats");
+    for stage in ["request_us", "ingest_us", "simulate_us", "archive_us"] {
+        let line = stats
+            .lines()
+            .find(|line| line.starts_with(&format!("{stage} ")))
+            .unwrap_or_else(|| panic!("stats lists {stage}: {stats}"));
+        assert!(line.ends_with("(1 samples)"), "one submit, one {stage} sample: {line}");
+    }
+
+    drop(client);
+    handle.shutdown().expect("clean shutdown");
 }

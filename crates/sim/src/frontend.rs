@@ -41,7 +41,9 @@
 //! history left by the previous one.
 //!
 //! Resident and streamed groups both run on one chunk driver
-//! ([`run_stream_factored`]; `run_policy_group` for resident traces):
+//! ([`run_stream_factored`] and `run_stream_group` for streams, a
+//! streamed group of one included when a core is spare;
+//! `run_policy_group` for resident traces):
 //! the front end emits one segment per 4096-record chunk into a ring of
 //! segments, and the replay side runs the memory stage over each one and
 //! then replays it through the back ends, one claim per back end and
@@ -1190,7 +1192,7 @@ pub(crate) fn replay_trace_group<P: TlbReplacementPolicy + Send>(
 }
 
 /// [`run_stream_factored`] in a chosen [`ReplayForm`].
-fn replay_stream_group<P, S>(
+pub(crate) fn replay_stream_group<P, S>(
     config: &SimConfig,
     sig_config: &ChirpConfig,
     policies: Vec<P>,
@@ -1323,6 +1325,31 @@ mod tests {
                         .expect("materialized stream");
                 let streamed: Vec<RunResult> = streamed.into_iter().map(|(r, _)| r).collect();
                 assert_eq!(streamed, want, "streamed {form:?} at cut {cut}");
+            }
+        }
+    }
+
+    /// A streamed group of one — what `run_stream_group` puts on the
+    /// chunk driver when a core is spare — equals `run_columnar` bit for
+    /// bit in both forms at every cut, for every kind of replay need.
+    #[test]
+    fn a_streamed_group_of_one_matches_the_columnar_oracle_at_every_cut() {
+        let trace = trace();
+        for (fraction, cut) in cuts() {
+            let config = SimConfig { warmup_fraction: fraction, ..SimConfig::default() };
+            for kind in group() {
+                let kinds = [kind];
+                let sig = group_sig_config(kinds.iter());
+                let want = columnar(&kinds, &config, &trace);
+                for form in FORMS {
+                    let mut stream = MaterializedStream::new(&trace, 3_000);
+                    let policies = build(&kinds, &config);
+                    let got =
+                        replay_stream_group(&config, &sig, policies, &mut stream, fraction, form)
+                            .expect("materialized stream");
+                    let got: Vec<RunResult> = got.into_iter().map(|(r, _)| r).collect();
+                    assert_eq!(got, want, "{:?} {form:?} at cut {cut}", kinds[0]);
+                }
             }
         }
     }

@@ -40,8 +40,8 @@ pub use frontend::{
 pub use metrics::RunResult;
 pub use registry::{PolicyDispatch, PolicyKind};
 pub use runner::{
-    run_policy_group, run_suite, run_suite_cached, run_suite_streamed, BenchRun, CacheStats,
-    RunnerConfig, DEFAULT_STREAM_CHUNK,
+    run_policy_group, run_stream_group, run_suite, run_suite_cached, run_suite_streamed, BenchRun,
+    CacheStats, RunnerConfig, DEFAULT_STREAM_CHUNK,
 };
 pub use sched::{last_scheduler_summary, take_scheduler_summary, SchedulerSummary};
 pub use telemetry::{

@@ -10,15 +10,15 @@
 //! All three run on the item scheduler in [`crate::sched`]: a worker
 //! obtains one benchmark's trace, runs its whole policy group through
 //! the engine in one call ([`run_policy_group`] or its streamed
-//! counterpart) and drops the trace, and [`RunnerConfig::mem_budget`]
-//! caps the estimated trace bytes in flight. On the cached path the
-//! archive mutex is held only for index bookkeeping — decode, generation
-//! and encode all run outside it, so workers needing different traces
-//! fetch concurrently.
+//! counterpart [`run_stream_group`]) and drops the trace, and
+//! [`RunnerConfig::mem_budget`] caps the estimated trace bytes in
+//! flight. On the cached path the archive mutex is held only for index
+//! bookkeeping — decode, generation and encode all run outside it, so
+//! workers needing different traces fetch concurrently.
 
 use crate::config::SimConfig;
 use crate::engine::Simulator;
-use crate::frontend::{group_sig_config, replay_trace_group, run_stream_factored, ReplayForm};
+use crate::frontend::{group_sig_config, replay_stream_group, replay_trace_group, ReplayForm};
 use crate::metrics::RunResult;
 use crate::registry::PolicyKind;
 use crate::sched::{run_items, WorkItem};
@@ -201,12 +201,12 @@ fn label_runs(bench: &BenchmarkSpec, results: Vec<RunResult>) -> Vec<BenchRun> {
     results.into_iter().map(|result| label(bench, result)).collect()
 }
 
-/// Runs one same-trace group of policies — the primitive the suite
-/// runners and `chirp-serve` share. With `factored` set, a group of two
-/// or more runs as one front-end pass + per-policy replay back-ends over
-/// 4096-record segments (the chunk driver behind
-/// [`run_stream_factored`], replaying on a second thread when a core
-/// would otherwise sit idle), the signature stream computed under the
+/// Runs one same-trace group of policies over a resident trace — the
+/// primitive the materialized suite runners share. With `factored` set,
+/// a group of two or more runs as one front-end pass + per-policy replay
+/// back-ends over 4096-record segments (the chunk driver behind
+/// [`run_stream_group`], replaying on a second thread when a core would
+/// otherwise sit idle), the signature stream computed under the
 /// group's first CHiRP configuration ([`group_sig_config`]); a group of
 /// one runs [`Simulator::run_columnar`], which is faster when there is
 /// nothing to share. With `factored` unset every policy runs
@@ -255,25 +255,36 @@ fn run_columnar(sim: &SimConfig, kind: &PolicyKind, seed: u64, trace: &PackedTra
     Simulator::with_policy(sim, policy).run_columnar(trace, sim.warmup_fraction)
 }
 
-/// The streamed counterpart of [`run_policy_group`]: one pass over
-/// `stream` for the whole group — the factored engine
-/// ([`run_stream_factored`]) for two or more policies,
-/// [`Simulator::run_stream`] for one.
-fn run_stream_group(
+/// The streamed counterpart of [`run_policy_group`] — the primitive
+/// `run_suite_streamed` and `chirp-serve` share: one pass over `stream`
+/// for the whole group on the factored chunk driver, which replays on a
+/// second thread when a core would otherwise sit idle. A group of one
+/// that would replay inline runs [`Simulator::run_stream`] instead,
+/// which is faster when there is neither a group to share the front end
+/// nor a core to overlap it with. Results are bit-identical to
+/// `run_columnar` of each policy over the same records, in input order.
+///
+/// # Errors
+///
+/// Propagates the stream's first error; every run is then mid-trace and
+/// the group must be retried from scratch on a fresh stream.
+pub fn run_stream_group(
     sim: &SimConfig,
     kinds: &[&PolicyKind],
     seed: u64,
     stream: &mut dyn TraceStream,
 ) -> Result<Vec<RunResult>, StreamError> {
     let build = |kind: &PolicyKind| kind.build_dispatch(sim.tlb.l2, seed);
-    if let [kind] = kinds {
+    let (form, _core) = ReplayForm::choose();
+    if let ([kind], ReplayForm::Inline) = (kinds, form) {
         return Ok(vec![
             Simulator::with_policy(sim, build(kind)).run_stream(stream, sim.warmup_fraction)?
         ]);
     }
     let sig_config = group_sig_config(kinds.iter().copied());
     let policies = kinds.iter().map(|k| build(k)).collect();
-    let outcomes = run_stream_factored(sim, &sig_config, policies, stream, sim.warmup_fraction)?;
+    let outcomes =
+        replay_stream_group(sim, &sig_config, policies, stream, sim.warmup_fraction, form)?;
     Ok(outcomes.into_iter().map(|(result, _)| result).collect())
 }
 

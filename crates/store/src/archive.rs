@@ -99,6 +99,9 @@ pub struct TraceArchive {
     dir: PathBuf,
     manifest_path: PathBuf,
     entries: HashMap<u64, EntryMeta>,
+    /// Record counts the manifest declares, by key: a subset of
+    /// `entries`' keys (a line without a count leaves its key out).
+    records: HashMap<u64, u64>,
     stats: ArchiveStats,
 }
 
@@ -109,6 +112,7 @@ impl TraceArchive {
         fs::create_dir_all(&dir).map_err(|e| StoreError::io("create archive dir", e))?;
         let manifest_path = dir.join("MANIFEST.jsonl");
         let mut entries = HashMap::new();
+        let mut records = HashMap::new();
         if manifest_path.exists() {
             let text = fs::read_to_string(&manifest_path)
                 .map_err(|e| StoreError::io("read archive manifest", e))?;
@@ -131,9 +135,13 @@ impl TraceArchive {
                 // Later lines win: a rewritten (regenerated) trace appends
                 // a fresh manifest line for the same key.
                 entries.insert(key, EntryMeta { checksum, bytes });
+                match obj.u64_field("records") {
+                    Some(n) => records.insert(key, n),
+                    None => records.remove(&key),
+                };
             }
         }
-        Ok(TraceArchive { dir, manifest_path, entries, stats: ArchiveStats::default() })
+        Ok(TraceArchive { dir, manifest_path, entries, records, stats: ArchiveStats::default() })
     }
 
     /// The content key for (`spec`, `len`): covers the benchmark name, the
@@ -159,6 +167,14 @@ impl TraceArchive {
     /// to call with the archive lock held.
     pub fn entry_meta(&self, key: u64) -> Option<EntryMeta> {
         self.entries.get(&key).copied()
+    }
+
+    /// The record count the manifest declares for `key`'s trace, if the
+    /// archive knows the entry and its line carries one. Lets a caller
+    /// size a run of the trace without touching the file; the file's own
+    /// header is what a decode then checks it against.
+    pub fn entry_records(&self, key: u64) -> Option<u64> {
+        self.records.get(&key).copied()
     }
 
     /// Validates and decodes an archived trace file against its manifest
@@ -207,6 +223,7 @@ impl TraceArchive {
             .set_u64("records", encoded.records)
             .set_u64("version", u64::from(ARCHIVE_VERSION));
         append_line(&self.manifest_path, &line.to_json())?;
+        self.records.insert(key, encoded.records);
         self.entries.insert(
             key,
             EntryMeta { checksum: encoded.checksum, bytes: encoded.bytes.len() as u64 },
@@ -447,6 +464,25 @@ mod tests {
         assert_eq!(archive.pack(&spec(), 3_000).unwrap(), ArchiveOutcome::MissGenerated);
         assert_eq!(archive.pack(&spec(), 3_000).unwrap(), ArchiveOutcome::Hit);
         assert_eq!(archive.len(), 1);
+    }
+
+    #[test]
+    fn manifest_record_counts_survive_reopen() {
+        let root = tmpdir("records");
+        let mut archive = TraceArchive::open(root.path()).unwrap();
+        let key = TraceArchive::content_key(&spec(), 2_500);
+        assert_eq!(archive.entry_records(key), None);
+        archive.pack(&spec(), 2_500).unwrap();
+        assert_eq!(archive.entry_records(key), Some(2_500));
+        let reopened = TraceArchive::open(root.path()).unwrap();
+        assert_eq!(reopened.entry_records(key), Some(2_500));
+        // A line without a count leaves the entry without one.
+        let line =
+            format!("{{\"key\":\"{}\",\"checksum\":\"0000000000000000\",\"bytes\":1}}", hex16(key));
+        append_line(&root.path().join("traces/MANIFEST.jsonl"), &line).unwrap();
+        let reopened = TraceArchive::open(root.path()).unwrap();
+        assert!(reopened.entry_meta(key).is_some());
+        assert_eq!(reopened.entry_records(key), None);
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! - [`MaterializedStream`] adapts an already-resident trace to the same
 //!   interface (batches are copied views), so one consumer loop serves
 //!   both worlds — and equivalence tests can diff them.
+//! - [`SliceStream`] decodes an in-memory `CHRP` encoding (an upload the
+//!   server has just received) in batches, so the bytes are never
+//!   materialized as a whole trace.
 //! - The archive-backed stream lives in `chirp-store` (it needs file and
 //!   checksum plumbing) but speaks this trait.
 //!
@@ -19,7 +22,7 @@
 //! for the same (generator, seed, len). The equivalence-matrix tests pin
 //! this bit-identity across every policy.
 
-use crate::codec::{ChunkedDecodeError, CodecError};
+use crate::codec::{ChunkedDecodeError, ChunkedDecoder, CodecError};
 use crate::gen::Emitter;
 use crate::packed::{PackedTrace, PackedTraceBuilder, TraceChunks};
 use std::fmt;
@@ -257,6 +260,57 @@ impl TraceStream for MaterializedStream<'_> {
     }
 }
 
+/// An in-memory `CHRP` encoding decoded in bounded batches: the
+/// [`ChunkedDecoder`] over a byte slice. It accepts exactly the buffers
+/// [`read_trace_packed`](crate::read_trace_packed) accepts and yields the
+/// same records, but never holds more than one batch decoded. Every
+/// declared record is decoded or the stream fails; bytes past the last
+/// record are ignored, as `read_trace_packed` ignores them.
+pub struct SliceStream<'a> {
+    decoder: ChunkedDecoder<&'a [u8]>,
+    len: usize,
+    chunk: usize,
+}
+
+impl<'a> SliceStream<'a> {
+    /// Reads the header of `bytes` and streams its records in
+    /// `chunk`-record batches.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the header is cut short or carries the wrong magic or
+    /// version.
+    pub fn new(bytes: &'a [u8], chunk: usize) -> Result<SliceStream<'a>, StreamError> {
+        let decoder = ChunkedDecoder::new(bytes)?;
+        let len = decoder.remaining();
+        Ok(SliceStream { decoder, len, chunk: chunk.max(1) })
+    }
+}
+
+impl TraceStream for SliceStream<'_> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn chunk_records(&self) -> usize {
+        self.chunk
+    }
+
+    fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
+        Ok(self.decoder.next_chunk(self.chunk)?)
+    }
+}
+
+impl fmt::Debug for SliceStream<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SliceStream")
+            .field("len", &self.len)
+            .field("chunk", &self.chunk)
+            .field("remaining", &self.decoder.remaining())
+            .finish()
+    }
+}
+
 /// Drains a stream into one resident [`PackedTrace`] — the bridge back to
 /// the materialized world for tests and consumers that need whole-trace
 /// access. Defeats the purpose of streaming for large traces; prefer
@@ -327,6 +381,66 @@ mod tests {
             let got = collect_stream(&mut stream).unwrap();
             assert_eq!(got.to_records(), trace.to_records(), "chunk {chunk}");
         }
+    }
+
+    #[test]
+    fn slice_stream_matches_the_whole_buffer_decode() {
+        let trace = ContextCopy::default().generate_packed(30_000, 5);
+        let bytes = crate::write_trace_packed(&trace);
+        // Past one 64 KiB read window, so records straddle refills.
+        assert!(bytes.len() > 2 * 64 * 1024, "{} bytes", bytes.len());
+        for chunk in [1usize, 997, 4096, 40_000] {
+            let mut stream = SliceStream::new(&bytes, chunk).unwrap();
+            assert_eq!(stream.len(), trace.len());
+            let got = collect_stream(&mut stream).unwrap();
+            assert_eq!(got.to_records(), trace.to_records(), "chunk {chunk}");
+            assert!(stream.next_batch().unwrap().is_none(), "exhausted");
+        }
+    }
+
+    #[test]
+    fn slice_stream_fails_where_the_whole_buffer_decode_fails() {
+        let trace = ContextCopy::default().generate_packed(30_000, 5);
+        let bytes = crate::write_trace_packed(&trace);
+        assert!(matches!(
+            SliceStream::new(&bytes[..5], 64),
+            Err(StreamError::Codec(CodecError::Truncated))
+        ));
+        assert!(matches!(
+            SliceStream::new(b"NOPE\x01\0\0\0\0\0\0\0\0", 64),
+            Err(StreamError::Codec(CodecError::BadMagic))
+        ));
+        // A bad kind byte well past the first read window.
+        let mut bad = bytes.clone();
+        let at = find_record_start(&bad, 100 * 1024);
+        bad[at] = 0xEE;
+        assert!(crate::read_trace_packed(&bad).is_err());
+        let outcome = SliceStream::new(&bad, 4096).and_then(|mut s| collect_stream(&mut s));
+        assert!(matches!(outcome, Err(StreamError::Codec(CodecError::BadKind(0xEE)))));
+        // Cut short: the declared records are not all there.
+        let outcome = SliceStream::new(&bytes[..bytes.len() - 3], 4096)
+            .and_then(|mut s| collect_stream(&mut s));
+        assert!(matches!(outcome, Err(StreamError::Codec(CodecError::Truncated))));
+    }
+
+    /// Offset of the first record that starts at or after `from`. The
+    /// encoding of a prefix of the records is a prefix of the encoding
+    /// (the header has a fixed size), so the offset of record `n` is the
+    /// length of the first `n` records' encoding.
+    fn find_record_start(bytes: &[u8], from: usize) -> usize {
+        let records = crate::read_trace(bytes).unwrap();
+        let offset = |n: usize| crate::write_trace(&records[..n]).len();
+        let (mut lo, mut hi) = (0, records.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if offset(mid) < from {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        assert!(lo < records.len(), "trace shorter than {from} bytes");
+        offset(lo)
     }
 
     #[test]

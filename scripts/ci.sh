@@ -160,7 +160,7 @@ else
 fi
 cmp <(sort "$pipelined_store/runs.jsonl") <(sort "$inline_store/runs.jsonl")
 
-echo "==> chirp-serve smoke (submit, archived re-run, graceful shutdown)"
+echo "==> chirp-serve smoke (submit, archived re-run, ledger resubmit, stages, graceful shutdown)"
 cargo build --release -q -p chirp-serve -p chirp-bench
 serve_log="$smoke_dir/serve.log"
 target/release/chirp-serve --bind 127.0.0.1:0 --store "$smoke_dir/serve-store" > "$serve_log" &
@@ -183,6 +183,18 @@ grep -q "best:" "$smoke_dir/submit.out"
 target/release/chirp-client run --addr "$data_addr" \
     --hash "$smoke_hash" --policies lru,chirp > "$smoke_dir/rerun.out"
 grep -q "ledger" "$smoke_dir/rerun.out"
+# A second submit of the same bytes is a full ledger hit on an archived
+# trace, answered without decoding: every verdict line reads "ledger".
+target/release/chirp-client submit --addr "$data_addr" \
+    --file "$smoke_dir/smoke.chrp" --policies lru,chirp > "$smoke_dir/resubmit.out"
+awk '/^policy/ { table = 1; next } /^best:/ { table = 0 }
+     table { rows++; if ($NF != "ledger") bad = 1 }
+     END { exit bad || rows != 2 }' "$smoke_dir/resubmit.out"
+# The stage histograms say where the requests spent their time.
+target/release/chirp-client stats --addr "$ctrl_addr" > "$smoke_dir/stats.out"
+grep -E '^(request|ingest|simulate|archive)_us ' "$smoke_dir/stats.out" > "$smoke_dir/stages.out"
+test "$(wc -l < "$smoke_dir/stages.out")" -eq 4
+sed 's/^/    /' "$smoke_dir/stages.out"
 target/release/chirp-client shutdown --addr "$ctrl_addr" > /dev/null
 wait "$serve_pid"
 serve_pid=""
