@@ -6,8 +6,9 @@
 //! --benchmarks N      number of suite benchmarks (default 96)
 //! --instructions M    instructions simulated per benchmark (default 1_000_000)
 //! --threads T         worker threads (default: available parallelism)
-//! --store DIR         chirp-store directory: archive traces, skip runs
-//!                     whose results are already in the ledger
+//! --store DIR         chirp-store directory: skip runs whose results are
+//!                     already in the ledger, stream traces the archive
+//!                     holds (rewriting corrupt ones)
 //! --mem-budget BYTES  cap on packed-trace bytes in flight across workers
 //!                     (suffixes K/M/G; default unbounded)
 //! --full              shorthand for the paper-scale run (870 benchmarks)
@@ -18,8 +19,8 @@
 //!                     (default 100_000)
 //! --telemetry-out DIR where telemetry series land
 //!                     (default results/telemetry)
-//! --stream-chunk N    records per streamed batch on the streaming path
-//!                     (default 65_536; results are bit-identical at any
+//! --stream-chunk N    records per streamed batch on the streaming path,
+//!                     which every --store run takes (default 65_536; results are bit-identical at any
 //!                     chunk size)
 //! --resume            require prior progress: fail fast unless the
 //!                     `--store` ledger already holds results to resume

@@ -1,11 +1,11 @@
-//! End-to-end: run a tiny suite through the cached runner, then query the
-//! resulting store. Pins the acceptance guarantees — answers are
+//! End-to-end: run a tiny suite through the store-backed runner, then
+//! query the resulting store. Pins the acceptance guarantees — answers are
 //! bit-identical to the ledger lines they cite, every answer names its
 //! source run key, old-schema lines stay queryable, and history walks
 //! (`regress`) see rewritten keys.
 
 use chirp_query::{run_query, Answer, QueryIndex};
-use chirp_sim::{run_suite_cached, PolicyKind, RunnerConfig};
+use chirp_sim::{run_suite_streamed, PolicyKind, RunnerConfig};
 use chirp_store::{JsonObject, TempDir};
 use chirp_trace::suite::{build_suite, SuiteConfig};
 use std::fs;
@@ -15,7 +15,7 @@ fn tiny_store(root: &Path) -> usize {
     let suite = build_suite(&SuiteConfig { benchmarks: 4 });
     let policies = [PolicyKind::Lru, PolicyKind::Chirp(Default::default())];
     let config = RunnerConfig { instructions: 20_000, threads: 2, ..Default::default() };
-    let (runs, _) = run_suite_cached(&suite, &policies, &config, root).expect("cached run");
+    let (runs, _) = run_suite_streamed(&suite, &policies, &config, root).expect("stored run");
     runs.len()
 }
 

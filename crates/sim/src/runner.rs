@@ -1,20 +1,24 @@
 //! Parallel suite runner: simulates every benchmark under every policy,
 //! one work item (benchmark × its policy group) at a time per worker.
 //!
-//! [`run_suite`] always simulates everything; [`run_suite_cached`] fronts
-//! it with a `chirp-store` directory and only simulates (benchmark ×
-//! policy) pairs whose results are not already in the run ledger, pulling
-//! traces from the content-addressed archive instead of regenerating them;
-//! [`run_suite_streamed`] does the same over bounded trace streams.
+//! [`run_suite`] without a store generates each benchmark's trace and
+//! simulates everything. With [`RunnerConfig::store`] set it runs
+//! [`run_suite_streamed`], the one store-backed runner: only (benchmark ×
+//! policy) pairs missing from the run ledger are simulated, each over one
+//! bounded trace stream (an archived entry when the archive holds a valid
+//! one, else the generator), and each finished item is appended to the
+//! ledger at once. A corrupt archive entry is rewritten; a missing one
+//! stays missing — generating a trace is faster than decoding it, so only
+//! `trace_tool pack` fills the archive.
 //!
-//! All three run on the item scheduler in [`crate::sched`]: a worker
-//! obtains one benchmark's trace, runs its whole policy group through
-//! the engine in one call ([`run_policy_group`] or its streamed
-//! counterpart [`run_stream_group`]) and drops the trace, and
-//! [`RunnerConfig::mem_budget`] caps the estimated trace bytes in
-//! flight. On the cached path the archive mutex is held only for index
-//! bookkeeping — decode, generation and encode all run outside it, so
-//! workers needing different traces fetch concurrently.
+//! Both run on the item scheduler in [`crate::sched`]: a worker obtains
+//! one benchmark's trace, runs its whole policy group through the engine
+//! in one call ([`run_policy_group`] or its streamed counterpart
+//! [`run_stream_group`]) and drops the trace, and
+//! [`RunnerConfig::mem_budget`] caps the estimated trace bytes in flight.
+//! The archive and ledger mutexes are held only for index probes and
+//! appends, so workers on different items stream and simulate
+//! concurrently.
 
 use crate::config::SimConfig;
 use crate::engine::Simulator;
@@ -23,7 +27,6 @@ use crate::metrics::RunResult;
 use crate::registry::PolicyKind;
 use crate::sched::{run_items, WorkItem};
 use crate::store_cache::{record_from_run, run_from_record, run_key};
-use chirp_store::archive::ArchiveOutcome;
 use chirp_store::{ArchiveTraceStream, RunLedger, Store, StoreError, TraceArchive};
 use chirp_telemetry::EpochRow;
 use chirp_trace::suite::BenchmarkSpec;
@@ -42,8 +45,10 @@ pub struct RunnerConfig {
     /// Simulator configuration shared by all runs.
     pub sim: SimConfig,
     /// When set, [`run_suite`] routes through the `chirp-store` directory
-    /// at this path: ledger hits skip simulation, traces come from the
-    /// archive, and fresh results are recorded for the next run.
+    /// at this path ([`run_suite_streamed`]): ledger hits skip simulation,
+    /// traces stream from the archive when it holds them (a corrupt entry
+    /// is rewritten, a missing one is generated and not archived), and
+    /// fresh results are recorded for the next run.
     pub store: Option<PathBuf>,
     /// Cap on estimated trace bytes in flight across workers, `None` for
     /// unbounded. One item is always admitted regardless, so a budget
@@ -51,11 +56,12 @@ pub struct RunnerConfig {
     /// rather than deadlock. Does not enter result identity: ledger keys
     /// ignore it, and results are bit-identical at any budget.
     pub mem_budget: Option<u64>,
-    /// Records per streamed batch for [`run_suite_streamed`]; `0` means
-    /// [`DEFAULT_STREAM_CHUNK`]. Purely an execution-strategy knob:
-    /// streamed results are bit-identical at any chunk size (batch
-    /// boundaries carry no simulation meaning), so it is excluded from
-    /// ledger run keys by construction — `run_key` never sees it.
+    /// Records per streamed batch for [`run_suite_streamed`] (and so for
+    /// [`run_suite`] with a store); `0` means [`DEFAULT_STREAM_CHUNK`].
+    /// Purely an execution-strategy knob: streamed results are
+    /// bit-identical at any chunk size (batch boundaries carry no
+    /// simulation meaning), so it is excluded from ledger run keys by
+    /// construction — `run_key` never sees it.
     #[serde(default)]
     pub stream_chunk: usize,
 }
@@ -129,17 +135,17 @@ pub struct BenchRun {
 /// results are directly comparable. Output order matches `suite` ×
 /// `policies`.
 ///
-/// With `config.store` set, this delegates to [`run_suite_cached`] — only
-/// missing (benchmark × policy) pairs are simulated. An unusable store
-/// (I/O error) degrades to a plain uncached run with a warning rather
-/// than aborting the experiment.
+/// With `config.store` set, this delegates to [`run_suite_streamed`] —
+/// only missing (benchmark × policy) pairs are simulated. An unusable
+/// store (I/O error) degrades to a plain uncached run with a warning
+/// rather than aborting the experiment.
 pub fn run_suite(
     suite: &[BenchmarkSpec],
     policies: &[PolicyKind],
     config: &RunnerConfig,
 ) -> Vec<BenchRun> {
     if let Some(root) = &config.store {
-        match run_suite_cached(suite, policies, config, root) {
+        match run_suite_streamed(suite, policies, config, root) {
             Ok((runs, _)) => return runs,
             Err(e) => {
                 eprintln!("warning: store at {} unusable ({e}); running without it", root.display())
@@ -152,8 +158,8 @@ pub fn run_suite(
 /// The uncached suite run behind [`run_suite`] and
 /// [`run_suite_telemetry`](crate::telemetry::run_suite_telemetry): one
 /// work item per benchmark, whose trace is generated and run through
-/// [`simulate_item`] with `epoch`. Output in `suite` × `policies` order,
-/// each run beside its epoch series (empty without `epoch`).
+/// [`run_group`] with `epoch`. Output in `suite` × `policies` order, each
+/// run beside its epoch series (empty without `epoch`).
 pub(crate) fn run_generated(
     suite: &[BenchmarkSpec],
     policies: &[PolicyKind],
@@ -169,28 +175,15 @@ pub(crate) fn run_generated(
         config.trace_estimate(),
         config.mem_budget,
         |item| {
-            let trace = suite[item.bench].generate_packed(config.instructions);
-            Ok(simulate_item(suite, policies, config, item, &trace, epoch))
+            let bench = &suite[item.bench];
+            let trace = bench.generate_packed(config.instructions);
+            let kinds: Vec<&PolicyKind> = item.policies.iter().map(|&pi| &policies[pi]).collect();
+            let runs = run_group(&config.sim, &kinds, bench.seed, &trace, epoch);
+            Ok(runs.into_iter().map(|(result, rows)| (label(bench, result), rows)).collect())
         },
     )
     .expect("direct fetch is infallible");
     results.into_iter().flatten().collect()
-}
-
-/// Runs one work item's policy group over its resident trace
-/// ([`run_group`]) and labels the results with the benchmark.
-fn simulate_item(
-    suite: &[BenchmarkSpec],
-    policies: &[PolicyKind],
-    config: &RunnerConfig,
-    item: &WorkItem,
-    trace: &PackedTrace,
-    epoch: Option<u64>,
-) -> Vec<(BenchRun, Vec<EpochRow>)> {
-    let bench = &suite[item.bench];
-    let kinds: Vec<&PolicyKind> = item.policies.iter().map(|&pi| &policies[pi]).collect();
-    let runs = run_group(&config.sim, &kinds, bench.seed, trace, epoch);
-    runs.into_iter().map(|(result, rows)| (label(bench, result), rows)).collect()
 }
 
 fn label(bench: &BenchmarkSpec, result: RunResult) -> BenchRun {
@@ -202,7 +195,7 @@ fn label_runs(bench: &BenchmarkSpec, results: Vec<RunResult>) -> Vec<BenchRun> {
 }
 
 /// Runs one same-trace group of policies over a resident trace — the
-/// primitive the materialized suite runners share. With `factored` set,
+/// primitive of the uncached suite run. With `factored` set,
 /// a group of two or more runs as one front-end pass + per-policy replay
 /// back-ends over 4096-record segments (the chunk driver behind
 /// [`run_stream_group`], replaying on a second thread when a core would
@@ -288,18 +281,22 @@ pub fn run_stream_group(
     Ok(outcomes.into_iter().map(|(result, _)| result).collect())
 }
 
-/// What `run_suite_cached` did to satisfy a request.
+/// What [`run_suite_streamed`] did to satisfy a request. Each work item
+/// counts under exactly one of the three trace counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// (benchmark × policy) pairs simulated this call.
     pub simulated: usize,
     /// Pairs answered from the run ledger without simulating.
     pub ledger_hits: usize,
-    /// Traces decoded from the archive rather than generated.
+    /// Items streamed in full from a valid archive entry.
     pub trace_hits: u64,
-    /// Traces generated and archived (absent from the archive).
+    /// Items streamed from the generator because the archive has no
+    /// entry for their trace; the entry stays absent.
     pub trace_generated: u64,
-    /// Traces regenerated over a corrupt archive entry.
+    /// Items whose archive entry failed to stream (open, decode, count or
+    /// checksum): the entry was rewritten and the item streamed from the
+    /// generator.
     pub trace_regenerated: u64,
 }
 
@@ -312,7 +309,7 @@ struct Matrix {
 }
 
 impl Matrix {
-    /// The ledger-resolution prologue of the store-backed runners: probes
+    /// The ledger-resolution prologue of the store-backed runner: probes
     /// every pair's run key, fills the hits, and collects the rest as
     /// per-benchmark work items (benchmarks with nothing missing get no
     /// item). Returns the matrix, the work and the hit count.
@@ -357,90 +354,31 @@ impl Matrix {
     }
 }
 
-/// Like [`run_suite`], but incremental: results already in the run ledger
-/// under `store_root` are returned without simulating, and traces for the
-/// remaining pairs come from the content-addressed archive (generated and
-/// archived on first use, transparently regenerated if a file is corrupt).
-/// Freshly simulated results are appended to the ledger, so a second call
-/// with identical inputs performs zero simulations.
-///
-/// Output order and values match `run_suite` exactly — archived traces
-/// decode to the same records generation produces, and ledger keys cover
-/// everything that can affect a result (see
-/// [`crate::store_cache::run_key`]).
-///
-/// The archive mutex guards only index probes and manifest bookkeeping;
-/// decode/generate/encode — the expensive steps — run outside it (see the
-/// locking discipline on [`TraceArchive`]), so workers fetching different
-/// traces overlap.
-pub fn run_suite_cached(
-    suite: &[BenchmarkSpec],
-    policies: &[PolicyKind],
-    config: &RunnerConfig,
-    store_root: &Path,
-) -> Result<(Vec<BenchRun>, CacheStats), StoreError> {
-    let mut store = Store::open(store_root)?;
-    let (mut matrix, work, ledger_hits) = Matrix::resolve(&store.ledger, suite, policies, config);
-    let mut stats = CacheStats { ledger_hits, ..CacheStats::default() };
-
-    if !work.is_empty() {
-        let archive = Mutex::new(&mut store.archive);
-        let (results, _) = run_items(
-            &work,
-            config.worker_threads(),
-            config.trace_estimate(),
-            config.mem_budget,
-            |item| {
-                let trace = fetch_archived(&archive, &suite[item.bench], config.instructions)?;
-                let runs = simulate_item(suite, policies, config, item, &trace, None);
-                Ok(runs.into_iter().map(|(run, _)| run).collect())
-            },
-        )?;
-
-        let archive_stats = store.archive.stats();
-        stats.trace_hits = archive_stats.hits;
-        stats.trace_generated = archive_stats.misses;
-        stats.trace_regenerated = archive_stats.corrupt_regenerated;
-
-        // Record fresh results in deterministic (suite × policy) order.
-        for (item, runs) in work.iter().zip(results) {
-            for (&pi, run) in item.policies.iter().zip(runs) {
-                let key = run_key(
-                    &config.sim,
-                    &policies[pi],
-                    &suite[item.bench].name,
-                    config.instructions,
-                );
-                store.ledger.append(key, record_from_run(&run, &config.sim, &policies[pi]))?;
-                matrix.place(item.bench, pi, run);
-                stats.simulated += 1;
-            }
-        }
-    }
-    Ok((matrix.into_runs(), stats))
-}
-
-/// Like [`run_suite_cached`], but with streamed traces and per-item
-/// ledger persistence — the production path for long traces:
+/// Like [`run_suite`], but incremental — the store-backed runner behind
+/// `run_suite` with [`RunnerConfig::store`] and behind `full_suite`.
+/// Results already in the run ledger under `store_root` are returned
+/// without simulating; for the rest:
 ///
 /// * each missing (benchmark × policies) work item opens ONE trace
 ///   stream — archive-backed when a valid entry exists, else a generator
 ///   stream — and runs all its missing policies over it in one pass
-///   (the factored engine for a group, `Simulator::run_stream` for a
-///   single policy), so peak per-item trace residency is O(stream chunk)
-///   instead of O(trace);
+///   ([`run_stream_group`]), so peak per-item trace residency is
+///   O(stream chunk) instead of O(trace);
 /// * results are appended to the run ledger as each item completes (not
 ///   batched at the end), so a run interrupted mid-suite keeps every
 ///   finished item and a rerun resumes from the ledger;
-/// * a corrupt archive entry (I/O, decode or checksum failure at any
-///   point in the stream) falls back to a fresh generator stream, never
-///   fatal — mirroring the materialized path's regenerate-on-corruption.
+/// * a corrupt archive entry (open, decode, count or checksum failure at
+///   any point in the stream) is never fatal: the entry is rewritten
+///   ([`TraceArchive::pack`]) and the item reruns from a generator stream
+///   on fresh simulators, so the next run streams it cleanly;
+/// * a trace the archive lacks is generated, not archived: generating a
+///   benchmark trace is faster than decoding it, so `trace_tool pack` is
+///   the one way to fill the archive.
 ///
-/// Results are bit-identical to [`run_suite_cached`] (and thus to
-/// [`run_suite`]): batch boundaries carry no simulation meaning and the
-/// warmup cut lands on the same absolute instruction. The one
-/// operational difference: generated traces are *not* archived (there
-/// is no resident trace to encode).
+/// Output order and values match the uncached `run_suite` exactly: batch
+/// boundaries carry no simulation meaning, the warmup cut lands on the
+/// same absolute instruction, and ledger keys cover everything that can
+/// affect a result (see [`crate::store_cache::run_key`]).
 pub fn run_suite_streamed(
     suite: &[BenchmarkSpec],
     policies: &[PolicyKind],
@@ -495,8 +433,9 @@ pub fn run_suite_streamed(
 
 /// Runs one streamed work item: probes the archive under its lock, then
 /// (unlocked) streams the trace once through the item's whole policy
-/// group. Any archive-stream failure falls back to a generator stream on
-/// fresh simulators.
+/// group. An archive-stream failure rewrites the entry — under the lock,
+/// which only a corrupt entry ever costs — and falls back to a generator
+/// stream on fresh simulators.
 fn stream_one_item(
     archive: &Mutex<&mut TraceArchive>,
     suite: &[BenchmarkSpec],
@@ -516,7 +455,6 @@ fn stream_one_item(
         let a = archive.lock();
         a.entry_meta(key).map(|meta| (a.trace_path(key), meta))
     };
-    let had_entry = probe.is_some();
     if let Some((path, meta)) = probe {
         let attempt = ArchiveTraceStream::open(&path, meta, chunk)
             .and_then(|mut stream| run_item(&mut stream));
@@ -524,56 +462,17 @@ fn stream_one_item(
             counters.lock().trace_hits += 1;
             return Ok(label_runs(bench, results));
         }
-        // Corrupt entry (open, decode or checksum failure): fall back to
-        // regeneration below, like the materialized path.
-    }
-    let mut counts = counters.lock();
-    if had_entry {
-        counts.trace_regenerated += 1;
+        // Rewrite the entry, so later runs stream it instead of failing
+        // on it again.
+        archive.lock().pack(bench, config.instructions)?;
+        counters.lock().trace_regenerated += 1;
     } else {
-        counts.trace_generated += 1;
+        counters.lock().trace_generated += 1;
     }
-    drop(counts);
     let mut stream = bench.stream(config.instructions, chunk);
     let results = run_item(&mut stream)
         .map_err(|e| StoreError::Corrupt(format!("generator stream failed: {e}")))?;
     Ok(label_runs(bench, results))
-}
-
-/// Fetches one benchmark's packed trace through the archive, holding the
-/// archive lock only for the index probe and the final bookkeeping — the
-/// decode / generate / encode work in between runs lock-free, so fetches
-/// for *different* benchmarks proceed concurrently. Work items are
-/// per-benchmark, so no two workers ever race on the same key.
-fn fetch_archived(
-    archive: &Mutex<&mut TraceArchive>,
-    bench: &BenchmarkSpec,
-    instructions: usize,
-) -> Result<PackedTrace, StoreError> {
-    let key = TraceArchive::content_key(bench, instructions);
-    // Lock 1 (index probe): does the archive claim to have this trace?
-    let probe = {
-        let a = archive.lock();
-        a.entry_meta(key).map(|meta| (a.trace_path(key), meta))
-    };
-    let had_entry = probe.is_some();
-    if let Some((path, meta)) = probe {
-        // Unlocked: read + checksum + decode.
-        if let Some(trace) = TraceArchive::decode_file(&path, meta) {
-            archive.lock().record_hit();
-            return Ok(trace);
-        }
-    }
-    // Miss (or corrupt entry): generate, encode and write unlocked.
-    let trace = bench.generate_packed(instructions);
-    let encoded = TraceArchive::encode_packed(&trace);
-    let path = archive.lock().trace_path(key);
-    TraceArchive::store_file(&path, &encoded)?;
-    let outcome =
-        if had_entry { ArchiveOutcome::CorruptRegenerated } else { ArchiveOutcome::MissGenerated };
-    // Lock 2 (bookkeeping): manifest append + index insert.
-    archive.lock().commit(key, &encoded, outcome)?;
-    Ok(trace)
 }
 
 /// Groups per-policy results for one benchmark out of a flat `run_suite`
@@ -588,6 +487,15 @@ mod tests {
     use super::*;
     use chirp_store::TempDir;
     use chirp_trace::suite::{build_suite, SuiteConfig};
+
+    /// Fills the archive under `root` with `suite`'s traces, as
+    /// `trace_tool pack` does.
+    fn pack(root: &Path, suite: &[BenchmarkSpec], instructions: usize) {
+        let mut archive = TraceArchive::open(root).unwrap();
+        for bench in suite {
+            archive.pack(bench, instructions).unwrap();
+        }
+    }
 
     #[test]
     fn runs_every_benchmark_under_every_policy() {
@@ -638,9 +546,9 @@ mod tests {
         runs
     }
 
-    /// The runner equivalence gate: every entry point — plain, cached
-    /// and streamed — must reproduce the serial `run_columnar` oracle
-    /// bit-for-bit over a 4-benchmark × 3-policy matrix, at several
+    /// The runner equivalence gate: every entry point — plain, with a
+    /// store and streamed — must reproduce the serial `run_columnar`
+    /// oracle bit-for-bit over a 4-benchmark × 3-policy matrix, at several
     /// thread counts and under an item-at-a-time memory budget.
     #[test]
     fn runners_reproduce_the_columnar_oracle_exactly() {
@@ -654,10 +562,10 @@ mod tests {
                 let config = RunnerConfig { threads, mem_budget, ..base_config.clone() };
                 let label = format!("threads={threads} mem_budget={mem_budget:?}");
                 assert_eq!(run_suite(&suite, &policies, &config), oracle, "plain {label}");
-                let root = TempDir::new("runner-oracle-cached");
-                let (cached, _) =
-                    run_suite_cached(&suite, &policies, &config, root.path()).unwrap();
-                assert_eq!(cached, oracle, "cached {label}");
+                let root = TempDir::new("runner-oracle-stored");
+                let stored =
+                    RunnerConfig { store: Some(root.path().to_path_buf()), ..config.clone() };
+                assert_eq!(run_suite(&suite, &policies, &stored), oracle, "stored {label}");
                 let root = TempDir::new("runner-oracle-streamed");
                 let (streamed, _) =
                     run_suite_streamed(&suite, &policies, &config, root.path()).unwrap();
@@ -701,26 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_run_matches_uncached_and_second_pass_simulates_nothing() {
-        let root = TempDir::new("runner-cache");
-        let suite = build_suite(&SuiteConfig { benchmarks: 3 });
-        let policies = [PolicyKind::Lru, PolicyKind::Srrip];
-        let config = RunnerConfig { instructions: 10_000, threads: 2, ..Default::default() };
-
-        let plain = run_suite(&suite, &policies, &config);
-        let (first, stats) = run_suite_cached(&suite, &policies, &config, root.path()).unwrap();
-        assert_eq!(first, plain);
-        assert_eq!(stats.simulated, 6);
-        assert_eq!(stats.ledger_hits, 0);
-        assert_eq!(stats.trace_generated, 3);
-
-        let (second, stats) = run_suite_cached(&suite, &policies, &config, root.path()).unwrap();
-        assert_eq!(second, plain);
-        assert_eq!(stats.simulated, 0);
-        assert_eq!(stats.ledger_hits, 6);
-    }
-
-    #[test]
     fn store_field_routes_run_suite_through_cache() {
         let root = TempDir::new("runner-field");
         let suite = build_suite(&SuiteConfig { benchmarks: 2 });
@@ -733,47 +621,12 @@ mod tests {
         // Second pass answers from the populated store.
         assert_eq!(run_suite(&suite, &policies, &stored_config), plain);
         assert!(root.path().join("runs.jsonl").is_file());
+        // Harness runs read the archive but never grow it.
+        assert!(TraceArchive::open(root.path()).unwrap().is_empty());
     }
 
     #[test]
-    fn cached_run_simulates_only_new_policies() {
-        let root = TempDir::new("runner-partial");
-        let suite = build_suite(&SuiteConfig { benchmarks: 2 });
-        let config = RunnerConfig { instructions: 8_000, threads: 2, ..Default::default() };
-
-        run_suite_cached(&suite, &[PolicyKind::Lru], &config, root.path()).unwrap();
-        let (_, stats) =
-            run_suite_cached(&suite, &[PolicyKind::Lru, PolicyKind::Random], &config, root.path())
-                .unwrap();
-        assert_eq!(stats.ledger_hits, 2, "lru results come from the ledger");
-        assert_eq!(stats.simulated, 2, "only random is simulated");
-        assert_eq!(stats.trace_hits, 2, "traces decode from the archive");
-    }
-
-    #[test]
-    fn cached_run_respects_memory_budget() {
-        let root = TempDir::new("runner-budget");
-        let suite = build_suite(&SuiteConfig { benchmarks: 3 });
-        let policies = [PolicyKind::Lru, PolicyKind::Random];
-        let config = RunnerConfig {
-            instructions: 6_000,
-            threads: 4,
-            mem_budget: Some(1),
-            ..Default::default()
-        };
-        let plain =
-            run_suite(&suite, &policies, &RunnerConfig { mem_budget: None, ..config.clone() });
-        let (cached, stats) = run_suite_cached(&suite, &policies, &config, root.path()).unwrap();
-        assert_eq!(cached, plain, "budget must not change results");
-        assert_eq!(stats.simulated, 6);
-        // Residency under a tight budget is asserted at the scheduler
-        // level (`sched::tests::budget_keeps_one_trace_resident_at_a_time`);
-        // the global last-summary slot is racy across parallel tests.
-    }
-
-    #[test]
-    fn streamed_run_matches_cached_and_plain() {
-        let cache_root = TempDir::new("runner-streamed-vs-cached");
+    fn streamed_run_matches_plain() {
         let stream_root = TempDir::new("runner-streamed");
         let suite = build_suite(&SuiteConfig { benchmarks: 3 });
         let policies = [PolicyKind::Lru, PolicyKind::Srrip];
@@ -786,12 +639,11 @@ mod tests {
         };
 
         let plain = run_suite(&suite, &policies, &config);
-        let (cached, _) = run_suite_cached(&suite, &policies, &config, cache_root.path()).unwrap();
         let (streamed, stats) =
             run_suite_streamed(&suite, &policies, &config, stream_root.path()).unwrap();
         assert_eq!(streamed, plain, "streamed must be bit-identical to plain");
-        assert_eq!(streamed, cached, "streamed must be bit-identical to cached");
         assert_eq!(stats.simulated, 6);
+        assert_eq!(stats.ledger_hits, 0);
         assert_eq!(stats.trace_generated, 3, "no archive entries yet: generator streams");
 
         // Second pass answers entirely from the ledger.
@@ -808,10 +660,11 @@ mod tests {
         let suite = build_suite(&SuiteConfig { benchmarks: 2 });
         let config = RunnerConfig { instructions: 8_000, threads: 2, ..Default::default() };
 
-        // The cached (materialized) pass populates the archive; the
-        // streamed pass then replays those entries for new policies.
-        let (cached, _) =
-            run_suite_cached(&suite, &[PolicyKind::Lru], &config, root.path()).unwrap();
+        // Pack the archive and record lru; the second pass then replays
+        // the archived entries for the new policy only.
+        pack(root.path(), &suite, config.instructions);
+        let (first, _) =
+            run_suite_streamed(&suite, &[PolicyKind::Lru], &config, root.path()).unwrap();
         let (streamed, stats) = run_suite_streamed(
             &suite,
             &[PolicyKind::Lru, PolicyKind::Random],
@@ -823,7 +676,7 @@ mod tests {
         assert_eq!(stats.simulated, 2, "only random is simulated");
         assert_eq!(stats.trace_hits, 2, "traces stream from the archive");
         assert_eq!(stats.trace_generated, 0);
-        assert_eq!(&streamed[0], &cached[0]);
+        assert_eq!(&streamed[0], &first[0]);
         let plain = run_suite(&suite, &[PolicyKind::Lru, PolicyKind::Random], &config);
         assert_eq!(streamed, plain, "archive-streamed must equal plain");
     }
@@ -845,14 +698,16 @@ mod tests {
         assert_eq!(runs, run_suite(&suite, &policies, &config));
     }
 
+    /// A corrupt entry costs one regeneration: the run that finds it
+    /// rewrites it, and the next run that needs the trace streams it.
     #[test]
-    fn streamed_run_regenerates_corrupt_archive_entries() {
+    fn streamed_run_heals_corrupt_archive_entries() {
         let root = TempDir::new("runner-streamed-corrupt");
         let suite = build_suite(&SuiteConfig { benchmarks: 1 });
         let config = RunnerConfig { instructions: 6_000, threads: 1, ..Default::default() };
 
-        // Populate the archive, then flip a byte in the stored trace.
-        run_suite_cached(&suite, &[PolicyKind::Lru], &config, root.path()).unwrap();
+        // Pack the archive, then flip a byte in the stored trace.
+        pack(root.path(), &suite, config.instructions);
         let archive = TraceArchive::open(root.path()).unwrap();
         let path = archive.trace_path(TraceArchive::content_key(&suite[0], config.instructions));
         let mut bytes = std::fs::read(&path).unwrap();
@@ -865,6 +720,14 @@ mod tests {
         assert_eq!(stats.trace_regenerated, 1, "corrupt entry falls back to the generator");
         assert_eq!(stats.trace_hits, 0);
         assert_eq!(runs, run_suite(&suite, &[PolicyKind::Random], &config));
+
+        let (runs, stats) =
+            run_suite_streamed(&suite, &[PolicyKind::Lru], &config, root.path()).unwrap();
+        assert_eq!(stats.trace_hits, 1, "the rewritten entry streams");
+        assert_eq!(stats.trace_regenerated, 0);
+        assert_eq!(runs, run_suite(&suite, &[PolicyKind::Lru], &config));
+        let (valid, corrupt) = TraceArchive::open(root.path()).unwrap().verify();
+        assert_eq!((valid, corrupt.len()), (1, 0), "archive must be healed");
     }
 
     #[test]
@@ -885,9 +748,10 @@ mod tests {
                 stream_chunk: chunk,
                 ..Default::default()
             };
-            let (streamed, _) =
+            let (streamed, stats) =
                 run_suite_streamed(&suite, &policies, &config, root.path()).unwrap();
             assert_eq!(streamed, plain, "chunk={chunk} budget={budget:?}");
+            assert_eq!(stats.simulated, 6);
         }
     }
 

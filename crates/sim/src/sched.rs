@@ -102,6 +102,31 @@ impl SchedulerSummary {
             self.wall.as_secs_f64(),
         )
     }
+
+    /// Two scheduler runs reported as one: work, replays, item latencies
+    /// and wall time add up, peaks and thread counts take the larger, and
+    /// replay pipelined if it did in either run.
+    fn merge(&self, other: &SchedulerSummary) -> SchedulerSummary {
+        let latency = Log2Histogram::new();
+        for (lower, count) in
+            self.sim_latency_us.nonzero().into_iter().chain(other.sim_latency_us.nonzero())
+        {
+            (0..count).for_each(|_| latency.record(lower));
+        }
+        SchedulerSummary {
+            work_units: self.work_units + other.work_units,
+            sim_tasks: self.sim_tasks + other.sim_tasks,
+            threads: self.threads.max(other.threads),
+            cpus: self.cpus.max(other.cpus),
+            replay_pipelined: self.replay_pipelined || other.replay_pipelined,
+            pipelined_replays: self.pipelined_replays + other.pipelined_replays,
+            front_end_replays: self.front_end_replays + other.front_end_replays,
+            peak_resident_traces: self.peak_resident_traces.max(other.peak_resident_traces),
+            peak_resident_bytes: self.peak_resident_bytes.max(other.peak_resident_bytes),
+            sim_latency_us: latency.snapshot(),
+            wall: self.wall + other.wall,
+        }
+    }
 }
 
 /// The last summary recorded by [`run_items`] in this process, for
@@ -109,18 +134,36 @@ impl SchedulerSummary {
 /// without threading the value through every figure helper. Reading it
 /// leaves it in place; [`take_scheduler_summary`] consumes it.
 pub fn last_scheduler_summary() -> Option<SchedulerSummary> {
-    LAST.lock().expect("summary lock").clone()
+    RECORDED.lock().expect("summary lock").last.clone()
 }
 
-/// Takes the summary [`run_items`] recorded since the previous take, or
-/// `None` if nothing was scheduled since — so an experiment that
+/// Takes the merge of every summary [`run_items`] recorded since the
+/// previous take, or `None` if nothing was scheduled since. An
+/// experiment that runs the scheduler several times (Figure 10 runs the
+/// suite once per walk penalty) reports all of its runs, and one that
 /// simulated nothing (answered from the ledger, or run without the
 /// scheduler) never reports an earlier experiment's summary as its own.
 pub fn take_scheduler_summary() -> Option<SchedulerSummary> {
-    LAST.lock().expect("summary lock").take()
+    RECORDED.lock().expect("summary lock").since_take.take()
 }
 
-static LAST: Mutex<Option<SchedulerSummary>> = Mutex::new(None);
+/// The summaries [`run_items`] recorded in this process: the last one,
+/// and the merge of those since the previous [`take_scheduler_summary`].
+struct Recorded {
+    last: Option<SchedulerSummary>,
+    since_take: Option<SchedulerSummary>,
+}
+
+static RECORDED: Mutex<Recorded> = Mutex::new(Recorded { last: None, since_take: None });
+
+fn record(summary: &SchedulerSummary) {
+    let mut recorded = RECORDED.lock().expect("summary lock");
+    recorded.since_take = Some(match recorded.since_take.take() {
+        Some(earlier) => earlier.merge(summary),
+        None => summary.clone(),
+    });
+    recorded.last = Some(summary.clone());
+}
 
 /// Logical CPUs available to this process, read once.
 pub(crate) fn cpus() -> usize {
@@ -361,7 +404,7 @@ where
         sim_latency_us: latency.snapshot(),
         wall: started.elapsed(),
     };
-    *LAST.lock().expect("summary lock") = Some(summary.clone());
+    record(&summary);
     let out = results
         .into_inner()
         .expect("results lock")
@@ -525,6 +568,46 @@ mod tests {
             }
         });
         assert_eq!(threads.busy.load(Ordering::SeqCst), 0, "pools release their workers");
+    }
+
+    /// Merging two runs' summaries sums their work, replays, latency
+    /// samples and wall time, keeps the larger peaks and thread counts,
+    /// and reports pipelined replay if either run pipelined.
+    #[test]
+    fn merged_summaries_add_work_and_keep_peaks() {
+        let summary = |units: usize, pipelined: bool, peak: usize, latencies: &[u64]| {
+            let latency = Log2Histogram::new();
+            latencies.iter().for_each(|&us| latency.record(us));
+            SchedulerSummary {
+                work_units: units,
+                sim_tasks: 9 * units,
+                threads: peak,
+                cpus: 2,
+                replay_pipelined: pipelined,
+                pipelined_replays: if pipelined { 100 } else { 0 },
+                front_end_replays: if pipelined { 7 } else { 0 },
+                peak_resident_traces: peak,
+                peak_resident_bytes: 1000 * peak as u64,
+                sim_latency_us: latency.snapshot(),
+                wall: Duration::from_millis(10 * units as u64),
+            }
+        };
+        let first = summary(3, false, 2, &[5, 900, 70_000]);
+        let second = summary(4, true, 1, &[6, 1_000]);
+        let merged = first.merge(&second);
+        assert_eq!(merged, second.merge(&first), "order does not matter");
+        assert_eq!((merged.work_units, merged.sim_tasks), (7, 63));
+        assert_eq!(merged.threads, 2);
+        assert!(merged.replay_pipelined);
+        assert_eq!((merged.pipelined_replays, merged.front_end_replays), (100, 7));
+        assert_eq!((merged.peak_resident_traces, merged.peak_resident_bytes), (2, 2000));
+        assert_eq!(merged.wall, Duration::from_millis(70));
+        assert_eq!(
+            merged.sim_latency_us,
+            summary(0, false, 0, &[5, 6, 900, 1_000, 70_000]).sim_latency_us
+        );
+        let empty = summary(0, false, 0, &[]);
+        assert_eq!(first.merge(&empty).sim_latency_us, first.sim_latency_us);
     }
 
     /// The summary reports whether a group actually pipelined, as noted

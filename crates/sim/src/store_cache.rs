@@ -56,7 +56,7 @@ impl CodeIdentity<'static> {
 }
 
 /// Content key identifying one (config × policy × benchmark × length) run
-/// under the current code identity — what [`crate::runner::run_suite_cached`]
+/// under the current code identity — what [`crate::runner::run_suite_streamed`]
 /// and `chirp-serve` look up and record under.
 ///
 /// The simulator configuration and the policy enter through their `Debug`

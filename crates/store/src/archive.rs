@@ -19,7 +19,7 @@ use crate::hash::{fnv64, hex16, Fnv64};
 use crate::json::JsonObject;
 use crate::StoreError;
 use chirp_trace::suite::BenchmarkSpec;
-use chirp_trace::{read_trace_packed, write_trace_packed, PackedTrace, TraceRecord};
+use chirp_trace::{read_trace_packed, write_trace_packed, PackedTrace};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
@@ -87,13 +87,15 @@ pub struct EncodedTrace {
 /// associated functions operating on plain data:
 ///
 /// 1. under the lock: [`TraceArchive::entry_meta`] + [`TraceArchive::trace_path`] (index probe);
-/// 2. lock released: [`TraceArchive::decode_file`] (read + checksum + decode),
-///    or on a miss generate + [`TraceArchive::encode_packed`] + [`TraceArchive::store_file`];
+/// 2. lock released: [`TraceArchive::decode_file`] (read + checksum + decode)
+///    or an [`ArchiveTraceStream`](crate::ArchiveTraceStream), or to write
+///    [`TraceArchive::encode_packed`] + [`TraceArchive::store_file`];
 /// 3. under the lock again: [`TraceArchive::record_hit`] or
 ///    [`TraceArchive::commit`] (manifest append + index insert — bookkeeping only).
 ///
-/// [`TraceArchive::get_or_generate_packed`] composes the same steps for
-/// single-threaded callers.
+/// [`TraceArchive::pack`] runs the write steps in one `&mut self` call;
+/// the suite runner takes the lock for it only to rewrite a corrupt
+/// entry, which is rare enough not to matter.
 #[derive(Debug)]
 pub struct TraceArchive {
     dir: PathBuf,
@@ -241,45 +243,6 @@ impl TraceArchive {
         self.stats.hits += 1;
     }
 
-    /// Returns the packed trace for (`spec`, `len`), decoding it from the
-    /// archive when a valid copy exists, else generating (and archiving)
-    /// it. Corrupt entries are regenerated, never fatal.
-    pub fn get_or_generate_packed(
-        &mut self,
-        spec: &BenchmarkSpec,
-        len: usize,
-    ) -> Result<(PackedTrace, ArchiveOutcome), StoreError> {
-        let key = Self::content_key(spec, len);
-        let path = self.trace_path(key);
-        if let Some(meta) = self.entry_meta(key) {
-            if let Some(trace) = Self::decode_file(&path, meta) {
-                self.record_hit();
-                return Ok((trace, ArchiveOutcome::Hit));
-            }
-            // Checksum/codec mismatch or unreadable file: regenerate.
-            let trace = spec.generate_packed(len);
-            let encoded = Self::encode_packed(&trace);
-            Self::store_file(&path, &encoded)?;
-            self.commit(key, &encoded, ArchiveOutcome::CorruptRegenerated)?;
-            return Ok((trace, ArchiveOutcome::CorruptRegenerated));
-        }
-        let trace = spec.generate_packed(len);
-        let encoded = Self::encode_packed(&trace);
-        Self::store_file(&path, &encoded)?;
-        self.commit(key, &encoded, ArchiveOutcome::MissGenerated)?;
-        Ok((trace, ArchiveOutcome::MissGenerated))
-    }
-
-    /// Flat-vector variant of [`TraceArchive::get_or_generate_packed`],
-    /// for callers that want slice access to the records.
-    pub fn get_or_generate(
-        &mut self,
-        spec: &BenchmarkSpec,
-        len: usize,
-    ) -> Result<(Vec<TraceRecord>, ArchiveOutcome), StoreError> {
-        self.get_or_generate_packed(spec, len).map(|(trace, outcome)| (trace.to_records(), outcome))
-    }
-
     /// Materialises (`spec`, `len`) if absent or invalid, without decoding
     /// an existing valid file. Returns the outcome.
     pub fn pack(&mut self, spec: &BenchmarkSpec, len: usize) -> Result<ArchiveOutcome, StoreError> {
@@ -397,20 +360,24 @@ mod tests {
         build_suite(&SuiteConfig { benchmarks: 3 }).remove(1)
     }
 
+    /// Decodes `spec`'s archived trace of `len` records, `None` when the
+    /// entry is absent or fails its checksum or decode.
+    fn decoded(archive: &TraceArchive, len: usize) -> Option<PackedTrace> {
+        let key = TraceArchive::content_key(&spec(), len);
+        TraceArchive::decode_file(&archive.trace_path(key), archive.entry_meta(key)?)
+    }
+
     #[test]
     fn miss_then_hit_roundtrips_identical_trace() {
         let root = tmpdir("hit");
         let mut archive = TraceArchive::open(root.path()).unwrap();
-        let (first, outcome) = archive.get_or_generate(&spec(), 5_000).unwrap();
-        assert_eq!(outcome, ArchiveOutcome::MissGenerated);
-        let (second, outcome) = archive.get_or_generate(&spec(), 5_000).unwrap();
-        assert_eq!(outcome, ArchiveOutcome::Hit);
-        assert_eq!(first, second);
+        assert_eq!(archive.pack(&spec(), 5_000).unwrap(), ArchiveOutcome::MissGenerated);
+        let first = decoded(&archive, 5_000).expect("packed entry decodes");
+        assert_eq!(first.to_records(), spec().generate_packed(5_000).to_records());
         // A reopened archive still hits.
         let mut reopened = TraceArchive::open(root.path()).unwrap();
-        let (third, outcome) = reopened.get_or_generate(&spec(), 5_000).unwrap();
-        assert_eq!(outcome, ArchiveOutcome::Hit);
-        assert_eq!(first, third);
+        assert_eq!(reopened.pack(&spec(), 5_000).unwrap(), ArchiveOutcome::Hit);
+        assert_eq!(decoded(&reopened, 5_000), Some(first));
     }
 
     #[test]
@@ -423,7 +390,8 @@ mod tests {
     fn corruption_is_detected_and_regenerated() {
         let root = tmpdir("corrupt");
         let mut archive = TraceArchive::open(root.path()).unwrap();
-        let (original, _) = archive.get_or_generate(&spec(), 4_000).unwrap();
+        archive.pack(&spec(), 4_000).unwrap();
+        let original = decoded(&archive, 4_000).unwrap();
         let key = TraceArchive::content_key(&spec(), 4_000);
         let path = archive.trace_path(key);
 
@@ -436,9 +404,9 @@ mod tests {
         let mut reopened = TraceArchive::open(root.path()).unwrap();
         let (_, corrupt) = reopened.verify();
         assert_eq!(corrupt, vec![key]);
-        let (recovered, outcome) = reopened.get_or_generate(&spec(), 4_000).unwrap();
-        assert_eq!(outcome, ArchiveOutcome::CorruptRegenerated);
-        assert_eq!(recovered, original);
+        assert_eq!(decoded(&reopened, 4_000), None);
+        assert_eq!(reopened.pack(&spec(), 4_000).unwrap(), ArchiveOutcome::CorruptRegenerated);
+        assert_eq!(decoded(&reopened, 4_000), Some(original));
         // The rewrite healed the archive.
         let (valid, corrupt) = reopened.verify();
         assert_eq!((valid, corrupt.len()), (1, 0));
@@ -449,12 +417,11 @@ mod tests {
     fn missing_file_with_manifest_entry_regenerates() {
         let root = tmpdir("missing");
         let mut archive = TraceArchive::open(root.path()).unwrap();
-        archive.get_or_generate(&spec(), 2_000).unwrap();
+        archive.pack(&spec(), 2_000).unwrap();
         let key = TraceArchive::content_key(&spec(), 2_000);
         fs::remove_file(archive.trace_path(key)).unwrap();
         let mut reopened = TraceArchive::open(root.path()).unwrap();
-        let (_, outcome) = reopened.get_or_generate(&spec(), 2_000).unwrap();
-        assert_eq!(outcome, ArchiveOutcome::CorruptRegenerated);
+        assert_eq!(reopened.pack(&spec(), 2_000).unwrap(), ArchiveOutcome::CorruptRegenerated);
     }
 
     #[test]
@@ -489,7 +456,7 @@ mod tests {
     fn torn_manifest_line_is_skipped() {
         let root = tmpdir("torn");
         let mut archive = TraceArchive::open(root.path()).unwrap();
-        archive.get_or_generate(&spec(), 1_000).unwrap();
+        archive.pack(&spec(), 1_000).unwrap();
         // Simulate an interrupted append.
         append_line(&root.path().join("traces/MANIFEST.jsonl"), "{\"key\":\"dead").unwrap();
         let reopened = TraceArchive::open(root.path()).unwrap();

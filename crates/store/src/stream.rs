@@ -164,8 +164,10 @@ mod tests {
     fn archived(root: &TempDir, len: usize) -> (TraceArchive, u64, PackedTrace) {
         let spec = build_suite(&SuiteConfig { benchmarks: 3 }).remove(1);
         let mut archive = TraceArchive::open(root.path()).unwrap();
-        let (trace, _) = archive.get_or_generate_packed(&spec, len).unwrap();
+        archive.pack(&spec, len).unwrap();
         let key = TraceArchive::content_key(&spec, len);
+        let meta = archive.entry_meta(key).unwrap();
+        let trace = TraceArchive::decode_file(&archive.trace_path(key), meta).unwrap();
         (archive, key, trace)
     }
 

@@ -4,7 +4,8 @@
 #   1. suite_runner — the item scheduler at 1 vs 8 threads, 4
 #      benchmarks x 9 policies, plus an epoch-telemetry variant guarding
 #      instrumentation overhead (telemetry_overhead_8t in the trajectory
-#      line).
+#      line; above the 1.2x target it warns, and exits non-zero under
+#      CHIRP_BENCH_STRICT=1).
 #   2. sim_throughput — single-thread instructions/sec of the
 #      monomorphized columnar hot loop (instr_per_sec_1t, the sequential
 #      run_columnar baseline) and the factored engine
@@ -76,6 +77,10 @@ extract_serve() {
     query_traj "last serve_req_per_sec from bench where bench=serve_loadgen"
 }
 
+extract_telemetry_overhead() {
+    query_traj "last telemetry_overhead_8t from bench where bench=suite_runner"
+}
+
 legacy_ips() {
     # Last sim_throughput line's instr_per_sec_1t, empty if none.
     [[ -f "$out" ]] || return 0
@@ -99,6 +104,12 @@ legacy_serve() {
     [[ -f "$out" ]] || return 0
     grep '"bench":"serve_loadgen"' "$out" | tail -n 1 |
         sed -n 's/.*"serve_req_per_sec":\([0-9][0-9]*\).*/\1/p'
+}
+
+legacy_telemetry_overhead() {
+    [[ -f "$out" ]] || return 0
+    grep '"bench":"suite_runner"' "$out" | tail -n 1 |
+        sed -n 's/.*"telemetry_overhead_8t":\([0-9.][0-9.]*\).*/\1/p'
 }
 
 # The query-engine path and the legacy text-scrape path must read the
@@ -148,10 +159,12 @@ new_ips="$(extract_ips)"
 new_factored="$(extract_factored)"
 new_factored_speedup="$(extract_factored_speedup)"
 new_serve="$(extract_serve)"
+new_telemetry_overhead="$(extract_telemetry_overhead)"
 assert_paths_agree instr_per_sec_1t "$new_ips" "$(legacy_ips)"
 assert_paths_agree instr_per_sec_1t_factored "$new_factored" "$(legacy_factored)"
 assert_paths_agree factored_speedup "$new_factored_speedup" "$(legacy_factored_speedup)"
 assert_paths_agree serve_req_per_sec "$new_serve" "$(legacy_serve)"
+assert_paths_agree telemetry_overhead_8t "$new_telemetry_overhead" "$(legacy_telemetry_overhead)"
 guard instr_per_sec_1t "$prev_ips" "$new_ips"
 guard instr_per_sec_1t_factored "$prev_factored" "$new_factored"
 guard serve_req_per_sec "$prev_serve" "$new_serve"
@@ -166,6 +179,19 @@ if [[ -n "$new_factored_speedup" ]]; then
         fi
     else
         echo "factored guard: factored_speedup $new_factored_speedup >= 3.0 floor"
+    fi
+fi
+
+# Telemetry target: sampling epoch series on the chunk driver must cost
+# at most 1.2x the plain 8-thread run.
+if [[ -n "$new_telemetry_overhead" ]]; then
+    if awk -v t="$new_telemetry_overhead" 'BEGIN { exit !(t > 1.2) }'; then
+        echo "WARNING: telemetry_overhead_8t $new_telemetry_overhead above the 1.2 target" >&2
+        if [[ "${CHIRP_BENCH_STRICT:-0}" == "1" ]]; then
+            exit 1
+        fi
+    else
+        echo "telemetry guard: telemetry_overhead_8t $new_telemetry_overhead <= 1.2 target"
     fi
 fi
 

@@ -99,6 +99,14 @@ cargo run --release -q -p chirp-query --bin chirp-query -- \
 regressions="$(cargo run --release -q -p chirp-query --bin chirp-query -- \
     --store "$query_store" --raw "regress mpki")"
 test "$regressions" = "0"
+# The same run again answers from the ledger: it appends nothing. Harness
+# runs read the archive but never grow it, so the store holds no trace.
+ledger_lines="$(wc -l < "$query_store/runs.jsonl")"
+cargo run --release -q -p chirp-bench --bin run_all -- \
+    --benchmarks 2 --instructions 20_000 --threads 2 \
+    --store "$query_store" > "$smoke_dir/run_all_store_again.out"
+test "$(wc -l < "$query_store/runs.jsonl")" -eq "$ledger_lines"
+test -z "$(find "$query_store" -name '*.chrp')"
 
 echo "==> chirp-dash smoke (dashboard from the checked-in trajectory)"
 cargo run --release -q -p chirp-query --bin chirp-dash -- \
@@ -127,6 +135,29 @@ grep -q "2 archive streams, 0 generated, 0 regenerated" "$smoke_dir/stream.err"
 target/release/full_suite --store "$gen_store" --benchmarks 2 \
     --instructions 100_000 --stream-chunk 997 > /dev/null 2> "$smoke_dir/gen.err"
 grep -q "0 archive streams, 2 generated" "$smoke_dir/gen.err"
+cmp <(sort "$stream_store/runs.jsonl") <(sort "$gen_store/runs.jsonl")
+# A corrupt entry costs one regeneration: the run that finds it rewrites
+# it, and the next run streams it again. Each run starts from an empty
+# ledger so that it needs both traces.
+flip_byte() { # FILE OFFSET
+    local byte
+    byte="$(od -An -tu1 -j "$2" -N1 "$1" | tr -d ' ')"
+    printf "$(printf '\\%03o' $((byte ^ 255)))" |
+        dd of="$1" bs=1 seek="$2" conv=notrunc status=none
+}
+flip_byte "$(find "$stream_store/traces" -name '*.chrp' | sort | head -n 1)" 4096
+if target/release/trace_tool verify "$stream_store" > /dev/null; then
+    echo "flipped byte left the archive clean" >&2
+    exit 1
+fi
+for run in heal healed; do
+    rm "$stream_store/runs.jsonl"
+    target/release/full_suite --store "$stream_store" --benchmarks 2 \
+        --instructions 100_000 --stream-chunk 997 > /dev/null 2> "$smoke_dir/$run.err"
+done
+grep -q "1 archive streams, 0 generated, 1 regenerated" "$smoke_dir/heal.err"
+grep -q "2 archive streams, 0 generated, 0 regenerated" "$smoke_dir/healed.err"
+target/release/trace_tool verify "$stream_store" > /dev/null
 cmp <(sort "$stream_store/runs.jsonl") <(sort "$gen_store/runs.jsonl")
 
 echo "==> pipelined vs inline ledgers (factored replay on a second thread or inline)"

@@ -3,14 +3,24 @@
 //! suite run free of simulation, and archive corruption must heal
 //! transparently.
 
-use chirp_repro::sim::runner::{run_suite, run_suite_cached, RunnerConfig};
+use chirp_repro::sim::runner::{run_suite, run_suite_streamed, RunnerConfig};
 use chirp_repro::sim::PolicyKind;
 use chirp_repro::store::{Store, TempDir, TraceArchive};
-use chirp_repro::trace::suite::{build_suite, SuiteConfig};
+use chirp_repro::trace::suite::{build_suite, BenchmarkSpec, SuiteConfig};
 use std::fs;
+use std::path::Path;
 
 fn fresh_store(tag: &str) -> TempDir {
     TempDir::new(&format!("e2e-{tag}"))
+}
+
+/// Fills the archive under `root` with `suite`'s traces, as `trace_tool
+/// pack` does: suite runs read the archive but never grow it.
+fn pack(root: &Path, suite: &[BenchmarkSpec], instructions: usize) {
+    let mut archive = TraceArchive::open(root).unwrap();
+    for bench in suite {
+        archive.pack(bench, instructions).unwrap();
+    }
 }
 
 #[test]
@@ -20,12 +30,12 @@ fn second_cached_run_performs_zero_simulations() {
     let policies = [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Ship];
     let config = RunnerConfig { instructions: 20_000, threads: 2, ..Default::default() };
 
-    let (first, stats) = run_suite_cached(&suite, &policies, &config, root.path()).unwrap();
+    let (first, stats) = run_suite_streamed(&suite, &policies, &config, root.path()).unwrap();
     assert_eq!(first.len(), suite.len() * policies.len());
     assert_eq!(stats.simulated, suite.len() * policies.len());
     assert_eq!(stats.ledger_hits, 0);
 
-    let (second, stats) = run_suite_cached(&suite, &policies, &config, root.path()).unwrap();
+    let (second, stats) = run_suite_streamed(&suite, &policies, &config, root.path()).unwrap();
     assert_eq!(stats.simulated, 0, "a repeat run must not simulate anything");
     assert_eq!(stats.ledger_hits, suite.len() * policies.len());
     assert_eq!(second, first, "cached results must be byte-identical");
@@ -40,19 +50,20 @@ fn config_change_invalidates_only_affected_runs() {
     let suite = build_suite(&SuiteConfig { benchmarks: 2 });
     let policies = [PolicyKind::Lru];
     let config = RunnerConfig { instructions: 15_000, threads: 1, ..Default::default() };
-    run_suite_cached(&suite, &policies, &config, root.path()).unwrap();
+    pack(root.path(), &suite, config.instructions);
+    run_suite_streamed(&suite, &policies, &config, root.path()).unwrap();
 
     // Same store, different simulator configuration: nothing can be
     // reused, but the archived traces are.
     let mut changed = config.clone();
     changed.sim = changed.sim.with_walk_penalty(changed.sim.tlb.walk_penalty + 50);
-    let (_, stats) = run_suite_cached(&suite, &policies, &changed, root.path()).unwrap();
+    let (_, stats) = run_suite_streamed(&suite, &policies, &changed, root.path()).unwrap();
     assert_eq!(stats.ledger_hits, 0);
     assert_eq!(stats.simulated, suite.len());
     assert_eq!(stats.trace_hits, suite.len() as u64, "traces must come from the archive");
 
     // Re-running the original configuration still hits its old entries.
-    let (_, stats) = run_suite_cached(&suite, &policies, &config, root.path()).unwrap();
+    let (_, stats) = run_suite_streamed(&suite, &policies, &config, root.path()).unwrap();
     assert_eq!(stats.simulated, 0);
 }
 
@@ -62,7 +73,8 @@ fn corrupted_archive_file_is_transparently_regenerated() {
     let suite = build_suite(&SuiteConfig { benchmarks: 2 });
     let policies = [PolicyKind::Lru];
     let config = RunnerConfig { instructions: 15_000, threads: 1, ..Default::default() };
-    let (first, _) = run_suite_cached(&suite, &policies, &config, root.path()).unwrap();
+    pack(root.path(), &suite, config.instructions);
+    let (first, _) = run_suite_streamed(&suite, &policies, &config, root.path()).unwrap();
 
     // Corrupt every archived trace in place.
     let traces_dir = root.path().join("traces");
@@ -80,13 +92,14 @@ fn corrupted_archive_file_is_transparently_regenerated() {
     assert_eq!(corrupted, suite.len());
 
     // The ledger still answers, so nothing even touches the corrupt files…
-    let (again, stats) = run_suite_cached(&suite, &policies, &config, root.path()).unwrap();
+    let (again, stats) = run_suite_streamed(&suite, &policies, &config, root.path()).unwrap();
     assert_eq!(again, first);
     assert_eq!(stats.simulated, 0);
 
     // …but a run that needs the traces detects the damage and heals it
     // rather than failing.
-    let (_, stats) = run_suite_cached(&suite, &[PolicyKind::Random], &config, root.path()).unwrap();
+    let (_, stats) =
+        run_suite_streamed(&suite, &[PolicyKind::Random], &config, root.path()).unwrap();
     assert_eq!(stats.trace_regenerated, suite.len() as u64);
     assert_eq!(stats.simulated, suite.len());
 
