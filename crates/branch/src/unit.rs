@@ -7,11 +7,10 @@ use crate::indirect::IndirectPredictor;
 use crate::perceptron::HashedPerceptron;
 use crate::ras::ReturnAddressStack;
 use chirp_trace::{InstrKind, TraceRecord};
-use serde::{Deserialize, Serialize};
 
 /// Branch unit configuration (paper Table II: hashed perceptron, 4K-entry
 /// BTB, 20-cycle miss penalty).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchConfig {
     /// Perceptron weight tables.
     pub perceptron_tables: usize,
@@ -44,7 +43,7 @@ impl Default for BranchConfig {
 }
 
 /// Outcome counters for the branch unit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Correctly predicted control-flow instructions.
     pub correct: u64,

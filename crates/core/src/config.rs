@@ -1,14 +1,12 @@
 //! CHiRP configuration, including the knobs the paper's ablations exercise.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the CHiRP predictor.
 ///
 /// Defaults reproduce the paper's main configuration: a 4096-counter
 /// (1 KB) prediction table of 2-bit counters, 16-access path history with
 /// two injected zeros per event, and 8-branch conditional/indirect
 /// histories of PC bits \[11:4\].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChirpConfig {
     /// Entries in the prediction table (power of two). 4096 × 2-bit = 1 KB,
     /// the paper's main budget (§VI-F).

@@ -9,10 +9,8 @@
 //! (Figure 2) can exceed the paper's defaults, and folds to 64 bits when
 //! composing the signature.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-capacity shift register of PC-derived events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryRegister {
     bits: u128,
     /// Bits shifted per event (payload + injected zeros).

@@ -8,10 +8,9 @@
 use crate::config::ChirpConfig;
 use crate::history::HistoryRegister;
 use chirp_trace::BranchClass;
-use serde::{Deserialize, Serialize};
 
 /// Maintains the three history registers and composes signatures.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignatureBuilder {
     path: HistoryRegister,
     cond: HistoryRegister,

@@ -9,10 +9,9 @@
 
 use crate::config::ChirpConfig;
 use chirp_tlb::TlbGeometry;
-use serde::{Deserialize, Serialize};
 
 /// One row of the storage table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageRow {
     /// Component name (matches Table I rows).
     pub component: String,
@@ -23,7 +22,7 @@ pub struct StorageRow {
 }
 
 /// The full Table I-style report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageReport {
     /// Component rows.
     pub rows: Vec<StorageRow>,

@@ -5,10 +5,8 @@
 //! §VI-H). Every read and write is counted for the Figure 11 access-rate
 //! analysis.
 
-use serde::{Deserialize, Serialize};
-
 /// A table of saturating counters with access accounting.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PredictionTable {
     counters: Vec<u8>,
     max: u8,

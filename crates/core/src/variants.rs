@@ -6,10 +6,9 @@
 //! stable display name so experiment reports stay readable.
 
 use crate::config::ChirpConfig;
-use serde::{Deserialize, Serialize};
 
 /// A named configuration for ablation studies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChirpVariant {
     /// Stable display name (used as a report row label).
     pub name: String,

@@ -4,11 +4,10 @@
 
 use crate::adaline::Adaline;
 use crate::features::pc_bit_features;
-use serde::{Deserialize, Serialize};
 
 /// One reuse observation: the PC whose access inserted/last-touched a TLB
 /// entry, and whether that entry was reused before eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReuseEvent {
     /// Accessing instruction PC.
     pub pc: u64,
@@ -17,7 +16,7 @@ pub struct ReuseEvent {
 }
 
 /// The trained weight profile for one benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightProfile {
     /// Benchmark name.
     pub benchmark: String,

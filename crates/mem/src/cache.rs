@@ -2,10 +2,9 @@
 
 use crate::order::{order_init, order_lru, order_mask, order_touch};
 use crate::stats::CacheStats;
-use serde::{Deserialize, Serialize};
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

@@ -3,10 +3,9 @@
 
 use crate::cache::{Cache, CacheConfig};
 use crate::stats::CacheStats;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of every level (paper Table II defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 instruction cache.
     pub l1i: CacheConfig,

@@ -3,10 +3,8 @@
 //! Shared by the cache models here and usable by TLB policies: position 0 is
 //! the most recently used way, the last position is the LRU way.
 
-use serde::{Deserialize, Serialize};
-
 /// True-LRU ordering over `ways` way indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LruStack {
     /// `order[0]` is the MRU way; `order[ways-1]` the LRU way.
     order: Vec<u8>,

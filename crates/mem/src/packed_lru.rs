@@ -14,10 +14,8 @@
 //! structures with the same touch sequence and asserts the full
 //! permutation matches at every step.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-set true-LRU ages for `sets × ways` entries in one flat array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedLru {
     /// `ages[set * ways + way]` is the stack position of `way` in `set`:
     /// 0 = MRU, `ways - 1` = LRU. Each set's slice is a permutation of

@@ -1,9 +1,7 @@
 //! Hit/miss accounting for cache-like structures.
 
-use serde::{Deserialize, Serialize};
-
 /// Hit/miss counters for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that found the line resident.
     pub hits: u64,

@@ -31,7 +31,8 @@
 //! checksum before the last batch is replayed.
 
 use crate::wire::{
-    self, err, read_request, write_response, Request, Response, VerdictReply, WireError,
+    self, err, read_request, write_response, FrameReader, Request, Response, VerdictReply,
+    WireError,
 };
 use chirp_sim::sched::{run_items, WorkItem};
 use chirp_sim::store_cache::{record_from_run, run_from_record, run_key};
@@ -131,9 +132,10 @@ fn io_err(context: &'static str) -> impl FnOnce(io::Error) -> ServeError {
     move |source| ServeError::Io { context, source }
 }
 
-/// Idle-read timeout on session sockets: long enough that it only fires
-/// between frames on an idle connection, short enough that sessions
-/// notice a shutdown promptly.
+/// Read timeout on session sockets: how often a session waiting on its
+/// client re-checks the stop flag, so it notices a shutdown promptly. A
+/// timeout inside a frame loses nothing: the session's [`FrameReader`]
+/// resumes the frame on the next read.
 const SESSION_READ_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// State shared by the accept loop, the control loop and every session.
@@ -389,6 +391,12 @@ fn stats_text(shared: &Shared) -> String {
     text
 }
 
+/// Whether a read failed on the session read timeout (`WouldBlock` or
+/// `TimedOut`, depending on the platform).
+fn timed_out(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
 fn error_response(code: u16, message: String) -> Response {
     Response::Error { code, message }
 }
@@ -398,14 +406,14 @@ fn error_response(code: u16, message: String) -> Response {
 fn session(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(SESSION_READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
+    let mut frames = FrameReader::default();
     loop {
-        let req = match read_request(&mut stream) {
+        let req = match frames.read_request(&mut stream) {
             Ok(Some(req)) => req,
             Ok(None) => return,
-            Err(WireError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle between frames: re-check the stop flag and wait on.
+            Err(WireError::Io(e)) if timed_out(&e) => {
+                // Idle, or a client pausing mid-frame (the reader keeps
+                // its bytes): re-check the stop flag and wait on.
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
                 }
@@ -438,6 +446,7 @@ fn session(mut stream: TcpStream, shared: &Arc<Shared>) {
             Request::Submit { name, category, seed, policies, trace_bytes, records, telemetry } => {
                 handle_submit(
                     &mut stream,
+                    &mut frames,
                     shared,
                     SubmitHeader {
                         name,
@@ -545,7 +554,12 @@ impl RunSpec {
 /// and only once every declared record has decoded is the trace archived
 /// and the ledger appended. Returns false when the session must close
 /// (protocol error).
-fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, header: SubmitHeader) -> bool {
+fn handle_submit(
+    stream: &mut TcpStream,
+    frames: &mut FrameReader,
+    shared: &Arc<Shared>,
+    header: SubmitHeader,
+) -> bool {
     shared.metrics.counter("submits").inc();
     // Validate before admitting: a rejected request reserves nothing and
     // the client never streams (it waits for Go).
@@ -592,7 +606,7 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, header: SubmitHea
     let mut buf: Vec<u8> = Vec::with_capacity(header.trace_bytes as usize);
     let mut hasher = Fnv64::new();
     loop {
-        match read_request(stream) {
+        match frames.read_request(stream) {
             Ok(Some(Request::TraceChunk(chunk))) => {
                 if buf.len() as u64 + chunk.len() as u64 > header.trace_bytes {
                     shared.metrics.counter("protocol_errors").inc();
@@ -612,9 +626,7 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, header: SubmitHea
                 let _ = write_response(stream, &resp);
                 return false;
             }
-            Err(WireError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
+            Err(WireError::Io(e)) if timed_out(&e) => {
                 if shared.stop.load(Ordering::SeqCst) {
                     return false;
                 }

@@ -10,12 +10,13 @@
 //! body    : len bytes
 //! ```
 //!
-//! Bodies are flat little-endian encodings built on the vendored `bytes`
-//! stub (the workspace is offline, so there is no tokio codec stack to
-//! lean on). Strings carry a `u32` length prefix; `f64` fields travel as
-//! their IEEE-754 bit pattern via [`f64::to_bits`], so MPKI values
-//! round-trip **bit-identically** — the loopback test compares server
-//! verdicts to direct `run_suite` results with `==` on `f64`.
+//! Bodies are flat little-endian encodings, written straight behind the
+//! header into one buffer and read back through a bounds-checked cursor
+//! over the received bytes. Strings carry a `u32` length prefix; `f64`
+//! fields travel as their IEEE-754 bit pattern via [`f64::to_bits`], so
+//! MPKI values round-trip **bit-identically** — the loopback test
+//! compares server verdicts to direct `run_suite` results with `==` on
+//! `f64`.
 //!
 //! A trace upload is *chunked*: the client sends [`Request::Submit`]
 //! (which declares the encoded byte and record totals so the server can
@@ -25,7 +26,6 @@
 //! [`Request::TraceEnd`]. Admission-before-transfer is what makes
 //! `BUSY` a cheap backpressure signal instead of an after-the-fact OOM.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -261,46 +261,81 @@ const TAG_ERROR: u8 = 0x85;
 const TAG_STATS_REPLY: u8 = 0x86;
 const TAG_SHUTDOWN_ACK: u8 = 0x87;
 
-fn put_u32(buf: &mut BytesMut, v: u32) {
-    buf.put_slice(&v.to_le_bytes());
+/// Bytes in a frame header: magic, version, tag and the `u32` body length.
+const HEADER_BYTES: usize = 7;
+
+/// An empty frame: header bytes reserved, to be filled by [`seal`] once
+/// the body behind them is written.
+fn frame() -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_BYTES + 64);
+    buf.resize(HEADER_BYTES, 0);
+    buf
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+/// Writes the header of a frame built on [`frame`].
+fn seal(mut buf: Vec<u8>, tag: u8) -> Vec<u8> {
+    let len = (buf.len() - HEADER_BYTES) as u32;
+    buf[..3].copy_from_slice(&[WIRE_MAGIC, WIRE_VERSION, tag]);
+    buf[3..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    buf
+}
+
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
-    buf.put_slice(s.as_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_strs(buf: &mut BytesMut, items: &[String]) {
+fn put_strs(buf: &mut Vec<u8>, items: &[String]) {
     put_u32(buf, items.len() as u32);
     for s in items {
         put_str(buf, s);
     }
 }
 
-fn put_bool(buf: &mut BytesMut, b: bool) {
-    buf.put_u8(u8::from(b));
+fn put_bool(buf: &mut Vec<u8>, b: bool) {
+    buf.push(u8::from(b));
 }
 
-fn put_f64(buf: &mut BytesMut, v: f64) {
-    buf.put_u64_le(v.to_bits());
+fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    put_u64(buf, v.to_bits());
 }
 
-/// Bounds-checked reader over a frame body (the vendored `bytes` cursor
-/// panics on overread, so every take checks `remaining` first).
-struct Body {
-    buf: Bytes,
+/// Bounds-checked reader over a frame body: every take checks the bytes
+/// left before reading, so a short or hostile body is an error, never a
+/// panic.
+struct Body<'a> {
+    rest: &'a [u8],
 }
 
-impl Body {
-    fn new(bytes: &[u8]) -> Body {
-        Body { buf: Bytes::copy_from_slice(bytes) }
+impl<'a> Body<'a> {
+    fn new(bytes: &'a [u8]) -> Body<'a> {
+        Body { rest: bytes }
+    }
+
+    /// The next `n` bytes, or `Malformed(what)` when fewer remain.
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
+        if self.rest.len() < n {
+            return Err(WireError::Malformed(what));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn take_array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], WireError> {
+        Ok(self.take(N, what)?.try_into().expect("take returns exactly N bytes"))
     }
 
     fn take_u8(&mut self) -> Result<u8, WireError> {
-        if self.buf.remaining() < 1 {
-            return Err(WireError::Malformed("u8 past end"));
-        }
-        Ok(self.buf.get_u8())
+        Ok(self.take(1, "u8 past end")?[0])
     }
 
     fn take_bool(&mut self) -> Result<bool, WireError> {
@@ -312,44 +347,24 @@ impl Body {
     }
 
     fn take_u16(&mut self) -> Result<u16, WireError> {
-        let mut b = [0u8; 2];
-        self.take_slice(&mut b, "u16 past end")?;
-        Ok(u16::from_le_bytes(b))
+        Ok(u16::from_le_bytes(self.take_array("u16 past end")?))
     }
 
     fn take_u32(&mut self) -> Result<u32, WireError> {
-        let mut b = [0u8; 4];
-        self.take_slice(&mut b, "u32 past end")?;
-        Ok(u32::from_le_bytes(b))
+        Ok(u32::from_le_bytes(self.take_array("u32 past end")?))
     }
 
     fn take_u64(&mut self) -> Result<u64, WireError> {
-        if self.buf.remaining() < 8 {
-            return Err(WireError::Malformed("u64 past end"));
-        }
-        Ok(self.buf.get_u64_le())
+        Ok(u64::from_le_bytes(self.take_array("u64 past end")?))
     }
 
     fn take_f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
-    fn take_slice(&mut self, dst: &mut [u8], what: &'static str) -> Result<(), WireError> {
-        if self.buf.remaining() < dst.len() {
-            return Err(WireError::Malformed(what));
-        }
-        self.buf.copy_to_slice(dst);
-        Ok(())
-    }
-
     fn take_bytes(&mut self) -> Result<Vec<u8>, WireError> {
         let len = self.take_u32()? as usize;
-        if self.buf.remaining() < len {
-            return Err(WireError::Malformed("byte field past end"));
-        }
-        let mut out = vec![0u8; len];
-        self.buf.copy_to_slice(&mut out);
-        Ok(out)
+        Ok(self.take(len, "byte field past end")?.to_vec())
     }
 
     fn take_str(&mut self) -> Result<String, WireError> {
@@ -360,45 +375,47 @@ impl Body {
         let n = self.take_u32()? as usize;
         // Each entry needs at least its 4-byte length prefix; this bounds
         // allocation against a hostile count.
-        if n > self.buf.remaining() / 4 {
+        if n > self.rest.len() / 4 {
             return Err(WireError::Malformed("string list count past end"));
         }
         (0..n).map(|_| self.take_str()).collect()
     }
 
     fn finish(self) -> Result<(), WireError> {
-        if self.buf.has_remaining() {
+        if !self.rest.is_empty() {
             return Err(WireError::Malformed("trailing bytes after body"));
         }
         Ok(())
     }
 }
 
-fn encode_request(req: &Request) -> (u8, BytesMut) {
-    let mut buf = BytesMut::with_capacity(64);
+/// The whole frame of `req`, header included.
+fn encode_request(req: &Request) -> Vec<u8> {
+    let mut buf = frame();
     let tag = match req {
         Request::Ping => TAG_PING,
         Request::Submit { name, category, seed, policies, trace_bytes, records, telemetry } => {
             put_str(&mut buf, name);
             put_str(&mut buf, category);
-            buf.put_u64_le(*seed);
+            put_u64(&mut buf, *seed);
             put_strs(&mut buf, policies);
-            buf.put_u64_le(*trace_bytes);
-            buf.put_u64_le(*records);
+            put_u64(&mut buf, *trace_bytes);
+            put_u64(&mut buf, *records);
             put_bool(&mut buf, *telemetry);
             TAG_SUBMIT
         }
         Request::TraceChunk(bytes) => {
+            buf.reserve(4 + bytes.len());
             put_u32(&mut buf, bytes.len() as u32);
-            buf.put_slice(bytes);
+            buf.extend_from_slice(bytes);
             TAG_TRACE_CHUNK
         }
         Request::TraceEnd => TAG_TRACE_END,
         Request::RunArchived { hash, name, category, seed, policies, telemetry } => {
-            buf.put_u64_le(*hash);
+            put_u64(&mut buf, *hash);
             put_str(&mut buf, name);
             put_str(&mut buf, category);
-            buf.put_u64_le(*seed);
+            put_u64(&mut buf, *seed);
             put_strs(&mut buf, policies);
             put_bool(&mut buf, *telemetry);
             TAG_RUN_ARCHIVED
@@ -406,7 +423,7 @@ fn encode_request(req: &Request) -> (u8, BytesMut) {
         Request::Stats => TAG_STATS,
         Request::Shutdown => TAG_SHUTDOWN,
     };
-    (tag, buf)
+    seal(buf, tag)
 }
 
 fn decode_request(tag: u8, body: &[u8]) -> Result<Request, WireError> {
@@ -440,21 +457,22 @@ fn decode_request(tag: u8, body: &[u8]) -> Result<Request, WireError> {
     Ok(req)
 }
 
-fn encode_response(resp: &Response) -> (u8, BytesMut) {
-    let mut buf = BytesMut::with_capacity(64);
+/// The whole frame of `resp`, header included.
+fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut buf = frame();
     let tag = match resp {
         Response::Pong => TAG_PONG,
         Response::Go => TAG_GO,
         Response::Busy { retry_after_ms, in_flight_bytes, budget_bytes } => {
             put_u32(&mut buf, *retry_after_ms);
-            buf.put_u64_le(*in_flight_bytes);
-            buf.put_u64_le(*budget_bytes);
+            put_u64(&mut buf, *in_flight_bytes);
+            put_u64(&mut buf, *budget_bytes);
             TAG_BUSY
         }
         Response::Verdict(v) => {
             put_str(&mut buf, &v.name);
-            buf.put_u64_le(v.content_hash);
-            buf.put_u64_le(v.trace_records);
+            put_u64(&mut buf, v.content_hash);
+            put_u64(&mut buf, v.trace_records);
             put_u32(&mut buf, v.verdicts.len() as u32);
             for p in &v.verdicts {
                 put_str(&mut buf, &p.policy);
@@ -470,7 +488,7 @@ fn encode_response(resp: &Response) -> (u8, BytesMut) {
                     p.prediction_table_accesses,
                     p.l2_accesses_total,
                 ] {
-                    buf.put_u64_le(field);
+                    put_u64(&mut buf, field);
                 }
                 put_f64(&mut buf, p.efficiency);
                 put_f64(&mut buf, p.mpki);
@@ -486,7 +504,7 @@ fn encode_response(resp: &Response) -> (u8, BytesMut) {
             TAG_VERDICT
         }
         Response::Error { code, message } => {
-            buf.put_slice(&code.to_le_bytes());
+            buf.extend_from_slice(&code.to_le_bytes());
             put_str(&mut buf, message);
             TAG_ERROR
         }
@@ -496,7 +514,7 @@ fn encode_response(resp: &Response) -> (u8, BytesMut) {
         }
         Response::ShutdownAck => TAG_SHUTDOWN_ACK,
     };
-    (tag, buf)
+    seal(buf, tag)
 }
 
 fn decode_response(tag: u8, body: &[u8]) -> Result<Response, WireError> {
@@ -555,75 +573,109 @@ fn decode_response(tag: u8, body: &[u8]) -> Result<Response, WireError> {
     Ok(resp)
 }
 
-fn write_frame<W: Write>(w: &mut W, tag: u8, body: &BytesMut) -> Result<(), WireError> {
-    let mut header = [0u8; 7];
-    header[0] = WIRE_MAGIC;
-    header[1] = WIRE_VERSION;
-    header[2] = tag;
-    header[3..7].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(&body.to_vec())?;
+fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> Result<(), WireError> {
+    w.write_all(frame)?;
     w.flush()?;
     Ok(())
 }
 
-/// Reads one frame header + body. `Ok(None)` means the peer closed the
-/// connection cleanly *between* frames; closing mid-frame is
-/// [`WireError::UnexpectedEof`].
-fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
-    // First byte read by hand: zero bytes here is a clean close, not an
-    // error — read_exact cannot tell the two apart.
-    let mut first = [0u8; 1];
+/// One read into `buf`, retried when interrupted by a signal.
+fn read_some<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
     loop {
-        match r.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
+        match r.read(buf) {
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
+            other => return other,
         }
     }
-    if first[0] != WIRE_MAGIC {
-        return Err(WireError::BadMagic(first[0]));
+}
+
+/// Reads frames, keeping a partly read frame across read errors.
+///
+/// A socket with a read timeout fails a read that waits too long, also
+/// in the middle of a frame. The bytes read so far stay here, so the next
+/// call resumes the frame where the timeout cut it off: a client that
+/// pauses inside a frame loses nothing.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    header: [u8; HEADER_BYTES],
+    /// Header bytes read so far.
+    header_len: usize,
+    /// The body, allocated at its declared length once the header is in.
+    body: Vec<u8>,
+    /// Body bytes read so far.
+    body_len: usize,
+}
+
+impl FrameReader {
+    /// Reads the rest of the current frame. `Ok(None)` means the peer
+    /// closed the connection cleanly *between* frames; closing mid-frame
+    /// is [`WireError::UnexpectedEof`]. On an I/O error the bytes read so
+    /// far are kept for the next call.
+    fn read_frame<R: Read>(&mut self, r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
+        while self.header_len < HEADER_BYTES {
+            // Never reads past the header: the body length is not known yet.
+            let n = read_some(r, &mut self.header[self.header_len..])?;
+            if n == 0 {
+                return if self.header_len == 0 { Ok(None) } else { Err(WireError::UnexpectedEof) };
+            }
+            if self.header[0] != WIRE_MAGIC {
+                return Err(WireError::BadMagic(self.header[0]));
+            }
+            self.header_len += n;
+            if self.header_len == HEADER_BYTES {
+                let version = self.header[1];
+                if version != WIRE_VERSION {
+                    return Err(WireError::UnsupportedVersion(version));
+                }
+                let len = u32::from_le_bytes(self.header[3..].try_into().expect("4 length bytes"));
+                if len > MAX_FRAME_BYTES {
+                    return Err(WireError::Oversized(len));
+                }
+                self.body = vec![0u8; len as usize];
+            }
+        }
+        while self.body_len < self.body.len() {
+            let n = read_some(r, &mut self.body[self.body_len..])?;
+            if n == 0 {
+                return Err(WireError::UnexpectedEof);
+            }
+            self.body_len += n;
+        }
+        let tag = self.header[2];
+        self.header_len = 0;
+        self.body_len = 0;
+        Ok(Some((tag, std::mem::take(&mut self.body))))
     }
-    let mut rest = [0u8; 6];
-    r.read_exact(&mut rest)?;
-    let version = rest[0];
-    if version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion(version));
+
+    /// Reads one request frame; `Ok(None)` on clean close between frames.
+    pub fn read_request<R: Read>(&mut self, r: &mut R) -> Result<Option<Request>, WireError> {
+        match self.read_frame(r)? {
+            None => Ok(None),
+            Some((tag, body)) => decode_request(tag, &body).map(Some),
+        }
     }
-    let tag = rest[1];
-    let len = u32::from_le_bytes([rest[2], rest[3], rest[4], rest[5]]);
-    if len > MAX_FRAME_BYTES {
-        return Err(WireError::Oversized(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    Ok(Some((tag, body)))
 }
 
 /// Writes one request frame.
 pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<(), WireError> {
-    let (tag, body) = encode_request(req);
-    write_frame(w, tag, &body)
+    write_frame(w, &encode_request(req))
 }
 
 /// Reads one request frame; `Ok(None)` on clean close between frames.
+/// A read error mid-frame loses the partial frame: a reader that expects
+/// timeouts keeps a [`FrameReader`] instead.
 pub fn read_request<R: Read>(r: &mut R) -> Result<Option<Request>, WireError> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some((tag, body)) => decode_request(tag, &body).map(Some),
-    }
+    FrameReader::default().read_request(r)
 }
 
 /// Writes one response frame.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<(), WireError> {
-    let (tag, body) = encode_response(resp);
-    write_frame(w, tag, &body)
+    write_frame(w, &encode_response(resp))
 }
 
 /// Reads one response frame; `Ok(None)` on clean close between frames.
 pub fn read_response<R: Read>(r: &mut R) -> Result<Option<Response>, WireError> {
-    match read_frame(r)? {
+    match FrameReader::default().read_frame(r)? {
         None => Ok(None),
         Some((tag, body)) => decode_response(tag, &body).map(Some),
     }
@@ -784,12 +836,12 @@ mod tests {
     fn hostile_string_count_is_bounded() {
         // A Submit body whose policy count claims u32::MAX entries must be
         // rejected before allocating.
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::new();
         put_str(&mut buf, "n");
         put_str(&mut buf, "web");
-        buf.put_u64_le(0);
+        put_u64(&mut buf, 0);
         put_u32(&mut buf, u32::MAX); // policy count
-        let err = decode_request(TAG_SUBMIT, &buf.to_vec()).unwrap_err();
+        let err = decode_request(TAG_SUBMIT, &buf).unwrap_err();
         assert!(matches!(err, WireError::Malformed(_)));
     }
 
@@ -825,6 +877,63 @@ mod tests {
         for stride in 1..=4 {
             let mut r = Dribble { data: &bytes, pos: 0, stride };
             assert_eq!(read_request(&mut r).unwrap(), Some(req.clone()), "stride {stride}");
+        }
+    }
+
+    /// `Read` adapter that fails every other call with `WouldBlock`, as a
+    /// socket read timeout does, and otherwise returns `stride` bytes.
+    struct Stalling<'a> {
+        data: &'a [u8],
+        pos: usize,
+        stride: usize,
+        stall: bool,
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.stall = !self.stall;
+            if self.stall {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.stride).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_reader_resumes_across_timeouts() {
+        let reqs = [
+            Request::Ping,
+            Request::TraceChunk(vec![7; 40]),
+            Request::RunArchived {
+                hash: 3,
+                name: "n".into(),
+                category: "web".into(),
+                seed: 1,
+                policies: vec!["lru".into()],
+                telemetry: true,
+            },
+        ];
+        let bytes: Vec<u8> = reqs.iter().flat_map(request_bytes).collect();
+        for stride in [1, 3, 7] {
+            let mut r = Stalling { data: &bytes, pos: 0, stride, stall: false };
+            let mut frames = FrameReader::default();
+            let mut got = Vec::new();
+            let mut timeouts = 0;
+            loop {
+                match frames.read_request(&mut r) {
+                    Ok(Some(req)) => got.push(req),
+                    Ok(None) => break,
+                    Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        timeouts += 1;
+                    }
+                    Err(e) => panic!("stride {stride}: {e}"),
+                }
+            }
+            assert_eq!(got, reqs, "stride {stride}");
+            assert!(timeouts > reqs.len(), "stride {stride}: timeouts fell inside frames");
         }
     }
 

@@ -14,7 +14,9 @@
 //!   backpressure to completion;
 //! * an upload that fails to decode is neither archived nor written to
 //!   the ledger, and an archived file that fails its checksum heals when
-//!   the same bytes are uploaded again.
+//!   the same bytes are uploaded again;
+//! * a client that pauses inside a frame for longer than the server's
+//!   session read timeout keeps its session.
 
 use chirp_serve::client::{shutdown_server, Client, SubmitOutcome};
 use chirp_serve::loadgen::{run_load, LoadGenConfig};
@@ -24,8 +26,10 @@ use chirp_sim::{run_suite, BenchRun, PolicyKind, RunnerConfig};
 use chirp_store::{fnv64, TempDir, TraceArchive};
 use chirp_trace::suite::{build_suite, BenchmarkSpec, SuiteConfig};
 use chirp_trace::{read_trace, write_trace, write_trace_packed};
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::Path;
+use std::sync::mpsc;
 use std::time::Duration;
 
 const INSTRUCTIONS: usize = 8_000;
@@ -475,4 +479,116 @@ fn stats_break_requests_into_stages() {
 
     drop(client);
     handle.shutdown().expect("clean shutdown");
+}
+
+/// Three times the server's 250 ms session read timeout: a pause this
+/// long inside a frame spans several timed-out reads on the server.
+const STALL: Duration = Duration::from_millis(750);
+
+fn frame_bytes(req: &Request) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_request(&mut bytes, req).expect("encode request");
+    bytes
+}
+
+/// Sends `frame` as its first `split` bytes, a [`STALL`], then the rest.
+fn write_stalled(stream: &mut TcpStream, frame: &[u8], split: usize) {
+    stream.write_all(&frame[..split]).expect("send frame head");
+    std::thread::sleep(STALL);
+    stream.write_all(&frame[split..]).expect("send frame tail");
+}
+
+/// A raw client socket that gives up on a reply after ten seconds.
+fn raw_connect(handle: &ServerHandle) -> TcpStream {
+    let stream = TcpStream::connect(handle.addr()).expect("connect raw");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("set client timeout");
+    stream
+}
+
+#[test]
+fn ping_stalled_mid_header_is_answered() {
+    let root = TempDir::new("serve-stall-ping");
+    let handle = start_server(&root, None);
+    let mut raw = raw_connect(&handle);
+    write_stalled(&mut raw, &frame_bytes(&Request::Ping), 3);
+    match read_response(&mut raw) {
+        Ok(Some(Response::Pong)) => {}
+        other => panic!("a stalled ping must be answered, got {other:?}"),
+    }
+    drop(raw);
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn trace_chunk_stalled_mid_body_gets_the_unstalled_verdict() {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let spec = &suite[0];
+    let bytes = write_trace_packed(&spec.generate_packed(INSTRUCTIONS));
+
+    let plain_root = TempDir::new("serve-stall-plain");
+    let plain = start_server(&plain_root, None);
+    let expected = submit(&mut Client::connect(plain.addr()).expect("connect"), spec, &bytes);
+    plain.shutdown().expect("clean shutdown");
+
+    let root = TempDir::new("serve-stall-chunk");
+    let handle = start_server(&root, None);
+    let mut raw = raw_connect(&handle);
+    write_request(
+        &mut raw,
+        &Request::Submit {
+            name: spec.name.clone(),
+            category: spec.category.label().to_string(),
+            seed: spec.seed,
+            policies: policy_labels(),
+            trace_bytes: bytes.len() as u64,
+            records: INSTRUCTIONS as u64,
+            telemetry: false,
+        },
+    )
+    .expect("send submit");
+    match read_response(&mut raw) {
+        Ok(Some(Response::Go)) => {}
+        other => panic!("expected go, got {other:?}"),
+    }
+    for (i, chunk) in bytes.chunks(wire::TRACE_CHUNK_BYTES).enumerate() {
+        let frame = frame_bytes(&Request::TraceChunk(chunk.to_vec()));
+        if i == 0 {
+            // Past the 7-byte header and the 4-byte length: mid-body.
+            write_stalled(&mut raw, &frame, 11 + chunk.len() / 2);
+        } else {
+            raw.write_all(&frame).expect("send chunk");
+        }
+    }
+    write_request(&mut raw, &Request::TraceEnd).expect("end stream");
+    match read_response(&mut raw) {
+        Ok(Some(Response::Verdict(verdict))) => assert_eq!(verdict, expected),
+        other => panic!("a stalled chunk must still get the verdict, got {other:?}"),
+    }
+    drop(raw);
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn session_stalled_mid_frame_exits_on_shutdown() {
+    let root = TempDir::new("serve-stall-shutdown");
+    let handle = start_server(&root, None);
+    let control = handle.control_addr();
+    let mut raw = raw_connect(&handle);
+    write_stalled(&mut raw, &frame_bytes(&Request::Ping), 5);
+    match read_response(&mut raw) {
+        Ok(Some(Response::Pong)) => {}
+        other => panic!("a stalled ping must be answered, got {other:?}"),
+    }
+    // Start another frame and never finish it: the session is mid-frame
+    // when the shutdown arrives, and must still exit for the server to
+    // join.
+    raw.write_all(&frame_bytes(&Request::Ping)[..3]).expect("send frame head");
+    std::thread::sleep(STALL);
+    shutdown_server(control).expect("shutdown acked");
+    let (done, joined) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = done.send(());
+    });
+    joined.recv_timeout(Duration::from_secs(10)).expect("server joins with a session mid-frame");
 }

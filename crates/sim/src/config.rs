@@ -3,10 +3,9 @@
 use chirp_branch::BranchConfig;
 use chirp_mem::HierarchyConfig;
 use chirp_tlb::TlbHierarchyConfig;
-use serde::{Deserialize, Serialize};
 
 /// Full simulator configuration. Defaults reproduce Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Cache hierarchy and DRAM.
     pub mem: HierarchyConfig,

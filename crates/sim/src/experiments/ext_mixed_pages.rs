@@ -14,10 +14,9 @@ use chirp_core::{ChirpConfig, SignatureBuilder};
 use chirp_tlb::mixed::{MixedPolicy, MixedStats, MixedTlb, ThpMapper};
 use chirp_tlb::TlbGeometry;
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// One sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedPoint {
     /// Fragmentation percentage (0 = all huge pages allocate).
     pub fragmentation_percent: u32,
@@ -30,7 +29,7 @@ pub struct MixedPoint {
 }
 
 /// The sweep result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedPagesResult {
     /// Per-fragmentation points.
     pub points: Vec<MixedPoint>,

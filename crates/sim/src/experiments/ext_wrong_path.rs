@@ -14,10 +14,9 @@ use crate::report::Table;
 use crate::runner::{group_by_benchmark, run_suite, RunnerConfig};
 use chirp_core::ChirpConfig;
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// The wrong-path ablation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WrongPathResult {
     /// (pollution events per mispredict, mean MPKI, reduction vs LRU).
     pub rows: Vec<(u32, f64, f64)>,

@@ -7,13 +7,12 @@ use crate::registry::PolicyKind;
 use crate::report::Table;
 use crate::runner::{group_by_benchmark, run_suite, RunnerConfig};
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// The penalties the paper sweeps (cycles).
 pub const PAPER_PENALTIES: [u64; 9] = [20, 60, 100, 150, 200, 240, 280, 320, 340];
 
 /// The Figure 10 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig10Result {
     /// Penalties swept.
     pub penalties: Vec<u64>,

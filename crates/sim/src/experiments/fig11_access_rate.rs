@@ -12,10 +12,9 @@ use crate::registry::PolicyKind;
 use crate::report::{render_density, Table};
 use crate::runner::{group_by_benchmark, run_suite, BenchRun, RunnerConfig};
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// The Figure 11 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig11Result {
     /// (policy, per-benchmark table-access rate), predictive policies only.
     pub series: Vec<(String, Vec<f64>)>,

@@ -6,10 +6,9 @@ use crate::registry::PolicyKind;
 use crate::report::Table;
 use crate::runner::{group_by_benchmark, run_suite, BenchRun, RunnerConfig};
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// The Figure 1 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Result {
     /// Benchmark names, sorted by LRU efficiency ascending (the paper sorts
     /// rows from low to high efficiency).

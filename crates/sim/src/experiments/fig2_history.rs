@@ -11,14 +11,13 @@ use crate::report::Table;
 use crate::runner::{group_by_benchmark, run_suite, RunnerConfig};
 use chirp_core::ChirpVariant;
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// History lengths swept (the paper plots 4–40; our registers support up
 /// to 32 path events with injected zeros).
 pub const PAPER_LENGTHS: [u32; 8] = [4, 8, 12, 15, 16, 20, 24, 32];
 
 /// The Figure 2 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Result {
     /// Lengths swept.
     pub lengths: Vec<u32>,

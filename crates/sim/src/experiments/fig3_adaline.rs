@@ -12,7 +12,6 @@ use chirp_learn::{train_on_events, ReuseEvent, WeightProfile};
 use chirp_mem::LruStack;
 use chirp_tlb::{PolicyStorage, TlbAccess, TlbGeometry, TlbReplacementPolicy};
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// Number of PC bits analysed (paper Figure 3 spans the low PC bits).
 pub const PC_BITS: usize = 24;
@@ -96,7 +95,7 @@ impl TlbReplacementPolicy for ReuseRecorder {
 }
 
 /// The Figure 3 result: one weight profile per benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Result {
     /// One row per benchmark.
     pub profiles: Vec<WeightProfile>,

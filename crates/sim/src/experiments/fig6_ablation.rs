@@ -12,10 +12,9 @@ use crate::report::Table;
 use crate::runner::{group_by_benchmark, run_suite, RunnerConfig};
 use chirp_core::ChirpVariant;
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// The Figure 6 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Result {
     /// (variant name, mean-MPKI reduction vs LRU as a fraction).
     pub rungs: Vec<(String, f64)>,

@@ -7,10 +7,9 @@ use crate::registry::PolicyKind;
 use crate::report::{render_scurve, Table};
 use crate::runner::{group_by_benchmark, run_suite, BenchRun, RunnerConfig};
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// Per-policy summary of the MPKI comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicySummary {
     /// Policy name.
     pub policy: String,
@@ -23,7 +22,7 @@ pub struct PolicySummary {
 }
 
 /// The Figure 7 result: per-benchmark MPKI series plus summaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Result {
     /// Benchmark names, suite order.
     pub benchmarks: Vec<String>,

@@ -6,10 +6,9 @@ use crate::registry::PolicyKind;
 use crate::report::{render_scurve, Table};
 use crate::runner::{group_by_benchmark, run_suite, BenchRun, RunnerConfig};
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// The Figure 8 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Result {
     /// Walk penalty used (150 in the paper's headline figure).
     pub walk_penalty: u64,

@@ -7,10 +7,9 @@ use crate::report::Table;
 use crate::runner::{group_by_benchmark, run_suite, RunnerConfig};
 use chirp_core::ChirpVariant;
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// The Figure 9 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig9Result {
     /// (table bytes, mean-MPKI reduction vs LRU as a fraction).
     pub points: Vec<(usize, f64)>,

@@ -15,10 +15,9 @@ use crate::report::Table;
 use crate::runner::RunnerConfig;
 use chirp_tlb::policies::{OptOracle, OptPolicy};
 use chirp_trace::suite::BenchmarkSpec;
-use serde::{Deserialize, Serialize};
 
 /// The OPT-bound result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptBoundResult {
     /// Per-benchmark (name, LRU MPKI, CHiRP MPKI, OPT MPKI).
     pub rows: Vec<(String, f64, f64, f64)>,

@@ -1,13 +1,12 @@
 //! Result records and metric helpers.
 
 use chirp_tlb::TlbStats;
-use serde::{Deserialize, Serialize};
 
 /// The measured outcome of simulating one trace under one policy.
 ///
 /// All counters cover the measurement window only (after warmup), except
 /// `efficiency` and `table_access_rate`, which are whole-run properties.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Replacement policy name.
     pub policy: String,

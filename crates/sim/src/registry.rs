@@ -8,12 +8,11 @@ use chirp_tlb::policies::{
 };
 use chirp_tlb::{PolicyStorage, ReplayHints, TlbAccess, TlbGeometry, TlbReplacementPolicy};
 use chirp_trace::BranchClass;
-use serde::{Deserialize, Serialize};
 
 /// The policies under study (paper §V: LRU, Random, SRRIP, SHiP, GHRP,
 /// CHiRP). Bélády-OPT is driven separately because it needs a recorded
 /// oracle (see `chirp_tlb::policies::OptPolicy`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PolicyKind {
     /// True LRU.
     Lru,

@@ -31,12 +31,11 @@ use chirp_store::{ArchiveTraceStream, RunLedger, Store, StoreError, TraceArchive
 use chirp_telemetry::EpochRow;
 use chirp_trace::suite::BenchmarkSpec;
 use chirp_trace::{Category, PackedTrace, StreamError, TraceStream};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Runner parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunnerConfig {
     /// Instructions generated (and simulated) per benchmark.
     pub instructions: usize,
@@ -62,7 +61,6 @@ pub struct RunnerConfig {
     /// bit-identical at any chunk size (batch boundaries carry no
     /// simulation meaning), so it is excluded from ledger run keys by
     /// construction — `run_key` never sees it.
-    #[serde(default)]
     pub stream_chunk: usize,
 }
 
@@ -120,7 +118,7 @@ impl RunnerConfig {
 }
 
 /// One (benchmark × policy) result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchRun {
     /// Benchmark name.
     pub benchmark: String,
@@ -403,7 +401,7 @@ pub fn run_suite_streamed(
                 // Persist this item immediately: interrupt-resumability
                 // hinges on completed items being in the ledger before
                 // the next item starts.
-                let mut ledger = ledger.lock();
+                let mut ledger = ledger.lock().expect(POISONED);
                 for (&pi, run) in item.policies.iter().zip(&runs) {
                     let key = run_key(
                         &config.sim,
@@ -417,7 +415,7 @@ pub fn run_suite_streamed(
             },
         )?;
 
-        let streamed = counters.into_inner();
+        let streamed = counters.into_inner().expect(POISONED);
         stats.trace_hits = streamed.trace_hits;
         stats.trace_generated = streamed.trace_generated;
         stats.trace_regenerated = streamed.trace_regenerated;
@@ -430,6 +428,10 @@ pub fn run_suite_streamed(
     }
     Ok((matrix.into_runs(), stats))
 }
+
+/// A worker that panicked holding one of the runner's locks has already
+/// failed the run, so the poisoned lock fails it here too.
+const POISONED: &str = "a suite worker panicked while holding a runner lock";
 
 /// Runs one streamed work item: probes the archive under its lock, then
 /// (unlocked) streams the trace once through the item's whole policy
@@ -452,22 +454,22 @@ fn stream_one_item(
 
     let key = TraceArchive::content_key(bench, config.instructions);
     let probe = {
-        let a = archive.lock();
+        let a = archive.lock().expect(POISONED);
         a.entry_meta(key).map(|meta| (a.trace_path(key), meta))
     };
     if let Some((path, meta)) = probe {
         let attempt = ArchiveTraceStream::open(&path, meta, chunk)
             .and_then(|mut stream| run_item(&mut stream));
         if let Ok(results) = attempt {
-            counters.lock().trace_hits += 1;
+            counters.lock().expect(POISONED).trace_hits += 1;
             return Ok(label_runs(bench, results));
         }
         // Rewrite the entry, so later runs stream it instead of failing
         // on it again.
-        archive.lock().pack(bench, config.instructions)?;
-        counters.lock().trace_regenerated += 1;
+        archive.lock().expect(POISONED).pack(bench, config.instructions)?;
+        counters.lock().expect(POISONED).trace_regenerated += 1;
     } else {
-        counters.lock().trace_generated += 1;
+        counters.lock().expect(POISONED).trace_generated += 1;
     }
     let mut stream = bench.stream(config.instructions, chunk);
     let results = run_item(&mut stream)

@@ -2,7 +2,7 @@
 //!
 //! The store's on-disk records (archive manifest lines, run-ledger lines)
 //! are single-level JSON objects whose values are strings, integers,
-//! floats or booleans. serde is stubbed out in this build environment, so
+//! floats or booleans. The workspace has no serialization framework, so
 //! this module hand-rolls exactly that subset: nested containers are
 //! rejected on parse, and string escapes cover the JSON escape set.
 

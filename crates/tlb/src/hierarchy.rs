@@ -7,10 +7,9 @@ use crate::types::{TlbGeometry, TranslationKind};
 use crate::walker::PageWalker;
 use chirp_mem::{order_init, order_lru, order_mask, order_touch};
 use chirp_trace::BranchClass;
-use serde::{Deserialize, Serialize};
 
 /// Latency/geometry configuration for the TLB hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbHierarchyConfig {
     /// L1 i-TLB geometry (Table II: 64-entry, 8-way).
     pub l1i: TlbGeometry,

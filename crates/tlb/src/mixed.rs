@@ -21,10 +21,9 @@
 
 use crate::types::TlbGeometry;
 use chirp_mem::LruStack;
-use serde::{Deserialize, Serialize};
 
 /// Page sizes supported by the mixed TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageSize {
     /// 4 KB base pages.
     Base4K,
@@ -88,7 +87,7 @@ impl PageMapper for ThpMapper {
 }
 
 /// Replacement flavour for the mixed TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MixedPolicy {
     /// True LRU, size-blind.
     Lru,
@@ -109,7 +108,7 @@ struct MixedEntry {
 }
 
 /// Statistics for the mixed TLB.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MixedStats {
     /// Hits on 4 KB entries.
     pub hits_4k: u64,

@@ -18,10 +18,9 @@ use crate::policy::{PolicyStorage, TlbReplacementPolicy};
 use crate::types::{TlbAccess, TlbGeometry};
 use chirp_mem::PackedLru;
 use chirp_trace::BranchClass;
-use serde::{Deserialize, Serialize};
 
 /// GHRP configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GhrpConfig {
     /// log2 entries per prediction table (three tables total).
     pub table_bits: u32,

@@ -175,12 +175,11 @@ mod tests {
 
     #[test]
     fn opt_never_worse_than_lru_on_random_streams() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+        use chirp_trace::rng::Xoshiro256pp;
         let geom = TlbGeometry { entries: 8, ways: 4 };
         for seed in 0..5u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let seq: Vec<u64> = (0..2000).map(|_| rng.gen_range(0..32u64)).collect();
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let seq: Vec<u64> = (0..2000).map(|_| rng.gen_range(0..32)).collect();
             let lru = misses_with(Box::new(super::super::Lru::new(geom)), geom, &seq);
             let oracle = OptOracle::from_vpns(seq.iter().copied());
             let opt = misses_with(Box::new(OptPolicy::new(geom, oracle)), geom, &seq);

@@ -17,10 +17,9 @@ use crate::policy::{PolicyStorage, TlbReplacementPolicy};
 use crate::types::{TlbAccess, TlbGeometry};
 use chirp_mem::PackedLru;
 use chirp_trace::BranchClass;
-use serde::{Deserialize, Serialize};
 
 /// Perceptron reuse predictor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PerceptronConfig {
     /// log2 entries per feature table.
     pub table_bits: u32,

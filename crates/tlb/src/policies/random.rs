@@ -2,20 +2,19 @@
 
 use crate::policy::{PolicyStorage, TlbReplacementPolicy};
 use crate::types::{TlbAccess, TlbGeometry};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use chirp_trace::rng::Xoshiro256pp;
 
 /// Random victim selection (seeded, so runs stay reproducible).
 #[derive(Debug, Clone)]
 pub struct RandomPolicy {
-    rng: SmallRng,
+    rng: Xoshiro256pp,
     ways: usize,
 }
 
 impl RandomPolicy {
     /// Creates the policy for `geometry` with a deterministic `seed`.
     pub fn new(geometry: TlbGeometry, seed: u64) -> Self {
-        RandomPolicy { rng: SmallRng::seed_from_u64(seed), ways: geometry.ways }
+        RandomPolicy { rng: Xoshiro256pp::seed_from_u64(seed), ways: geometry.ways }
     }
 }
 
@@ -25,7 +24,7 @@ impl TlbReplacementPolicy for RandomPolicy {
     }
 
     fn choose_victim(&mut self, _acc: &TlbAccess) -> usize {
-        self.rng.gen_range(0..self.ways)
+        self.rng.gen_range(0..self.ways as u64) as usize
     }
 
     fn on_hit(&mut self, _acc: &TlbAccess, _way: usize) {}

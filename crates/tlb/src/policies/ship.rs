@@ -16,13 +16,12 @@
 
 use crate::policy::{PolicyStorage, TlbReplacementPolicy};
 use crate::types::{TlbAccess, TlbGeometry};
-use serde::{Deserialize, Serialize};
 
 const RRPV_MAX: u8 = 3;
 const RRPV_LONG: u8 = 2;
 
 /// SHiP-TLB configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShipConfig {
     /// log2 of SHCT entries (14 → 16K counters, as in the original paper).
     pub shct_bits: u32,

@@ -1,9 +1,7 @@
 //! TLB access statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Hit/miss accounting for one TLB level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Accesses that hit.
     pub hits: u64,
@@ -50,7 +48,7 @@ impl TlbStats {
 /// "dead" was right iff the entry saw no hit between fill and eviction.
 /// Entries of non-predictive policies (and entries still resident at the
 /// end of a run) are not scored.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeadOutcomes {
     /// Predicted dead at fill; never hit before eviction. Correct.
     pub true_dead: u64,

@@ -1,9 +1,7 @@
 //! Core TLB types: geometry and the per-access context handed to policies.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a translation serves an instruction fetch or a data access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TranslationKind {
     /// Instruction-side translation (L1 i-TLB missed).
     Instruction,
@@ -12,7 +10,7 @@ pub enum TranslationKind {
 }
 
 /// Geometry of a set-associative TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbGeometry {
     /// Total entries.
     pub entries: usize,
@@ -62,7 +60,7 @@ impl TlbGeometry {
 /// instruction-side accesses that is the fetched PC itself; for data-side
 /// accesses it is the load/store instruction. The CHiRP signature is built
 /// from this PC (paper §IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbAccess {
     /// PC of the instruction causing the access.
     pub pc: u64,

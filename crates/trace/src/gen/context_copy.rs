@@ -19,13 +19,11 @@
 
 use super::{AddressSpace, Category, CodeBlock, Emitter, WorkloadGen};
 use crate::record::TraceRecord;
+use crate::rng::Xoshiro256pp;
 use crate::PAGE_SIZE;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for the mixed-context copy kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextCopy {
     /// Pages in the resident (hot) buffer re-visited by site A.
     pub hot_pages: u64,
@@ -74,7 +72,7 @@ impl WorkloadGen for ContextCopy {
     }
 
     fn emit_into(&self, em: &mut Emitter, seed: u64) {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xC7C0);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xC7C0);
         let mut asp = AddressSpace::new();
         let main_fn = CodeBlock::new(asp.code_region(1));
         let site_a = CodeBlock::new(asp.code_region(1));
@@ -169,7 +167,7 @@ impl ContextCopy {
     fn emit_copy_loop(
         &self,
         em: &mut Emitter,
-        rng: &mut SmallRng,
+        rng: &mut Xoshiro256pp,
         site: CodeBlock,
         leaf: CodeBlock,
         addr: impl Fn(u64, u64) -> u64,

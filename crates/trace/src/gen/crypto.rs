@@ -9,13 +9,11 @@
 
 use super::{AddressSpace, Category, CodeBlock, Emitter, WorkloadGen};
 use crate::record::TraceRecord;
+use crate::rng::Xoshiro256pp;
 use crate::PAGE_SIZE;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for the streaming cipher kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CryptoStream {
     /// Resident lookup-table pages (live working set).
     pub table_pages: u64,
@@ -48,7 +46,7 @@ impl WorkloadGen for CryptoStream {
     }
 
     fn emit_into(&self, em: &mut Emitter, seed: u64) {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0FFEE);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xC0FFEE);
         let mut asp = AddressSpace::new();
         let kernel = CodeBlock::new(asp.code_region(1));
         let table_base = asp.data_region(self.table_pages);
@@ -67,7 +65,7 @@ impl WorkloadGen for CryptoStream {
             // Rounds: table lookups at a dedicated PC.
             for r in 0..self.lookups_per_block {
                 let tpage = rng.gen_range(0..self.table_pages);
-                let tslot = rng.gen_range(0..64u64);
+                let tslot = rng.gen_range(0..64);
                 em.push(TraceRecord::alu(kernel.pc(1)));
                 em.push(TraceRecord::load(
                     kernel.pc(2),

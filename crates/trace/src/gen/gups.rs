@@ -4,13 +4,11 @@
 
 use super::{AddressSpace, Category, CodeBlock, Emitter, WorkloadGen, Zipf};
 use crate::record::TraceRecord;
+use crate::rng::Xoshiro256pp;
 use crate::PAGE_SIZE;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for the random-update workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gups {
     /// Pages in the update table.
     pub table_pages: u64,
@@ -40,7 +38,7 @@ impl WorkloadGen for Gups {
     }
 
     fn emit_into(&self, em: &mut Emitter, seed: u64) {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x6057);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x6057);
         let mut asp = AddressSpace::new();
         let kernel = CodeBlock::new(asp.code_region(1));
         let table_base = asp.data_region(self.table_pages);
@@ -54,7 +52,7 @@ impl WorkloadGen for Gups {
             }
             for u in 0..self.batch {
                 let page = zipf.sample(&mut rng) as u64;
-                let slot = rng.gen_range(0..512u64) * 8;
+                let slot = rng.gen_range(0..512) * 8;
                 let addr = table_base + page * PAGE_SIZE + slot;
                 for c in 0..self.compute_per_update {
                     em.push(TraceRecord::alu(kernel.pc(8 + u64::from(c % 8))));

@@ -18,13 +18,11 @@
 
 use super::{AddressSpace, Category, CodeBlock, Emitter, WorkloadGen, Zipf};
 use crate::record::TraceRecord;
+use crate::rng::Xoshiro256pp;
 use crate::PAGE_SIZE;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for the interpreter workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Interpreter {
     /// Distinct opcode handlers.
     pub opcodes: u32,
@@ -66,7 +64,7 @@ impl WorkloadGen for Interpreter {
     }
 
     fn emit_into(&self, em: &mut Emitter, seed: u64) {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x1234_5678);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x1234_5678);
         let mut asp = AddressSpace::new();
         let dispatch = CodeBlock::new(asp.code_region(1));
         let handlers: Vec<CodeBlock> =
@@ -92,13 +90,14 @@ impl WorkloadGen for Interpreter {
                 let body_len = rng.gen_range(6..20);
                 (0..body_len)
                     .map(|_| {
-                        let kind = rng.gen_range(0..100u32);
+                        let kind = rng.gen_range(0..100) as u32;
                         if kind < self.alloc_percent {
-                            rng.gen_range(0..self.opcodes / 4) // alloc: low ids
+                            // alloc: low ids
+                            rng.gen_range(0..u64::from(self.opcodes / 4)) as u32
                         } else if kind < self.alloc_percent + self.field_percent {
-                            self.opcodes / 4 + rng.gen_range(0..self.opcodes / 4)
+                            self.opcodes / 4 + rng.gen_range(0..u64::from(self.opcodes / 4)) as u32
                         } else {
-                            self.opcodes / 2 + rng.gen_range(0..self.opcodes / 2)
+                            self.opcodes / 2 + rng.gen_range(0..u64::from(self.opcodes / 2)) as u32
                         }
                     })
                     .collect()
@@ -107,7 +106,7 @@ impl WorkloadGen for Interpreter {
         let body_zipf = Zipf::new(bodies.len(), 0.8);
         let mut body = &bodies[0];
         let mut body_pos = 0usize;
-        let mut body_runs = rng.gen_range(8..64u32);
+        let mut body_runs = rng.gen_range(8..64);
 
         while !em.is_full() {
             if body_pos >= body.len() {
@@ -143,7 +142,7 @@ impl WorkloadGen for Interpreter {
             } else if kind < self.alloc_percent + self.field_percent {
                 // Field access: zipfian heap object (live-ish pages).
                 let page = heap_zipf.sample(&mut rng) as u64;
-                heap_base + page * PAGE_SIZE + rng.gen_range(0..64u64) * 64
+                heap_base + page * PAGE_SIZE + rng.gen_range(0..64) * 64
             } else {
                 // Stack manipulation: hot operand stack.
                 stack_depth = (stack_depth + 1) % (self.stack_pages * 32);

@@ -37,14 +37,13 @@ pub use web::WebServe;
 
 use crate::packed::{PackedTrace, PackedTraceBuilder};
 use crate::record::TraceRecord;
+use crate::rng::Xoshiro256pp;
 use crate::PAGE_SIZE;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Workload category labels mirroring the paper's description of the CVP-1
 /// suite ("SPEC, database, crypto, scientific, web, 'big data' and other
 /// applications", §V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     /// Loop-nest compute kernels in the spirit of SPEC CPU.
     Spec,
@@ -355,8 +354,8 @@ impl CodeBlock {
 
 /// Zipfian sampler over `0..n` with exponent `s` (cumulative-table inversion).
 ///
-/// A dedicated implementation keeps the dependency set to the approved
-/// offline crates; `n` up to a few hundred thousand is fine.
+/// Each sample costs one [`Xoshiro256pp::next_f64`] draw and a binary
+/// search; `n` up to a few hundred thousand is fine.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cum: Vec<f64>,
@@ -385,8 +384,8 @@ impl Zipf {
     }
 
     /// Draws one rank in `0..n`; rank 0 is the most popular.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
+    pub fn sample(&self, rng: &mut Xoshiro256pp) -> usize {
+        let u = rng.next_f64();
         match self.cum.binary_search_by(|c| c.partial_cmp(&u).expect("no NaN in cdf")) {
             Ok(i) => i,
             Err(i) => i.min(self.cum.len() - 1),
@@ -407,8 +406,6 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn emitter_truncates_to_limit() {
@@ -436,7 +433,7 @@ mod tests {
     #[test]
     fn zipf_prefers_low_ranks() {
         let z = Zipf::new(1000, 1.0);
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = Xoshiro256pp::seed_from_u64(7);
         let mut counts = vec![0usize; 1000];
         for _ in 0..20_000 {
             counts[z.sample(&mut rng)] += 1;
@@ -448,7 +445,7 @@ mod tests {
     #[test]
     fn zipf_uniform_when_exponent_zero() {
         let z = Zipf::new(4, 0.0);
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = Xoshiro256pp::seed_from_u64(3);
         let mut counts = [0usize; 4];
         for _ in 0..40_000 {
             counts[z.sample(&mut rng)] += 1;

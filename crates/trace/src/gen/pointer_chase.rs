@@ -9,13 +9,11 @@
 
 use super::{AddressSpace, Category, CodeBlock, Emitter, WorkloadGen, Zipf};
 use crate::record::TraceRecord;
+use crate::rng::Xoshiro256pp;
 use crate::PAGE_SIZE;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for the random-walk workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointerChase {
     /// Pages in the node pool (divided into clusters).
     pub pool_pages: u64,
@@ -61,7 +59,7 @@ impl WorkloadGen for PointerChase {
     }
 
     fn emit_into(&self, em: &mut Emitter, seed: u64) {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xB16_DA7A);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xB16_DA7A);
         let mut asp = AddressSpace::new();
         let walker = CodeBlock::new(asp.code_region(1));
         let visitors: Vec<CodeBlock> = (0..4).map(|_| CodeBlock::new(asp.code_region(1))).collect();
@@ -81,19 +79,19 @@ impl WorkloadGen for PointerChase {
             }
             // Random walk with community locality.
             for step in 0..self.walk_len {
-                if rng.gen_range(0..self.hop_interval.max(1)) == 0 {
+                if rng.gen_range(0..u64::from(self.hop_interval.max(1))) == 0 {
                     cluster = zipf.sample(&mut rng) as u64;
                 }
                 let page =
                     cluster * self.cluster_pages + rng.gen_range(0..self.cluster_pages.max(1));
-                let node = pool_base + page * PAGE_SIZE + rng.gen_range(0..32u64) * 128;
+                let node = pool_base + page * PAGE_SIZE + rng.gen_range(0..32) * 128;
                 em.push(TraceRecord::load(walker.pc(2), node)); // next pointer
                 em.push(TraceRecord::load(walker.pc(3), node + 8)); // payload
                 for c in 0..self.compute_per_node {
                     em.push(TraceRecord::alu(walker.pc(8 + u64::from(c % 8))));
                 }
-                if rng.gen_range(0..1000) < self.dispatch_per_mille {
-                    let v = &visitors[rng.gen_range(0..visitors.len())];
+                if rng.gen_range(0..1000) < u64::from(self.dispatch_per_mille) {
+                    let v = &visitors[rng.gen_range(0..visitors.len() as u64) as usize];
                     em.push(TraceRecord::indirect_call(walker.pc(4), v.entry()));
                     em.push(TraceRecord::alu(v.pc(0)));
                     em.push(TraceRecord::ret(v.pc(1), walker.pc(5)));

@@ -8,13 +8,11 @@
 
 use super::{AddressSpace, Category, CodeBlock, Emitter, WorkloadGen, Zipf};
 use crate::record::TraceRecord;
+use crate::rng::Xoshiro256pp;
 use crate::PAGE_SIZE;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for the scan + index-lookup workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanIndex {
     /// Pages in the scanned table (streamed).
     pub table_pages: u64,
@@ -63,7 +61,7 @@ impl WorkloadGen for ScanIndex {
     }
 
     fn emit_into(&self, em: &mut Emitter, seed: u64) {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xD15EA5E);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xD15EA5E);
         let mut asp = AddressSpace::new();
         let scan_fn = CodeBlock::new(asp.code_region(1));
         let lookup_fn = CodeBlock::new(asp.code_region(1));

@@ -10,10 +10,9 @@
 use super::{AddressSpace, Category, CodeBlock, Emitter, WorkloadGen};
 use crate::record::TraceRecord;
 use crate::PAGE_SIZE;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for the tiled-stencil workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TiledStencil {
     /// Pages per resident tile (A and C each).
     pub tile_pages: u64,

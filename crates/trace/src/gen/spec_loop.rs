@@ -10,10 +10,9 @@
 use super::{AddressSpace, Category, CodeBlock, Emitter, WorkloadGen};
 use crate::record::TraceRecord;
 use crate::PAGE_SIZE;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for the cyclic loop-nest workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecLoops {
     /// Number of distinct arrays swept in turn.
     pub arrays: u32,

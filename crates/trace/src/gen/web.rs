@@ -9,13 +9,11 @@
 
 use super::{AddressSpace, Category, CodeBlock, Emitter, WorkloadGen, Zipf};
 use crate::record::TraceRecord;
+use crate::rng::Xoshiro256pp;
 use crate::PAGE_SIZE;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for the request-server workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebServe {
     /// Number of handler functions.
     pub handlers: u32,
@@ -56,7 +54,7 @@ impl WorkloadGen for WebServe {
     }
 
     fn emit_into(&self, em: &mut Emitter, seed: u64) {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x3EB);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x3EB);
         let mut asp = AddressSpace::new();
         let dispatcher = CodeBlock::new(asp.code_region(1));
         let handler_code: Vec<CodeBlock> = (0..self.handlers)
@@ -69,7 +67,7 @@ impl WorkloadGen for WebServe {
         let mut h = zipf.sample(&mut rng);
 
         while !em.is_full() {
-            if rng.gen_range(0..100) >= self.repeat_percent {
+            if rng.gen_range(0..100) >= u64::from(self.repeat_percent) {
                 h = zipf.sample(&mut rng);
             }
             let code = handler_code[h];

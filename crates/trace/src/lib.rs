@@ -29,6 +29,7 @@ pub mod codec;
 pub mod gen;
 pub mod packed;
 pub mod record;
+pub mod rng;
 pub mod stats;
 pub mod stream;
 pub mod suite;

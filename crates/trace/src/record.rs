@@ -1,7 +1,5 @@
 //! The instruction trace record: the unit every simulator component consumes.
 
-use serde::{Deserialize, Serialize};
-
 /// Classification of a single traced instruction.
 ///
 /// The categories mirror the information the CVP-1 traces expose and the
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// branches feed the conditional-branch history, and unconditional indirect
 /// control flow (indirect jumps/calls and returns) feeds the indirect-branch
 /// history (paper §IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum InstrKind {
     /// Plain ALU/other instruction: no memory operand, no control flow.
@@ -82,7 +80,7 @@ impl InstrKind {
 /// (paper §IV-B): conditional branches update the conditional history;
 /// unconditional *indirect* branches update the indirect history;
 /// unconditional direct branches update neither (but do steer fetch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchClass {
     /// Conditional direct branch.
     Conditional,
@@ -98,7 +96,7 @@ pub enum BranchClass {
 /// with [`crate::vpn`]. Non-memory instructions carry `effective_address ==
 /// 0`, and non-branches carry `target == 0` / `taken == false`; use
 /// [`InstrKind`] predicates rather than sentinel checks where possible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceRecord {
     /// Virtual address of the instruction.
     pub pc: u64,

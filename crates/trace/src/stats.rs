@@ -2,11 +2,10 @@
 //! the experiment reports to sanity-check generated workloads.
 
 use crate::record::{InstrKind, TraceRecord};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Aggregate statistics for a trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceStats {
     /// Total records.
     pub instructions: u64,

@@ -12,10 +12,9 @@ use crate::gen::{
     TiledStencil, WebServe, WorkloadGen,
 };
 use crate::record::TraceRecord;
-use serde::{Deserialize, Serialize};
 
 /// A concrete generator configuration, serialisable for reproducibility.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GenSpec {
     /// Mixed-context copy kernel.
     ContextCopy(ContextCopy),
@@ -55,7 +54,7 @@ impl GenSpec {
 }
 
 /// One benchmark: a named, seeded generator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkSpec {
     /// Unique name, e.g. `db.scanidx.i1024z0.9b64#s1`.
     pub name: String,
@@ -108,7 +107,7 @@ impl BenchmarkSpec {
 }
 
 /// Suite construction parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteConfig {
     /// Number of benchmarks to produce. The paper uses 870; small values
     /// evenly sample the full grid for quick runs.

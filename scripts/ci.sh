@@ -17,6 +17,25 @@ else
     cargo fmt --all --check
 fi
 
+echo "==> dependencies (the workspace's code uses no external crate)"
+# The trace RNG is generator identity and lives in chirp-trace, the store
+# hand-rolls its JSON, and the runner and the wire format use std only.
+# What stays external is dev-only: the proptest and criterion stand-ins.
+external="$(sed -n 's/^name = "\(.*\)"$/\1/p' Cargo.lock | grep -v '^chirp-' | sort | xargs)"
+if [[ "$external" != "criterion proptest" ]]; then
+    echo "Cargo.lock lists external packages beyond criterion and proptest: $external" >&2
+    exit 1
+fi
+vendored="$(ls vendor | sort | xargs)"
+if [[ "$vendored" != "README.md criterion proptest" ]]; then
+    echo "vendor/ holds more than README.md, criterion and proptest: $vendored" >&2
+    exit 1
+fi
+if grep -rnw serde crates src tests examples; then
+    echo "serde is not a dependency; nothing derives or mentions it" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (workspace, warnings are errors, perf lints denied)"
 # clippy::perf is deny, not just folded into -D warnings: the hot loop's
 # throughput claims in EXPERIMENTS.md assume no needless clones or
