@@ -16,8 +16,9 @@
 //! `--resume` additionally asserts the ledger already holds results, so a
 //! typo'd store path fails fast instead of silently starting over. The
 //! usual harness flags (`--threads`, `--mem-budget`, `--stream-chunk`,
-//! `--telemetry*`) apply; results are bit-identical to the materialized
-//! runner at any thread count, budget or chunk size.
+//! `--telemetry*`) apply; `--stream-chunk` sets the batch size of every
+//! suite run, and results are bit-identical to `run_all`'s at any thread
+//! count, budget or chunk size.
 
 use chirp_bench::{exit_on_err, lineup9, policy_label, print_scheduler_summary, HarnessArgs};
 use chirp_sim::run_suite_streamed;

@@ -19,9 +19,9 @@
 //!                     (default 100_000)
 //! --telemetry-out DIR where telemetry series land
 //!                     (default results/telemetry)
-//! --stream-chunk N    records per streamed batch on the streaming path,
-//!                     which every --store run takes (default 65_536; results are bit-identical at any
-//!                     chunk size)
+//! --stream-chunk N    records per streamed batch, which every suite run
+//!                     takes (default 65_536; results are bit-identical at
+//!                     any chunk size)
 //! --resume            require prior progress: fail fast unless the
 //!                     `--store` ledger already holds results to resume
 //!                     from (binaries that support incremental runs)
@@ -85,7 +85,7 @@ pub struct HarnessArgs {
     pub epoch_instructions: u64,
     /// Directory where telemetry series are written.
     pub telemetry_out: PathBuf,
-    /// Records per streamed batch on the streaming path (`0` means the
+    /// Records per streamed batch of every suite run (`0` means the
     /// runner's [`chirp_sim::DEFAULT_STREAM_CHUNK`]).
     pub stream_chunk: usize,
     /// When set, binaries that run incrementally fail fast unless the

@@ -3,7 +3,8 @@
 //! the load generator and the loopback tests.
 
 use crate::wire::{
-    read_response, write_request, Request, Response, VerdictReply, WireError, TRACE_CHUNK_BYTES,
+    read_response, write_request, write_trace_chunk, Request, Response, VerdictReply, WireError,
+    TRACE_CHUNK_BYTES,
 };
 use chirp_trace::{peek_record_count, write_trace_packed, PackedTrace};
 use std::fmt;
@@ -164,7 +165,7 @@ impl Client {
             _ => return Err(ClientError::UnexpectedResponse("submit expects go or busy")),
         }
         for chunk in bytes.chunks(TRACE_CHUNK_BYTES) {
-            write_request(&mut self.stream, &Request::TraceChunk(chunk.to_vec()))?;
+            write_trace_chunk(&mut self.stream, chunk)?;
             if let Some(delay) = self.chunk_delay {
                 std::thread::sleep(delay);
             }

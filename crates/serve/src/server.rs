@@ -135,7 +135,9 @@ fn io_err(context: &'static str) -> impl FnOnce(io::Error) -> ServeError {
 /// Read timeout on session sockets: how often a session waiting on its
 /// client re-checks the stop flag, so it notices a shutdown promptly. A
 /// timeout inside a frame loses nothing: the session's [`FrameReader`]
-/// resumes the frame on the next read.
+/// resumes the frame on the next read. A control connection gets the
+/// same timeout and is closed when it expires, so a silent control
+/// client cannot hold the one control thread.
 const SESSION_READ_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// State shared by the accept loop, the control loop and every session.
@@ -335,9 +337,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Serves `Stats`/`Shutdown`/`Ping` on the control listener. A
-/// `Shutdown` request acknowledges, sets the stop flag and wakes the
-/// data accept loop with a self-connection.
+/// Serves `Stats`/`Shutdown`/`Ping` on the control listener, one
+/// connection at a time; a connection that sends nothing for
+/// [`SESSION_READ_TIMEOUT`] is closed. A `Shutdown` request acknowledges,
+/// sets the stop flag and wakes the data accept loop with a
+/// self-connection.
 fn control_loop(listener: &TcpListener, shared: &Arc<Shared>, data_addr: SocketAddr) {
     loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -347,6 +351,7 @@ fn control_loop(listener: &TcpListener, shared: &Arc<Shared>, data_addr: SocketA
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
+        let _ = stream.set_read_timeout(Some(SESSION_READ_TIMEOUT));
         loop {
             match read_request(&mut stream) {
                 Ok(Some(Request::Ping)) => {

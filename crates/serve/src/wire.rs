@@ -405,10 +405,9 @@ fn encode_request(req: &Request) -> Vec<u8> {
             TAG_SUBMIT
         }
         Request::TraceChunk(bytes) => {
-            buf.reserve(4 + bytes.len());
-            put_u32(&mut buf, bytes.len() as u32);
-            buf.extend_from_slice(bytes);
-            TAG_TRACE_CHUNK
+            let mut out = Vec::new();
+            write_trace_chunk(&mut out, bytes).expect("a Vec takes every write");
+            return out;
         }
         Request::TraceEnd => TAG_TRACE_END,
         Request::RunArchived { hash, name, category, seed, policies, telemetry } => {
@@ -424,6 +423,18 @@ fn encode_request(req: &Request) -> Vec<u8> {
         Request::Shutdown => TAG_SHUTDOWN,
     };
     seal(buf, tag)
+}
+
+/// Writes one [`Request::TraceChunk`] frame carrying `chunk`, copied once
+/// into the frame from the borrowed slice: the bytes
+/// `write_request(w, &Request::TraceChunk(chunk.to_vec()))` writes, which
+/// encodes through this function too.
+pub(crate) fn write_trace_chunk<W: Write>(w: &mut W, chunk: &[u8]) -> Result<(), WireError> {
+    let mut buf = frame();
+    buf.reserve(4 + chunk.len());
+    put_u32(&mut buf, chunk.len() as u32);
+    buf.extend_from_slice(chunk);
+    write_frame(w, &seal(buf, TAG_TRACE_CHUNK))
 }
 
 fn decode_request(tag: u8, body: &[u8]) -> Result<Request, WireError> {
@@ -754,6 +765,18 @@ mod tests {
             let mut r = &bytes[..];
             assert_eq!(read_request(&mut r).unwrap().as_ref(), Some(req));
             assert!(r.is_empty(), "frame must consume exactly its bytes");
+        }
+    }
+
+    /// The borrowed chunk encoder writes exactly the owned request's frame.
+    #[test]
+    fn borrowed_trace_chunk_encodes_like_the_owned_request() {
+        for len in [0, 1, TRACE_CHUNK_BYTES] {
+            let chunk: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let mut borrowed = Vec::new();
+            write_trace_chunk(&mut borrowed, &chunk).unwrap();
+            assert_eq!(borrowed, request_bytes(&Request::TraceChunk(chunk)), "{len}-byte chunk");
+            assert_eq!(borrowed.len(), HEADER_BYTES + 4 + len);
         }
     }
 

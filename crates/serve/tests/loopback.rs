@@ -16,7 +16,8 @@
 //!   the ledger, and an archived file that fails its checksum heals when
 //!   the same bytes are uploaded again;
 //! * a client that pauses inside a frame for longer than the server's
-//!   session read timeout keeps its session.
+//!   session read timeout keeps its session, and a silent control client
+//!   does not block a shutdown.
 
 use chirp_serve::client::{shutdown_server, Client, SubmitOutcome};
 use chirp_serve::loadgen::{run_load, LoadGenConfig};
@@ -591,4 +592,29 @@ fn session_stalled_mid_frame_exits_on_shutdown() {
         let _ = done.send(());
     });
     joined.recv_timeout(Duration::from_secs(10)).expect("server joins with a session mid-frame");
+}
+
+/// A control client that connects and sends nothing does not block
+/// `Shutdown`: the control loop closes it once its read times out, acks
+/// the shutdown queued behind it, and the server joins.
+#[test]
+fn silent_control_client_does_not_block_shutdown() {
+    let root = TempDir::new("serve-silent-control");
+    let handle = start_server(&root, None);
+    let control = handle.control_addr();
+    let silent = TcpStream::connect(control).expect("connect silent control client");
+    let (acked, ack) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = acked.send(shutdown_server(control));
+    });
+    ack.recv_timeout(Duration::from_secs(2))
+        .expect("shutdown answered within 2 s despite a silent control client")
+        .expect("shutdown acked");
+    let (done, joined) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = done.send(());
+    });
+    joined.recv_timeout(Duration::from_secs(10)).expect("server joins");
+    drop(silent);
 }

@@ -40,27 +40,29 @@
 //! sequential, because each access's signature depends on the path
 //! history left by the previous one.
 //!
-//! Resident and streamed groups both run on one chunk driver
-//! ([`run_stream_factored`] and `run_stream_group` for streams, a
-//! streamed group of one included when a core is spare;
-//! `run_policy_group` for resident traces):
-//! the front end emits one segment per 4096-record chunk into a ring of
-//! segments, and the replay side runs the memory stage over each one and
-//! then replays it through the back ends, one claim per back end and
-//! segment. Inline, the calling thread does both in turn. When the
-//! scheduler leaves a core idle, the replay side runs on a second thread
-//! and overlaps the front end's next chunks; whenever the front end would
-//! wait for the ring (full, or draining at the end) it claims back ends
-//! itself instead. The whole-trace [`FactoredTrace`] stays for callers
-//! that need every event at once (the OPT bound).
+//! Streamed and resident groups both run on one chunk driver: streams
+//! through [`run_stream_factored`] and `run_stream_group` (which every
+//! suite run and `chirp-serve` take, a group of one included when a core
+//! is spare or the group samples), resident traces through
+//! `run_policy_group` (perfbench and the engine tests). The front end
+//! emits one segment per 4096-record chunk into a ring of segments, and
+//! the replay side runs the memory stage over each one and then replays
+//! it through the back ends, one claim per back end and segment. Inline,
+//! the calling thread does both in turn. When the scheduler leaves a core
+//! idle, the replay side runs on a second thread and overlaps the front
+//! end's next chunks; whenever the front end would wait for the ring
+//! (full, or draining at the end) it claims back ends itself instead. The
+//! whole-trace [`FactoredTrace`] stays for callers that need every event
+//! at once (the OPT bound).
 //!
-//! Epoch telemetry observes the same driver. With an epoch length, the
-//! front end also cuts its segments at every epoch boundary of the
-//! measured window, so no segment straddles one, and each back end closes
-//! an epoch of its [`EpochSampler`] after the segment that ends it. Its
-//! cycles, L2 statistics, table accesses and dead-prediction outcomes are
-//! all `u64` sums, exact at every segment boundary, so the series matches
-//! a per-instruction sampler's.
+//! Epoch telemetry observes the same driver on streamed groups. With an
+//! epoch length, the front end also cuts its segments at every epoch
+//! boundary of the measured window, wherever the stream's batches end, so
+//! no segment straddles one, and each back end closes an epoch of its
+//! [`EpochSampler`] after the segment that ends it. Its cycles, L2
+//! statistics, table accesses and dead-prediction outcomes are all `u64`
+//! sums, exact at every segment boundary, so the series matches a
+//! per-instruction sampler's.
 
 use crate::config::SimConfig;
 use crate::engine::{warmup_cut, CHUNK_SIZE};
@@ -698,7 +700,7 @@ type Window = (u64, u64, TlbStats);
 
 /// What one backend of a group ends with: its result, the backend itself
 /// and its epoch series, empty unless the group samples.
-type LaneEnd<P> = (RunResult, Backend<P>, Vec<EpochRow>);
+pub(crate) type LaneEnd<P> = (RunResult, Backend<P>, Vec<EpochRow>);
 
 /// One backend of a group, the measured-window snapshot it took at the
 /// warmup cut and, with telemetry, the epoch sampler it started there.
@@ -1168,52 +1170,52 @@ where
 /// Runs a factored group over a resident trace through the chunk
 /// driver: the streamed engine's O(chunk) event residency, without first
 /// building a whole [`FactoredTrace`]. Results are bit-identical to
-/// [`FactoredTrace::build`] + [`replay_factored`]; each comes with its
-/// epoch series when `epoch` is given.
+/// [`FactoredTrace::build`] + [`replay_factored`].
 pub(crate) fn replay_trace_group<P: TlbReplacementPolicy + Send>(
     config: &SimConfig,
     sig_config: &ChirpConfig,
     policies: Vec<P>,
     trace: &PackedTrace,
     warmup_fraction: f64,
-    epoch: Option<u64>,
     form: ReplayForm,
-) -> Vec<(RunResult, Vec<EpochRow>)> {
+) -> Vec<RunResult> {
     let warmup = warmup_cut(trace.len(), warmup_fraction);
-    drive_factored(config, sig_config, policies, warmup, epoch, form, |feeder| {
+    drive_factored(config, sig_config, policies, warmup, None, form, |feeder| {
         // `all` stops at the first chunk the back ends can no longer take.
         trace.chunks(CHUNK_SIZE).all(|chunk| feeder.push(&chunk));
         Ok(())
     })
     .expect("a resident trace has no stream to fail")
     .into_iter()
-    .map(|(result, _, rows)| (result, rows))
+    .map(|(result, _, _)| result)
     .collect()
 }
 
-/// [`run_stream_factored`] in a chosen [`ReplayForm`].
+/// [`run_stream_factored`] in a chosen [`ReplayForm`], each result beside
+/// its backend and its epoch series, sampled every `epoch` measured
+/// instructions (empty without).
 pub(crate) fn replay_stream_group<P, S>(
     config: &SimConfig,
     sig_config: &ChirpConfig,
     policies: Vec<P>,
     stream: &mut S,
     warmup_fraction: f64,
+    epoch: Option<u64>,
     form: ReplayForm,
-) -> Result<Vec<(RunResult, Backend<P>)>, StreamError>
+) -> Result<Vec<LaneEnd<P>>, StreamError>
 where
     P: TlbReplacementPolicy + Send,
     S: TraceStream + ?Sized,
 {
     let warmup = warmup_cut(stream.len(), warmup_fraction);
-    let outcomes = drive_factored(config, sig_config, policies, warmup, None, form, |feeder| {
+    drive_factored(config, sig_config, policies, warmup, epoch, form, |feeder| {
         while let Some(batch) = stream.next_batch()? {
             if !batch.chunks(CHUNK_SIZE).all(|chunk| feeder.push(&chunk)) {
                 break;
             }
         }
         Ok(())
-    })?;
-    Ok(outcomes.into_iter().map(|(result, backend, _)| (result, backend)).collect())
+    })
 }
 
 /// The streamed form of [`FactoredTrace::build`] + [`replay_factored`]:
@@ -1235,7 +1237,9 @@ pub fn run_stream_factored<P: TlbReplacementPolicy + Send, S: TraceStream + ?Siz
     warmup_fraction: f64,
 ) -> Result<Vec<(RunResult, Backend<P>)>, StreamError> {
     let (form, _core) = ReplayForm::choose();
-    replay_stream_group(config, sig_config, policies, stream, warmup_fraction, form)
+    let outcomes =
+        replay_stream_group(config, sig_config, policies, stream, warmup_fraction, None, form)?;
+    Ok(outcomes.into_iter().map(|(result, backend, _)| (result, backend)).collect())
 }
 
 /// Picks the signature configuration a group's front end computes under:
@@ -1314,16 +1318,14 @@ mod tests {
             let want = columnar(&kinds, &config, &trace);
             for form in FORMS {
                 let policies = build(&kinds, &config);
-                let resident =
-                    replay_trace_group(&config, &sig, policies, &trace, fraction, None, form);
-                let resident: Vec<RunResult> = resident.into_iter().map(|(r, _)| r).collect();
+                let resident = replay_trace_group(&config, &sig, policies, &trace, fraction, form);
                 assert_eq!(resident, want, "resident {form:?} at cut {cut}");
                 let mut stream = MaterializedStream::new(&trace, 3_000);
                 let policies = build(&kinds, &config);
                 let streamed =
-                    replay_stream_group(&config, &sig, policies, &mut stream, fraction, form)
+                    replay_stream_group(&config, &sig, policies, &mut stream, fraction, None, form)
                         .expect("materialized stream");
-                let streamed: Vec<RunResult> = streamed.into_iter().map(|(r, _)| r).collect();
+                let streamed: Vec<RunResult> = streamed.into_iter().map(|(r, _, _)| r).collect();
                 assert_eq!(streamed, want, "streamed {form:?} at cut {cut}");
             }
         }
@@ -1344,10 +1346,17 @@ mod tests {
                 for form in FORMS {
                     let mut stream = MaterializedStream::new(&trace, 3_000);
                     let policies = build(&kinds, &config);
-                    let got =
-                        replay_stream_group(&config, &sig, policies, &mut stream, fraction, form)
-                            .expect("materialized stream");
-                    let got: Vec<RunResult> = got.into_iter().map(|(r, _)| r).collect();
+                    let got = replay_stream_group(
+                        &config,
+                        &sig,
+                        policies,
+                        &mut stream,
+                        fraction,
+                        None,
+                        form,
+                    )
+                    .expect("materialized stream");
+                    let got: Vec<RunResult> = got.into_iter().map(|(r, _, _)| r).collect();
                     assert_eq!(got, want, "{:?} {form:?} at cut {cut}", kinds[0]);
                 }
             }
@@ -1355,8 +1364,9 @@ mod tests {
     }
 
     /// Both forms sample the same epoch series at every cut, with epochs
-    /// shorter than, equal to and longer than a chunk. Sampling leaves
-    /// every result equal to `run_columnar`'s, and each series tiles the
+    /// shorter than, equal to and longer than a chunk, over a stream whose
+    /// batches align with neither chunks nor epochs. Sampling leaves every
+    /// result equal to `run_columnar`'s, and each series tiles the
     /// measured window: full epochs and one shorter last one, whose
     /// deltas sum to the result's totals.
     #[test]
@@ -1370,8 +1380,14 @@ mod tests {
             let measured = (LEN - cut) as u64;
             for epoch in [1_500, CHUNK_SIZE as u64, 7_000] {
                 let [inline, pipelined] = FORMS.map(|form| {
+                    let mut stream = MaterializedStream::new(&trace, 3_000);
                     let policies = build(&kinds, &config);
-                    replay_trace_group(&config, &sig, policies, &trace, fraction, Some(epoch), form)
+                    let epoch = Some(epoch);
+                    replay_stream_group(&config, &sig, policies, &mut stream, fraction, epoch, form)
+                        .expect("materialized stream")
+                        .into_iter()
+                        .map(|(result, _, rows)| (result, rows))
+                        .collect::<Vec<_>>()
                 });
                 assert_eq!(inline, pipelined, "epoch {epoch} at cut {cut}");
                 for ((result, rows), want) in inline.iter().zip(&want) {
@@ -1396,7 +1412,16 @@ mod tests {
         let config = SimConfig::default();
         let policies = build(&[PolicyKind::Lru], &config);
         let sig = ChirpConfig::default();
-        replay_trace_group(&config, &sig, policies, &trace, 0.5, Some(0), ReplayForm::Inline);
+        let mut stream = MaterializedStream::new(&trace, 1_000);
+        let _ = replay_stream_group(
+            &config,
+            &sig,
+            policies,
+            &mut stream,
+            0.5,
+            Some(0),
+            ReplayForm::Inline,
+        );
     }
 
     /// The columnar oracle's result for each of `kinds`.
@@ -1544,7 +1569,7 @@ mod tests {
                 policies.splice(0..0, kinds[..2].iter().map(Probe::new));
             }
             let got = run(&mut stream, policies, form).expect("the stream does not fail");
-            let got: Vec<RunResult> = got.into_iter().map(|(r, _)| r).collect();
+            let got: Vec<RunResult> = got.into_iter().map(|(r, _, _)| r).collect();
             assert_eq!(got, want, "{form:?}");
             let noted = crate::sched::take_pipelined();
             if form == ReplayForm::Pipelined {
@@ -1623,10 +1648,10 @@ mod tests {
         stream: &mut GatedStream,
         policies: Vec<Probe>,
         form: ReplayForm,
-    ) -> Result<Vec<(RunResult, Backend<Probe>)>, StreamError> {
+    ) -> Result<Vec<LaneEnd<Probe>>, StreamError> {
         let config = SimConfig::default();
         let sig = ChirpConfig::default();
-        replay_stream_group(&config, &sig, policies, stream, config.warmup_fraction, form)
+        replay_stream_group(&config, &sig, policies, stream, config.warmup_fraction, None, form)
     }
 
     /// A stream that fails after some batches returns that error from

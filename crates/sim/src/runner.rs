@@ -1,24 +1,19 @@
 //! Parallel suite runner: simulates every benchmark under every policy,
 //! one work item (benchmark × its policy group) at a time per worker.
 //!
-//! [`run_suite`] without a store generates each benchmark's trace and
-//! simulates everything. With [`RunnerConfig::store`] set it runs
-//! [`run_suite_streamed`], the one store-backed runner: only (benchmark ×
-//! policy) pairs missing from the run ledger are simulated, each over one
-//! bounded trace stream (an archived entry when the archive holds a valid
-//! one, else the generator), and each finished item is appended to the
-//! ledger at once. A corrupt archive entry is rewritten; a missing one
-//! stays missing — generating a trace is faster than decoding it, so only
-//! `trace_tool pack` fills the archive.
-//!
-//! Both run on the item scheduler in [`crate::sched`]: a worker obtains
-//! one benchmark's trace, runs its whole policy group through the engine
-//! in one call ([`run_policy_group`] or its streamed counterpart
-//! [`run_stream_group`]) and drops the trace, and
-//! [`RunnerConfig::mem_budget`] caps the estimated trace bytes in flight.
-//! The archive and ledger mutexes are held only for index probes and
-//! appends, so workers on different items stream and simulate
-//! concurrently.
+//! Every suite run goes through one body: each work item streams its
+//! benchmark's trace once, in bounded batches, through its whole policy
+//! group ([`run_stream_group`]'s engine choice), and
+//! [`RunnerConfig::mem_budget`] admits every item at the same estimate.
+//! Without a store ([`run_suite`] uncached, and
+//! [`run_suite_telemetry`](crate::telemetry::run_suite_telemetry), which
+//! also samples epoch series) every pair is simulated over a generator
+//! stream. With one ([`run_suite_streamed`], and [`run_suite`] with
+//! [`RunnerConfig::store`]) only pairs missing from the run ledger are
+//! simulated, an item streams from the archive when it holds a valid
+//! entry, and each finished item is appended to the ledger at once.
+//! Items run on the scheduler in [`crate::sched`]; the archive and ledger
+//! mutexes are held only for index probes and appends.
 
 use crate::config::SimConfig;
 use crate::engine::Simulator;
@@ -27,7 +22,7 @@ use crate::metrics::RunResult;
 use crate::registry::PolicyKind;
 use crate::sched::{run_items, WorkItem};
 use crate::store_cache::{record_from_run, run_from_record, run_key};
-use chirp_store::{ArchiveTraceStream, RunLedger, Store, StoreError, TraceArchive};
+use chirp_store::{ArchiveTraceStream, Store, StoreError, TraceArchive};
 use chirp_telemetry::EpochRow;
 use chirp_trace::suite::BenchmarkSpec;
 use chirp_trace::{Category, PackedTrace, StreamError, TraceStream};
@@ -51,15 +46,14 @@ pub struct RunnerConfig {
     pub store: Option<PathBuf>,
     /// Cap on estimated trace bytes in flight across workers, `None` for
     /// unbounded. One item is always admitted regardless, so a budget
-    /// smaller than a single trace degrades to serial trace residency
-    /// rather than deadlock. Does not enter result identity: ledger keys
-    /// ignore it, and results are bit-identical at any budget.
+    /// smaller than a single item degrades to serial items rather than
+    /// deadlock. Does not enter result identity: ledger keys ignore it,
+    /// and results are bit-identical at any budget.
     pub mem_budget: Option<u64>,
-    /// Records per streamed batch for [`run_suite_streamed`] (and so for
-    /// [`run_suite`] with a store); `0` means [`DEFAULT_STREAM_CHUNK`].
-    /// Purely an execution-strategy knob: streamed results are
-    /// bit-identical at any chunk size (batch boundaries carry no
-    /// simulation meaning), so it is excluded from ledger run keys by
+    /// Records per streamed batch of every suite run; `0` means
+    /// [`DEFAULT_STREAM_CHUNK`]. Purely an execution-strategy knob:
+    /// results are bit-identical at any chunk size (batch boundaries carry
+    /// no simulation meaning), so it is excluded from ledger run keys by
     /// construction — `run_key` never sees it.
     pub stream_chunk: usize,
 }
@@ -91,12 +85,6 @@ impl RunnerConfig {
         self.threads.max(1)
     }
 
-    /// Per-trace byte estimate used for budget admission of a
-    /// materialized work item.
-    pub(crate) fn trace_estimate(&self) -> u64 {
-        PackedTrace::estimate_bytes(self.instructions)
-    }
-
     /// Records per streamed batch actually used: `stream_chunk` with 0
     /// mapped to [`DEFAULT_STREAM_CHUNK`].
     pub fn stream_chunk_records(&self) -> usize {
@@ -107,10 +95,10 @@ impl RunnerConfig {
         }
     }
 
-    /// Estimated peak packed-trace bytes of one in-flight streamed work
-    /// item, for budget admission: the consumer's batch plus the producer
-    /// pipeline ([`chirp_trace::STREAM_PIPELINE_CHUNKS`] buffered + one
-    /// being filled).
+    /// Estimated peak packed-trace bytes of one in-flight work item, for
+    /// budget admission: the consumer's batch plus the producer pipeline
+    /// ([`chirp_trace::STREAM_PIPELINE_CHUNKS`] buffered + one being
+    /// filled).
     pub(crate) fn stream_unit_estimate(&self) -> u64 {
         let chunk = self.stream_chunk_records().min(self.instructions.max(1));
         PackedTrace::estimate_bytes(chunk) * (chirp_trace::STREAM_PIPELINE_CHUNKS as u64 + 2)
@@ -128,10 +116,13 @@ pub struct BenchRun {
     pub result: RunResult,
 }
 
+/// One (benchmark × policy) unit of [`run_units`]: its run beside its
+/// epoch series (empty unless the run samples, and for a ledger hit).
+pub(crate) type Unit = (BenchRun, Vec<EpochRow>);
+
 /// Runs `policies` over `suite` in parallel. Each benchmark's trace is
-/// generated once (packed) and shared by its whole policy group, so
-/// results are directly comparable. Output order matches `suite` ×
-/// `policies`.
+/// streamed once and shared by its whole policy group, so results are
+/// directly comparable. Output order matches `suite` × `policies`.
 ///
 /// With `config.store` set, this delegates to [`run_suite_streamed`] —
 /// only missing (benchmark × policy) pairs are simulated. An unusable
@@ -150,56 +141,20 @@ pub fn run_suite(
             }
         }
     }
-    run_generated(suite, policies, config, None).into_iter().map(|(run, _)| run).collect()
+    let (units, _) = run_units(suite, policies, config, None, None).expect(NO_STORE_TO_FAIL);
+    units.into_iter().map(|(run, _)| run).collect()
 }
 
-/// The uncached suite run behind [`run_suite`] and
-/// [`run_suite_telemetry`](crate::telemetry::run_suite_telemetry): one
-/// work item per benchmark, whose trace is generated and run through
-/// [`run_group`] with `epoch`. Output in `suite` × `policies` order, each
-/// run beside its epoch series (empty without `epoch`).
-pub(crate) fn run_generated(
-    suite: &[BenchmarkSpec],
-    policies: &[PolicyKind],
-    config: &RunnerConfig,
-    epoch: Option<u64>,
-) -> Vec<(BenchRun, Vec<EpochRow>)> {
-    let work: Vec<WorkItem> = (0..suite.len())
-        .map(|bench| WorkItem { bench, policies: (0..policies.len()).collect() })
-        .collect();
-    let (results, _) = run_items(
-        &work,
-        config.worker_threads(),
-        config.trace_estimate(),
-        config.mem_budget,
-        |item| {
-            let bench = &suite[item.bench];
-            let trace = bench.generate_packed(config.instructions);
-            let kinds: Vec<&PolicyKind> = item.policies.iter().map(|&pi| &policies[pi]).collect();
-            let runs = run_group(&config.sim, &kinds, bench.seed, &trace, epoch);
-            Ok(runs.into_iter().map(|(result, rows)| (label(bench, result), rows)).collect())
-        },
-    )
-    .expect("direct fetch is infallible");
-    results.into_iter().flatten().collect()
-}
+/// [`run_units`] without a store fails only on a generator stream, which never errors.
+pub(crate) const NO_STORE_TO_FAIL: &str = "a suite run without a store has nothing to fail";
 
-fn label(bench: &BenchmarkSpec, result: RunResult) -> BenchRun {
-    BenchRun { benchmark: bench.name.clone(), category: bench.category, result }
-}
-
-fn label_runs(bench: &BenchmarkSpec, results: Vec<RunResult>) -> Vec<BenchRun> {
-    results.into_iter().map(|result| label(bench, result)).collect()
-}
-
-/// Runs one same-trace group of policies over a resident trace — the
-/// primitive of the uncached suite run. With `factored` set,
-/// a group of two or more runs as one front-end pass + per-policy replay
-/// back-ends over 4096-record segments (the chunk driver behind
-/// [`run_stream_group`], replaying on a second thread when a core would
-/// otherwise sit idle), the signature stream computed under the
-/// group's first CHiRP configuration ([`group_sig_config`]); a group of
-/// one runs [`Simulator::run_columnar`], which is faster when there is
+/// Runs one same-trace group of policies over a resident trace. With
+/// `factored` set, a group of two or more runs as one front-end pass +
+/// per-policy replay back-ends over 4096-record segments (the chunk
+/// driver behind [`run_stream_group`], replaying on a second thread when
+/// a core would otherwise sit idle), the signature stream computed under
+/// the group's first CHiRP configuration ([`group_sig_config`]); a group
+/// of one runs [`Simulator::run_columnar`], which is faster when there is
 /// nothing to share. With `factored` unset every policy runs
 /// `run_columnar`, the reference loop. Results are bit-identical either
 /// way, in input order.
@@ -210,35 +165,13 @@ pub fn run_policy_group(
     trace: &PackedTrace,
     factored: bool,
 ) -> Vec<RunResult> {
-    if factored {
-        run_group(sim, kinds, seed, trace, None).into_iter().map(|(result, _)| result).collect()
-    } else {
-        kinds.iter().map(|kind| run_columnar(sim, kind, seed, trace)).collect()
-    }
-}
-
-/// [`run_policy_group`]'s factored engines, with telemetry: each result
-/// comes with its epoch series, sampled every `epoch` measured
-/// instructions (empty without). A group that samples runs on the chunk
-/// driver even when it holds one policy, since `run_columnar` has no
-/// sampler.
-pub(crate) fn run_group(
-    sim: &SimConfig,
-    kinds: &[&PolicyKind],
-    seed: u64,
-    trace: &PackedTrace,
-    epoch: Option<u64>,
-) -> Vec<(RunResult, Vec<EpochRow>)> {
-    if epoch.is_none() && kinds.len() < 2 {
-        return kinds
-            .iter()
-            .map(|kind| (run_columnar(sim, kind, seed, trace), Vec::new()))
-            .collect();
+    if !factored || kinds.len() < 2 {
+        return kinds.iter().map(|kind| run_columnar(sim, kind, seed, trace)).collect();
     }
     let sig_config = group_sig_config(kinds.iter().copied());
     let policies = kinds.iter().map(|kind| kind.build_dispatch(sim.tlb.l2, seed)).collect();
     let (form, _core) = ReplayForm::choose();
-    replay_trace_group(sim, &sig_config, policies, trace, sim.warmup_fraction, epoch, form)
+    replay_trace_group(sim, &sig_config, policies, trace, sim.warmup_fraction, form)
 }
 
 fn run_columnar(sim: &SimConfig, kind: &PolicyKind, seed: u64, trace: &PackedTrace) -> RunResult {
@@ -246,14 +179,14 @@ fn run_columnar(sim: &SimConfig, kind: &PolicyKind, seed: u64, trace: &PackedTra
     Simulator::with_policy(sim, policy).run_columnar(trace, sim.warmup_fraction)
 }
 
-/// The streamed counterpart of [`run_policy_group`] — the primitive
-/// `run_suite_streamed` and `chirp-serve` share: one pass over `stream`
-/// for the whole group on the factored chunk driver, which replays on a
-/// second thread when a core would otherwise sit idle. A group of one
-/// that would replay inline runs [`Simulator::run_stream`] instead,
-/// which is faster when there is neither a group to share the front end
-/// nor a core to overlap it with. Results are bit-identical to
-/// `run_columnar` of each policy over the same records, in input order.
+/// The streamed counterpart of [`run_policy_group`] — the primitive every
+/// suite run and `chirp-serve` share: one pass over `stream` for the
+/// whole group on the factored chunk driver, which replays on a second
+/// thread when a core would otherwise sit idle. A group of one that
+/// would replay inline runs [`Simulator::run_stream`] instead, which is
+/// faster when there is neither a group to share the front end nor a
+/// core to overlap it with. Results are bit-identical to `run_columnar`
+/// of each policy over the same records, in input order.
 ///
 /// # Errors
 ///
@@ -265,22 +198,38 @@ pub fn run_stream_group(
     seed: u64,
     stream: &mut dyn TraceStream,
 ) -> Result<Vec<RunResult>, StreamError> {
+    let outcomes = sample_stream_group(sim, kinds, seed, stream, None)?;
+    Ok(outcomes.into_iter().map(|(result, _)| result).collect())
+}
+
+/// [`run_stream_group`] with telemetry: each result comes with its epoch
+/// series, sampled every `epoch` measured instructions (empty without).
+/// A group that samples runs on the chunk driver even when it holds one
+/// policy, since `run_stream` has no sampler.
+fn sample_stream_group(
+    sim: &SimConfig,
+    kinds: &[&PolicyKind],
+    seed: u64,
+    stream: &mut dyn TraceStream,
+    epoch: Option<u64>,
+) -> Result<Vec<(RunResult, Vec<EpochRow>)>, StreamError> {
     let build = |kind: &PolicyKind| kind.build_dispatch(sim.tlb.l2, seed);
     let (form, _core) = ReplayForm::choose();
-    if let ([kind], ReplayForm::Inline) = (kinds, form) {
-        return Ok(vec![
-            Simulator::with_policy(sim, build(kind)).run_stream(stream, sim.warmup_fraction)?
-        ]);
+    if let ([kind], ReplayForm::Inline, None) = (kinds, form, epoch) {
+        let result =
+            Simulator::with_policy(sim, build(kind)).run_stream(stream, sim.warmup_fraction)?;
+        return Ok(vec![(result, Vec::new())]);
     }
     let sig_config = group_sig_config(kinds.iter().copied());
     let policies = kinds.iter().map(|k| build(k)).collect();
     let outcomes =
-        replay_stream_group(sim, &sig_config, policies, stream, sim.warmup_fraction, form)?;
-    Ok(outcomes.into_iter().map(|(result, _)| result).collect())
+        replay_stream_group(sim, &sig_config, policies, stream, sim.warmup_fraction, epoch, form)?;
+    Ok(outcomes.into_iter().map(|(result, _, rows)| (result, rows)).collect())
 }
 
-/// What [`run_suite_streamed`] did to satisfy a request. Each work item
-/// counts under exactly one of the three trace counters.
+/// What a store-backed run ([`run_suite_streamed`]) did to satisfy a
+/// request. Each work item counts under exactly one of the three trace
+/// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// (benchmark × policy) pairs simulated this call.
@@ -289,67 +238,13 @@ pub struct CacheStats {
     pub ledger_hits: usize,
     /// Items streamed in full from a valid archive entry.
     pub trace_hits: u64,
-    /// Items streamed from the generator because the archive has no
-    /// entry for their trace; the entry stays absent.
+    /// Items streamed from the generator because there is no archive
+    /// entry for their trace (or no store at all); the entry stays absent.
     pub trace_generated: u64,
     /// Items whose archive entry failed to stream (open, decode, count or
     /// checksum): the entry was rewritten and the item streamed from the
     /// generator.
     pub trace_regenerated: u64,
-}
-
-/// The (benchmark × policy) result matrix of a store-backed run, filled
-/// first from the ledger and then from simulation.
-struct Matrix {
-    /// Row-major `suite × policies` slots.
-    slots: Vec<Option<BenchRun>>,
-    policies: usize,
-}
-
-impl Matrix {
-    /// The ledger-resolution prologue of the store-backed runner: probes
-    /// every pair's run key, fills the hits, and collects the rest as
-    /// per-benchmark work items (benchmarks with nothing missing get no
-    /// item). Returns the matrix, the work and the hit count.
-    fn resolve(
-        ledger: &RunLedger,
-        suite: &[BenchmarkSpec],
-        policies: &[PolicyKind],
-        config: &RunnerConfig,
-    ) -> (Matrix, Vec<WorkItem>, usize) {
-        let mut slots = vec![None; suite.len() * policies.len()];
-        let mut work = Vec::new();
-        let mut hits = 0;
-        for (bi, bench) in suite.iter().enumerate() {
-            let mut need = Vec::new();
-            for (pi, policy) in policies.iter().enumerate() {
-                let key = run_key(&config.sim, policy, &bench.name, config.instructions);
-                match ledger.get(key).and_then(run_from_record) {
-                    Some(run) => {
-                        slots[bi * policies.len() + pi] = Some(run);
-                        hits += 1;
-                    }
-                    None => need.push(pi),
-                }
-            }
-            if !need.is_empty() {
-                work.push(WorkItem { bench: bi, policies: need });
-            }
-        }
-        (Matrix { slots, policies: policies.len() }, work, hits)
-    }
-
-    /// Places one simulated pair.
-    fn place(&mut self, bench: usize, policy: usize, run: BenchRun) {
-        self.slots[bench * self.policies + policy] = Some(run);
-    }
-
-    fn into_runs(self) -> Vec<BenchRun> {
-        self.slots
-            .into_iter()
-            .map(|slot| slot.expect("every pair resolved from ledger or simulation"))
-            .collect()
-    }
 }
 
 /// Like [`run_suite`], but incremental — the store-backed runner behind
@@ -360,8 +255,7 @@ impl Matrix {
 /// * each missing (benchmark × policies) work item opens ONE trace
 ///   stream — archive-backed when a valid entry exists, else a generator
 ///   stream — and runs all its missing policies over it in one pass
-///   ([`run_stream_group`]), so peak per-item trace residency is
-///   O(stream chunk) instead of O(trace);
+///   ([`run_stream_group`]);
 /// * results are appended to the run ledger as each item completes (not
 ///   batched at the end), so a run interrupted mid-suite keeps every
 ///   finished item and a rerun resumes from the ledger;
@@ -384,85 +278,136 @@ pub fn run_suite_streamed(
     store_root: &Path,
 ) -> Result<(Vec<BenchRun>, CacheStats), StoreError> {
     let mut store = Store::open(store_root)?;
-    let (mut matrix, work, ledger_hits) = Matrix::resolve(&store.ledger, suite, policies, config);
-    let mut stats = CacheStats { ledger_hits, ..CacheStats::default() };
+    let (units, stats) = run_units(suite, policies, config, Some(&mut store), None)?;
+    Ok((units.into_iter().map(|(run, _)| run).collect(), stats))
+}
+
+/// The one suite runner body, in `suite` × `policies` order. With a
+/// store, pairs the ledger holds are answered from it (with no series),
+/// items stream from the archive when it holds a valid entry, and each
+/// finished item is appended to the ledger; without one, every pair is
+/// simulated over a generator stream. With an `epoch` length each
+/// simulated unit carries its epoch series.
+pub(crate) fn run_units(
+    suite: &[BenchmarkSpec],
+    policies: &[PolicyKind],
+    config: &RunnerConfig,
+    store: Option<&mut Store>,
+    epoch: Option<u64>,
+) -> Result<(Vec<Unit>, CacheStats), StoreError> {
+    let (archive, ledger) = match store {
+        Some(Store { archive, ledger }) => (Some(archive), Some(ledger)),
+        None => (None, None),
+    };
+    // Resolve every pair from the ledger; the rest becomes one work item
+    // per benchmark that has anything missing.
+    let mut slots: Vec<Option<Unit>> = Vec::with_capacity(suite.len() * policies.len());
+    let mut work = Vec::new();
+    for (bi, bench) in suite.iter().enumerate() {
+        let mut need = Vec::new();
+        for (pi, policy) in policies.iter().enumerate() {
+            let key = || run_key(&config.sim, policy, &bench.name, config.instructions);
+            let hit = ledger.as_deref().and_then(|ledger| ledger.get(key()));
+            let unit = hit.and_then(run_from_record).map(|run| (run, Vec::new()));
+            if unit.is_none() {
+                need.push(pi);
+            }
+            slots.push(unit);
+        }
+        if !need.is_empty() {
+            work.push(WorkItem { bench: bi, policies: need });
+        }
+    }
+    let simulated = work.iter().map(|item| item.policies.len()).sum();
+    let ledger_hits = slots.len() - simulated;
+    let counters = Mutex::new(CacheStats { simulated, ledger_hits, ..CacheStats::default() });
 
     if !work.is_empty() {
-        let archive = Mutex::new(&mut store.archive);
-        let ledger = Mutex::new(&mut store.ledger);
-        let counters = Mutex::new(CacheStats::default());
+        let (archive, ledger) = (archive.map(Mutex::new), ledger.map(Mutex::new));
         let (results, _) = run_items(
             &work,
             config.worker_threads(),
             config.stream_unit_estimate(),
             config.mem_budget,
             |item| {
-                let runs = stream_one_item(&archive, suite, policies, config, item, &counters)?;
+                let units = stream_one_item(
+                    archive.as_ref(),
+                    suite,
+                    policies,
+                    config,
+                    item,
+                    epoch,
+                    &counters,
+                )?;
                 // Persist this item immediately: interrupt-resumability
                 // hinges on completed items being in the ledger before
                 // the next item starts.
-                let mut ledger = ledger.lock().expect(POISONED);
-                for (&pi, run) in item.policies.iter().zip(&runs) {
-                    let key = run_key(
-                        &config.sim,
-                        &policies[pi],
-                        &suite[item.bench].name,
-                        config.instructions,
-                    );
-                    ledger.append(key, record_from_run(run, &config.sim, &policies[pi]))?;
+                if let Some(ledger) = &ledger {
+                    let mut ledger = ledger.lock().expect(POISONED);
+                    for (&pi, (run, _)) in item.policies.iter().zip(&units) {
+                        let policy = &policies[pi];
+                        let key = run_key(
+                            &config.sim,
+                            policy,
+                            &suite[item.bench].name,
+                            config.instructions,
+                        );
+                        ledger.append(key, record_from_run(run, &config.sim, policy))?;
+                    }
                 }
-                Ok(runs)
+                Ok(units)
             },
         )?;
-
-        let streamed = counters.into_inner().expect(POISONED);
-        stats.trace_hits = streamed.trace_hits;
-        stats.trace_generated = streamed.trace_generated;
-        stats.trace_regenerated = streamed.trace_regenerated;
-        for (item, runs) in work.iter().zip(results) {
-            for (&pi, run) in item.policies.iter().zip(runs) {
-                matrix.place(item.bench, pi, run);
-                stats.simulated += 1;
+        for (item, units) in work.iter().zip(results) {
+            for (&pi, unit) in item.policies.iter().zip(units) {
+                slots[item.bench * policies.len() + pi] = Some(unit);
             }
         }
     }
-    Ok((matrix.into_runs(), stats))
+    let units = slots.into_iter().map(|slot| slot.expect("every pair resolved or simulated"));
+    Ok((units.collect(), counters.into_inner().expect(POISONED)))
 }
 
 /// A worker that panicked holding one of the runner's locks has already
 /// failed the run, so the poisoned lock fails it here too.
 const POISONED: &str = "a suite worker panicked while holding a runner lock";
 
-/// Runs one streamed work item: probes the archive under its lock, then
+/// Runs one work item: with an archive, probes it under its lock, then
 /// (unlocked) streams the trace once through the item's whole policy
 /// group. An archive-stream failure rewrites the entry — under the lock,
 /// which only a corrupt entry ever costs — and falls back to a generator
-/// stream on fresh simulators.
+/// stream on fresh simulators. Without an archive, or without an entry,
+/// the item streams from the generator.
 fn stream_one_item(
-    archive: &Mutex<&mut TraceArchive>,
+    archive: Option<&Mutex<&mut TraceArchive>>,
     suite: &[BenchmarkSpec],
     policies: &[PolicyKind],
     config: &RunnerConfig,
     item: &WorkItem,
+    epoch: Option<u64>,
     counters: &Mutex<CacheStats>,
-) -> Result<Vec<BenchRun>, StoreError> {
+) -> Result<Vec<Unit>, StoreError> {
     let bench = &suite[item.bench];
     let chunk = config.stream_chunk_records();
     let kinds: Vec<&PolicyKind> = item.policies.iter().map(|&pi| &policies[pi]).collect();
-    let run_item =
-        |stream: &mut dyn TraceStream| run_stream_group(&config.sim, &kinds, bench.seed, stream);
-
-    let key = TraceArchive::content_key(bench, config.instructions);
-    let probe = {
-        let a = archive.lock().expect(POISONED);
-        a.entry_meta(key).map(|meta| (a.trace_path(key), meta))
+    let run_item = |stream: &mut dyn TraceStream| {
+        let outcomes = sample_stream_group(&config.sim, &kinds, bench.seed, stream, epoch)?;
+        let run =
+            |result| BenchRun { benchmark: bench.name.clone(), category: bench.category, result };
+        Ok(outcomes.into_iter().map(|(result, rows)| (run(result), rows)).collect())
     };
-    if let Some((path, meta)) = probe {
+
+    let probe = archive.and_then(|archive| {
+        let key = TraceArchive::content_key(bench, config.instructions);
+        let a = archive.lock().expect(POISONED);
+        a.entry_meta(key).map(|meta| (archive, a.trace_path(key), meta))
+    });
+    if let Some((archive, path, meta)) = probe {
         let attempt = ArchiveTraceStream::open(&path, meta, chunk)
             .and_then(|mut stream| run_item(&mut stream));
-        if let Ok(results) = attempt {
+        if let Ok(units) = attempt {
             counters.lock().expect(POISONED).trace_hits += 1;
-            return Ok(label_runs(bench, results));
+            return Ok(units);
         }
         // Rewrite the entry, so later runs stream it instead of failing
         // on it again.
@@ -472,9 +417,7 @@ fn stream_one_item(
         counters.lock().expect(POISONED).trace_generated += 1;
     }
     let mut stream = bench.stream(config.instructions, chunk);
-    let results = run_item(&mut stream)
-        .map_err(|e| StoreError::Corrupt(format!("generator stream failed: {e}")))?;
-    Ok(label_runs(bench, results))
+    run_item(&mut stream).map_err(|e| StoreError::Corrupt(format!("generator stream failed: {e}")))
 }
 
 /// Groups per-policy results for one benchmark out of a flat `run_suite`

@@ -2,11 +2,12 @@
 //!
 //! A **work item** is one benchmark plus the policies still to simulate
 //! over its trace. Each item is one task: a worker admits it, calls
-//! `exec(item)` — which obtains the trace (generate, archive decode or
-//! stream), runs the item's whole policy group through the engine in one
-//! call, and does any per-item persistence — and then releases it.
-//! Materialized runs, streamed runs, telemetry and `chirp-serve` all
-//! schedule this way; they differ only in their `exec`.
+//! `exec(item)` — which streams the trace (from the generator, the
+//! archive or an upload), runs the item's whole policy group through the
+//! engine in one call, and does any per-item persistence — and then
+//! releases it. The suite runner (with or without a store or telemetry)
+//! and `chirp-serve` both schedule this way; they differ only in their
+//! `exec`.
 //!
 //! * An optional **memory budget** bounds the estimated trace bytes of
 //!   the items in flight. One item is always admitted when nothing else

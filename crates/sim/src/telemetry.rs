@@ -1,15 +1,16 @@
 //! Epoch-resolved run telemetry: phase series for every (benchmark ×
 //! policy) unit of a suite run.
 //!
-//! [`run_suite_telemetry`] runs the same work items as
-//! [`run_suite`](crate::runner::run_suite), through the same factored
-//! chunk driver, whose back ends also sample an epoch series (see
-//! [`crate::frontend`]), and collects one [`UnitSeries`] per (benchmark ×
-//! policy) pair alongside the ordinary [`BenchRun`]s. The sampling is
-//! strictly observational — the returned results are bit-identical to an
-//! uninstrumented run (pinned by `instrumented_run_matches_plain_suite`
-//! below) — but telemetry runs always simulate directly: they bypass the
-//! run ledger, because a ledger hit has no epoch series to return.
+//! [`run_suite_telemetry`] runs the suite through the same runner body as
+//! [`run_suite`](crate::runner::run_suite): each work item streams its
+//! trace once through the factored chunk driver, whose back ends also
+//! sample an epoch series (see [`crate::frontend`]), and one
+//! [`UnitSeries`] per (benchmark × policy) pair comes back alongside the
+//! ordinary [`BenchRun`]s. The sampling is strictly observational — the
+//! returned results are bit-identical to an uninstrumented run (pinned by
+//! `instrumented_run_matches_plain_suite` below) — but telemetry runs
+//! always simulate: they run without a store, because a ledger hit has no
+//! epoch series to return.
 //!
 //! Series serialise to JSONL ([`write_series`]) — one flat object per
 //! epoch with the unit identity inlined, so `chirp-store`'s flat JSON
@@ -17,7 +18,7 @@
 //! without a schema.
 
 use crate::registry::PolicyKind;
-use crate::runner::{run_generated, BenchRun, RunnerConfig};
+use crate::runner::{run_units, BenchRun, RunnerConfig, NO_STORE_TO_FAIL};
 use crate::store_cache::run_key;
 use chirp_store::json::JsonObject;
 use chirp_store::{hex16, parse_hex16, StoreError};
@@ -216,8 +217,9 @@ impl UnitSeries {
 ///
 /// The results are bit-identical to [`run_suite`](crate::runner::run_suite)
 /// on the same inputs — sampling never feeds back into the simulation.
-/// Unlike `run_suite`, this path never consults the store: ledger hits
-/// skip simulation and therefore cannot produce a series. With
+/// Unlike `run_suite`, this path never consults the store, even with
+/// [`RunnerConfig::store`] set: ledger hits skip simulation and therefore
+/// cannot produce a series, so it neither reads nor writes the ledger. With
 /// `spec.mode` off nothing is sampled and every series is empty.
 pub fn run_suite_telemetry(
     suite: &[BenchmarkSpec],
@@ -226,10 +228,11 @@ pub fn run_suite_telemetry(
     spec: &TelemetrySpec,
 ) -> (Vec<BenchRun>, Vec<UnitSeries>) {
     let epoch = spec.mode.is_enabled().then_some(spec.epoch_instructions);
-    let units = suite.iter().flat_map(|bench| policies.iter().map(move |policy| (bench, policy)));
-    run_generated(suite, policies, config, epoch)
+    let pairs = suite.iter().flat_map(|bench| policies.iter().map(move |policy| (bench, policy)));
+    let (units, _) = run_units(suite, policies, config, None, epoch).expect(NO_STORE_TO_FAIL);
+    units
         .into_iter()
-        .zip(units)
+        .zip(pairs)
         .map(|((run, rows), (bench, policy))| {
             let series = UnitSeries {
                 benchmark: bench.name.clone(),
@@ -429,7 +432,9 @@ mod tests {
     /// 9-policy lineup (its short-history CHiRP replays with local
     /// registers, since the group computes signatures under the default
     /// configuration) and that CHiRP as a group of one, at warmup cuts
-    /// 0, 0.5 and 1.0 and epochs shorter and longer than the window.
+    /// 0, 0.5 and 1.0 and epochs shorter and longer than the window. The
+    /// same digests hold at the default stream chunk and at 700-record
+    /// batches, whose boundaries fall inside epochs and segments.
     #[test]
     fn series_match_the_pinned_digests() {
         let suite = build_suite(&SuiteConfig { benchmarks: 4 });
@@ -440,21 +445,34 @@ mod tests {
         let alone = [lineup[8].clone()];
         let dir = TempDir::new("telemetry-digests");
         let path = dir.path().join("telemetry_epochs.jsonl");
-        let mut digests = Vec::new();
-        for warmup_fraction in [0.0, 0.5, 1.0] {
-            let sim = SimConfig { warmup_fraction, ..SimConfig::default() };
-            let config =
-                RunnerConfig { instructions: 16_000, threads: 2, sim, ..Default::default() };
-            for epoch in [1_500, 100_000] {
-                for policies in [&lineup[..], &alone[..]] {
-                    let (_, series) = run_suite_telemetry(&suite, policies, &config, &spec(epoch));
-                    write_series(&path, &series).expect("write series");
-                    digests.push(fnv64(&std::fs::read(&path).expect("read series")));
+        for stream_chunk in [0, 700] {
+            let mut digests = Vec::new();
+            for warmup_fraction in [0.0, 0.5, 1.0] {
+                let sim = SimConfig { warmup_fraction, ..SimConfig::default() };
+                let config = RunnerConfig {
+                    instructions: 16_000,
+                    threads: 2,
+                    sim,
+                    stream_chunk,
+                    ..Default::default()
+                };
+                for epoch in [1_500, 100_000] {
+                    for policies in [&lineup[..], &alone[..]] {
+                        let (_, series) =
+                            run_suite_telemetry(&suite, policies, &config, &spec(epoch));
+                        write_series(&path, &series).expect("write series");
+                        digests.push(fnv64(&std::fs::read(&path).expect("read series")));
+                    }
                 }
             }
+            let hex: Vec<String> = digests.iter().map(|d| format!("{d:#018x}")).collect();
+            assert_eq!(
+                digests,
+                SERIES_DIGESTS,
+                "stream_chunk {stream_chunk}: got [{}]",
+                hex.join(", ")
+            );
         }
-        let hex: Vec<String> = digests.iter().map(|d| format!("{d:#018x}")).collect();
-        assert_eq!(digests, SERIES_DIGESTS, "got [{}]", hex.join(", "));
     }
 
     #[test]

@@ -66,22 +66,26 @@ trap 'if [[ -n "$serve_pid" ]]; then kill "$serve_pid" 2>/dev/null || true; fi; 
 # The factored back ends sample the epoch series, so the series must not
 # depend on the replay form: one worker pipelines on a host with two or
 # more cores, one worker per core replays inline (see "pipelined vs
-# inline ledgers" below).
+# inline ledgers" below). Nor may it depend on the stream's batch size:
+# a 997-record batch ends inside epochs and segments.
 cpus="$(nproc)"
-telemetry_run() { # THREADS OUT_DIR
+telemetry_run() { # THREADS OUT_DIR [FLAGS...]
     cargo run --release -q -p chirp-bench --bin run_all -- \
         --benchmarks 2 --instructions 20_000 --threads "$1" \
         --telemetry epochs --epoch-instructions 5_000 \
-        --telemetry-out "$2" > "$2.out"
+        --telemetry-out "$2" "${@:3}" > "$2.out"
     test -s "$2/telemetry_epochs.jsonl"
 }
 telemetry_run 1 "$smoke_dir/telemetry-pipelined"
 telemetry_run "$cpus" "$smoke_dir/telemetry-inline"
+telemetry_run 1 "$smoke_dir/telemetry-chunked" --stream-chunk 997
 if [[ "$cpus" -gt 1 ]]; then
     grep -q "replay pipelined" "$smoke_dir/telemetry-pipelined.out"
 fi
-cmp "$smoke_dir/telemetry-pipelined/telemetry_epochs.jsonl" \
-    "$smoke_dir/telemetry-inline/telemetry_epochs.jsonl"
+for other in inline chunked; do
+    cmp "$smoke_dir/telemetry-pipelined/telemetry_epochs.jsonl" \
+        "$smoke_dir/telemetry-$other/telemetry_epochs.jsonl"
+done
 # Buffer the report before grepping: `grep -q` exits on first match and
 # would close the pipe mid-write, crashing the reporter with SIGPIPE.
 cargo run --release -q -p chirp-bench --bin telemetry_report -- \
