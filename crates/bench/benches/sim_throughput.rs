@@ -1,6 +1,6 @@
-//! Single-thread simulation throughput: the monomorphized columnar hot
-//! loop (`Simulator::with_policy` over `PolicyDispatch` +
-//! `run_columnar`, what a group of one runs) and the factored engine
+//! Single-thread simulation throughput: the monomorphized columnar
+//! reference loop (`Simulator::with_policy` over `PolicyDispatch` +
+//! `run_columnar`) and the factored engine
 //! (one shared front-end pass + 9 replay back-ends per benchmark,
 //! `FactoredTrace::build` + `replay_factored`), per policy and over the whole (benchmark ×
 //! policy) matrix, in instructions per second.

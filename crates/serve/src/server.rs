@@ -140,6 +140,14 @@ fn io_err(context: &'static str) -> impl FnOnce(io::Error) -> ServeError {
 /// client cannot hold the one control thread.
 const SESSION_READ_TIMEOUT: Duration = Duration::from_millis(250);
 
+/// Write timeout on session and control sockets: a reply that cannot
+/// make progress for this long means the client stopped reading, and the
+/// failed write ends its connection. Without it, a client that floods
+/// requests and never reads the replies would hold its session (and so
+/// a shutdown), or the one control thread, for as long as it stays
+/// connected.
+const SESSION_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// State shared by the accept loop, the control loop and every session.
 struct Shared {
     config: ServeConfig,
@@ -339,7 +347,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 /// Serves `Stats`/`Shutdown`/`Ping` on the control listener, one
 /// connection at a time; a connection that sends nothing for
-/// [`SESSION_READ_TIMEOUT`] is closed. A `Shutdown` request acknowledges,
+/// [`SESSION_READ_TIMEOUT`], or reads no reply for
+/// [`SESSION_WRITE_TIMEOUT`], is closed. A `Shutdown` request acknowledges,
 /// sets the stop flag and wakes the data accept loop with a
 /// self-connection.
 fn control_loop(listener: &TcpListener, shared: &Arc<Shared>, data_addr: SocketAddr) {
@@ -352,6 +361,7 @@ fn control_loop(listener: &TcpListener, shared: &Arc<Shared>, data_addr: SocketA
             break;
         }
         let _ = stream.set_read_timeout(Some(SESSION_READ_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(SESSION_WRITE_TIMEOUT));
         loop {
             match read_request(&mut stream) {
                 Ok(Some(Request::Ping)) => {
@@ -410,6 +420,7 @@ fn error_response(code: u16, message: String) -> Response {
 /// lives until the client disconnects or violates the protocol.
 fn session(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(SESSION_READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(SESSION_WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut frames = FrameReader::default();
     loop {
@@ -885,11 +896,12 @@ impl Probe {
 }
 
 /// One streamed pass over `trace`: the `missing` policies run through
-/// the scheduler as one group (`run_stream_group`: one shared front end
-/// and a replay back end per policy, or a single policy's own loop),
-/// bit-identical to per-policy `run_columnar` over the same records. With
-/// no policy missing the pass only decodes, to validate the bytes. Every
-/// declared record is decoded, or the pass fails.
+/// the scheduler as one group on the chunk driver (`run_stream_group`:
+/// one shared front end and a replay back end per policy, however many
+/// are missing), bit-identical to per-policy `run_columnar` over the
+/// same records. With no policy missing the pass only decodes, to
+/// validate the bytes. Every declared record is decoded, or the pass
+/// fails.
 fn simulate(
     shared: &Shared,
     spec: &RunSpec,

@@ -16,8 +16,8 @@
 //!   the ledger, and an archived file that fails its checksum heals when
 //!   the same bytes are uploaded again;
 //! * a client that pauses inside a frame for longer than the server's
-//!   session read timeout keeps its session, and a silent control client
-//!   does not block a shutdown.
+//!   session read timeout keeps its session, and neither a silent control
+//!   client nor a client that never reads its replies blocks a shutdown.
 
 use chirp_serve::client::{shutdown_server, Client, SubmitOutcome};
 use chirp_serve::loadgen::{run_load, LoadGenConfig};
@@ -29,9 +29,12 @@ use chirp_trace::suite::{build_suite, BenchmarkSpec, SuiteConfig};
 use chirp_trace::{read_trace, write_trace, write_trace_packed};
 use std::io::Write;
 use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr};
 use std::path::Path;
-use std::sync::mpsc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 const INSTRUCTIONS: usize = 8_000;
 const POLICIES: [&str; 2] = ["lru", "chirp"];
@@ -617,4 +620,85 @@ fn silent_control_client_does_not_block_shutdown() {
     });
     joined.recv_timeout(Duration::from_secs(10)).expect("server joins");
     drop(silent);
+}
+
+/// Starts a client that pipelines `Stats` requests to `addr` and never
+/// reads a reply, and returns once it has sent 20,000 of them (or its
+/// writes stalled for 2 s), by when the server's replies have long
+/// filled the socket buffers and the server is blocked writing. Returns
+/// a handle on the socket, to close it, and the writer thread.
+fn flood_without_reading(addr: SocketAddr) -> (TcpStream, JoinHandle<()>) {
+    let mut stream = TcpStream::connect(addr).expect("connect flooding client");
+    let handle = stream.try_clone().expect("clone flooding socket");
+    let sent = Arc::new(AtomicUsize::new(0));
+    let writer = {
+        let sent = Arc::clone(&sent);
+        std::thread::spawn(move || {
+            let frame = frame_bytes(&Request::Stats);
+            for _ in 0..200_000 {
+                if stream.write_all(&frame).is_err() {
+                    return;
+                }
+                sent.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
+    let started = Instant::now();
+    let mut last = (0, Instant::now());
+    while sent.load(Ordering::Relaxed) < 20_000 {
+        let now = sent.load(Ordering::Relaxed);
+        if now != last.0 {
+            last = (now, Instant::now());
+        } else if last.1.elapsed() > Duration::from_secs(2) {
+            break;
+        }
+        assert!(started.elapsed() < Duration::from_secs(30), "flooding client never got going");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    (handle, writer)
+}
+
+/// A data client that floods `Stats` requests and never reads a reply
+/// does not hold the server past an acknowledged `Shutdown`: the
+/// session's blocked reply write times out and the session ends, so the
+/// server joins while the client still holds its socket open.
+#[test]
+fn client_that_never_reads_replies_does_not_block_shutdown() {
+    let root = TempDir::new("serve-unread-replies");
+    let handle = start_server(&root, None);
+    let control = handle.control_addr();
+    let (flood, writer) = flood_without_reading(handle.addr());
+    shutdown_server(control).expect("shutdown acked");
+    let (done, joined) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = done.send(());
+    });
+    let outcome = joined.recv_timeout(Duration::from_secs(10));
+    let _ = flood.shutdown(Shutdown::Both);
+    let _ = writer.join();
+    outcome.expect("server joins within 10 s despite a client that never reads");
+}
+
+/// A control client that floods `Stats` requests and never reads a reply
+/// does not hold the one control thread: its blocked reply write times
+/// out, the connection closes, and a `Shutdown` queued behind it is
+/// answered.
+#[test]
+fn control_client_that_never_reads_replies_does_not_block_shutdown() {
+    let root = TempDir::new("serve-unread-control");
+    let handle = start_server(&root, None);
+    let control = handle.control_addr();
+    let (flood, writer) = flood_without_reading(control);
+    let (acked, ack) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = acked.send(shutdown_server(control));
+    });
+    let outcome = ack.recv_timeout(Duration::from_secs(10));
+    let _ = flood.shutdown(Shutdown::Both);
+    let _ = writer.join();
+    outcome
+        .expect("shutdown answered within 10 s despite a control client that never reads")
+        .expect("shutdown acked");
+    handle.join();
 }

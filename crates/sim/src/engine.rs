@@ -1,23 +1,31 @@
-//! The trace-driven, timing-approximate simulator core.
+//! The reference model: the trace-driven, timing-approximate machine of
+//! the paper (§V) as one simulator per policy, stepped record by record.
 //!
-//! For each instruction the engine charges one base cycle plus the
-//! first-order penalties of the paper's model (§V): instruction and data
-//! address translation through the TLB hierarchy (L2 hit latency and page
-//! walks), cache-hierarchy latency beyond an L1 hit, and the branch-unit
+//! For each instruction the model charges one base cycle plus the
+//! first-order penalties: instruction and data address translation
+//! through the TLB hierarchy (L2 hit latency and page walks),
+//! cache-hierarchy latency beyond an L1 hit, and the branch-unit
 //! misprediction penalty. Retired branches are forwarded to the L2 TLB
 //! policy so history-based policies (GHRP, CHiRP) can maintain their
 //! registers — mirroring commit-time history updates (§VI-E).
+//!
+//! Production runs do not use it: every policy group, a group of one
+//! included, runs on the factored chunk driver in [`crate::frontend`].
+//! [`Simulator::run_columnar`] is the deliberately simple oracle that
+//! driver is pinned against, and the loop that custom-policy callers
+//! (the examples, figure 3's training recorder) drive directly.
 
 use crate::config::SimConfig;
 use crate::metrics::RunResult;
 use chirp_branch::BranchUnit;
 use chirp_mem::MemoryHierarchy;
 use chirp_tlb::{TlbHierarchy, TlbReplacementPolicy, TlbStats, TranslationKind};
-use chirp_trace::{vpn, InstrKind, PackedTrace, StreamError, TraceChunk, TraceRecord, TraceStream};
+use chirp_trace::{vpn, InstrKind, PackedTrace, TraceChunk, TraceRecord};
 
-/// Records streamed per [`TraceChunk`] by the columnar run loop. Large
-/// enough to amortise per-chunk bookkeeping, small enough that the chunk's
-/// columns stay resident in L1/L2 cache while it is consumed.
+/// Records per [`TraceChunk`] in the reference loop and in each segment
+/// of the chunk driver. Large enough to amortise per-chunk bookkeeping,
+/// small enough that the chunk's columns stay resident in L1/L2 cache
+/// while it is consumed.
 pub(crate) const CHUNK_SIZE: usize = 4096;
 
 /// The assembled machine model, generic over the L2 TLB replacement
@@ -62,7 +70,7 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
 
     /// Executes one instruction, accumulating cycles.
     #[inline]
-    pub fn step(&mut self, rec: &TraceRecord) {
+    fn step(&mut self, rec: &TraceRecord) {
         self.instructions += 1;
         let mut cycles = 1u64;
 
@@ -105,42 +113,29 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
     /// Runs a [`PackedTrace`], warming on the first `warmup_fraction` and
     /// measuring the rest. The trace is walked in struct-of-arrays chunks
     /// ([`PackedTrace::chunks`]) so the loop reads the pc/kind/taken
-    /// columns directly.
+    /// columns directly; the chunk that contains the warmup cut is split
+    /// there ([`TraceChunk::split_at`]) to open the measured window.
     ///
-    /// This is the reference loop: every other engine (streamed,
-    /// factored, the OPT back end) is pinned bit-identical to it by
-    /// `tests/equivalence_matrix.rs`.
+    /// This is the reference model: every engine (the factored chunk
+    /// driver over resident traces and streams, the OPT back end) is
+    /// pinned bit-identical to it by `tests/equivalence_matrix.rs`.
     pub fn run_columnar(&mut self, trace: &PackedTrace, warmup_fraction: f64) -> RunResult {
         let warmup = warmup_cut(trace.len(), warmup_fraction);
         let mut window = None;
         let mut pos = 0usize;
         for chunk in trace.chunks(CHUNK_SIZE) {
-            self.step_window(&chunk, &mut pos, warmup, &mut window);
+            if window.is_none() && warmup <= pos + chunk.len() {
+                let (head, tail) = chunk.split_at(warmup - pos);
+                self.step_chunk(&head);
+                window = Some(self.window_start());
+                self.step_chunk(&tail);
+            } else {
+                self.step_chunk(&chunk);
+            }
+            pos += chunk.len();
         }
         let window = window.unwrap_or_else(|| self.window_start());
         self.finish_result(window)
-    }
-
-    /// Steps one chunk that starts at absolute record `pos`, opening the
-    /// measured window mid-chunk (via [`TraceChunk::split_at`]) when the
-    /// chunk contains the `warmup` cut.
-    #[inline]
-    fn step_window(
-        &mut self,
-        chunk: &TraceChunk<'_>,
-        pos: &mut usize,
-        warmup: usize,
-        window: &mut Option<(u64, u64, TlbStats)>,
-    ) {
-        if window.is_none() && warmup <= *pos + chunk.len() {
-            let (head, tail) = chunk.split_at(warmup - *pos);
-            self.step_chunk(&head);
-            *window = Some(self.window_start());
-            self.step_chunk(&tail);
-        } else {
-            self.step_chunk(chunk);
-        }
-        *pos += chunk.len();
     }
 
     /// Steps every record of one columnar chunk.
@@ -149,36 +144,6 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
         for rec in chunk.records() {
             self.step(&rec);
         }
-    }
-
-    /// Runs a streamed trace, pulling bounded batches on demand — peak
-    /// trace residency is O(chunk) instead of O(trace). Produces a
-    /// [`RunResult`] bit-identical to [`run_columnar`](Self::run_columnar)
-    /// on the materialized trace: batch boundaries carry no simulation
-    /// meaning, and the warmup window is cut at the same absolute
-    /// instruction index (computed from [`TraceStream::len`]). A stream
-    /// that ends early closes the measured window at its actual end.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the stream's first error (decode, I/O, integrity);
-    /// the simulator state is then mid-trace and the run must be retried
-    /// on a fresh simulator.
-    pub fn run_stream<S: TraceStream + ?Sized>(
-        &mut self,
-        stream: &mut S,
-        warmup_fraction: f64,
-    ) -> Result<RunResult, StreamError> {
-        let warmup = warmup_cut(stream.len(), warmup_fraction);
-        let mut window = None;
-        let mut pos = 0usize;
-        while let Some(batch) = stream.next_batch()? {
-            for chunk in batch.chunks(CHUNK_SIZE) {
-                self.step_window(&chunk, &mut pos, warmup, &mut window);
-            }
-        }
-        let window = window.unwrap_or_else(|| self.window_start());
-        Ok(self.finish_result(window))
     }
 
     /// Snapshot of machine state at the start of the measured window.
@@ -208,24 +173,9 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
         }
     }
 
-    /// Total cycles so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Total instructions so far.
-    pub fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
     /// The TLB hierarchy (for experiment-specific inspection).
     pub fn tlbs(&self) -> &TlbHierarchy<P> {
         &self.tlbs
-    }
-
-    /// Branch unit statistics.
-    pub fn branch_stats(&self) -> chirp_branch::BranchStats {
-        self.branch.stats()
     }
 }
 
@@ -274,27 +224,6 @@ mod tests {
         let a = run(PolicyKind::Lru, &trace);
         let b = run(PolicyKind::Lru, &trace);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn streamed_run_matches_columnar_run() {
-        let g = ContextCopy::default();
-        let trace = g.generate_packed(40_000, 9);
-        let config = SimConfig::default();
-        for chunk in [1usize, 777, 4096, 100_000] {
-            let mut columnar = Simulator::with_policy(
-                &config,
-                PolicyKind::Chirp(Default::default()).build_dispatch(config.tlb.l2, 0),
-            );
-            let want = columnar.run_columnar(&trace, 0.5);
-            let mut streamed = Simulator::with_policy(
-                &config,
-                PolicyKind::Chirp(Default::default()).build_dispatch(config.tlb.l2, 0),
-            );
-            let mut stream = chirp_trace::MaterializedStream::new(&trace, chunk);
-            let got = streamed.run_stream(&mut stream, 0.5).unwrap();
-            assert_eq!(got, want, "chunk {chunk}");
-        }
     }
 
     #[test]

@@ -40,10 +40,9 @@
 //! sequential, because each access's signature depends on the path
 //! history left by the previous one.
 //!
-//! Streamed and resident groups both run on one chunk driver: streams
-//! through [`run_stream_factored`] and `run_stream_group` (which every
-//! suite run and `chirp-serve` take, a group of one included when a core
-//! is spare or the group samples), resident traces through
+//! Every policy group, whatever its size, runs on one chunk driver:
+//! streams through [`run_stream_factored`] and `run_stream_group` (which
+//! every suite run and `chirp-serve` take), resident traces through
 //! `run_policy_group` (perfbench and the engine tests). The front end
 //! emits one segment per 4096-record chunk into a ring of segments, and
 //! the replay side runs the memory stage over each one and then replays
@@ -1221,9 +1220,10 @@ where
 /// The streamed form of [`FactoredTrace::build`] + [`replay_factored`]:
 /// pulls bounded batches and runs them through the factored chunk
 /// driver, so peak event residency is O(chunk), and results are
-/// bit-identical to [`Simulator::run_stream`](crate::Simulator::run_stream)
-/// of each policy over the same stream. The back ends replay on a second
-/// thread when a core would otherwise sit idle, inline otherwise.
+/// bit-identical to
+/// [`Simulator::run_columnar`](crate::Simulator::run_columnar) of each
+/// policy over the same records. The back ends replay on a second thread
+/// when a core would otherwise sit idle, inline otherwise.
 ///
 /// # Errors
 ///
@@ -1331,9 +1331,11 @@ mod tests {
         }
     }
 
-    /// A streamed group of one — what `run_stream_group` puts on the
-    /// chunk driver when a core is spare — equals `run_columnar` bit for
-    /// bit in both forms at every cut, for every kind of replay need.
+    /// A streamed group of one — what `run_stream_group` runs for a
+    /// single policy — equals `run_columnar` bit for bit in both forms at
+    /// every cut, for every kind of replay need, over batches of one
+    /// record, of sizes that do not divide a chunk, of exactly a chunk and
+    /// of more than the whole trace.
     #[test]
     fn a_streamed_group_of_one_matches_the_columnar_oracle_at_every_cut() {
         let trace = trace();
@@ -1343,8 +1345,10 @@ mod tests {
                 let kinds = [kind];
                 let sig = group_sig_config(kinds.iter());
                 let want = columnar(&kinds, &config, &trace);
-                for form in FORMS {
-                    let mut stream = MaterializedStream::new(&trace, 3_000);
+                for (form, batch) in FORMS.into_iter().flat_map(|form| {
+                    [1, 777, 3_000, CHUNK_SIZE, 100_000].map(|batch| (form, batch))
+                }) {
+                    let mut stream = MaterializedStream::new(&trace, batch);
                     let policies = build(&kinds, &config);
                     let got = replay_stream_group(
                         &config,
@@ -1357,7 +1361,7 @@ mod tests {
                     )
                     .expect("materialized stream");
                     let got: Vec<RunResult> = got.into_iter().map(|(r, _, _)| r).collect();
-                    assert_eq!(got, want, "{:?} {form:?} at cut {cut}", kinds[0]);
+                    assert_eq!(got, want, "{:?} {form:?} batch {batch} at cut {cut}", kinds[0]);
                 }
             }
         }

@@ -3,8 +3,9 @@
 //!
 //! Every suite run goes through one body: each work item streams its
 //! benchmark's trace once, in bounded batches, through its whole policy
-//! group ([`run_stream_group`]'s engine choice), and
-//! [`RunnerConfig::mem_budget`] admits every item at the same estimate.
+//! group on the factored chunk driver ([`run_stream_group`]), a group of
+//! one included, and [`RunnerConfig::mem_budget`] admits every item at
+//! the same estimate.
 //! Without a store ([`run_suite`] uncached, and
 //! [`run_suite_telemetry`](crate::telemetry::run_suite_telemetry), which
 //! also samples epoch series) every pair is simulated over a generator
@@ -98,10 +99,12 @@ impl RunnerConfig {
     /// Estimated peak packed-trace bytes of one in-flight work item, for
     /// budget admission: the consumer's batch plus the producer pipeline
     /// ([`chirp_trace::STREAM_PIPELINE_CHUNKS`] buffered + one being
-    /// filled).
+    /// filled), but never more than the whole trace, which is all a
+    /// stream of fewer batches can hold.
     pub(crate) fn stream_unit_estimate(&self) -> u64 {
-        let chunk = self.stream_chunk_records().min(self.instructions.max(1));
-        PackedTrace::estimate_bytes(chunk) * (chirp_trace::STREAM_PIPELINE_CHUNKS as u64 + 2)
+        let batches = chirp_trace::STREAM_PIPELINE_CHUNKS as u64 + 2;
+        let pipeline = PackedTrace::estimate_bytes(self.stream_chunk_records()) * batches;
+        pipeline.min(PackedTrace::estimate_bytes(self.instructions))
     }
 }
 
@@ -149,15 +152,14 @@ pub fn run_suite(
 pub(crate) const NO_STORE_TO_FAIL: &str = "a suite run without a store has nothing to fail";
 
 /// Runs one same-trace group of policies over a resident trace. With
-/// `factored` set, a group of two or more runs as one front-end pass +
-/// per-policy replay back-ends over 4096-record segments (the chunk
-/// driver behind [`run_stream_group`], replaying on a second thread when
-/// a core would otherwise sit idle), the signature stream computed under
-/// the group's first CHiRP configuration ([`group_sig_config`]); a group
-/// of one runs [`Simulator::run_columnar`], which is faster when there is
-/// nothing to share. With `factored` unset every policy runs
-/// `run_columnar`, the reference loop. Results are bit-identical either
-/// way, in input order.
+/// `factored` set, the group, whatever its size, runs as one front-end
+/// pass + per-policy replay back-ends over 4096-record segments (the
+/// chunk driver behind [`run_stream_group`], replaying on a second thread
+/// when a core would otherwise sit idle), the signature stream computed
+/// under the group's first CHiRP configuration ([`group_sig_config`]).
+/// With `factored` unset every policy runs [`Simulator::run_columnar`],
+/// the reference model, for tests and checks that compare the two.
+/// Results are bit-identical either way, in input order.
 pub fn run_policy_group(
     sim: &SimConfig,
     kinds: &[&PolicyKind],
@@ -165,7 +167,7 @@ pub fn run_policy_group(
     trace: &PackedTrace,
     factored: bool,
 ) -> Vec<RunResult> {
-    if !factored || kinds.len() < 2 {
+    if !factored {
         return kinds.iter().map(|kind| run_columnar(sim, kind, seed, trace)).collect();
     }
     let sig_config = group_sig_config(kinds.iter().copied());
@@ -181,12 +183,10 @@ fn run_columnar(sim: &SimConfig, kind: &PolicyKind, seed: u64, trace: &PackedTra
 
 /// The streamed counterpart of [`run_policy_group`] — the primitive every
 /// suite run and `chirp-serve` share: one pass over `stream` for the
-/// whole group on the factored chunk driver, which replays on a second
-/// thread when a core would otherwise sit idle. A group of one that
-/// would replay inline runs [`Simulator::run_stream`] instead, which is
-/// faster when there is neither a group to share the front end nor a
-/// core to overlap it with. Results are bit-identical to `run_columnar`
-/// of each policy over the same records, in input order.
+/// whole group, whatever its size, on the factored chunk driver, which
+/// replays on a second thread when a core would otherwise sit idle.
+/// Results are bit-identical to [`Simulator::run_columnar`] of each
+/// policy over the same records, in input order.
 ///
 /// # Errors
 ///
@@ -204,8 +204,6 @@ pub fn run_stream_group(
 
 /// [`run_stream_group`] with telemetry: each result comes with its epoch
 /// series, sampled every `epoch` measured instructions (empty without).
-/// A group that samples runs on the chunk driver even when it holds one
-/// policy, since `run_stream` has no sampler.
 fn sample_stream_group(
     sim: &SimConfig,
     kinds: &[&PolicyKind],
@@ -213,15 +211,9 @@ fn sample_stream_group(
     stream: &mut dyn TraceStream,
     epoch: Option<u64>,
 ) -> Result<Vec<(RunResult, Vec<EpochRow>)>, StreamError> {
-    let build = |kind: &PolicyKind| kind.build_dispatch(sim.tlb.l2, seed);
     let (form, _core) = ReplayForm::choose();
-    if let ([kind], ReplayForm::Inline, None) = (kinds, form, epoch) {
-        let result =
-            Simulator::with_policy(sim, build(kind)).run_stream(stream, sim.warmup_fraction)?;
-        return Ok(vec![(result, Vec::new())]);
-    }
     let sig_config = group_sig_config(kinds.iter().copied());
-    let policies = kinds.iter().map(|k| build(k)).collect();
+    let policies = kinds.iter().map(|kind| kind.build_dispatch(sim.tlb.l2, seed)).collect();
     let outcomes =
         replay_stream_group(sim, &sig_config, policies, stream, sim.warmup_fraction, epoch, form)?;
     Ok(outcomes.into_iter().map(|(result, _, rows)| (result, rows)).collect())
@@ -519,9 +511,9 @@ mod tests {
         }
     }
 
-    /// `run_policy_group`'s two engines — the factored group (or
-    /// `run_columnar` for a group of one) and the all-`run_columnar`
-    /// reference — agree bit for bit, in input order.
+    /// `run_policy_group`'s two engines — the factored group, a group of
+    /// one included, and the all-`run_columnar` reference — agree bit for
+    /// bit, in input order.
     #[test]
     fn policy_group_engines_agree() {
         let suite = build_suite(&SuiteConfig { benchmarks: 2 });
@@ -541,6 +533,25 @@ mod tests {
                 assert_eq!(factored, reference, "{} at width {width}", bench.name);
             }
         }
+    }
+
+    /// An item reserves its stream pipeline, but never more than its whole
+    /// trace: a stream of fewer batches than the pipeline holds cannot
+    /// keep more in flight than it has.
+    #[test]
+    fn stream_unit_estimate_is_capped_at_the_whole_trace() {
+        let batches = chirp_trace::STREAM_PIPELINE_CHUNKS as u64 + 2;
+        let estimate = |instructions, stream_chunk| {
+            RunnerConfig { instructions, stream_chunk, ..Default::default() }.stream_unit_estimate()
+        };
+        assert_eq!(estimate(200_000, 0), PackedTrace::estimate_bytes(200_000));
+        assert_eq!(estimate(40_000, 0), PackedTrace::estimate_bytes(40_000));
+        assert_eq!(
+            estimate(1_000_000, 0),
+            PackedTrace::estimate_bytes(DEFAULT_STREAM_CHUNK) * batches,
+            "the cap changes nothing at four or more batches"
+        );
+        assert_eq!(estimate(5_000, 1_000), PackedTrace::estimate_bytes(1_000) * batches);
     }
 
     #[test]

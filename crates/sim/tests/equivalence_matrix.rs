@@ -4,8 +4,9 @@
 //! `RunResult`s (which embed the measured `TlbStats`), L2 totals and
 //! CHiRP's internal counters against it:
 //!
-//! 1. **Streamed**: `Simulator::run_stream` over bounded generator
-//!    streams, across chunk sizes and warmup cuts.
+//! 1. **Streamed**: a one-policy group on the chunk driver
+//!    ([`chirp_sim::run_stream_factored`]) over bounded generator streams,
+//!    across chunk sizes and warmup cuts.
 //! 2. **Factored**: the shared front end + per-policy replay back-ends
 //!    ([`chirp_sim::replay_factored`], materialized and streamed),
 //!    across warmup cuts, chunk sizes, signature-config mismatches and
@@ -67,9 +68,10 @@ fn columnar_path(
     outcome_of(sim, result)
 }
 
-/// One streamed unit: fresh simulator fed from a generator stream with
-/// the given chunk size, compared field-for-field (including policy
-/// state) against the sequential columnar run of the materialized trace.
+/// One streamed unit: a one-policy group on the chunk driver, fed from a
+/// generator stream with the given chunk size, compared field-for-field
+/// (including policy state) against the sequential columnar run of the
+/// materialized trace.
 fn streamed_path(
     policy: &PolicyKind,
     config: &SimConfig,
@@ -78,9 +80,19 @@ fn streamed_path(
     chunk: usize,
 ) -> PathOutcome {
     let mut stream = bench.stream(len, chunk);
-    let mut sim = Simulator::with_policy(config, policy.build_dispatch(config.tlb.l2, bench.seed));
-    let result = sim.run_stream(&mut stream, config.warmup_fraction).expect("generator stream");
-    outcome_of(sim, result)
+    let sig_config = chirp_sim::group_sig_config([policy]);
+    let built = vec![policy.build_dispatch(config.tlb.l2, bench.seed)];
+    let (result, backend) = chirp_sim::run_stream_factored(
+        config,
+        &sig_config,
+        built,
+        &mut stream,
+        config.warmup_fraction,
+    )
+    .expect("generator stream")
+    .pop()
+    .expect("one policy, one outcome");
+    backend_outcome(result, &backend)
 }
 
 /// The streaming gate: every policy in the lineup, fed the suite

@@ -220,8 +220,8 @@ impl fmt::Debug for GenStream {
 /// An already-resident trace adapted to the [`TraceStream`] interface.
 /// Batches are copies (the trait hands out owned [`PackedTrace`]s), so
 /// this is for equivalence testing and for consumers that only speak
-/// streams — hot paths with a resident trace should keep using
-/// `run_columnar` directly on it.
+/// streams — hot paths with a resident trace should walk its
+/// [`PackedTrace::chunks`] directly.
 #[derive(Debug)]
 pub struct MaterializedStream<'a> {
     chunks: TraceChunks<'a>,

@@ -213,6 +213,23 @@ else
         "$smoke_dir/pipelined.out"
 fi
 cmp <(sort "$pipelined_store/runs.jsonl") <(sort "$inline_store/runs.jsonl")
+# A resumed group of one runs on the same chunk driver: drop every SRRIP
+# line from both ledgers and rerun each store in its own form, so every
+# experiment simulates SRRIP alone, pipelined in the first store and
+# inline in the second. Both must reproduce the lines the 9-policy (and
+# smaller) groups wrote.
+for form in pipelined inline; do
+    store="$smoke_dir/$form-store"
+    sort "$store/runs.jsonl" > "$smoke_dir/$form-full.jsonl"
+    grep -v '"policy":"srrip"' "$smoke_dir/$form-full.jsonl" > "$store/runs.jsonl"
+    if [[ "$form" == pipelined ]]; then threads=1; else threads="$cpus"; fi
+    target/release/run_all --benchmarks 2 --instructions 50_000 --threads "$threads" \
+        --store "$store" > "$smoke_dir/$form-resumed.out"
+    if [[ "$form" == pipelined && "$cpus" -gt 1 ]]; then
+        grep -q "replay pipelined" "$smoke_dir/$form-resumed.out"
+    fi
+    cmp <(sort "$store/runs.jsonl") "$smoke_dir/$form-full.jsonl"
+done
 
 echo "==> chirp-serve smoke (submit, archived re-run, ledger resubmit, stages, graceful shutdown)"
 cargo build --release -q -p chirp-serve -p chirp-bench
