@@ -1,6 +1,9 @@
-//! Criterion micro-benchmarks: simulation throughput per replacement
-//! policy (how much the policy itself costs per L2 TLB access), plus the
-//! isolated CHiRP signature/table operations that sit on the TLB path.
+//! Criterion micro-benchmarks: reference-model throughput per replacement
+//! policy (`Simulator::run_columnar`, one policy at a time — how much the
+//! policy itself costs per L2 TLB access in the reference model, which no
+//! production path runs; the engine's speed is perfbench's `lineup`),
+//! plus the isolated CHiRP signature/table operations that sit on the
+//! TLB path.
 
 use chirp_core::{ChirpConfig, HistoryRegister, PredictionTable, SignatureBuilder};
 use chirp_sim::{PolicyKind, SimConfig, Simulator};

@@ -1,14 +1,14 @@
 //! Single-thread simulation throughput: the monomorphized columnar
-//! reference loop (`Simulator::with_policy` over `PolicyDispatch` +
-//! `run_columnar`) and the factored engine
+//! reference model (`Simulator::with_policy` over `PolicyDispatch` +
+//! `run_columnar`, which no production path runs) and the factored engine
 //! (one shared front-end pass + 9 replay back-ends per benchmark,
 //! `FactoredTrace::build` + `replay_factored`), per policy and over the whole (benchmark ×
 //! policy) matrix, in instructions per second.
 //!
 //! Besides the Criterion lines, appends one JSON object to
 //! `BENCH_runner.json` at the workspace root (override with
-//! `CHIRP_BENCH_OUT`) carrying `instr_per_sec_1t` — the sequential
-//! `run_columnar` baseline — and the factored trio
+//! `CHIRP_BENCH_OUT`) carrying `instr_per_sec_1t` — the reference
+//! model's `run_columnar`, one policy at a time — and the factored trio
 //! `instr_per_sec_1t_factored` / `frontend_events_per_instr` /
 //! `factored_speedup` (factored over sequential at lineup width 9).
 //! `scripts/bench.sh` compares the sequential and factored numbers

@@ -9,7 +9,7 @@
 //! chirp-client run      --addr HOST:PORT --hash HEX16
 //!                       [--name N] [--category C] [--seed S]
 //!                       [--policies a,b,c] [--telemetry]
-//! chirp-client shutdown --addr HOST:PORT   (the server's CONTROL address)
+//! chirp-client shutdown --addr HOST:PORT
 //! ```
 //!
 //! `submit` streams a `CHRP` trace file and prints the per-policy

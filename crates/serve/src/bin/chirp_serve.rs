@@ -1,21 +1,20 @@
 //! `chirp-serve` — the trace-ingest simulation server.
 //!
 //! ```text
-//! chirp-serve [--bind ADDR] [--store DIR] [--threads N]
+//! chirp-serve [--bind ADDR] [--store DIR]
 //!             [--mem-budget BYTES[K|M|G]] [--retry-after-ms N]
 //! ```
 //!
-//! Binds the data and control listeners, prints one line naming both
-//! addresses (`--bind` port 0 picks an ephemeral port — scripts parse
-//! this line), then serves until a client sends `Shutdown` on the
-//! control socket.
+//! Binds one listener, prints `chirp-serve listening on ADDR` (`--bind`
+//! port 0 picks an ephemeral port — scripts parse this line), then
+//! serves until a client sends `Shutdown`.
 
 use chirp_serve::exit_on_err;
 use chirp_serve::server::{serve, ServeConfig};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: chirp-serve [--bind ADDR] [--store DIR] [--threads N] \
+const USAGE: &str = "usage: chirp-serve [--bind ADDR] [--store DIR] \
                      [--mem-budget BYTES[K|M|G]] [--retry-after-ms N]";
 
 fn main() {
@@ -34,10 +33,6 @@ fn main() {
             "--store" => {
                 let v = exit_on_err(args.next().ok_or("--store needs a directory"), USAGE);
                 config.store = PathBuf::from(v);
-            }
-            "--threads" => {
-                let v = exit_on_err(args.next().ok_or("--threads needs a number"), USAGE);
-                config.threads = exit_on_err(v.parse(), format!("--threads: invalid number {v}"));
             }
             "--mem-budget" => {
                 let v = exit_on_err(args.next().ok_or("--mem-budget needs a byte count"), USAGE);
@@ -59,15 +54,12 @@ fn main() {
             other => exit_on_err(Err(format!("unknown flag {other}")), USAGE),
         }
     }
-    if config.threads == 0 {
-        exit_on_err(Err::<(), _>("--threads must be positive"), USAGE);
-    }
     if config.mem_budget == Some(0) {
         exit_on_err(Err::<(), _>("--mem-budget must be positive"), USAGE);
     }
 
     let handle = exit_on_err(serve(config), "start server");
-    println!("chirp-serve listening on {} (control {})", handle.addr(), handle.control_addr());
+    println!("chirp-serve listening on {}", handle.addr());
     handle.join();
     println!("chirp-serve: shut down cleanly");
 }

@@ -76,7 +76,7 @@ pub enum SubmitOutcome {
     },
 }
 
-/// One connection to a `chirp-serve` data socket.
+/// One connection to a `chirp-serve` server.
 pub struct Client {
     stream: TcpStream,
     /// Optional pause between trace chunk frames. The load generator
@@ -86,7 +86,7 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to the server's data (or control) address.
+    /// Connects to the server at `addr`.
     pub fn connect(addr: SocketAddr) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr).map_err(|e| ClientError::Wire(WireError::Io(e)))?;
         let _ = stream.set_nodelay(true);
@@ -207,10 +207,10 @@ impl Client {
     }
 }
 
-/// Connects to the server's *control* address and asks it to shut down
-/// gracefully (drain sessions, then exit).
-pub fn shutdown_server(control_addr: SocketAddr) -> Result<(), ClientError> {
-    let mut client = Client::connect(control_addr)?;
+/// Connects to the server at `addr` and asks it to shut down gracefully
+/// (drain sessions, then exit).
+pub fn shutdown_server(addr: SocketAddr) -> Result<(), ClientError> {
+    let mut client = Client::connect(addr)?;
     match client.exchange(&Request::Shutdown)? {
         Response::ShutdownAck => Ok(()),
         _ => Err(ClientError::UnexpectedResponse("shutdown expects an ack")),

@@ -2,15 +2,16 @@
 //!
 //! A concurrent trace-ingest simulation service for the CHiRP
 //! reproduction: clients stream packed traces (or name archived ones by
-//! content hash) to a long-lived server, which resolves each request into
-//! (benchmark × policy) simulation units on the existing scheduler and
-//! answers with MPKI / policy-comparison verdicts.
+//! content hash) to a long-lived server, which runs each request's
+//! missing policies as one group on the simulator's chunk driver, on the
+//! request's own session thread, and answers with MPKI /
+//! policy-comparison verdicts.
 //!
-//! The service is deliberately built on blocking `std::net` sockets plus
-//! the worker threads the simulator already owns — the workspace is
-//! offline, so there is no async runtime to lean on, and none is needed:
-//! simulation is CPU-bound, sessions are few and long-lived, and one
-//! OS thread per session keeps the control flow linear (see DESIGN.md).
+//! The service is deliberately built on blocking `std::net` sockets and
+//! one OS thread per session — the workspace is offline, so there is no
+//! async runtime to lean on, and none is needed: simulation is
+//! CPU-bound, sessions are few and long-lived, and a thread per session
+//! keeps the control flow linear (see DESIGN.md).
 //!
 //! Layers:
 //!
@@ -52,6 +53,7 @@
 
 pub mod client;
 pub mod loadgen;
+mod metrics;
 pub mod server;
 pub mod wire;
 

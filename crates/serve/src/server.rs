@@ -1,10 +1,10 @@
 //! The admission-controlled simulation server.
 //!
-//! One blocking accept loop hands each data connection to a dedicated
-//! session thread; a second listener (the *control socket*) answers
-//! `Stats` and `Shutdown` without competing with trace uploads. All
-//! sessions share one [`Store`]: the run ledger doubles as a response
-//! cache — a (trace, policy, config) pair already in the ledger is
+//! One blocking accept loop hands each connection to a dedicated session
+//! thread, which runs each of its requests, simulation included, to the
+//! end. Every request kind, `Shutdown` included, arrives on this one
+//! listener. All sessions share one [`Store`]: the run ledger doubles as
+//! a response cache — a (trace, policy, config) pair already in the ledger is
 //! answered without simulating — and uploaded traces land in the
 //! content-addressed archive keyed by the FNV-1a hash of their `CHRP`
 //! bytes (the hash `trace_tool hash` prints), so clients can re-run them
@@ -30,18 +30,17 @@
 //! `RunArchived` streams the archived file the same way, checking its
 //! checksum before the last batch is replayed.
 
+use crate::metrics::Metrics;
 use crate::wire::{
-    self, err, read_request, write_response, FrameReader, Request, Response, VerdictReply,
-    WireError,
+    self, err, write_response, FrameReader, Request, Response, VerdictReply, WireError,
 };
-use chirp_sim::sched::{run_items, WorkItem};
+use chirp_sim::sched::run_as_sim_thread;
 use chirp_sim::store_cache::{record_from_run, run_from_record, run_key};
 use chirp_sim::{run_stream_group, BenchRun, PolicyKind, SimConfig, DEFAULT_STREAM_CHUNK};
 use chirp_store::archive::ArchiveOutcome;
 use chirp_store::{
     hex16, ArchiveTraceStream, EncodedTrace, EntryMeta, Fnv64, Store, StoreError, TraceArchive,
 };
-use chirp_telemetry::{Gauge, Registry};
 use chirp_trace::{
     peek_record_count, Category, PackedTrace, SliceStream, StreamError, TraceStream,
 };
@@ -58,13 +57,14 @@ use std::time::{Duration, Instant};
 /// Server parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Address to bind the data listener on. Port 0 picks an ephemeral
-    /// port; the bound address is reported by [`ServerHandle::addr`].
+    /// Address to bind the listener on. Port 0 picks an ephemeral port;
+    /// the bound address is reported by [`ServerHandle::addr`].
     pub bind: SocketAddr,
     /// `chirp-store` directory backing the ledger cache and trace
     /// archive (created if absent).
     pub store: PathBuf,
-    /// Worker threads per simulation request.
+    /// Ignored: a request simulates on its session thread. Kept so
+    /// existing `ServeConfig { threads, .. }` literals still build.
     pub threads: usize,
     /// Admission budget: cap on bytes of trace work admitted across
     /// sessions (`None` = unbounded). Cost of a request = declared
@@ -82,7 +82,7 @@ impl Default for ServeConfig {
         ServeConfig {
             bind: SocketAddr::from(([127, 0, 0, 1], 0)),
             store: PathBuf::from("results/serve-store"),
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            threads: 1,
             mem_budget: None,
             retry_after_ms: 50,
             sim: SimConfig::default(),
@@ -135,29 +135,34 @@ fn io_err(context: &'static str) -> impl FnOnce(io::Error) -> ServeError {
 /// Read timeout on session sockets: how often a session waiting on its
 /// client re-checks the stop flag, so it notices a shutdown promptly. A
 /// timeout inside a frame loses nothing: the session's [`FrameReader`]
-/// resumes the frame on the next read. A control connection gets the
-/// same timeout and is closed when it expires, so a silent control
-/// client cannot hold the one control thread.
+/// resumes the frame on the next read.
 const SESSION_READ_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Write timeout on session and control sockets: a reply that cannot
-/// make progress for this long means the client stopped reading, and the
-/// failed write ends its connection. Without it, a client that floods
-/// requests and never reads the replies would hold its session (and so
-/// a shutdown), or the one control thread, for as long as it stays
-/// connected.
+/// Write timeout on session sockets: a reply that cannot make progress
+/// for this long means the client stopped reading, and the failed write
+/// ends its connection. Without it, a client that floods requests and
+/// never reads the replies would hold its session, and so a shutdown,
+/// for as long as it stays connected.
 const SESSION_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// State shared by the accept loop, the control loop and every session.
+/// Bytes of trace work admitted across sessions.
+#[derive(Debug, Clone, Copy, Default)]
+struct Admitted {
+    /// Admitted now.
+    bytes: u64,
+    /// The most ever admitted at once.
+    peak: u64,
+}
+
+/// State shared by the accept loop and every session.
 struct Shared {
+    /// The bound listener address, which [`Shared::signal_stop`] connects to.
+    addr: SocketAddr,
     config: ServeConfig,
     store: Mutex<Store>,
-    metrics: Registry,
-    /// Bytes of trace work currently admitted; guarded by a mutex so
-    /// check-and-reserve is atomic. The registry gauge mirrors it for
-    /// `Stats`.
-    admitted: Mutex<u64>,
-    in_flight: Arc<Gauge>,
+    metrics: Metrics,
+    /// Guarded by a mutex so check-and-reserve is atomic.
+    admitted: Mutex<Admitted>,
     /// Archive entries whose file failed to stream on a `RunArchived`
     /// (checksum, decode or I/O): no longer treated as archived, until an
     /// upload of the same bytes rewrites them. Locked after `store`, never
@@ -173,13 +178,26 @@ impl Shared {
     fn admit(&self, cost: u64) -> Result<AdmitGuard<'_>, (u64, u64)> {
         let mut admitted = self.admitted.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(budget) = self.config.mem_budget {
-            if *admitted > 0 && admitted.saturating_add(cost) > budget {
-                return Err((*admitted, budget));
+            if admitted.bytes > 0 && admitted.bytes.saturating_add(cost) > budget {
+                return Err((admitted.bytes, budget));
             }
         }
-        *admitted += cost;
-        self.in_flight.set(*admitted as i64);
+        admitted.bytes += cost;
+        admitted.peak = admitted.peak.max(admitted.bytes);
         Ok(AdmitGuard { shared: self, cost })
+    }
+
+    /// Sets the stop flag and wakes the accept loop, whose blocking
+    /// accept only notices the flag when a connection lands.
+    fn signal_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+    }
+
+    /// The metrics as `Stats` lists them.
+    fn metrics_text(&self) -> String {
+        let admitted = *self.admitted.lock().unwrap_or_else(|e| e.into_inner());
+        self.metrics.render(admitted.bytes, admitted.peak)
     }
 
     fn lock_store(&self) -> MutexGuard<'_, Store> {
@@ -202,8 +220,7 @@ impl Shared {
 
     fn release(&self, cost: u64) {
         let mut admitted = self.admitted.lock().unwrap_or_else(|e| e.into_inner());
-        *admitted = admitted.saturating_sub(cost);
-        self.in_flight.set(*admitted as i64);
+        admitted.bytes = admitted.bytes.saturating_sub(cost);
     }
 }
 
@@ -224,98 +241,54 @@ impl Drop for AdmitGuard<'_> {
 /// [`ServerHandle::shutdown`] detaches the threads (the process-exit
 /// path); tests and the binary should shut down or join explicitly.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    control_addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    control: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
 }
 
 impl ServerHandle {
-    /// Address of the data listener (submit/run/stats requests).
+    /// Address of the listener.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
-    /// Address of the control listener (stats/shutdown).
-    pub fn control_addr(&self) -> SocketAddr {
-        self.control_addr
-    }
-
-    /// Asks the server to stop and waits for the accept loop, the control
-    /// loop and every in-flight session to finish.
-    pub fn shutdown(mut self) -> Result<(), ServeError> {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Blocking accepts only notice the flag when a connection lands;
-        // self-connect to wake both listeners.
-        let _ = TcpStream::connect(self.addr);
-        let _ = TcpStream::connect(self.control_addr);
-        self.join_threads();
+    /// Asks the server to stop and waits for the accept loop and every
+    /// in-flight session to finish.
+    pub fn shutdown(self) -> Result<(), ServeError> {
+        self.shared.signal_stop();
+        self.join();
         Ok(())
     }
 
-    /// Waits until the server exits on its own (a client sent `Shutdown`
-    /// on the control socket). Used by the `chirp-serve` binary.
-    pub fn join(mut self) {
-        self.join_threads();
-    }
-
-    fn join_threads(&mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.control.take() {
-            let _ = h.join();
-        }
+    /// Waits until the server exits on its own (a client sent
+    /// `Shutdown`). Used by the `chirp-serve` binary.
+    pub fn join(self) {
+        let _ = self.accept.join();
     }
 }
 
-/// Starts the server described by `config`. Returns once both listeners
-/// are bound; all request handling happens on background threads.
+/// Starts the server described by `config`. Returns once the listener is
+/// bound; all request handling happens on background threads.
 pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
-    let listener = TcpListener::bind(config.bind).map_err(io_err("bind data listener"))?;
-    let addr = listener.local_addr().map_err(io_err("read data listener addr"))?;
-    // Control listener binds an ephemeral port on the same interface.
-    let control_bind = SocketAddr::new(addr.ip(), 0);
-    let control_listener =
-        TcpListener::bind(control_bind).map_err(io_err("bind control listener"))?;
-    let control_addr = control_listener.local_addr().map_err(io_err("read control addr"))?;
-
+    let listener = TcpListener::bind(config.bind).map_err(io_err("bind listener"))?;
+    let addr = listener.local_addr().map_err(io_err("read listener addr"))?;
     let store = Store::open(&config.store)?;
-    let metrics = Registry::new();
-    // Pre-register the cache counters so a fresh server's Stats shows
-    // them at zero instead of omitting them until the first request.
-    metrics.counter("ledger_hits");
-    metrics.counter("ledger_misses");
-    let in_flight = metrics.gauge("in_flight_bytes");
-    // Request latency, then the stages a request spends it in: receiving
-    // and hashing an upload, the streamed pass, the archive write.
-    for stage in ["request_us", "ingest_us", "simulate_us", "archive_us"] {
-        metrics.histogram(stage);
-    }
     let shared = Arc::new(Shared {
+        addr,
         config,
         store: Mutex::new(store),
-        metrics,
-        admitted: Mutex::new(0),
-        in_flight,
+        metrics: Metrics::default(),
+        admitted: Mutex::new(Admitted::default()),
         distrusted: Mutex::new(HashSet::new()),
         stop: AtomicBool::new(false),
     });
-
     let accept = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || accept_loop(&listener, &shared))
     };
-    let control = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || control_loop(&control_listener, &shared, addr))
-    };
-
-    Ok(ServerHandle { addr, control_addr, shared, accept: Some(accept), control: Some(control) })
+    Ok(ServerHandle { shared, accept })
 }
 
-/// Accepts data connections until the stop flag is set, then joins every
+/// Accepts connections until the stop flag is set, then joins every
 /// session thread so shutdown drains in-flight requests.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
@@ -325,7 +298,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if shared.stop.load(Ordering::SeqCst) {
                     break;
                 }
-                shared.metrics.counter("sessions_total").inc();
+                shared.metrics.sessions_total.inc();
                 let shared = Arc::clone(shared);
                 sessions.push(std::thread::spawn(move || session(stream, &shared)));
                 // Opportunistically reap finished sessions so a
@@ -345,62 +318,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Serves `Stats`/`Shutdown`/`Ping` on the control listener, one
-/// connection at a time; a connection that sends nothing for
-/// [`SESSION_READ_TIMEOUT`], or reads no reply for
-/// [`SESSION_WRITE_TIMEOUT`], is closed. A `Shutdown` request acknowledges,
-/// sets the stop flag and wakes the data accept loop with a
-/// self-connection.
-fn control_loop(listener: &TcpListener, shared: &Arc<Shared>, data_addr: SocketAddr) {
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok((mut stream, _)) = listener.accept() else { continue };
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let _ = stream.set_read_timeout(Some(SESSION_READ_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(SESSION_WRITE_TIMEOUT));
-        loop {
-            match read_request(&mut stream) {
-                Ok(Some(Request::Ping)) => {
-                    if write_response(&mut stream, &Response::Pong).is_err() {
-                        break;
-                    }
-                }
-                Ok(Some(Request::Stats)) => {
-                    let text = stats_text(shared);
-                    if write_response(&mut stream, &Response::StatsReply(text)).is_err() {
-                        break;
-                    }
-                }
-                Ok(Some(Request::Shutdown)) => {
-                    let _ = write_response(&mut stream, &Response::ShutdownAck);
-                    shared.stop.store(true, Ordering::SeqCst);
-                    let _ = TcpStream::connect(data_addr);
-                    return;
-                }
-                Ok(Some(_)) => {
-                    let resp = error_response(
-                        err::BAD_REQUEST,
-                        "only ping/stats/shutdown on the control socket".into(),
-                    );
-                    if write_response(&mut stream, &resp).is_err() {
-                        break;
-                    }
-                }
-                Ok(None) | Err(_) => break,
-            }
-        }
-    }
-}
-
-/// The `Stats` reply: the metrics registry followed by a ledger summary
+/// The `Stats` reply: every metric followed by a ledger summary
 /// rendered through `chirp-query`, so the service reports exactly the
 /// numbers the query CLI would return for the same store.
 fn stats_text(shared: &Shared) -> String {
-    let mut text = shared.metrics.render_text();
+    let mut text = shared.metrics_text();
     let store = shared.lock_store();
     text.push_str(&chirp_query::ledger_overview(&store.ledger));
     text
@@ -416,8 +338,10 @@ fn error_response(code: u16, message: String) -> Response {
     Response::Error { code, message }
 }
 
-/// One client session on the data socket: a request/response loop that
-/// lives until the client disconnects or violates the protocol.
+/// One client session: a request/response loop that lives until the
+/// client disconnects, violates the protocol or asks for `Shutdown`,
+/// which it acknowledges before stopping the server. Requests already in
+/// flight on other sessions finish; the accept loop joins them.
 fn session(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(SESSION_READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SESSION_WRITE_TIMEOUT));
@@ -437,7 +361,7 @@ fn session(mut stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(_) => return,
         };
-        shared.metrics.counter("requests_total").inc();
+        shared.metrics.requests_total.inc();
         let started = Instant::now();
         let keep_going = match req {
             Request::Ping => write_response(&mut stream, &Response::Pong).is_ok(),
@@ -446,14 +370,12 @@ fn session(mut stream: TcpStream, shared: &Arc<Shared>) {
                 write_response(&mut stream, &Response::StatsReply(text)).is_ok()
             }
             Request::Shutdown => {
-                let resp = error_response(
-                    err::BAD_REQUEST,
-                    "shutdown is accepted on the control socket only".into(),
-                );
-                write_response(&mut stream, &resp).is_ok()
+                let _ = write_response(&mut stream, &Response::ShutdownAck);
+                shared.signal_stop();
+                false
             }
             Request::TraceChunk(_) | Request::TraceEnd => {
-                shared.metrics.counter("protocol_errors").inc();
+                shared.metrics.protocol_errors.inc();
                 let resp =
                     error_response(err::PROTOCOL, "trace frames outside a submit stream".into());
                 let _ = write_response(&mut stream, &resp);
@@ -484,7 +406,7 @@ fn session(mut stream: TcpStream, shared: &Arc<Shared>) {
                 write_response(&mut stream, &resp).is_ok()
             }
         };
-        shared.metrics.histogram("request_us").record(elapsed_us(started));
+        shared.metrics.request_us.record(elapsed_us(started));
         if !keep_going {
             return;
         }
@@ -544,7 +466,7 @@ impl RunSpec {
             match PolicyKind::parse(label) {
                 Some(kind) => policies.push(kind),
                 None => {
-                    shared.metrics.counter("unknown_policy").inc();
+                    shared.metrics.unknown_policy.inc();
                     return Err(error_response(
                         err::UNKNOWN_POLICY,
                         format!("unknown policy {label:?}"),
@@ -576,7 +498,7 @@ fn handle_submit(
     shared: &Arc<Shared>,
     header: SubmitHeader,
 ) -> bool {
-    shared.metrics.counter("submits").inc();
+    shared.metrics.submits.inc();
     // Validate before admitting: a rejected request reserves nothing and
     // the client never streams (it waits for Go).
     let spec = match RunSpec::parse(
@@ -604,7 +526,7 @@ fn handle_submit(
     let guard = match shared.admit(cost) {
         Ok(guard) => guard,
         Err((in_flight_bytes, budget_bytes)) => {
-            shared.metrics.counter("busy_rejections").inc();
+            shared.metrics.busy_rejections.inc();
             let resp = Response::Busy {
                 retry_after_ms: shared.config.retry_after_ms,
                 in_flight_bytes,
@@ -625,7 +547,7 @@ fn handle_submit(
         match frames.read_request(stream) {
             Ok(Some(Request::TraceChunk(chunk))) => {
                 if buf.len() as u64 + chunk.len() as u64 > header.trace_bytes {
-                    shared.metrics.counter("protocol_errors").inc();
+                    shared.metrics.protocol_errors.inc();
                     let resp =
                         error_response(err::PROTOCOL, "chunk stream exceeds declared size".into());
                     let _ = write_response(stream, &resp);
@@ -636,7 +558,7 @@ fn handle_submit(
             }
             Ok(Some(Request::TraceEnd)) => break,
             Ok(Some(_)) => {
-                shared.metrics.counter("protocol_errors").inc();
+                shared.metrics.protocol_errors.inc();
                 let resp =
                     error_response(err::PROTOCOL, "expected trace chunks after submit".into());
                 let _ = write_response(stream, &resp);
@@ -651,7 +573,7 @@ fn handle_submit(
             Ok(None) | Err(_) => return false,
         }
     }
-    shared.metrics.histogram("ingest_us").record(elapsed_us(ingest));
+    shared.metrics.ingest_us.record(elapsed_us(ingest));
     if buf.len() as u64 != header.trace_bytes {
         let resp = error_response(
             err::BAD_REQUEST,
@@ -659,7 +581,7 @@ fn handle_submit(
         );
         return write_response(stream, &resp).is_ok();
     }
-    shared.metrics.counter("trace_bytes_received").add(buf.len() as u64);
+    shared.metrics.trace_bytes_received.add(buf.len() as u64);
     let resp = verdict_response(submit_trace(shared, &spec, header.records, hasher.finish(), buf));
     drop(guard);
     write_response(stream, &resp).is_ok()
@@ -674,7 +596,7 @@ fn submit_trace(
     bytes: Vec<u8>,
 ) -> Result<VerdictReply, Response> {
     let bad_trace = |e: &dyn fmt::Display| {
-        shared.metrics.counter("bad_traces").inc();
+        shared.metrics.bad_traces.inc();
         error_response(err::BAD_TRACE, format!("trace bytes do not decode: {e}"))
     };
     // The run keys take the instruction count from the header, so it must
@@ -699,9 +621,9 @@ fn submit_trace(
     };
     let started = Instant::now();
     let stored = archive_upload(shared, hash, records, bytes);
-    shared.metrics.histogram("archive_us").record(elapsed_us(started));
+    shared.metrics.archive_us.record(elapsed_us(started));
     if let Err(e) = stored {
-        shared.metrics.counter("internal_errors").inc();
+        shared.metrics.internal_errors.inc();
         return Err(error_response(err::INTERNAL, format!("archive upload: {e}")));
     }
     probe.commit(shared, spec, hash, fresh)
@@ -732,7 +654,7 @@ fn archive_upload(
     TraceArchive::store_file(&path, &encoded)?;
     store.archive.commit(hash, &encoded, outcome)?;
     shared.distrusted.lock().unwrap_or_else(|e| e.into_inner()).remove(&hash);
-    shared.metrics.counter("traces_archived").inc();
+    shared.metrics.traces_archived.inc();
     Ok(())
 }
 
@@ -747,7 +669,7 @@ fn run_archived(shared: &Arc<Shared>, hash: u64, spec: Result<RunSpec, Response>
         Ok(spec) => spec,
         Err(resp) => return resp,
     };
-    shared.metrics.counter("archived_runs").inc();
+    shared.metrics.archived_runs.inc();
     let entry = {
         let store = shared.lock_store();
         shared.trusted_entry(&store, hash).and_then(|meta| {
@@ -768,7 +690,7 @@ fn run_archived(shared: &Arc<Shared>, hash: u64, spec: Result<RunSpec, Response>
     let _guard = match shared.admit(cost) {
         Ok(guard) => guard,
         Err((in_flight_bytes, budget_bytes)) => {
-            shared.metrics.counter("busy_rejections").inc();
+            shared.metrics.busy_rejections.inc();
             return Response::Busy {
                 retry_after_ms: shared.config.retry_after_ms,
                 in_flight_bytes,
@@ -792,7 +714,7 @@ fn run_archived(shared: &Arc<Shared>, hash: u64, spec: Result<RunSpec, Response>
         Ok(fresh) => verdict_response(probe.commit(shared, &spec, hash, fresh)),
         Err(e) => {
             shared.distrusted.lock().unwrap_or_else(|e| e.into_inner()).insert(hash);
-            shared.metrics.counter("internal_errors").inc();
+            shared.metrics.internal_errors.inc();
             error_response(err::INTERNAL, format!("archived trace unusable: {e}"))
         }
     }
@@ -845,14 +767,14 @@ impl Probe {
     ) -> Result<VerdictReply, Response> {
         let Probe { instructions, keys, mut resolved, missing } = self;
         let sim_config = &shared.config.sim;
-        shared.metrics.counter("ledger_hits").add((resolved.len() - missing.len()) as u64);
-        shared.metrics.counter("ledger_misses").add(missing.len() as u64);
+        shared.metrics.ledger_hits.add((resolved.len() - missing.len()) as u64);
+        shared.metrics.ledger_misses.add(missing.len() as u64);
         if !fresh.is_empty() {
             let mut store = shared.lock_store();
             for (&i, run) in missing.iter().zip(fresh) {
                 let record = record_from_run(&run, sim_config, &spec.policies[i]);
                 if let Err(e) = store.ledger.append(keys[i], record) {
-                    shared.metrics.counter("internal_errors").inc();
+                    shared.metrics.internal_errors.inc();
                     return Err(error_response(err::INTERNAL, format!("ledger append: {e}")));
                 }
                 resolved[i] = Some(run);
@@ -890,56 +812,35 @@ impl Probe {
             trace_records: instructions,
             verdicts,
             best_policy: spec.labels[best].clone(),
-            summary: spec.telemetry.then(|| shared.metrics.render_text()),
+            summary: spec.telemetry.then(|| shared.metrics_text()),
         })
     }
 }
 
-/// One streamed pass over `trace`: the `missing` policies run through
-/// the scheduler as one group on the chunk driver (`run_stream_group`:
+/// One streamed pass over `trace` on the session thread: the `missing`
+/// policies run as one group on the chunk driver (`run_stream_group`:
 /// one shared front end and a replay back end per policy, however many
 /// are missing), bit-identical to per-policy `run_columnar` over the
-/// same records. With no policy missing the pass only decodes, to
-/// validate the bytes. Every declared record is decoded, or the pass
-/// fails.
+/// same records. The thread counts as a busy simulation thread while it
+/// runs, so the group replays on a second thread only when a core is
+/// idle. With no policy missing the pass only decodes, to validate the
+/// bytes. Every declared record is decoded, or the pass fails.
 fn simulate(
     shared: &Shared,
     spec: &RunSpec,
     missing: &[usize],
-    trace: &mut (dyn TraceStream + Send),
+    trace: &mut dyn TraceStream,
 ) -> Result<Vec<BenchRun>, StreamError> {
     let started = Instant::now();
     let results = if missing.is_empty() {
         while trace.next_batch()?.is_some() {}
         Vec::new()
     } else {
-        shared.metrics.counter("simulated_pairs").add(missing.len() as u64);
-        let sim_config = &shared.config.sim;
-        let trace = Mutex::new(trace);
-        let work = [WorkItem { bench: 0, policies: missing.to_vec() }];
-        let est = PackedTrace::estimate_bytes(DEFAULT_STREAM_CHUNK);
-        // The scheduler fails only with the error `exec` returns, which
-        // cannot carry the stream's own error; that waits here.
-        let failure = Mutex::new(None);
-        let outcome = run_items(&work, shared.config.threads, est, None, |item| {
-            let kinds: Vec<&PolicyKind> =
-                item.policies.iter().map(|&i| &spec.policies[i]).collect();
-            let mut trace = trace.lock().unwrap_or_else(|e| e.into_inner());
-            run_stream_group(sim_config, &kinds, spec.seed, &mut **trace).map_err(|e| {
-                let why = e.to_string();
-                *failure.lock().unwrap_or_else(|e| e.into_inner()) = Some(e);
-                StoreError::Corrupt(why)
-            })
-        });
-        match outcome {
-            Ok((mut rows, _)) => rows.pop().expect("one work item yields one result row"),
-            Err(_) => {
-                let failure = failure.into_inner().unwrap_or_else(|e| e.into_inner());
-                return Err(failure.expect("only the streamed pass fails"));
-            }
-        }
+        shared.metrics.simulated_pairs.add(missing.len() as u64);
+        let kinds: Vec<&PolicyKind> = missing.iter().map(|&i| &spec.policies[i]).collect();
+        run_as_sim_thread(|| run_stream_group(&shared.config.sim, &kinds, spec.seed, trace))?
     };
-    shared.metrics.histogram("simulate_us").record(elapsed_us(started));
+    shared.metrics.simulate_us.record(elapsed_us(started));
     Ok(results
         .into_iter()
         .map(|result| BenchRun { benchmark: spec.name.clone(), category: spec.category, result })

@@ -141,7 +141,9 @@ pub enum Request {
     },
     /// Asks for the server's metric snapshot.
     Stats,
-    /// Asks the server to stop accepting connections and drain.
+    /// Asks the server to stop: it acknowledges, stops accepting
+    /// connections, lets in-flight requests on other sessions finish,
+    /// and closes this session.
     Shutdown,
 }
 

@@ -16,8 +16,9 @@
 //!   the ledger, and an archived file that fails its checksum heals when
 //!   the same bytes are uploaded again;
 //! * a client that pauses inside a frame for longer than the server's
-//!   session read timeout keeps its session, and neither a silent control
-//!   client nor a client that never reads its replies blocks a shutdown.
+//!   session read timeout keeps its session, and neither a silent client
+//!   nor a client that never reads its replies blocks a shutdown;
+//! * `Stats` lists every metric, zeros included, in one fixed order.
 
 use chirp_serve::client::{shutdown_server, Client, SubmitOutcome};
 use chirp_serve::loadgen::{run_load, LoadGenConfig};
@@ -342,16 +343,51 @@ fn error_codes_reach_the_client() {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// A `Shutdown` on one session is acknowledged, a request already sent
+/// on another session still gets its verdict, and the server joins.
 #[test]
-fn control_socket_shutdown_drains_cleanly() {
+fn shutdown_drains_in_flight_requests() {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let spec = &suite[0];
+    let bytes = write_trace_packed(&spec.generate_packed(INSTRUCTIONS));
     let root = TempDir::new("serve-shutdown");
     let handle = start_server(&root, None);
 
     let mut client = Client::connect(handle.addr()).expect("connect");
     client.ping().expect("ping before shutdown");
+    // A whole submit is on the wire before the shutdown, its verdict not
+    // yet read.
+    let mut raw = raw_connect(&handle);
+    write_request(&mut raw, &submit_request(spec, &bytes, INSTRUCTIONS as u64))
+        .expect("send submit");
+    match read_response(&mut raw) {
+        Ok(Some(Response::Go)) => {}
+        other => panic!("expected go, got {other:?}"),
+    }
+    for chunk in bytes.chunks(wire::TRACE_CHUNK_BYTES) {
+        write_request(&mut raw, &Request::TraceChunk(chunk.to_vec())).expect("stream chunk");
+    }
+    write_request(&mut raw, &Request::TraceEnd).expect("end stream");
 
-    shutdown_server(handle.control_addr()).expect("shutdown acked");
+    shutdown_server(handle.addr()).expect("shutdown acked");
+    match read_response(&mut raw) {
+        Ok(Some(Response::Verdict(v))) => assert_eq!(v.trace_records, INSTRUCTIONS as u64),
+        other => panic!("the in-flight submit must still get its verdict, got {other:?}"),
+    }
     handle.join();
+}
+
+/// A `Submit` of `bytes` declaring `records` records, without telemetry.
+fn submit_request(spec: &BenchmarkSpec, bytes: &[u8], records: u64) -> Request {
+    Request::Submit {
+        name: spec.name.clone(),
+        category: spec.category.label().to_string(),
+        seed: spec.seed,
+        policies: policy_labels(),
+        trace_bytes: bytes.len() as u64,
+        records,
+        telemetry: false,
+    }
 }
 
 /// Lines in the store's run ledger (0 before the first append).
@@ -576,7 +612,7 @@ fn trace_chunk_stalled_mid_body_gets_the_unstalled_verdict() {
 fn session_stalled_mid_frame_exits_on_shutdown() {
     let root = TempDir::new("serve-stall-shutdown");
     let handle = start_server(&root, None);
-    let control = handle.control_addr();
+    let addr = handle.addr();
     let mut raw = raw_connect(&handle);
     write_stalled(&mut raw, &frame_bytes(&Request::Ping), 5);
     match read_response(&mut raw) {
@@ -588,7 +624,7 @@ fn session_stalled_mid_frame_exits_on_shutdown() {
     // join.
     raw.write_all(&frame_bytes(&Request::Ping)[..3]).expect("send frame head");
     std::thread::sleep(STALL);
-    shutdown_server(control).expect("shutdown acked");
+    shutdown_server(addr).expect("shutdown acked");
     let (done, joined) = mpsc::channel();
     std::thread::spawn(move || {
         handle.join();
@@ -597,21 +633,21 @@ fn session_stalled_mid_frame_exits_on_shutdown() {
     joined.recv_timeout(Duration::from_secs(10)).expect("server joins with a session mid-frame");
 }
 
-/// A control client that connects and sends nothing does not block
-/// `Shutdown`: the control loop closes it once its read times out, acks
-/// the shutdown queued behind it, and the server joins.
+/// A client that connects and sends nothing does not block `Shutdown`
+/// on a second connection: it is acknowledged while the silent client
+/// stays connected, and the server joins.
 #[test]
-fn silent_control_client_does_not_block_shutdown() {
-    let root = TempDir::new("serve-silent-control");
+fn silent_client_does_not_block_shutdown() {
+    let root = TempDir::new("serve-silent");
     let handle = start_server(&root, None);
-    let control = handle.control_addr();
-    let silent = TcpStream::connect(control).expect("connect silent control client");
+    let addr = handle.addr();
+    let silent = TcpStream::connect(addr).expect("connect silent client");
     let (acked, ack) = mpsc::channel();
     std::thread::spawn(move || {
-        let _ = acked.send(shutdown_server(control));
+        let _ = acked.send(shutdown_server(addr));
     });
     ack.recv_timeout(Duration::from_secs(2))
-        .expect("shutdown answered within 2 s despite a silent control client")
+        .expect("shutdown answered within 2 s despite a silent client")
         .expect("shutdown acked");
     let (done, joined) = mpsc::channel();
     std::thread::spawn(move || {
@@ -658,17 +694,17 @@ fn flood_without_reading(addr: SocketAddr) -> (TcpStream, JoinHandle<()>) {
     (handle, writer)
 }
 
-/// A data client that floods `Stats` requests and never reads a reply
-/// does not hold the server past an acknowledged `Shutdown`: the
-/// session's blocked reply write times out and the session ends, so the
-/// server joins while the client still holds its socket open.
+/// A client that floods `Stats` requests and never reads a reply does
+/// not hold the server past an acknowledged `Shutdown`: the session's
+/// blocked reply write times out and the session ends, so the server
+/// joins while the client still holds its socket open.
 #[test]
 fn client_that_never_reads_replies_does_not_block_shutdown() {
     let root = TempDir::new("serve-unread-replies");
     let handle = start_server(&root, None);
-    let control = handle.control_addr();
-    let (flood, writer) = flood_without_reading(handle.addr());
-    shutdown_server(control).expect("shutdown acked");
+    let addr = handle.addr();
+    let (flood, writer) = flood_without_reading(addr);
+    shutdown_server(addr).expect("shutdown acked");
     let (done, joined) = mpsc::channel();
     std::thread::spawn(move || {
         handle.join();
@@ -680,25 +716,146 @@ fn client_that_never_reads_replies_does_not_block_shutdown() {
     outcome.expect("server joins within 10 s despite a client that never reads");
 }
 
-/// A control client that floods `Stats` requests and never reads a reply
-/// does not hold the one control thread: its blocked reply write times
-/// out, the connection closes, and a `Shutdown` queued behind it is
-/// answered.
+/// A `Shutdown` on a second connection is acknowledged while a client
+/// that floods `Stats` requests and never reads a reply stays connected.
 #[test]
-fn control_client_that_never_reads_replies_does_not_block_shutdown() {
-    let root = TempDir::new("serve-unread-control");
+fn shutdown_beside_a_client_that_never_reads_replies_is_acked() {
+    let root = TempDir::new("serve-unread-beside");
     let handle = start_server(&root, None);
-    let control = handle.control_addr();
-    let (flood, writer) = flood_without_reading(control);
+    let addr = handle.addr();
+    let (flood, writer) = flood_without_reading(addr);
     let (acked, ack) = mpsc::channel();
     std::thread::spawn(move || {
-        let _ = acked.send(shutdown_server(control));
+        let _ = acked.send(shutdown_server(addr));
     });
     let outcome = ack.recv_timeout(Duration::from_secs(10));
     let _ = flood.shutdown(Shutdown::Both);
     let _ = writer.join();
     outcome
-        .expect("shutdown answered within 10 s despite a control client that never reads")
+        .expect("shutdown answered within 10 s despite a client that never reads")
         .expect("shutdown acked");
     handle.join();
+}
+
+/// Every metric `Stats` lists, in its order.
+const METRICS: [&str; 19] = [
+    "sessions_total",
+    "requests_total",
+    "submits",
+    "archived_runs",
+    "busy_rejections",
+    "trace_bytes_received",
+    "traces_archived",
+    "ledger_hits",
+    "ledger_misses",
+    "simulated_pairs",
+    "unknown_policy",
+    "bad_traces",
+    "protocol_errors",
+    "internal_errors",
+    "in_flight_bytes",
+    "request_us",
+    "ingest_us",
+    "simulate_us",
+    "archive_us",
+];
+
+/// The metric lines of a `Stats` reply: every line before the ledger
+/// overview, which starts at `ledger_runs`.
+fn metric_lines(stats: &str) -> Vec<&str> {
+    stats.lines().take_while(|line| !line.starts_with("ledger_runs ")).collect()
+}
+
+fn metric_names<'a>(lines: &[&'a str]) -> Vec<&'a str> {
+    lines.iter().map(|line| line.split(' ').next().unwrap_or("")).collect()
+}
+
+/// The value of counter `name` in a `Stats` reply.
+fn counter(stats: &str, name: &str) -> u64 {
+    let line = metric_lines(stats)
+        .into_iter()
+        .find(|line| line.split(' ').next() == Some(name))
+        .unwrap_or_else(|| panic!("stats lists {name}: {stats}"));
+    line[name.len() + 1..].parse().unwrap_or_else(|_| panic!("{name} is a counter: {line}"))
+}
+
+/// A fresh server's `Stats` lists all 19 metrics, unused ones at zero,
+/// and keeps that order whichever requests ran since: a `Busy`, a bad
+/// trace and a successful submit here.
+#[test]
+fn stats_lists_every_metric_in_a_fixed_order() {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let spec = &suite[0];
+    let bytes = write_trace_packed(&spec.generate_packed(INSTRUCTIONS));
+    let root = TempDir::new("serve-metric-order");
+    let handle = start_server(&root, Some(1));
+
+    let fresh = Client::connect(handle.addr()).expect("connect").stats().expect("stats");
+    let lines = metric_lines(&fresh);
+    assert_eq!(metric_names(&lines), METRICS, "{fresh}");
+    for line in &lines[..14] {
+        // The Stats request itself is the one session and one request.
+        let want = if line.starts_with("sessions_total ") || line.starts_with("requests_total ") {
+            1
+        } else {
+            0
+        };
+        assert!(line.ends_with(&format!(" {want}")), "fresh counter: {line}");
+    }
+    assert_eq!(lines[14], "in_flight_bytes 0 (peak 0)");
+    for line in &lines[15..] {
+        assert!(line.ends_with("p50 0 / p99 0 (0 samples)"), "fresh histogram: {line}");
+    }
+
+    // A holds the one-byte budget, so B is Busy; A then completes.
+    let mut a = raw_connect(&handle);
+    write_request(&mut a, &submit_request(spec, &bytes, INSTRUCTIONS as u64))
+        .expect("send submit A");
+    match read_response(&mut a) {
+        Ok(Some(Response::Go)) => {}
+        other => panic!("alone request must be admitted, got {other:?}"),
+    }
+    let mut b = raw_connect(&handle);
+    write_request(&mut b, &submit_request(spec, &bytes, INSTRUCTIONS as u64))
+        .expect("send submit B");
+    match read_response(&mut b) {
+        Ok(Some(Response::Busy { .. })) => {}
+        other => panic!("expected busy while A holds the budget, got {other:?}"),
+    }
+    for chunk in bytes.chunks(wire::TRACE_CHUNK_BYTES) {
+        write_request(&mut a, &Request::TraceChunk(chunk.to_vec())).expect("stream chunk");
+    }
+    write_request(&mut a, &Request::TraceEnd).expect("end stream");
+    match read_response(&mut a) {
+        Ok(Some(Response::Verdict(_))) => {}
+        other => panic!("expected verdict, got {other:?}"),
+    }
+    // Bytes that do not decode.
+    let garbage = vec![0xABu8; 64];
+    let mut raw = raw_connect(&handle);
+    write_request(&mut raw, &submit_request(spec, &garbage, 7)).expect("send garbage submit");
+    match read_response(&mut raw) {
+        Ok(Some(Response::Go)) => {}
+        other => panic!("expected go, got {other:?}"),
+    }
+    write_request(&mut raw, &Request::TraceChunk(garbage)).expect("send chunk");
+    write_request(&mut raw, &Request::TraceEnd).expect("send end");
+    match read_response(&mut raw) {
+        Ok(Some(Response::Error { code, .. })) => assert_eq!(code, err::BAD_TRACE),
+        other => panic!("expected bad-trace error, got {other:?}"),
+    }
+
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let after = client.stats().expect("stats");
+    let lines = metric_lines(&after);
+    assert_eq!(metric_names(&lines), METRICS, "same order after use: {after}");
+    assert_eq!(counter(&after, "submits"), 3, "{after}");
+    assert_eq!(counter(&after, "busy_rejections"), 1, "{after}");
+    assert_eq!(counter(&after, "bad_traces"), 1, "{after}");
+    assert_eq!(counter(&after, "traces_archived"), 1, "{after}");
+    assert!(lines[14].starts_with("in_flight_bytes 0 (peak "), "{after}");
+    assert_ne!(lines[14], "in_flight_bytes 0 (peak 0)", "A's reservation peaked: {after}");
+
+    drop((a, b, raw, client));
+    handle.shutdown().expect("clean shutdown");
 }

@@ -1632,10 +1632,6 @@ mod tests {
             self.len
         }
 
-        fn chunk_records(&self) -> usize {
-            CHUNK_SIZE
-        }
-
         fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
             if let Some((_, hold)) = self.hold.take_if(|(at, _)| *at == self.served) {
                 let _ = hold.recv();

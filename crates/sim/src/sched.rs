@@ -2,12 +2,12 @@
 //!
 //! A **work item** is one benchmark plus the policies still to simulate
 //! over its trace. Each item is one task: a worker admits it, calls
-//! `exec(item)` — which streams the trace (from the generator, the
-//! archive or an upload), runs the item's whole policy group through the
-//! engine in one call, and does any per-item persistence — and then
-//! releases it. The suite runner (with or without a store or telemetry)
-//! and `chirp-serve` both schedule this way; they differ only in their
-//! `exec`.
+//! `exec(item)` — which streams the trace (from the generator or the
+//! archive), runs the item's whole policy group through the engine in
+//! one call, and does any per-item persistence — and then releases it.
+//! The suite runner (with or without a store or telemetry) schedules
+//! this way. A `chirp-serve` request runs its one group on its session
+//! thread instead, counted as busy by [`run_as_sim_thread`].
 //!
 //! * An optional **memory budget** bounds the estimated trace bytes of
 //!   the items in flight. One item is always admitted when nothing else
@@ -173,9 +173,10 @@ pub(crate) fn cpus() -> usize {
 }
 
 /// Simulation threads running in this process: every [`run_items`]
-/// worker that has an item to run, counted from the pool's start, and
-/// every replay thread taken through [`spare_core`]. Process-wide, so
-/// concurrent pools (one per `chirp-serve` session) see each other.
+/// worker that has an item to run, counted from the pool's start, every
+/// thread inside [`run_as_sim_thread`], and every replay thread taken
+/// through [`spare_core`]. Process-wide, so concurrent pools and
+/// `chirp-serve` sessions see each other.
 static SIM_THREADS: SimThreads = SimThreads::new();
 
 /// A count of busy simulation threads, checked against the CPUs.
@@ -192,6 +193,13 @@ impl SimThreads {
     pub(crate) fn hold(&self, n: usize) -> Busy<'_> {
         self.busy.fetch_add(n, Ordering::SeqCst);
         Busy { threads: self, n }
+    }
+
+    /// Runs `f` with the calling thread counted as one busy simulation
+    /// thread.
+    fn busy_while<T>(&self, f: impl FnOnce() -> T) -> T {
+        let _busy = self.hold(1);
+        f()
     }
 
     /// Counts one more busy thread if the host has more than one CPU
@@ -222,6 +230,15 @@ impl Drop for Busy<'_> {
 /// thread.
 pub(crate) fn spare_core() -> Option<Busy<'static>> {
     SIM_THREADS.spare(cpus())
+}
+
+/// Runs `f` with the calling thread counted as one busy simulation
+/// thread, as a [`run_items`] worker is while its pool runs, so engine
+/// calls elsewhere in the process (a concurrent `chirp-serve` request,
+/// a suite pool) see this thread's core as taken. Inside `f`, a group
+/// replays on a second thread only if another core is idle.
+pub fn run_as_sim_thread<T>(f: impl FnOnce() -> T) -> T {
+    SIM_THREADS.busy_while(f)
 }
 
 thread_local! {
@@ -533,7 +550,7 @@ mod tests {
     /// Workers count as busy while their pool runs, whatever pool they
     /// belong to, so on a two-CPU host a factored group finds an idle
     /// core under one worker but not under two — nor under two
-    /// concurrent one-item pools, as two `chirp-serve` sessions run.
+    /// concurrent one-item pools.
     #[test]
     fn pool_workers_count_as_busy_threads() {
         let threads = SimThreads::new();
@@ -569,6 +586,20 @@ mod tests {
             }
         });
         assert_eq!(threads.busy.load(Ordering::SeqCst), 0, "pools release their workers");
+    }
+
+    /// The thread inside [`run_as_sim_thread`] counts as busy, so on a
+    /// two-CPU host exactly one more core is spare while it runs, and
+    /// none is held once it returns.
+    #[test]
+    fn a_sim_thread_leaves_exactly_one_spare_core_of_two() {
+        let threads = SimThreads::new();
+        threads.busy_while(|| {
+            let replay = threads.spare(2).expect("one busy thread leaves a CPU idle");
+            assert!(threads.spare(2).is_none(), "the second CPU is taken");
+            drop(replay);
+        });
+        assert_eq!(threads.busy.load(Ordering::SeqCst), 0, "the count is released on return");
     }
 
     /// Merging two runs' summaries sums their work, replays, latency

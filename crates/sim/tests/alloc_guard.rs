@@ -248,10 +248,6 @@ impl TraceStream for Prebuilt {
         self.len
     }
 
-    fn chunk_records(&self) -> usize {
-        4096
-    }
-
     fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
         if self.served == self.hold_at {
             self.hold.wait();

@@ -125,10 +125,6 @@ impl TraceStream for ArchiveTraceStream {
         self.len
     }
 
-    fn chunk_records(&self) -> usize {
-        self.chunk
-    }
-
     fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
         let Some(decoder) = self.decoder.as_mut() else { return Ok(None) };
         match decoder.next_chunk(self.chunk) {

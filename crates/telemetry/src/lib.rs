@@ -5,10 +5,10 @@
 //! varies with program phase — yet whole-run aggregates cannot show any of
 //! that. This crate supplies the observability substrate:
 //!
-//! * [`registry`] — near-zero-overhead metric primitives: sharded atomic
-//!   [`Counter`]s (one cache line per shard, so concurrent writers never
-//!   bounce a line), [`Gauge`]s with peak tracking, and fixed-bucket
-//!   [`Log2Histogram`]s, plus a by-name [`Registry`] for ad-hoc wiring;
+//! * [`metrics`] — near-zero-overhead metric primitives: atomic
+//!   [`Counter`]s and fixed-bucket [`Log2Histogram`]s, which callers hold
+//!   as typed fields (the scheduler's latency histogram, `chirp-serve`'s
+//!   metrics struct, the load generator's report);
 //! * [`epoch`] — an [`EpochSampler`] that turns absolute counter
 //!   snapshots taken every N instructions into per-epoch delta rows,
 //!   including the final partial epoch when the trace length is not a
@@ -24,11 +24,11 @@
 
 pub mod epoch;
 pub mod jsonl;
-pub mod registry;
+pub mod metrics;
 
 pub use epoch::{EpochRow, EpochSampler};
 pub use jsonl::{write_jsonl, JsonRow};
-pub use registry::{Counter, Gauge, HistogramSnapshot, Log2Histogram, MetricValue, Registry};
+pub use metrics::{Counter, HistogramSnapshot, Log2Histogram};
 
 /// Runtime telemetry switch shared by every harness binary.
 ///

@@ -82,8 +82,8 @@ impl From<ChunkedDecodeError> for StreamError {
 /// A trace delivered as bounded [`PackedTrace`] batches.
 ///
 /// Contract: concatenating every `Ok(Some(batch))` in order yields the
-/// full record sequence; batches are non-empty and hold at most
-/// [`chunk_records`](TraceStream::chunk_records) records; after the first
+/// full record sequence; batches are non-empty and hold at most the
+/// chunk size the stream was built with; after the first
 /// `Ok(None)` or `Err`, the stream is exhausted.
 pub trait TraceStream {
     /// Total records the stream intends to yield. Streams may end early
@@ -95,9 +95,6 @@ pub trait TraceStream {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Upper bound on records per batch.
-    fn chunk_records(&self) -> usize;
 
     /// Pulls the next batch; `None` at end of stream.
     ///
@@ -111,10 +108,6 @@ pub trait TraceStream {
 impl<T: TraceStream + ?Sized> TraceStream for Box<T> {
     fn len(&self) -> usize {
         (**self).len()
-    }
-
-    fn chunk_records(&self) -> usize {
-        (**self).chunk_records()
     }
 
     fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
@@ -176,10 +169,6 @@ impl TraceStream for GenStream {
         self.len
     }
 
-    fn chunk_records(&self) -> usize {
-        self.chunk
-    }
-
     fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
         let Some(rx) = self.rx.as_ref() else { return Ok(None) };
         match rx.recv() {
@@ -226,24 +215,18 @@ impl fmt::Debug for GenStream {
 pub struct MaterializedStream<'a> {
     chunks: TraceChunks<'a>,
     len: usize,
-    chunk: usize,
 }
 
 impl<'a> MaterializedStream<'a> {
     /// Streams `trace` in `chunk`-record batches.
     pub fn new(trace: &'a PackedTrace, chunk: usize) -> MaterializedStream<'a> {
-        let chunk = chunk.max(1);
-        MaterializedStream { chunks: trace.chunks(chunk), len: trace.len(), chunk }
+        MaterializedStream { chunks: trace.chunks(chunk.max(1)), len: trace.len() }
     }
 }
 
 impl TraceStream for MaterializedStream<'_> {
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn chunk_records(&self) -> usize {
-        self.chunk
     }
 
     fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
@@ -290,10 +273,6 @@ impl<'a> SliceStream<'a> {
 impl TraceStream for SliceStream<'_> {
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn chunk_records(&self) -> usize {
-        self.chunk
     }
 
     fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {

@@ -240,9 +240,8 @@ for _ in $(seq 1 100); do
     grep -q "listening on" "$serve_log" 2>/dev/null && break
     sleep 0.1
 done
-data_addr="$(sed -n 's/.*listening on \([0-9.:]*\) (control \([0-9.:]*\)).*/\1/p' "$serve_log")"
-ctrl_addr="$(sed -n 's/.*listening on \([0-9.:]*\) (control \([0-9.:]*\)).*/\2/p' "$serve_log")"
-test -n "$data_addr" && test -n "$ctrl_addr"
+data_addr="$(sed -n 's/^chirp-serve listening on \([0-9.:]*\)$/\1/p' "$serve_log")"
+test -n "$data_addr"
 target/release/trace_tool gen 0 20_000 "$smoke_dir/smoke.chrp" > /dev/null
 smoke_hash="$(target/release/trace_tool hash "$smoke_dir/smoke.chrp" | awk '{print $1}')"
 target/release/chirp-client ping --addr "$data_addr" > /dev/null
@@ -262,11 +261,20 @@ awk '/^policy/ { table = 1; next } /^best:/ { table = 0 }
      table { rows++; if ($NF != "ledger") bad = 1 }
      END { exit bad || rows != 2 }' "$smoke_dir/resubmit.out"
 # The stage histograms say where the requests spent their time.
-target/release/chirp-client stats --addr "$ctrl_addr" > "$smoke_dir/stats.out"
+target/release/chirp-client stats --addr "$data_addr" > "$smoke_dir/stats.out"
 grep -E '^(request|ingest|simulate|archive)_us ' "$smoke_dir/stats.out" > "$smoke_dir/stages.out"
 test "$(wc -l < "$smoke_dir/stages.out")" -eq 4
 sed 's/^/    /' "$smoke_dir/stages.out"
-target/release/chirp-client shutdown --addr "$ctrl_addr" > /dev/null
+target/release/chirp-client shutdown --addr "$data_addr" > /dev/null
+# The acked server drains and exits; give it 30 s rather than hang CI.
+for _ in $(seq 1 300); do
+    kill -0 "$serve_pid" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 "$serve_pid" 2>/dev/null; then
+    echo "ci: chirp-serve still running 30 s after an acked shutdown" >&2
+    exit 1
+fi
 wait "$serve_pid"
 serve_pid=""
 
