@@ -1,24 +1,34 @@
-//! Byte-level pins of everything the trace RNG and the wire codec emit.
+//! Byte-level pins of everything the trace RNG, the factored front end
+//! and the wire codec emit.
 //!
 //! The synthetic generators stand in for the paper's CVP-1 traces, so
 //! their xoshiro256++ stream *is* the benchmark suite: a changed draw
 //! changes every trace, every archive checksum and every ledger key's
-//! meaning without changing `GEN_CODE_VERSION`. These digests were
-//! recorded once and must never be regenerated; a failure means the
-//! emitted bytes changed, not that the pin is stale.
+//! meaning without changing `GEN_CODE_VERSION`. The front end's event
+//! columns are what every back end replays, so a moved event changes
+//! every result. These digests were recorded once and must never be
+//! regenerated; a failure means the emitted bytes changed, not that the
+//! pin is stale.
 
+use chirp_repro::core::ChirpConfig;
 use chirp_repro::serve::wire::{
     err, write_request, write_response, PolicyVerdict, Request, Response, VerdictReply,
 };
+use chirp_repro::sim::{group_sig_config, EventSegment, FactoredTrace, FrontEnd};
+use chirp_repro::sim::{PolicyKind, SimConfig};
 use chirp_repro::store::fnv64;
 use chirp_repro::tlb::policies::RandomPolicy;
 use chirp_repro::tlb::{TlbAccess, TlbGeometry, TlbReplacementPolicy, TranslationKind};
 use chirp_repro::trace::gen::{Interpreter, WorkloadGen, Zipf};
 use chirp_repro::trace::rng::Xoshiro256pp;
 use chirp_repro::trace::suite::{build_suite, PAPER_SUITE_SIZE};
-use chirp_repro::trace::{workload_family, write_trace_packed, SuiteConfig};
+use chirp_repro::trace::{workload_family, write_trace_packed, BenchmarkSpec, SuiteConfig};
 
 const INSTRUCTIONS: usize = 50_000;
+
+/// Records per front-end pin: enough for every family to reach the L2
+/// TLB, mispredict and fill several segments' worth of events.
+const FRONT_END_INSTRUCTIONS: usize = 100_000;
 
 /// Digest of a sequence of small integers, one byte each.
 fn digest_u8s(values: impl IntoIterator<Item = usize>) -> u64 {
@@ -50,6 +60,76 @@ fn every_generator_family_emits_pinned_bytes() {
         ("gups", "bigdata.gups.t2048z1.0.21b4#s0", 0x3f32_6146_a9bd_5d39),
     ];
     assert_eq!(seen, pinned);
+}
+
+/// The 9-policy lineup: the paper's six plus DRRIP, perceptron reuse
+/// and a short-history CHiRP.
+fn lineup9() -> Vec<PolicyKind> {
+    let mut policies = PolicyKind::paper_lineup();
+    policies.push(PolicyKind::Drrip);
+    policies.push(PolicyKind::PerceptronReuse);
+    policies.push(PolicyKind::Chirp(ChirpConfig { path_length: 8, ..ChirpConfig::default() }));
+    policies
+}
+
+/// The first benchmark of each generator family, in suite order.
+fn one_per_family() -> Vec<BenchmarkSpec> {
+    let mut picked: Vec<BenchmarkSpec> = Vec::new();
+    for bench in build_suite(&SuiteConfig { benchmarks: PAPER_SUITE_SIZE }) {
+        let family = workload_family(&bench.name);
+        if !picked.iter().any(|b| workload_family(&b.name) == family) {
+            picked.push(bench);
+        }
+    }
+    picked
+}
+
+#[test]
+fn every_generator_family_builds_pinned_front_end_events() {
+    let config = SimConfig::default();
+    let sig = group_sig_config(lineup9().iter());
+    let mut seen: Vec<(String, u64)> = Vec::new();
+    for bench in one_per_family() {
+        let trace = bench.generate_packed(FRONT_END_INSTRUCTIONS);
+        let factored = FactoredTrace::build(&config, &trace, config.warmup_fraction, &sig);
+        seen.push((bench.name.clone(), fnv64(&factored.wire_bytes())));
+    }
+    let pinned: &[(&str, u64)] = &[
+        ("mixed.ctxcopy.h384s16c4.7e6e#s0", 0x6448_32d5_99cf_bd99),
+        ("db.scanidx.i256z0.7b32.e5fd#s0", 0x1d70_0499_0391_161f),
+        ("crypto.stream.t256l2.67bd#s0", 0xf2ee_09f7_f0e2_3439),
+        ("sci.stencil.t32s256.a70b#s0", 0x7fad_4c8a_d209_263a),
+        ("spec.loops.a1p32.f2df#s0", 0x81c6_78a3_331b_4a8d),
+        ("web.serve.h256z0.6.3c0a#s0", 0x8800_302e_37e5_1f2d),
+        ("bigdata.chase.p4096z0.9.88fe#s0", 0x9d1b_53c7_af43_df89),
+        ("bigdata.gups.t2048z1.0.21b4#s0", 0xd369_f3b0_20c4_4e59),
+    ];
+    let pinned: Vec<(String, u64)> = pinned.iter().map(|&(n, h)| (n.to_string(), h)).collect();
+    assert_eq!(seen, pinned);
+}
+
+/// A chunk split mid-burst (the front end works in 64-record bursts) and
+/// fed as its two halves emits the pinned events: the split halves'
+/// side-table cursors and burst passes must line up exactly.
+#[test]
+fn a_chunk_split_mid_burst_builds_pinned_front_end_events() {
+    let config = SimConfig::default();
+    let sig = group_sig_config(lineup9().iter());
+    let trace = build_suite(&SuiteConfig { benchmarks: 1 })[0].generate_packed(20_000);
+    let mut fe = FrontEnd::new(&config, &sig);
+    let mut segments = vec![EventSegment::default(); 3];
+    for (i, chunk) in trace.chunks(4_096).enumerate() {
+        if i == 2 {
+            // 1_037 = 16 bursts of 64 and 13 records.
+            let (head, tail) = chunk.split_at(1_037);
+            fe.process_chunk(&head, &mut segments[1]);
+            fe.process_chunk(&tail, &mut segments[2]);
+        } else {
+            fe.process_chunk(&chunk, &mut segments[usize::from(i > 2) * 2]);
+        }
+    }
+    let bytes: Vec<u8> = segments.iter().flat_map(EventSegment::wire_bytes).collect();
+    assert_eq!((bytes.len(), fnv64(&bytes)), (228_614, 0x151a_891e_10d3_3599));
 }
 
 #[test]
