@@ -17,17 +17,20 @@
 //! by content hash (`trace_tool hash <file>` prints it) without
 //! uploading anything. When the server is saturated both print the
 //! `BUSY` hint and exit with status 3 so scripts can distinguish
-//! backpressure from failure.
+//! backpressure from failure. A usage error (an unknown command or flag,
+//! a missing or invalid value) exits with status 2, any other failure
+//! with status 1.
 
 use chirp_serve::client::{shutdown_server, Client, SubmitOutcome};
-use chirp_serve::exit_on_err;
 use chirp_serve::wire::VerdictReply;
+use chirp_serve::{exit_on_err, exit_on_usage_err};
 use chirp_store::parse_hex16;
 use std::net::SocketAddr;
 
 const USAGE: &str = "usage: chirp-client <ping|stats|submit|run|shutdown> --addr HOST:PORT \
                      [--file TRACE.chrp] [--hash HEX16] [--name N] [--category C] [--seed S] \
-                     [--policies a,b,c] [--telemetry]";
+                     [--policies a,b,c] [--telemetry]\n\
+                     a usage error exits with status 2, a failed request with 1, BUSY with 3";
 
 struct Args {
     addr: SocketAddr,
@@ -85,15 +88,12 @@ fn parse_args<I: Iterator<Item = String>>(mut it: I) -> Result<Args, String> {
 
 fn main() {
     let mut argv = std::env::args().skip(1);
-    let Some(command) = argv.next() else {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    };
+    let command = exit_on_usage_err(argv.next().ok_or("no command"), USAGE);
     if command == "--help" || command == "-h" {
         println!("{USAGE}");
         return;
     }
-    let args = exit_on_err(parse_args(argv), USAGE);
+    let args = exit_on_usage_err(parse_args(argv), USAGE);
 
     match command.as_str() {
         "ping" => {
@@ -110,7 +110,7 @@ fn main() {
             println!("server at {} acknowledged shutdown", args.addr);
         }
         "submit" => {
-            let file = exit_on_err(args.file.clone().ok_or("submit needs --file"), USAGE);
+            let file = exit_on_usage_err(args.file.clone().ok_or("submit needs --file"), USAGE);
             let bytes = exit_on_err(std::fs::read(&file), format!("read trace file {file}"));
             let hash = chirp_store::fnv64(&bytes);
             let name = args
@@ -132,7 +132,7 @@ fn main() {
             report(outcome);
         }
         "run" => {
-            let hash = exit_on_err(args.hash.ok_or("run needs --hash"), USAGE);
+            let hash = exit_on_usage_err(args.hash.ok_or("run needs --hash"), USAGE);
             let name = args
                 .name
                 .clone()
@@ -151,10 +151,7 @@ fn main() {
             );
             report(outcome);
         }
-        other => {
-            eprintln!("unknown command {other}\n{USAGE}");
-            std::process::exit(2);
-        }
+        other => exit_on_usage_err(Err(format!("unknown command {other}")), USAGE),
     }
 }
 

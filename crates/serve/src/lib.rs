@@ -61,11 +61,26 @@ pub use client::{Client, ClientError, SubmitOutcome};
 pub use loadgen::{run_load, LoadGenConfig, LoadReport};
 pub use server::{serve, ServeConfig, ServeError, ServerHandle};
 
+/// Unwraps a command-line parse in one of this crate's binaries: a usage
+/// error (an unknown flag, a missing or invalid flag value) prints the
+/// error and `usage` to stderr and exits with status 2, as `chirp-bench`'s
+/// binaries do, so scripts can tell a bad invocation from a failed run.
+pub fn exit_on_usage_err<T, E: std::fmt::Display>(result: Result<T, E>, usage: &str) -> T {
+    match result {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("error: {e}\n{usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Unwraps a top-level fallible operation in one of this crate's
 /// binaries, printing a contextual error to stderr and exiting with
 /// status 1 instead of panicking with a backtrace. Mirrors the helper of
 /// the same name in `chirp-bench`: for operator-facing failures (refused
-/// connections, missing files) the message is the useful part.
+/// connections, missing files) the message is the useful part. Usage
+/// errors go through [`exit_on_usage_err`] instead.
 pub fn exit_on_err<T, E: std::fmt::Display>(result: Result<T, E>, context: impl AsRef<str>) -> T {
     match result {
         Ok(v) => v,

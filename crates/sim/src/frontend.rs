@@ -32,11 +32,15 @@
 //! side before the segment's back ends, and its penalty cycles are added
 //! to every back end, again an exact `u64` sum.
 //!
-//! Decoding is burst-structured: 64 records are expanded at a time, page
-//! numbers are derived in one pass over the pc/ea columns, and the
-//! signature *finalisation* (the multiply/shift/xor of `hash16`) plus
-//! the set-index masking run as batched word-parallel passes over the
-//! burst's new events — only the history folds themselves stay
+//! The front end steps straight over a [`TraceChunk`]'s packed columns:
+//! pc and kind per record, the taken bit and target only for branches,
+//! the effective address only for memory records, through cursors of its
+//! own into the chunk's two side tables, and page numbers shifted out
+//! inline. No record is reassembled or copied first. The walk is
+//! burst-structured for the one part that batches well: every 64
+//! records, the signature *finalisation* (the multiply/shift/xor of
+//! `hash16`) and the set-index masking run as word-parallel passes over
+//! the burst's new access events. Only the history folds themselves stay
 //! sequential, because each access's signature depends on the path
 //! history left by the previous one.
 //!
@@ -76,13 +80,13 @@ use chirp_tlb::{
     TranslationKind,
 };
 use chirp_trace::{
-    vpn, BranchClass, DecodedBlock, PackedTrace, StreamError, TraceChunk, TraceStream,
+    vpn, BranchClass, InstrKind, PackedTrace, StreamError, TraceChunk, TraceRecord, TraceStream,
 };
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
-/// Records decoded per front-end burst: large enough that the step loop
-/// dominates per-burst bookkeeping, small enough that the decoded columns
-/// stay in L1 cache.
+/// Records per front-end burst: large enough that the step loop
+/// dominates the batched passes' bookkeeping, small enough that the
+/// burst's pre-hash compositions stay in L1 cache.
 const BURST: usize = 64;
 
 /// Control-event kinds, packed into `ctl_kind` (low 2 bits; bit 6 marks
@@ -322,10 +326,6 @@ pub struct FrontEnd {
     l2_hit_latency: u64,
     /// `sets - 1` of the L2 geometry, for the batched set-index pass.
     set_mask: u64,
-    /// Decoded columns for the in-flight burst.
-    block: DecodedBlock,
-    ivpns: Vec<u64>,
-    dvpns: Vec<u64>,
     /// 64-bit pre-hash signature compositions of the burst's new access
     /// events, finalised in one batched `hash16` pass per burst.
     pre: Vec<u64>,
@@ -344,9 +344,6 @@ impl FrontEnd {
             pollution: sig_config.wrong_path_pollution,
             l2_hit_latency: config.tlb.l2_hit_latency,
             set_mask: (config.tlb.l2.sets() - 1) as u64,
-            block: DecodedBlock::with_capacity(BURST),
-            ivpns: Vec::with_capacity(BURST),
-            dvpns: Vec::with_capacity(BURST),
             pre: Vec::with_capacity(2 * BURST),
         }
     }
@@ -354,20 +351,35 @@ impl FrontEnd {
     /// Feeds one trace chunk through the front end, appending its events
     /// to `seg`.
     pub fn process_chunk(&mut self, chunk: &TraceChunk<'_>, seg: &mut EventSegment) {
-        let mut cursor = chunk.cursor();
-        while cursor.remaining() > 0 {
-            let burst = cursor.remaining().min(BURST);
-            let n = cursor.decode_into(&mut self.block, burst);
-            debug_assert_eq!(n, burst);
-            // Batched page-number derivation over the burst's columns.
-            self.ivpns.clear();
-            self.ivpns.extend(self.block.pcs.iter().map(|&pc| vpn(pc)));
-            self.dvpns.clear();
-            self.dvpns.extend(self.block.eas.iter().map(|&ea| vpn(ea)));
+        let (pcs, kinds, eas, targets) = (chunk.pcs(), chunk.kinds(), chunk.eas(), chunk.targets());
+        // Cursors into the chunk's side tables.
+        let (mut ea, mut target) = (0usize, 0usize);
+        let mut start = 0;
+        while start < pcs.len() {
+            let end = (start + BURST).min(pcs.len());
             let acc_base = seg.acc_pc.len();
             self.pre.clear();
-            for k in 0..burst {
-                self.step_record(k, seg);
+            for i in start..end {
+                let pc = pcs[i];
+                let kind =
+                    InstrKind::from_u8(kinds[i]).expect("packed traces hold only valid kinds");
+                let mut cycles = self.fetch(pc, seg);
+                if kind.is_memory() {
+                    cycles += self.data_access(pc, eas[ea], seg);
+                    ea += 1;
+                } else if kind.is_branch() {
+                    let rec = TraceRecord {
+                        pc,
+                        kind,
+                        effective_address: 0,
+                        target: targets[target],
+                        taken: chunk.taken(i),
+                    };
+                    target += 1;
+                    cycles += self.retire_branch(&rec, seg);
+                }
+                seg.instructions += 1;
+                seg.invariant_cycles += cycles;
             }
             // Batched finalisation of the burst's new access events: the
             // multiply/shift/xor of `hash16` and the set masking are
@@ -376,41 +388,55 @@ impl FrontEnd {
             debug_assert_eq!(seg.acc_sig.len(), acc_base);
             seg.acc_sig.extend(self.pre.iter().map(|&p| hash16(p)));
             seg.acc_set.extend(seg.acc_vpn[acc_base..].iter().map(|&v| (v & self.set_mask) as u32));
+            start = end;
         }
     }
 
-    /// Mirrors `Simulator::step` minus the L2/walker and the caches past
-    /// the L1i: same event order (i-access, d-access, mispredict,
-    /// branch), same cycle terms except the walk and the memory column's
-    /// penalties. Loads and stores cost the same (the hierarchy is
-    /// write-allocate), so the column does not tell them apart.
+    /// The steps of one record that every kind takes: the instruction-side
+    /// TLB and the L1i. Together with [`Self::data_access`] and
+    /// [`Self::retire_branch`] this mirrors `Simulator::step` minus the L2/walker
+    /// and the caches past the L1i: same event order (i-access, d-access,
+    /// mispredict, branch), same cycle terms except the walk and the
+    /// memory column's penalties. Returns the record's base cycle plus
+    /// these steps' cycles.
     #[inline]
-    fn step_record(&mut self, k: usize, seg: &mut EventSegment) {
-        let rec = self.block.record(k);
+    fn fetch(&mut self, pc: u64, seg: &mut EventSegment) -> u64 {
         let mut cycles = 1u64;
-
-        if !self.l1.hit(self.ivpns[k], TranslationKind::Instruction) {
-            self.emit_access(rec.pc, self.ivpns[k], 0, seg);
+        let page = vpn(pc);
+        if !self.l1.hit(page, TranslationKind::Instruction) {
+            self.emit_access(pc, page, 0, seg);
             cycles += self.l2_hit_latency;
         }
-        if self.l1i.access(rec.pc) {
+        if self.l1i.access(pc) {
             cycles += self.l1i_hit_penalty;
         } else {
-            seg.mem_addr.push(rec.pc);
+            seg.mem_addr.push(pc);
             seg.mem_fetch.push(true);
         }
+        cycles
+    }
 
-        if rec.kind.is_memory() {
-            if !self.l1.hit(self.dvpns[k], TranslationKind::Data) {
-                self.emit_access(rec.pc, self.dvpns[k], 1, seg);
-                cycles += self.l2_hit_latency;
-            }
-            seg.mem_addr.push(rec.effective_address);
-            seg.mem_fetch.push(false);
+    /// A load's or store's data-side TLB lookup and memory-column entry.
+    /// Loads and stores cost the same (the hierarchy is write-allocate),
+    /// so the column does not tell them apart.
+    #[inline]
+    fn data_access(&mut self, pc: u64, ea: u64, seg: &mut EventSegment) -> u64 {
+        let mut cycles = 0;
+        let page = vpn(ea);
+        if !self.l1.hit(page, TranslationKind::Data) {
+            self.emit_access(pc, page, 1, seg);
+            cycles += self.l2_hit_latency;
         }
+        seg.mem_addr.push(ea);
+        seg.mem_fetch.push(false);
+        cycles
+    }
 
-        let penalty = self.branch.observe(&rec);
-        cycles += penalty;
+    /// A branch's prediction, its misprediction event (with the pseudo
+    /// wrong-path folds) and its control event; returns the penalty.
+    #[inline]
+    fn retire_branch(&mut self, rec: &TraceRecord, seg: &mut EventSegment) -> u64 {
+        let penalty = self.branch.observe(rec);
         if penalty > 0 {
             self.emit_control(CTL_MISPREDICT, rec.pc, seg);
             // Fold the same pseudo wrong-path events a matching CHiRP
@@ -422,18 +448,15 @@ impl FrontEnd {
                 self.sigs.record_access(bogus);
             }
         }
-        if let Some(class) = rec.kind.branch_class() {
-            let code = match class {
-                BranchClass::Conditional => CTL_COND,
-                BranchClass::UnconditionalIndirect => CTL_UNCOND_INDIRECT,
-                BranchClass::UnconditionalDirect => CTL_UNCOND_DIRECT,
-            } | if rec.taken { CTL_TAKEN } else { 0 };
-            self.emit_control(code, rec.pc, seg);
-            self.sigs.record_branch(rec.pc, class);
-        }
-
-        seg.instructions += 1;
-        seg.invariant_cycles += cycles;
+        let class = rec.kind.branch_class().expect("branch kinds have a class");
+        let code = match class {
+            BranchClass::Conditional => CTL_COND,
+            BranchClass::UnconditionalIndirect => CTL_UNCOND_INDIRECT,
+            BranchClass::UnconditionalDirect => CTL_UNCOND_DIRECT,
+        } | if rec.taken { CTL_TAKEN } else { 0 };
+        self.emit_control(code, rec.pc, seg);
+        self.sigs.record_branch(rec.pc, class);
+        penalty
     }
 
     /// Emits one L2 access event. The signature composition is read

@@ -39,9 +39,7 @@ pub use codec::{
     ChunkedDecodeError, ChunkedDecoder, CodecError,
 };
 pub use gen::Category;
-pub use packed::{
-    ChunkCursor, DecodedBlock, PackedTrace, PackedTraceBuilder, TraceChunk, TraceChunks,
-};
+pub use packed::{PackedTrace, PackedTraceBuilder, TraceChunk, TraceChunks};
 pub use record::{BranchClass, InstrKind, TraceRecord};
 pub use stats::TraceStats;
 pub use stream::{
