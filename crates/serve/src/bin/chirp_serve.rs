@@ -12,7 +12,7 @@
 //! start with status 1.
 
 use chirp_serve::server::{serve, ServeConfig};
-use chirp_serve::{exit_on_err, exit_on_usage_err};
+use chirp_serve::{exit_on_err, exit_on_usage_err, parse_bytes};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 
@@ -63,17 +63,4 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Option<ServeCon
         }
     }
     Ok(Some(config))
-}
-/// Byte count with an optional binary K/M/G suffix; `_` separators are
-/// allowed in the digits. Mirrors `chirp-bench`'s `--mem-budget` syntax.
-fn parse_bytes(v: &str) -> Option<u64> {
-    let v = v.replace('_', "");
-    let (digits, shift) = match v.as_bytes().last()? {
-        b'k' | b'K' => (&v[..v.len() - 1], 10),
-        b'm' | b'M' => (&v[..v.len() - 1], 20),
-        b'g' | b'G' => (&v[..v.len() - 1], 30),
-        _ => (v.as_str(), 0),
-    };
-    let n: u64 = digits.parse().ok()?;
-    n.checked_mul(1u64 << shift)
 }

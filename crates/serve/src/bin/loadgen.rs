@@ -12,11 +12,14 @@
 //! (`--spawn`). Prints the throughput/latency report and, with
 //! `--bench-out`, appends one JSON trajectory line in the
 //! `BENCH_runner.json` format (`scripts/bench.sh` guards
-//! `serve_req_per_sec` against regressions).
+//! `serve_req_per_sec` against regressions). A usage error (an unknown
+//! flag, a missing or invalid value, neither `--addr` nor `--spawn`)
+//! exits with status 2; a failed run (a server that cannot be reached, a
+//! failed request) exits with status 1.
 
-use chirp_serve::exit_on_err;
 use chirp_serve::loadgen::{run_load, LoadGenConfig};
 use chirp_serve::server::{serve, ServeConfig};
+use chirp_serve::{exit_on_err, exit_on_usage_err, parse_bytes};
 use chirp_store::JsonObject;
 use std::io::Write;
 use std::net::SocketAddr;
@@ -27,53 +30,22 @@ const USAGE: &str = "usage: loadgen (--addr HOST:PORT | --spawn) [--sessions N] 
                      [--benchmarks N] [--instructions N] [--policies a,b,c] [--chunk-delay-ms N] \
                      [--mem-budget BYTES[K|M|G]] [--store DIR] [--bench-out FILE]";
 
-fn main() {
-    let mut addr: Option<SocketAddr> = None;
-    let mut spawn = false;
-    let mut store: Option<PathBuf> = None;
-    let mut mem_budget: Option<u64> = None;
-    let mut bench_out: Option<PathBuf> = None;
-    let mut load = LoadGenConfig { sessions: 4, requests: 8, ..LoadGenConfig::default() };
+/// What the flags ask for.
+struct Args {
+    /// The load; its address is the server's when `spawn` is false.
+    load: LoadGenConfig,
+    spawn: bool,
+    store: Option<PathBuf>,
+    mem_budget: Option<u64>,
+    bench_out: Option<PathBuf>,
+}
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| exit_on_err(args.next().ok_or(format!("{flag} needs a value")), USAGE);
-        match arg.as_str() {
-            "--addr" => {
-                let v = value("--addr");
-                addr = Some(exit_on_err(v.parse(), format!("--addr: invalid address {v}")));
-            }
-            "--spawn" => spawn = true,
-            "--store" => store = Some(PathBuf::from(value("--store"))),
-            "--bench-out" => bench_out = Some(PathBuf::from(value("--bench-out"))),
-            "--sessions" => load.sessions = parse_num(&value("--sessions"), "--sessions"),
-            "--requests" => load.requests = parse_num(&value("--requests"), "--requests"),
-            "--benchmarks" => load.benchmarks = parse_num(&value("--benchmarks"), "--benchmarks"),
-            "--instructions" => {
-                load.instructions = parse_num(&value("--instructions"), "--instructions")
-            }
-            "--policies" => {
-                load.policies = value("--policies").split(',').map(str::to_string).collect()
-            }
-            "--chunk-delay-ms" => {
-                let ms = parse_num(&value("--chunk-delay-ms"), "--chunk-delay-ms") as u64;
-                load.chunk_delay = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--mem-budget" => {
-                let v = value("--mem-budget");
-                mem_budget = Some(exit_on_err(
-                    parse_bytes(&v).ok_or("use e.g. 64M, 2G, 500000"),
-                    format!("--mem-budget: invalid byte count {v}"),
-                ));
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => exit_on_err(Err(format!("unknown flag {other}")), USAGE),
-        }
-    }
+fn main() {
+    let Some(args) = exit_on_usage_err(parse_args(std::env::args().skip(1)), USAGE) else {
+        println!("{USAGE}");
+        return;
+    };
+    let Args { mut load, spawn, store, mem_budget, bench_out } = args;
 
     // A spawned server lives exactly as long as the load run; its store
     // is private (temp dir) unless --store pins one, so repeated bench
@@ -94,7 +66,6 @@ fn main() {
         load.addr = handle.addr();
         (tmp, Some(handle))
     } else {
-        load.addr = exit_on_err(addr.ok_or("need --addr or --spawn"), USAGE);
         (None, None)
     };
 
@@ -136,19 +107,56 @@ fn append_line(path: &std::path::Path, line: &str) -> std::io::Result<()> {
     writeln!(f, "{line}")
 }
 
-fn parse_num(v: &str, flag: &str) -> usize {
-    exit_on_err(v.replace('_', "").parse(), format!("{flag}: invalid number {v}"))
+/// The run the flags describe, or `None` for `--help`.
+fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Option<Args>, String> {
+    let mut addr: Option<SocketAddr> = None;
+    let mut parsed = Args {
+        load: LoadGenConfig { sessions: 4, requests: 8, ..LoadGenConfig::default() },
+        spawn: false,
+        store: None,
+        mem_budget: None,
+        bench_out: None,
+    };
+    let load = &mut parsed.load;
+    while let Some(arg) = args.next() {
+        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
+        match arg.as_str() {
+            "--addr" => {
+                let v = value("--addr")?;
+                addr = Some(v.parse().map_err(|_| format!("--addr: invalid address {v}"))?);
+            }
+            "--spawn" => parsed.spawn = true,
+            "--store" => parsed.store = Some(PathBuf::from(value("--store")?)),
+            "--bench-out" => parsed.bench_out = Some(PathBuf::from(value("--bench-out")?)),
+            "--sessions" => load.sessions = parse_num(&value("--sessions")?, "--sessions")?,
+            "--requests" => load.requests = parse_num(&value("--requests")?, "--requests")?,
+            "--benchmarks" => load.benchmarks = parse_num(&value("--benchmarks")?, "--benchmarks")?,
+            "--instructions" => {
+                load.instructions = parse_num(&value("--instructions")?, "--instructions")?
+            }
+            "--policies" => {
+                load.policies = value("--policies")?.split(',').map(str::to_string).collect()
+            }
+            "--chunk-delay-ms" => {
+                let ms = parse_num(&value("--chunk-delay-ms")?, "--chunk-delay-ms")? as u64;
+                load.chunk_delay = (ms > 0).then(|| Duration::from_millis(ms));
+            }
+            "--mem-budget" => {
+                let v = value("--mem-budget")?;
+                parsed.mem_budget = Some(parse_bytes(&v).ok_or(format!(
+                    "--mem-budget: invalid byte count {v} (use e.g. 64M, 2G, 500000)"
+                ))?);
+            }
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    if !parsed.spawn {
+        load.addr = addr.ok_or("need --addr or --spawn")?;
+    }
+    Ok(Some(parsed))
 }
 
-/// Byte count with an optional binary K/M/G suffix (`_` separators OK).
-fn parse_bytes(v: &str) -> Option<u64> {
-    let v = v.replace('_', "");
-    let (digits, shift) = match v.as_bytes().last()? {
-        b'k' | b'K' => (&v[..v.len() - 1], 10),
-        b'm' | b'M' => (&v[..v.len() - 1], 20),
-        b'g' | b'G' => (&v[..v.len() - 1], 30),
-        _ => (v.as_str(), 0),
-    };
-    let n: u64 = digits.parse().ok()?;
-    n.checked_mul(1u64 << shift)
+fn parse_num(v: &str, flag: &str) -> Result<usize, String> {
+    v.replace('_', "").parse().map_err(|_| format!("{flag}: invalid number {v}"))
 }

@@ -90,3 +90,18 @@ pub fn exit_on_err<T, E: std::fmt::Display>(result: Result<T, E>, context: impl 
         }
     }
 }
+
+/// Byte count with an optional binary K/M/G suffix; `_` separators are
+/// allowed in the digits. Mirrors `chirp-bench`'s `--mem-budget` syntax;
+/// the `--mem-budget` flag of `chirp-serve` and `loadgen`.
+pub fn parse_bytes(v: &str) -> Option<u64> {
+    let v = v.replace('_', "");
+    let (digits, shift) = match v.as_bytes().last()? {
+        b'k' | b'K' => (&v[..v.len() - 1], 10),
+        b'm' | b'M' => (&v[..v.len() - 1], 20),
+        b'g' | b'G' => (&v[..v.len() - 1], 30),
+        _ => (v.as_str(), 0),
+    };
+    let n: u64 = digits.parse().ok()?;
+    n.checked_mul(1u64 << shift)
+}

@@ -40,9 +40,9 @@ pub(crate) struct Metrics {
     pub internal_errors: Counter,
     /// Request latency, µs.
     pub request_us: Log2Histogram,
-    /// Receiving and hashing an upload, µs.
+    /// Receiving an upload, µs.
     pub ingest_us: Log2Histogram,
-    /// The streamed pass, µs.
+    /// The streamed pass (decode, checksum and simulation), µs.
     pub simulate_us: Log2Histogram,
     /// The archive write, µs.
     pub archive_us: Log2Histogram,

@@ -18,17 +18,18 @@
 //! in flight, so a single oversized trace degrades to serial service
 //! rather than livelock.
 //!
-//! Each request touches its trace bytes once. An upload is hashed chunk by
-//! chunk as it arrives; the run keys take their instruction count from the
-//! `CHRP` header; the ledger is probed before any decode. Only the
-//! policies the ledger does not answer run, in one streamed pass
-//! ([`chirp_sim::run_stream_group`]) that decodes the bytes batch by batch
-//! as the engine consumes them — never a whole decoded trace. An upload is
-//! archived, and its runs appended to the ledger, only once that pass has
-//! decoded every declared record; a full ledger hit on bytes the archive
-//! already holds (same checksum and length) skips decoding altogether.
-//! `RunArchived` streams the archived file the same way, checking its
-//! checksum before the last batch is replayed.
+//! Each request touches its trace bytes once. The run keys take their
+//! instruction count from the `CHRP` header, and the ledger is probed
+//! before any decode. Only the policies the ledger does not answer run,
+//! in one streamed pass ([`chirp_sim::run_stream_group`]) that decodes the
+//! bytes batch by batch as the engine consumes them — never a whole
+//! decoded trace — and hashes them in the same pass: that checksum of all
+//! the bytes is the upload's content address. An upload is archived, and
+//! its runs appended to the ledger, only once that pass has decoded every
+//! declared record. A full ledger hit hashes the bytes on their own and
+//! skips decoding when the archive already holds them (same checksum and
+//! length). `RunArchived` streams the archived file the same way,
+//! checking its checksum before the last batch is replayed.
 
 use crate::metrics::Metrics;
 use crate::wire::{
@@ -39,7 +40,7 @@ use chirp_sim::store_cache::{record_from_run, run_from_record, run_key};
 use chirp_sim::{run_stream_group, BenchRun, PolicyKind, SimConfig, DEFAULT_STREAM_CHUNK};
 use chirp_store::archive::ArchiveOutcome;
 use chirp_store::{
-    hex16, ArchiveTraceStream, EncodedTrace, EntryMeta, Fnv64, Store, StoreError, TraceArchive,
+    fnv64, hex16, ArchiveTraceStream, EncodedTrace, EntryMeta, Store, StoreError, TraceArchive,
 };
 use chirp_trace::{
     peek_record_count, Category, PackedTrace, SliceStream, StreamError, TraceStream,
@@ -485,13 +486,13 @@ impl RunSpec {
     }
 }
 
-/// Handles one `Submit`: admission, then one pass over the uploaded
-/// bytes. They are hashed as they arrive; a full ledger hit on bytes the
-/// archive already holds is answered without decoding them; otherwise the
-/// bytes are decoded in batches straight into the missing policies' run,
-/// and only once every declared record has decoded is the trace archived
-/// and the ledger appended. Returns false when the session must close
-/// (protocol error).
+/// Handles one `Submit`: admission, receipt of the bytes, then one pass
+/// over them. A full ledger hit on bytes the archive already holds is
+/// answered without decoding them; otherwise the bytes are decoded and
+/// hashed in batches straight into the missing policies' run, and only
+/// once every declared record has decoded is the trace archived and the
+/// ledger appended. Returns false when the session must close (protocol
+/// error).
 fn handle_submit(
     stream: &mut TcpStream,
     frames: &mut FrameReader,
@@ -539,10 +540,9 @@ fn handle_submit(
         return false;
     }
 
-    // Ingest the declared chunk stream, hashing each chunk on receipt.
+    // Receive the declared chunk stream.
     let ingest = Instant::now();
     let mut buf: Vec<u8> = Vec::with_capacity(header.trace_bytes as usize);
-    let mut hasher = Fnv64::new();
     loop {
         match frames.read_request(stream) {
             Ok(Some(Request::TraceChunk(chunk))) => {
@@ -553,7 +553,6 @@ fn handle_submit(
                     let _ = write_response(stream, &resp);
                     return false;
                 }
-                hasher.update(&chunk);
                 buf.extend_from_slice(&chunk);
             }
             Ok(Some(Request::TraceEnd)) => break,
@@ -582,17 +581,16 @@ fn handle_submit(
         return write_response(stream, &resp).is_ok();
     }
     shared.metrics.trace_bytes_received.add(buf.len() as u64);
-    let resp = verdict_response(submit_trace(shared, &spec, header.records, hasher.finish(), buf));
+    let resp = verdict_response(submit_trace(shared, &spec, header.records, buf));
     drop(guard);
     write_response(stream, &resp).is_ok()
 }
 
-/// Answers a fully received upload whose content hash is `hash`.
+/// Answers a fully received upload.
 fn submit_trace(
     shared: &Shared,
     spec: &RunSpec,
     records: u64,
-    hash: u64,
     bytes: Vec<u8>,
 ) -> Result<VerdictReply, Response> {
     let bad_trace = |e: &dyn fmt::Display| {
@@ -610,14 +608,17 @@ fn submit_trace(
     }
     let probe = Probe::new(shared, spec, records);
     // Bytes the archive already holds decoded cleanly when they were
-    // archived, so a full ledger hit on them needs no second decode.
-    let archived = shared.holds(&shared.lock_store(), hash, bytes.len());
-    let fresh = if archived && probe.missing.is_empty() {
-        Vec::new()
-    } else {
-        let mut trace =
-            SliceStream::new(&bytes, DEFAULT_STREAM_CHUNK).map_err(|e| bad_trace(&e))?;
-        simulate(shared, spec, &probe.missing, &mut trace).map_err(|e| bad_trace(&e))?
+    // archived, so a full ledger hit on them needs no second decode; only
+    // a full hit hashes the bytes on their own to find out. Every other
+    // request takes the hash from the pass that decodes the bytes.
+    let held = probe
+        .missing
+        .is_empty()
+        .then(|| fnv64(&bytes))
+        .filter(|&hash| shared.holds(&shared.lock_store(), hash, bytes.len()));
+    let (hash, fresh) = match held {
+        Some(hash) => (hash, Vec::new()),
+        None => stream_upload(shared, spec, &probe.missing, &bytes).map_err(|e| bad_trace(&e))?,
     };
     let started = Instant::now();
     let stored = archive_upload(shared, hash, records, bytes);
@@ -627,6 +628,20 @@ fn submit_trace(
         return Err(error_response(err::INTERNAL, format!("archive upload: {e}")));
     }
     probe.commit(shared, spec, hash, fresh)
+}
+
+/// Decodes and hashes `bytes` in one streamed pass that runs the
+/// `missing` policies, returning the content hash of all the bytes and
+/// the fresh runs.
+fn stream_upload(
+    shared: &Shared,
+    spec: &RunSpec,
+    missing: &[usize],
+    bytes: &[u8],
+) -> Result<(u64, Vec<BenchRun>), StreamError> {
+    let mut trace = SliceStream::new(bytes, DEFAULT_STREAM_CHUNK)?;
+    let fresh = simulate(shared, spec, missing, &mut trace)?;
+    Ok((trace.finish(), fresh))
 }
 
 /// Stores validated `CHRP` bytes in the archive under their content

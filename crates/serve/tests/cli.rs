@@ -1,12 +1,14 @@
-//! Exit statuses of the `chirp-serve` and `chirp-client` binaries: a
-//! usage error exits with 2, as the `chirp-bench` binaries do, and a
-//! runtime failure with 1. None of these invocations starts a server.
+//! Exit statuses of the `chirp-serve`, `chirp-client` and `loadgen`
+//! binaries: a usage error exits with 2, as the `chirp-bench` binaries
+//! do, and a runtime failure with 1. None of these invocations starts a
+//! server.
 
 use std::net::TcpListener;
 use std::process::Command;
 
 const SERVE: &str = env!("CARGO_BIN_EXE_chirp-serve");
 const CLIENT: &str = env!("CARGO_BIN_EXE_chirp-client");
+const LOADGEN: &str = env!("CARGO_BIN_EXE_loadgen");
 
 /// Runs `bin` with `args`, returning its exit code and standard error.
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
@@ -64,4 +66,32 @@ fn client_runtime_failure_exits_with_status_1() {
     let (code, stderr) = run(CLIENT, &["ping", "--addr", &addr]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("connect"), "{stderr}");
+}
+
+#[test]
+fn loadgen_rejects_usage_errors_with_status_2() {
+    for args in [
+        &[][..],
+        &["--threads", "2"],
+        &["--addr"],
+        &["--addr", "nowhere"],
+        &["--spawn", "--sessions"],
+        &["--spawn", "--sessions", "many"],
+        &["--spawn", "--requests", "-1"],
+        &["--spawn", "--mem-budget", "lots"],
+    ] {
+        let (code, stderr) = run(LOADGEN, args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: loadgen"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn loadgen_runtime_failure_exits_with_status_1() {
+    // A port that was just free: nothing listens there any more.
+    let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().to_string();
+    let args = ["--addr", &addr, "--sessions", "1", "--benchmarks", "1", "--instructions", "1000"];
+    let (code, stderr) = run(LOADGEN, &args);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(!stderr.contains("usage: loadgen"), "{stderr}");
 }

@@ -13,8 +13,11 @@
 //!   deterministically, and the load generator drives through the
 //!   backpressure to completion;
 //! * an upload that fails to decode is neither archived nor written to
-//!   the ledger, and an archived file that fails its checksum heals when
-//!   the same bytes are uploaded again;
+//!   the ledger, even when the ledger already answers every policy, and
+//!   an archived file that fails its checksum heals when the same bytes
+//!   are uploaded again;
+//! * the content hash covers every uploaded byte, trailing bytes after
+//!   the declared records included, and comes out of the decoding pass;
 //! * a client that pauses inside a frame for longer than the server's
 //!   session read timeout keeps its session, and neither a silent client
 //!   nor a client that never reads its replies blocks a shutdown;
@@ -493,6 +496,100 @@ fn corrupt_archived_upload_heals_on_resubmit() {
     assert_eq!(healed.verdicts.len(), 1);
     assert!(!healed.verdicts[0].from_ledger);
     assert_eq!(ledger_lines(root.path()), lines + 1);
+
+    drop(client);
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// Runs `srrip`, a policy the ledger does not hold after a `lru,chirp`
+/// submit, over the archived trace `hash`: the file must be streamed.
+fn run_srrip(client: &mut Client, spec: &BenchmarkSpec, hash: u64) -> VerdictReply {
+    let srrip = vec!["srrip".to_string()];
+    match client.run_archived(hash, &spec.name, spec.category.label(), spec.seed, &srrip, false) {
+        Ok(SubmitOutcome::Verdict(v)) => v,
+        other => panic!("expected a verdict for {hash:016x}, got {other:?}"),
+    }
+}
+
+#[test]
+fn trailing_bytes_are_part_of_the_content_hash_and_stay_servable() {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let spec = &suite[0];
+    let mut bytes = write_trace_packed(&spec.generate_packed(INSTRUCTIONS));
+    bytes.extend_from_slice(b"tail");
+    let root = TempDir::new("serve-trailing");
+    let handle = start_server(&root, None);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    let verdict = submit(&mut client, spec, &bytes);
+    assert_eq!(verdict.content_hash, fnv64(&bytes), "the hash covers the trailing bytes");
+    assert_eq!(verdict.trace_records, INSTRUCTIONS as u64);
+    let path = TraceArchive::open(root.path()).expect("open archive").trace_path(fnv64(&bytes));
+    assert_eq!(std::fs::read(&path).expect("archived file"), bytes);
+    let rerun = run_srrip(&mut client, spec, verdict.content_hash);
+    assert!(!rerun.verdicts[0].from_ledger, "the archived file streams");
+
+    drop(client);
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn full_ledger_hit_on_unarchived_bytes_decodes_hashes_and_archives_them() {
+    // The run keys name the benchmark and its length, not the bytes: a
+    // second trace of the same length under the same name is a full
+    // ledger hit on bytes the archive does not hold.
+    let suite = build_suite(&SuiteConfig { benchmarks: 2 });
+    let spec = &suite[0];
+    let first = write_trace_packed(&spec.generate_packed(INSTRUCTIONS));
+    let second = write_trace_packed(&suite[1].generate_packed(INSTRUCTIONS));
+    let root = TempDir::new("serve-hit-unarchived");
+    let handle = start_server(&root, None);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    submit(&mut client, spec, &first);
+    let lines = ledger_lines(root.path());
+
+    let verdict = submit(&mut client, spec, &second);
+    assert!(verdict.verdicts.iter().all(|v| v.from_ledger), "a full ledger hit");
+    assert_eq!(verdict.content_hash, fnv64(&second));
+    assert_eq!(ledger_lines(root.path()), lines, "a full hit appends nothing");
+    let archive = TraceArchive::open(root.path()).expect("open archive");
+    let path = archive.trace_path(fnv64(&second));
+    assert_eq!(std::fs::read(&path).expect("archived file"), second);
+    run_srrip(&mut client, spec, verdict.content_hash);
+
+    drop(client);
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn full_ledger_hit_on_undecodable_bytes_is_refused() {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let spec = &suite[0];
+    let bytes = write_trace_packed(&spec.generate_packed(INSTRUCTIONS));
+    let root = TempDir::new("serve-hit-undecodable");
+    let handle = start_server(&root, None);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    submit(&mut client, spec, &bytes);
+    let lines = ledger_lines(root.path());
+
+    // Same name and record count, so the ledger answers every policy;
+    // the bytes must still decode before they are archived.
+    let mut bad = bytes.clone();
+    let at = record_start(&bad, bad.len() / 2);
+    bad[at] = 0xEE;
+    let (code, message) = server_error(client.submit_bytes(
+        &spec.name,
+        spec.category.label(),
+        spec.seed,
+        &policy_labels(),
+        false,
+        &bad,
+    ));
+    assert_eq!(code, err::BAD_TRACE, "{message}");
+    let archive = TraceArchive::open(root.path()).expect("open archive");
+    assert!(archive.entry_meta(fnv64(&bad)).is_none(), "undecodable bytes are not archived");
+    assert_eq!(ledger_lines(root.path()), lines);
+    client.ping().expect("the session survives a bad trace");
 
     drop(client);
     handle.shutdown().expect("clean shutdown");

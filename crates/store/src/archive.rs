@@ -15,11 +15,11 @@
 //! file, bad checksum, undecodable bytes — is never fatal: the trace is
 //! regenerated from its spec and the archive entry is rewritten.
 
-use crate::hash::{fnv64, hex16, Fnv64};
+use crate::hash::{hex16, Fnv64};
 use crate::json::JsonObject;
 use crate::StoreError;
 use chirp_trace::suite::BenchmarkSpec;
-use chirp_trace::{read_trace_packed, write_trace_packed, PackedTrace};
+use chirp_trace::{read_trace_hashed, write_trace_hashed, PackedTrace};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
@@ -181,23 +181,24 @@ impl TraceArchive {
 
     /// Validates and decodes an archived trace file against its manifest
     /// metadata — the expensive read path, deliberately free of `self` so
-    /// parallel callers run it *outside* the archive lock. Returns `None`
-    /// on any mismatch (missing file, short/long read, bad checksum,
-    /// undecodable bytes); callers treat that as corruption and
-    /// regenerate.
+    /// parallel callers run it *outside* the archive lock. The checksum
+    /// is computed in the decoding pass. Returns `None` on any mismatch
+    /// (missing file, short/long read, bad checksum, undecodable bytes);
+    /// callers treat that as corruption and regenerate.
     pub fn decode_file(path: &Path, meta: EntryMeta) -> Option<PackedTrace> {
         let bytes = fs::read(path).ok()?;
-        if bytes.len() as u64 != meta.bytes || fnv64(&bytes) != meta.checksum {
+        if bytes.len() as u64 != meta.bytes {
             return None;
         }
-        read_trace_packed(&bytes).ok()
+        let (trace, checksum) = read_trace_hashed(&bytes).ok()?;
+        (checksum == meta.checksum).then_some(trace)
     }
 
-    /// Encodes a packed trace for archiving — codec plus checksum, free of
-    /// `self` so it runs outside the archive lock.
+    /// Encodes a packed trace for archiving — codec plus checksum, hashed
+    /// as the bytes are written, free of `self` so it runs outside the
+    /// archive lock.
     pub fn encode_packed(trace: &PackedTrace) -> EncodedTrace {
-        let bytes = write_trace_packed(trace);
-        let checksum = fnv64(&bytes);
+        let (bytes, checksum) = write_trace_hashed(trace);
         EncodedTrace { checksum, records: trace.len() as u64, bytes }
     }
 
@@ -243,16 +244,15 @@ impl TraceArchive {
         self.stats.hits += 1;
     }
 
-    /// Materialises (`spec`, `len`) if absent or invalid, without decoding
-    /// an existing valid file. Returns the outcome.
+    /// Materialises (`spec`, `len`) if absent or invalid: an existing file
+    /// counts as a hit when it decodes with the manifest's length and
+    /// checksum. Returns the outcome.
     pub fn pack(&mut self, spec: &BenchmarkSpec, len: usize) -> Result<ArchiveOutcome, StoreError> {
         let key = Self::content_key(spec, len);
-        if let Some(meta) = self.entries.get(&key) {
-            if let Ok(bytes) = fs::read(self.trace_path(key)) {
-                if bytes.len() as u64 == meta.bytes && fnv64(&bytes) == meta.checksum {
-                    self.stats.hits += 1;
-                    return Ok(ArchiveOutcome::Hit);
-                }
+        if let Some(&meta) = self.entries.get(&key) {
+            if Self::decode_file(&self.trace_path(key), meta).is_some() {
+                self.stats.hits += 1;
+                return Ok(ArchiveOutcome::Hit);
             }
             return self.regenerate(spec, len, key, ArchiveOutcome::CorruptRegenerated);
         }
@@ -273,21 +273,14 @@ impl TraceArchive {
         Ok(outcome)
     }
 
-    /// Checksum-audits every manifest entry. Returns `(valid, corrupt)`
-    /// counts; corrupt entries (missing files count as corrupt) are listed
-    /// by key in the second element.
+    /// Checksum-audits and decodes every manifest entry. Returns `(valid,
+    /// corrupt)` counts; corrupt entries (missing files count as corrupt)
+    /// are listed by key in the second element.
     pub fn verify(&self) -> (usize, Vec<u64>) {
         let mut valid = 0usize;
         let mut corrupt = Vec::new();
-        for (&key, entry) in &self.entries {
-            let ok = fs::read(self.trace_path(key))
-                .map(|bytes| {
-                    bytes.len() as u64 == entry.bytes
-                        && fnv64(&bytes) == entry.checksum
-                        && read_trace_packed(&bytes).is_ok()
-                })
-                .unwrap_or(false);
-            if ok {
+        for (&key, &entry) in &self.entries {
+            if Self::decode_file(&self.trace_path(key), entry).is_some() {
                 valid += 1;
             } else {
                 corrupt.push(key);
@@ -350,7 +343,9 @@ pub(crate) fn append_line(path: &Path, line: &str) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::fnv64;
     use chirp_trace::suite::{build_suite, SuiteConfig};
+    use chirp_trace::write_trace_packed;
 
     fn tmpdir(tag: &str) -> crate::TempDir {
         crate::TempDir::new(&format!("store-archive-{tag}"))
@@ -472,5 +467,14 @@ mod tests {
         let bytes = write_trace_packed(&spec.generate_packed(20_000));
         assert_eq!(bytes.len(), 156_735);
         assert_eq!(fnv64(&bytes), 0xeaf1_084c_3a60_3a8c);
+    }
+
+    #[test]
+    fn encoded_checksum_is_the_pinned_fnv64() {
+        // The checksum hashed while encoding is the pinned hash above.
+        let spec = build_suite(&SuiteConfig { benchmarks: 1 }).remove(0);
+        let encoded = TraceArchive::encode_packed(&spec.generate_packed(20_000));
+        assert_eq!((encoded.bytes.len(), encoded.checksum), (156_735, 0xeaf1_084c_3a60_3a8c));
+        assert_eq!(encoded.checksum, fnv64(&encoded.bytes));
     }
 }

@@ -4,8 +4,9 @@
 //! batches through the codec's chunked path, so replaying an archived
 //! trace never materialises it: peak residency is O(chunk) plus the
 //! decoder's 64 KiB read window. Integrity matches the materialized
-//! archive path — the file's FNV-1a checksum is accumulated as the
-//! decoder reads each block into its window and verified against the
+//! archive path — the decoder folds the file's FNV-1a checksum in as it
+//! decodes each record, and the checksum and length of the whole file,
+//! bytes past the last record included, are verified against the
 //! manifest entry before the final batch is handed out, so a consumer
 //! that receives every batch has replayed a checksum-clean file. On any
 //! failure (I/O, decode, checksum) callers treat the entry as corrupt and
@@ -18,48 +19,17 @@
 //! the stream with the lock released.
 
 use crate::archive::EntryMeta;
-use crate::hash::Fnv64;
 use chirp_trace::codec::ChunkedDecoder;
 use chirp_trace::stream::{StreamError, TraceStream};
 use chirp_trace::PackedTrace;
 use std::fs::File;
-use std::io::Read;
 use std::path::Path;
-
-/// A reader adapter that checksums and counts every byte read through
-/// it. The decoder reads the file through it in 64 KiB blocks, so the
-/// hash is updated once per block and each byte is hashed exactly once,
-/// when it enters the decoder's window. Bytes read ahead of the last
-/// decoded record are already counted, and [`ArchiveTraceStream`] drains
-/// the rest of the file to EOF before comparing, so the checksum covers
-/// the whole file.
-#[derive(Debug)]
-struct HashingReader<R> {
-    inner: R,
-    hasher: Fnv64,
-    consumed: u64,
-}
-
-impl<R: Read> HashingReader<R> {
-    fn new(inner: R) -> HashingReader<R> {
-        HashingReader { inner, hasher: Fnv64::new(), consumed: 0 }
-    }
-}
-
-impl<R: Read> Read for HashingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.hasher.update(&buf[..n]);
-        self.consumed += n as u64;
-        Ok(n)
-    }
-}
 
 /// Streams an archived trace file in bounded [`PackedTrace`] batches,
 /// verifying the manifest checksum over the whole file as a side effect
 /// of consumption.
 pub struct ArchiveTraceStream {
-    decoder: Option<ChunkedDecoder<HashingReader<File>>>,
+    decoder: Option<ChunkedDecoder<File>>,
     meta: EntryMeta,
     chunk: usize,
     len: usize,
@@ -89,27 +59,24 @@ impl ArchiveTraceStream {
         chunk: usize,
     ) -> Result<ArchiveTraceStream, StreamError> {
         let file = File::open(path)?;
-        let decoder = ChunkedDecoder::new(HashingReader::new(file))?;
+        let decoder = ChunkedDecoder::new(file)?;
         let len = decoder.remaining();
         Ok(ArchiveTraceStream { decoder: Some(decoder), meta, chunk: chunk.max(1), len })
     }
 
-    /// Drains the rest of the file through the hasher and checks length
-    /// and checksum against the manifest entry.
+    /// Reads the rest of the file through the decoder's checksum and
+    /// checks length and checksum against the manifest entry. Bytes past
+    /// the last record (a corrupt or tampered file) count toward both.
     fn verify_checksum(&mut self) -> Result<(), StreamError> {
         let Some(decoder) = self.decoder.take() else { return Ok(()) };
-        let mut reader = decoder.into_inner();
-        // The record section may be followed by trailing bytes (a corrupt
-        // or tampered file); they are part of the checksummed length, so
-        // consume to EOF before comparing.
-        std::io::copy(&mut reader, &mut std::io::sink())?;
-        if reader.consumed != self.meta.bytes {
+        let digest = decoder.finish()?;
+        if digest.bytes != self.meta.bytes {
             return Err(StreamError::Corrupt(format!(
                 "archived trace is {} bytes, manifest says {}",
-                reader.consumed, self.meta.bytes
+                digest.bytes, self.meta.bytes
             )));
         }
-        let checksum = reader.hasher.finish();
+        let checksum = digest.checksum;
         if checksum != self.meta.checksum {
             return Err(StreamError::Corrupt(format!(
                 "archived trace checksum {checksum:016x} != manifest {:016x}",
@@ -231,6 +198,58 @@ mod tests {
         let outcome = ArchiveTraceStream::open(&path, meta, 512)
             .and_then(|mut stream| collect_stream(&mut stream).map(|_| ()));
         assert!(matches!(outcome, Err(StreamError::Corrupt(_))), "got {outcome:?}");
+    }
+
+    /// Damaged copies of `bytes`: one flipped bit at the first byte, in
+    /// the record count's low byte, at either side of the decoder's
+    /// first 64 KiB window refill and at the last byte; one byte
+    /// appended; a cut one byte into the record nearest the middle.
+    fn damaged(bytes: &[u8]) -> Vec<(String, Vec<u8>)> {
+        const WINDOW: usize = 64 * 1024;
+        let mut out = Vec::new();
+        for at in [0, 5, WINDOW - 1, WINDOW, WINDOW + 1, bytes.len() - 1] {
+            let mut bad = bytes.to_vec();
+            bad[at] ^= 0x01;
+            out.push((format!("flip at {at}"), bad));
+        }
+        let mut longer = bytes.to_vec();
+        longer.push(0);
+        out.push(("one trailing byte".into(), longer));
+        let records = chirp_trace::read_trace(bytes).unwrap();
+        let middle = chirp_trace::write_trace(&records[..records.len() / 2]).len();
+        out.push((format!("cut at {}", middle + 1), bytes[..middle + 1].to_vec()));
+        out
+    }
+
+    #[test]
+    fn every_damaged_file_fails_before_the_last_batch() {
+        let root = TempDir::new("archive-stream-damage");
+        // An odd count: the flip in its low byte declares one record
+        // fewer, so the last real record becomes trailing bytes.
+        let len = 25_001;
+        let (archive, key, want) = archived(&root, len);
+        let meta = archive.entry_meta(key).unwrap();
+        let path = archive.trace_path(key);
+        let bytes = fs::read(&path).unwrap();
+        assert!(meta.bytes as usize > 2 * 64 * 1024, "{} bytes", meta.bytes);
+        for (what, bad) in damaged(&bytes) {
+            fs::write(&path, &bad).unwrap();
+            assert_eq!(TraceArchive::decode_file(&path, meta), None, "{what}");
+            let Ok(mut stream) = ArchiveTraceStream::open(&path, meta, 512) else { continue };
+            let mut yielded = 0;
+            let outcome = loop {
+                match stream.next_batch() {
+                    Ok(Some(batch)) => yielded += batch.len(),
+                    Ok(None) => break Ok(()),
+                    Err(e) => break Err(e),
+                }
+            };
+            assert!(outcome.is_err(), "{what}: streamed cleanly");
+            assert!(yielded < len.min(stream.len()), "{what}: {yielded} records handed out");
+        }
+        fs::write(&path, &bytes).unwrap();
+        let mut stream = ArchiveTraceStream::open(&path, meta, 512).unwrap();
+        assert_eq!(collect_stream(&mut stream).unwrap().to_records(), want.to_records());
     }
 
     #[test]

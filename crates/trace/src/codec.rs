@@ -31,7 +31,18 @@
 //! which also decides every varint error. All paths therefore accept the
 //! same buffers, yield the same records and fail with the same
 //! [`CodecError`].
+//!
+//! Every pass also folds the bytes it walks into an FNV-1a checksum
+//! ([`Fnv64`]) as it goes: after each record, the whole 8-byte blocks
+//! behind the cursor are hashed, so the hash's serial multiply chain runs
+//! beside the record work instead of as a second pass over the buffer.
+//! The header, the bytes left short of a block when [`ChunkedDecoder`]
+//! refills its window, and any bytes past the last record are hashed too,
+//! so [`read_trace_hashed`], [`ChunkedDecoder::finish`] and
+//! [`write_trace_hashed`] hand back [`fnv64`](crate::hash::fnv64) of the
+//! whole buffer or stream as a by-product.
 
+use crate::hash::Fnv64;
 use crate::packed::PackedTrace;
 use crate::record::{InstrKind, TraceRecord};
 use std::fmt;
@@ -155,6 +166,45 @@ fn get_varint_bytes(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     Err(CodecError::BadVarint)
 }
 
+/// The FNV-1a checksum and length of every byte a [`ChunkedDecoder`]
+/// consumed: the header, the records and anything after them up to the
+/// end of the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ByteDigest {
+    /// [`fnv64`](crate::hash::fnv64) of the bytes.
+    pub checksum: u64,
+    /// How many bytes there were.
+    pub bytes: u64,
+}
+
+/// FNV-1a over a buffer a codec pass walks front to back, folded in
+/// 8-byte blocks that trail the pass's cursor. `data[..done]` is hashed.
+#[derive(Debug, Clone, Copy, Default)]
+struct TrailingHash {
+    hash: Fnv64,
+    done: usize,
+}
+
+impl TrailingHash {
+    /// Folds every whole 8-byte block of `data[done..cursor]`; called
+    /// once per record, so the fold overlaps the next record's work.
+    #[inline(always)]
+    fn trail(&mut self, data: &[u8], cursor: usize) {
+        while self.done + 8 <= cursor {
+            let block: &[u8; 8] = data[self.done..self.done + 8].try_into().expect("8 bytes");
+            self.hash.update(block);
+            self.done += 8;
+        }
+    }
+
+    /// Folds the rest of `data[done..cursor]`, bytes short of a block
+    /// included.
+    fn catch_up(&mut self, data: &[u8], cursor: usize) {
+        self.hash.update(&data[self.done..cursor]);
+        self.done = cursor;
+    }
+}
+
 /// Serialises a trace into the compact binary format.
 ///
 /// ```
@@ -166,21 +216,34 @@ fn get_varint_bytes(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
 /// # Ok::<(), chirp_trace::CodecError>(())
 /// ```
 pub fn write_trace(records: &[TraceRecord]) -> Vec<u8> {
-    encode(records.len(), records.iter().copied())
+    encode::<false, _>(records.len(), records.iter().copied()).0
 }
 
 /// Serialises a [`PackedTrace`] into the same binary format as
 /// [`write_trace`] — the encoding depends only on the record sequence, not
 /// on the in-memory representation.
 pub fn write_trace_packed(trace: &PackedTrace) -> Vec<u8> {
-    encode(trace.len(), trace.iter())
+    encode::<false, _>(trace.len(), trace.iter()).0
 }
 
-fn encode<I: Iterator<Item = TraceRecord>>(count: usize, records: I) -> Vec<u8> {
+/// [`write_trace_packed`] with the [`fnv64`](crate::hash::fnv64) of the
+/// bytes, hashed as they are written.
+pub fn write_trace_hashed(trace: &PackedTrace) -> (Vec<u8>, u64) {
+    encode::<true, _>(trace.len(), trace.iter())
+}
+
+/// The encoding of `records` and, with `HASH`, its checksum (without, the
+/// hash of no bytes, which the callers drop): the hash's serial multiply
+/// chain would set the pace of an encode whose caller does not need it.
+fn encode<const HASH: bool, I: Iterator<Item = TraceRecord>>(
+    count: usize,
+    records: I,
+) -> (Vec<u8>, u64) {
     let mut buf = Vec::with_capacity(HEADER_BYTES + count * 4);
     buf.extend_from_slice(MAGIC);
     buf.push(VERSION);
     buf.extend_from_slice(&(count as u64).to_le_bytes());
+    let mut hash = TrailingHash::default();
     let mut prev_pc = 0u64;
     for rec in records {
         let mut flags = 0u8;
@@ -205,18 +268,26 @@ fn encode<I: Iterator<Item = TraceRecord>>(count: usize, records: I) -> Vec<u8> 
         if has_target {
             put_varint(&mut buf, rec.target);
         }
+        if HASH {
+            hash.trail(&buf, buf.len());
+        }
     }
-    buf
+    if HASH {
+        hash.catch_up(&buf, buf.len());
+    }
+    (buf, hash.hash.finish())
 }
 
 /// Record-level decode state shared by every decode path: header
 /// validation up front, then records decoded in runs by
 /// [`DecoderCore::decode`] straight into a [`PackedTrace`]'s columns.
 /// [`read_trace_packed`] hands it the whole buffer and [`ChunkedDecoder`]
-/// its read window, so the paths cannot diverge.
+/// its read window, so the paths cannot diverge. The checksum of the
+/// bytes trails the decode cursor through the same buffer.
 struct DecoderCore {
     remaining: usize,
     prev_pc: u64,
+    hash: TrailingHash,
 }
 
 impl DecoderCore {
@@ -226,7 +297,11 @@ impl DecoderCore {
         let count = peek_record_count(data)?;
         // A count past `usize` cannot be backed by a buffer: saturate and
         // let decoding fail as `Truncated`.
-        Ok(DecoderCore { remaining: usize::try_from(count).unwrap_or(usize::MAX), prev_pc: 0 })
+        Ok(DecoderCore {
+            remaining: usize::try_from(count).unwrap_or(usize::MAX),
+            prev_pc: 0,
+            hash: TrailingHash::default(),
+        })
     }
 
     /// Decodes up to `want` records (at most [`Self::remaining`]) from
@@ -234,7 +309,8 @@ impl DecoderCore {
     /// decoded. With `last`, `data` holds every byte left and a record
     /// cut short fails as [`CodecError::Truncated`]; without, decoding
     /// stops before a record that may not be wholly buffered (fewer than
-    /// [`MAX_RECORD_BYTES`] left), for the caller to refill.
+    /// [`MAX_RECORD_BYTES`] left), for the caller to refill. The whole
+    /// 8-byte blocks of `data` behind the last decoded record are hashed.
     fn decode(
         &mut self,
         data: &[u8],
@@ -245,6 +321,7 @@ impl DecoderCore {
     ) -> Result<usize, CodecError> {
         let want = want.min(self.remaining);
         let mut p = *pos;
+        let mut hash = self.hash;
         let mut done = 0;
         while done < want && (last || p + MAX_RECORD_BYTES <= data.len()) {
             let kind_byte = *data.get(p).ok_or(CodecError::Truncated)?;
@@ -258,9 +335,11 @@ impl DecoderCore {
             // The flags said what was encoded; the kind decides what is
             // kept.
             out.push_parts(pc, kind, flags & FLAG_TAKEN != 0, ea, target);
+            hash.trail(data, p);
             done += 1;
         }
         *pos = p;
+        self.hash = hash;
         self.remaining -= done;
         Ok(done)
     }
@@ -301,6 +380,8 @@ impl std::error::Error for ChunkedDecodeError {}
 /// out of that window with the same decoder core as the in-memory paths,
 /// so the decoded record sequence — and the error for a malformed one —
 /// is identical to [`read_trace_packed`] on the concatenated bytes.
+/// [`ChunkedDecoder::finish`] reads the source to its end and returns the
+/// checksum and length of everything read, hashed as it was decoded.
 ///
 /// ```
 /// use chirp_trace::{codec::ChunkedDecoder, write_trace, TraceRecord};
@@ -321,6 +402,8 @@ pub struct ChunkedDecoder<R: Read> {
     end: usize,
     /// The reader has returned end of stream.
     eof: bool,
+    /// Bytes read from `reader` so far.
+    read: u64,
     core: DecoderCore,
 }
 
@@ -339,7 +422,8 @@ impl<R: Read> ChunkedDecoder<R> {
             pos: 0,
             end: 0,
             eof: false,
-            core: DecoderCore { remaining: 0, prev_pc: 0 },
+            read: 0,
+            core: DecoderCore { remaining: 0, prev_pc: 0, hash: TrailingHash::default() },
         };
         dec.fill(HEADER_BYTES)?;
         dec.core = DecoderCore::read_header(&dec.window[..dec.end])?;
@@ -381,21 +465,41 @@ impl<R: Read> ChunkedDecoder<R> {
         Ok(Some(out))
     }
 
-    /// Consumes the decoder, returning the underlying reader — lets a
-    /// checksumming reader be inspected once decoding is done. The reader
-    /// is positioned at the end of the last block read, which may lie
-    /// past the last decoded record.
-    pub fn into_inner(self) -> R {
-        self.reader
+    /// Reads the source to its end and returns the checksum and length of
+    /// every byte it yielded: the header, the records and anything after
+    /// the last declared record. Bytes of records not yet decoded are
+    /// hashed without being decoded, so a caller that needs them checked
+    /// drains [`Self::next_chunk`] first.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a reader I/O error.
+    pub fn finish(mut self) -> Result<ByteDigest, ChunkedDecodeError> {
+        self.core.hash.catch_up(&self.window, self.end);
+        let mut hash = self.core.hash.hash;
+        while !self.eof {
+            match self.reader.read(&mut self.window) {
+                Ok(0) => self.eof = true,
+                Ok(n) => {
+                    hash.update(&self.window[..n]);
+                    self.read += n as u64;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(ChunkedDecodeError::Io(e)),
+            }
+        }
+        Ok(ByteDigest { checksum: hash.finish(), bytes: self.read })
     }
 
     /// Reads until at least `want` undecoded bytes are buffered or the
     /// reader hits EOF, first moving the undecoded tail to the front of
-    /// the window.
+    /// the window (and hashing the decoded bytes it drops).
     fn fill(&mut self, want: usize) -> Result<(), ChunkedDecodeError> {
         if self.end - self.pos >= want || self.eof {
             return Ok(());
         }
+        self.core.hash.catch_up(&self.window, self.pos);
+        self.core.hash.done = 0;
         self.window.copy_within(self.pos..self.end, 0);
         self.end -= self.pos;
         self.pos = 0;
@@ -405,7 +509,10 @@ impl<R: Read> ChunkedDecoder<R> {
                     self.eof = true;
                     break;
                 }
-                Ok(n) => self.end += n,
+                Ok(n) => {
+                    self.end += n;
+                    self.read += n as u64;
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(ChunkedDecodeError::Io(e)),
             }
@@ -459,14 +566,27 @@ pub fn peek_record_count(data: &[u8]) -> Result<u64, CodecError> {
 ///
 /// Same failure modes as [`read_trace`].
 pub fn read_trace_packed(data: &[u8]) -> Result<PackedTrace, CodecError> {
+    read_trace_hashed(data).map(|(trace, _)| trace)
+}
+
+/// [`read_trace_packed`] with the [`fnv64`](crate::hash::fnv64) of the
+/// whole of `data`, bytes past the last record included, hashed in the
+/// decoding pass.
+///
+/// # Errors
+///
+/// Same failure modes as [`read_trace`].
+pub fn read_trace_hashed(data: &[u8]) -> Result<(PackedTrace, u64), CodecError> {
     let mut core = DecoderCore::read_header(data)?;
-    // Preallocate for the declared count, capped by what the buffer can
-    // hold, so a corrupt count cannot force a huge allocation before
-    // decoding fails.
-    let mut out = PackedTrace::with_capacity(core.remaining.min(data.len() / MIN_RECORD_BYTES));
+    // Reserve every column for the declared count, capped by what the
+    // buffer can hold, so no column doubles its way through the trace and
+    // a corrupt count cannot force a huge allocation before decoding
+    // fails.
+    let mut out = PackedTrace::reserved(core.remaining.min(data.len() / MIN_RECORD_BYTES));
     let mut pos = HEADER_BYTES;
     core.decode(data, &mut pos, &mut out, usize::MAX, true)?;
-    Ok(out)
+    core.hash.catch_up(data, data.len());
+    Ok((out, core.hash.hash.finish()))
 }
 
 #[cfg(test)]
@@ -690,6 +810,46 @@ mod tests {
         })
     }
 
+    /// Reader handing out between 1 and `k` bytes per `read`, the
+    /// count drawn from a small LCG, so records straddle refills at
+    /// every offset.
+    struct RaggedReads<'a> {
+        data: &'a [u8],
+        k: usize,
+        state: u64,
+    }
+
+    impl std::io::Read for RaggedReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.state = self.state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let want = 1 + (self.state >> 33) as usize % self.k;
+            let n = want.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// [`drain_chunked`], then [`ChunkedDecoder::finish`]: the records
+    /// and the digest of every byte the reader yielded.
+    fn drain_and_finish<R: Read>(
+        reader: R,
+        chunk: usize,
+    ) -> Result<(Vec<TraceRecord>, ByteDigest), CodecError> {
+        let run = || -> Result<(Vec<TraceRecord>, ByteDigest), ChunkedDecodeError> {
+            let mut dec = ChunkedDecoder::new(reader)?;
+            let mut got = Vec::new();
+            while let Some(batch) = dec.next_chunk(chunk)? {
+                got.extend(batch.iter());
+            }
+            Ok((got, dec.finish()?))
+        };
+        run().map_err(|e| match e {
+            ChunkedDecodeError::Codec(e) => e,
+            ChunkedDecodeError::Io(e) => panic!("unexpected I/O error: {e}"),
+        })
+    }
+
     #[test]
     fn chunked_decode_crosses_window_refills() {
         // Every field a 10-byte varint (a PC delta with the top bit set,
@@ -861,6 +1021,7 @@ mod tests {
     /// through [`ChunkedDecoder`] over ragged reads.
     mod differential {
         use super::*;
+        use crate::hash::fnv64;
         use proptest::collection::vec;
         use proptest::prelude::*;
 
@@ -970,26 +1131,6 @@ mod tests {
             Ok(out)
         }
 
-        /// Reader handing out between 1 and `k` bytes per `read`, the
-        /// count drawn from a small LCG, so records straddle refills at
-        /// every offset.
-        struct RaggedReads<'a> {
-            data: &'a [u8],
-            k: usize,
-            state: u64,
-        }
-
-        impl std::io::Read for RaggedReads<'_> {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                self.state = self.state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                let want = 1 + (self.state >> 33) as usize % self.k;
-                let n = want.min(buf.len()).min(self.data.len());
-                buf[..n].copy_from_slice(&self.data[..n]);
-                self.data = &self.data[n..];
-                Ok(n)
-            }
-        }
-
         /// Batch sizes at and around a taken word (64 records), one, a
         /// front-end chunk and a stream batch.
         const BATCHES: [usize; 6] = [1, 63, 64, 65, 4_096, 65_536];
@@ -1063,6 +1204,149 @@ mod tests {
                 }
                 bytes.truncate((cut % (bytes.len() as u64 + 1)) as usize);
                 check_all_paths(&bytes, k, seed);
+            }
+
+            #[test]
+            fn every_path_hashes_every_byte_it_consumed(
+                records in vec(arb_raw(), 0..60usize),
+                damage in vec((any::<u64>(), 1u16..256), 0..3usize),
+                tail in vec(any::<u8>(), 0..48usize),
+                cut in any::<u64>(),
+                k in 1usize..41,
+                seed in any::<u64>(),
+            ) {
+                // Flipped bytes, bytes past the last record, then a cut
+                // at any point (or none): wherever the decode succeeds,
+                // its checksum is `fnv64` of the whole buffer.
+                let mut bytes = encode_raw(&records);
+                bytes.extend_from_slice(&tail);
+                for (at, flip) in damage {
+                    let i = (at % bytes.len() as u64) as usize;
+                    bytes[i] ^= flip as u8;
+                }
+                bytes.truncate((cut % (bytes.len() as u64 + 1)) as usize);
+                let whole = read_trace_hashed(&bytes).map(|(t, h)| (t.to_records(), h));
+                if let Ok((_, checksum)) = &whole {
+                    prop_assert_eq!(*checksum, fnv64(&bytes));
+                }
+                let reader = RaggedReads { data: &bytes, k, state: seed };
+                let chunked = drain_and_finish(reader, 7)
+                    .map(|(records, digest)| (records, digest.checksum, digest.bytes));
+                prop_assert_eq!(
+                    chunked,
+                    whole.map(|(records, checksum)| (records, checksum, bytes.len() as u64))
+                );
+            }
+        }
+    }
+
+    /// The checksum each pass folds in as it decodes or encodes, against
+    /// `fnv64` over the same bytes.
+    mod checksum {
+        use super::*;
+        use crate::gen::{ContextCopy, WorkloadGen};
+        use crate::hash::fnv64;
+
+        /// An encoding spanning several read windows.
+        fn long_encoding() -> Vec<u8> {
+            let bytes = write_trace_packed(&ContextCopy::default().generate_packed(30_001, 5));
+            assert!(bytes.len() > 2 * WINDOW_BYTES + 1, "{} bytes", bytes.len());
+            bytes
+        }
+
+        fn digest_of(bytes: &[u8]) -> ByteDigest {
+            ByteDigest { checksum: fnv64(bytes), bytes: bytes.len() as u64 }
+        }
+
+        /// Offset of the first record at or past `from`: the encoding of
+        /// a prefix of the records is a prefix of the encoding.
+        fn record_start(bytes: &[u8], from: usize) -> usize {
+            let records = read_trace(bytes).unwrap();
+            let offset = |n: usize| write_trace(&records[..n]).len();
+            let (mut lo, mut hi) = (0, records.len());
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if offset(mid) < from {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            assert!(lo < records.len(), "encoding shorter than {from} bytes");
+            offset(lo)
+        }
+
+        /// Damaged copies of `bytes`: one flipped bit at the first byte,
+        /// in the record count, at either side of the first window
+        /// refill and at the last byte; one byte, then more than a window
+        /// of bytes, appended; a cut inside a record.
+        fn damaged(bytes: &[u8]) -> Vec<(String, Vec<u8>)> {
+            let mut out = Vec::new();
+            for at in [0, 5, WINDOW_BYTES - 1, WINDOW_BYTES, WINDOW_BYTES + 1, bytes.len() - 1] {
+                let mut bad = bytes.to_vec();
+                bad[at] ^= 0x01;
+                out.push((format!("flip at {at}"), bad));
+            }
+            let mut longer = bytes.to_vec();
+            longer.push(0);
+            out.push(("one trailing byte".into(), longer));
+            // Past the last record by more than a window: read only by
+            // `finish`.
+            let mut longer = bytes.to_vec();
+            longer.extend((0..WINDOW_BYTES + 3).map(|i| i as u8));
+            out.push(("a window of trailing bytes".into(), longer));
+            let cut = record_start(bytes, bytes.len() / 2) + 1;
+            out.push((format!("cut at {cut}"), bytes[..cut].to_vec()));
+            out
+        }
+
+        #[test]
+        fn every_pass_hands_back_the_fnv64_of_the_whole_buffer() {
+            let bytes = long_encoding();
+            let trace = read_trace_packed(&bytes).unwrap();
+            assert_eq!(write_trace_hashed(&trace), (bytes.clone(), fnv64(&bytes)));
+            assert_eq!(read_trace_hashed(&bytes).map(|(_, h)| h), Ok(fnv64(&bytes)));
+            let records = trace.to_records();
+            for k in [1usize, 7, 40, 4_096, WINDOW_BYTES + 1] {
+                for chunk in [997usize, 65_536] {
+                    let reader = RaggedReads { data: &bytes, k, state: k as u64 };
+                    let got = drain_and_finish(reader, chunk);
+                    assert_eq!(
+                        got,
+                        Ok((records.clone(), digest_of(&bytes))),
+                        "k {k} chunk {chunk}"
+                    );
+                }
+            }
+            // No records: the header alone.
+            let empty = write_trace(&[]);
+            assert_eq!(drain_and_finish(&empty[..], 64), Ok((Vec::new(), digest_of(&empty))));
+        }
+
+        #[test]
+        fn a_finish_before_the_last_record_hashes_the_rest_undecoded() {
+            let bytes = long_encoding();
+            let mut dec =
+                ChunkedDecoder::new(RaggedReads { data: &bytes, k: 40, state: 3 }).unwrap();
+            assert_eq!(dec.next_chunk(1_000).unwrap().map(|c| c.len()), Some(1_000));
+            assert_eq!(dec.finish().unwrap(), digest_of(&bytes));
+        }
+
+        #[test]
+        fn damaged_buffers_fail_or_hash_every_byte() {
+            let bytes = long_encoding();
+            for (what, bad) in damaged(&bytes) {
+                assert_ne!(fnv64(&bad), fnv64(&bytes), "{what}");
+                let whole = read_trace_hashed(&bad).map(|(t, h)| (t.to_records(), h));
+                if let Ok((_, checksum)) = &whole {
+                    assert_eq!(*checksum, fnv64(&bad), "{what}");
+                }
+                for k in [1usize, 40, 5_000] {
+                    let reader = RaggedReads { data: &bad, k, state: k as u64 };
+                    let chunked = drain_and_finish(reader, 997);
+                    let want = whole.clone().map(|(records, _)| (records, digest_of(&bad)));
+                    assert_eq!(chunked, want, "{what}, k {k}");
+                }
             }
         }
     }

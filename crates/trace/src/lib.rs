@@ -27,6 +27,7 @@
 
 pub mod codec;
 pub mod gen;
+pub mod hash;
 pub mod packed;
 pub mod record;
 pub mod rng;
@@ -35,10 +36,12 @@ pub mod stream;
 pub mod suite;
 
 pub use codec::{
-    peek_record_count, read_trace, read_trace_packed, write_trace, write_trace_packed,
-    ChunkedDecodeError, ChunkedDecoder, CodecError,
+    peek_record_count, read_trace, read_trace_hashed, read_trace_packed, write_trace,
+    write_trace_hashed, write_trace_packed, ByteDigest, ChunkedDecodeError, ChunkedDecoder,
+    CodecError,
 };
 pub use gen::Category;
+pub use hash::{fnv64, Fnv64};
 pub use packed::{PackedTrace, PackedTraceBuilder, TraceChunk, TraceChunks};
 pub use record::{BranchClass, InstrKind, TraceRecord};
 pub use stats::TraceStats;

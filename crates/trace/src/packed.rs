@@ -64,6 +64,18 @@ impl PackedTrace {
         }
     }
 
+    /// An empty trace with every column, the side tables included, sized
+    /// for `len` records: the whole-buffer decode's bound, so no column
+    /// grows by doubling over a whole trace. Side-table capacity a kind
+    /// mix leaves unused is never written.
+    pub(crate) fn reserved(len: usize) -> PackedTrace {
+        PackedTrace {
+            eas: Vec::with_capacity(len),
+            targets: Vec::with_capacity(len),
+            ..Self::with_capacity(len)
+        }
+    }
+
     /// Appends one record from its parts: `ea` is kept only for a memory
     /// kind and `target` only for a branch kind. The one writer of the
     /// columns, for the builder and the codec's decoder alike.

@@ -14,8 +14,8 @@
 //! - [`SliceStream`] decodes an in-memory `CHRP` encoding (an upload the
 //!   server has just received) in batches, so the bytes are never
 //!   materialized as a whole trace.
-//! - The archive-backed stream lives in `chirp-store` (it needs file and
-//!   checksum plumbing) but speaks this trait.
+//! - The archive-backed stream lives in `chirp-store` (it checks the
+//!   file against the archive manifest) but speaks this trait.
 //!
 //! Batch boundaries carry no meaning: concatenating the batches of any
 //! stream yields exactly the record sequence of the materialized trace
@@ -248,7 +248,8 @@ impl TraceStream for MaterializedStream<'_> {
 /// [`read_trace_packed`](crate::read_trace_packed) accepts and yields the
 /// same records, but never holds more than one batch decoded. Every
 /// declared record is decoded or the stream fails; bytes past the last
-/// record are ignored, as `read_trace_packed` ignores them.
+/// record are not decoded, as `read_trace_packed` does not decode them,
+/// but [`SliceStream::finish`] hashes them with the rest.
 pub struct SliceStream<'a> {
     decoder: ChunkedDecoder<&'a [u8]>,
     len: usize,
@@ -267,6 +268,13 @@ impl<'a> SliceStream<'a> {
         let decoder = ChunkedDecoder::new(bytes)?;
         let len = decoder.remaining();
         Ok(SliceStream { decoder, len, chunk: chunk.max(1) })
+    }
+
+    /// The [`fnv64`](crate::hash::fnv64) of the whole slice, hashed as it
+    /// was decoded; bytes of records not yet decoded are hashed without
+    /// being decoded.
+    pub fn finish(self) -> u64 {
+        self.decoder.finish().expect("reading a slice cannot fail").checksum
     }
 }
 

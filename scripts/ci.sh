@@ -197,6 +197,21 @@ target/release/full_suite --store "$stream_store" --benchmarks 2 \
 grep -q "1 archive streams, 0 generated, 1 regenerated" "$smoke_dir/cut.err"
 target/release/trace_tool verify "$stream_store" > /dev/null
 cmp <(sort "$stream_store/runs.jsonl") <(sort "$gen_store/runs.jsonl")
+# One byte appended after the last record: every record decodes, but the
+# decoder counts and hashes the whole file against the manifest, so the stream
+# fails before its last batch and the run regenerates the entry.
+tail_file="$(find "$stream_store/traces" -name '*.chrp' | sort | head -n 1)"
+printf '\0' >> "$tail_file"
+if target/release/trace_tool verify "$stream_store" > /dev/null; then
+    echo "trailing byte left the archive clean" >&2
+    exit 1
+fi
+rm "$stream_store/runs.jsonl"
+target/release/full_suite --store "$stream_store" --benchmarks 2 \
+    --instructions 100_000 --stream-chunk 997 > /dev/null 2> "$smoke_dir/tail.err"
+grep -q "1 archive streams, 0 generated, 1 regenerated" "$smoke_dir/tail.err"
+target/release/trace_tool verify "$stream_store" > /dev/null
+cmp <(sort "$stream_store/runs.jsonl") <(sort "$gen_store/runs.jsonl")
 
 echo "==> pipelined vs inline ledgers (factored replay on a second thread or inline)"
 # A factored group replays on a thread of its own only when a core would
