@@ -216,29 +216,25 @@ impl TrailingHash {
 /// # Ok::<(), chirp_trace::CodecError>(())
 /// ```
 pub fn write_trace(records: &[TraceRecord]) -> Vec<u8> {
-    encode::<false, _>(records.len(), records.iter().copied()).0
+    encode(records.len(), records.iter().copied()).0
 }
 
 /// Serialises a [`PackedTrace`] into the same binary format as
 /// [`write_trace`] — the encoding depends only on the record sequence, not
 /// on the in-memory representation.
 pub fn write_trace_packed(trace: &PackedTrace) -> Vec<u8> {
-    encode::<false, _>(trace.len(), trace.iter()).0
+    write_trace_hashed(trace).0
 }
 
 /// [`write_trace_packed`] with the [`fnv64`](crate::hash::fnv64) of the
 /// bytes, hashed as they are written.
 pub fn write_trace_hashed(trace: &PackedTrace) -> (Vec<u8>, u64) {
-    encode::<true, _>(trace.len(), trace.iter())
+    encode(trace.len(), trace.iter())
 }
 
-/// The encoding of `records` and, with `HASH`, its checksum (without, the
-/// hash of no bytes, which the callers drop): the hash's serial multiply
-/// chain would set the pace of an encode whose caller does not need it.
-fn encode<const HASH: bool, I: Iterator<Item = TraceRecord>>(
-    count: usize,
-    records: I,
-) -> (Vec<u8>, u64) {
+/// The encoding of `records` and its checksum, which [`write_trace`] and
+/// [`write_trace_packed`] drop.
+fn encode<I: Iterator<Item = TraceRecord>>(count: usize, records: I) -> (Vec<u8>, u64) {
     let mut buf = Vec::with_capacity(HEADER_BYTES + count * 4);
     buf.extend_from_slice(MAGIC);
     buf.push(VERSION);
@@ -268,13 +264,9 @@ fn encode<const HASH: bool, I: Iterator<Item = TraceRecord>>(
         if has_target {
             put_varint(&mut buf, rec.target);
         }
-        if HASH {
-            hash.trail(&buf, buf.len());
-        }
+        hash.trail(&buf, buf.len());
     }
-    if HASH {
-        hash.catch_up(&buf, buf.len());
-    }
+    hash.catch_up(&buf, buf.len());
     (buf, hash.hash.finish())
 }
 
@@ -582,7 +574,9 @@ pub fn read_trace_hashed(data: &[u8]) -> Result<(PackedTrace, u64), CodecError> 
     // buffer can hold, so no column doubles its way through the trace and
     // a corrupt count cannot force a huge allocation before decoding
     // fails.
-    let mut out = PackedTrace::reserved(core.remaining.min(data.len() / MIN_RECORD_BYTES));
+    let len = core.remaining.min(data.len() / MIN_RECORD_BYTES);
+    let mut out = PackedTrace::with_capacity(len);
+    out.reserve_side_tables(len);
     let mut pos = HEADER_BYTES;
     core.decode(data, &mut pos, &mut out, usize::MAX, true)?;
     core.hash.catch_up(data, data.len());

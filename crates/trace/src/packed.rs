@@ -52,8 +52,8 @@ impl PackedTrace {
     }
 
     /// An empty trace with its per-record columns sized for `len`
-    /// records. The side tables grow on demand; mixes vary too much for a
-    /// useful up-front estimate.
+    /// records. The side tables grow on demand unless
+    /// [`PackedTrace::reserve_side_tables`] sizes them.
     pub(crate) fn with_capacity(len: usize) -> PackedTrace {
         PackedTrace {
             pcs: Vec::with_capacity(len),
@@ -64,16 +64,13 @@ impl PackedTrace {
         }
     }
 
-    /// An empty trace with every column, the side tables included, sized
-    /// for `len` records: the whole-buffer decode's bound, so no column
-    /// grows by doubling over a whole trace. Side-table capacity a kind
-    /// mix leaves unused is never written.
-    pub(crate) fn reserved(len: usize) -> PackedTrace {
-        PackedTrace {
-            eas: Vec::with_capacity(len),
-            targets: Vec::with_capacity(len),
-            ..Self::with_capacity(len)
-        }
+    /// Reserves the side tables for `len` more records, as though every
+    /// record were a memory access and a branch: the whole-buffer
+    /// decode's bound, so neither table grows by doubling over a whole
+    /// trace. Capacity a kind mix leaves unused is never written.
+    pub(crate) fn reserve_side_tables(&mut self, len: usize) {
+        self.eas.reserve(len);
+        self.targets.reserve(len);
     }
 
     /// Appends one record from its parts: `ea` is kept only for a memory
