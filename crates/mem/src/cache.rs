@@ -106,6 +106,15 @@ impl Cache {
         self.stats
     }
 
+    /// Counts `n` hits that a caller answered without calling
+    /// [`access`](Self::access): each repeated the line this cache
+    /// accessed last, which the MRU memo answers as a hit with no other
+    /// change to simulated state.
+    #[inline]
+    pub fn count_repeat_hits(&mut self, n: u64) {
+        self.stats.hits += n;
+    }
+
     /// The lookup key for `addr`: `(set index, tag << 1 | 1)`.
     #[inline]
     fn key(&self, addr: u64) -> (usize, u64) {

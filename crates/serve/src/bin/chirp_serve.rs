@@ -3,6 +3,7 @@
 //! ```text
 //! chirp-serve [--bind ADDR] [--store DIR]
 //!             [--mem-budget BYTES[K|M|G]] [--retry-after-ms N]
+//!             [--max-sessions N]
 //! ```
 //!
 //! Binds one listener, prints `chirp-serve listening on ADDR` (`--bind`
@@ -17,7 +18,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: chirp-serve [--bind ADDR] [--store DIR] \
-                     [--mem-budget BYTES[K|M|G]] [--retry-after-ms N]\n\
+                     [--mem-budget BYTES[K|M|G]] [--retry-after-ms N] [--max-sessions N]\n\
                      an unknown flag or a missing or invalid value exits with status 2";
 
 fn main() {
@@ -57,6 +58,14 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Option<ServeCon
                 let v = value("--retry-after-ms", "a number")?;
                 config.retry_after_ms =
                     v.parse().map_err(|_| format!("--retry-after-ms: invalid number {v}"))?;
+            }
+            "--max-sessions" => {
+                let v = value("--max-sessions", "a number")?;
+                config.max_sessions = v
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or(format!("--max-sessions: invalid positive number {v}"))?;
             }
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other}")),

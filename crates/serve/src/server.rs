@@ -50,7 +50,7 @@ use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -76,6 +76,11 @@ pub struct ServeConfig {
     /// Simulator configuration shared by every request — part of ledger
     /// identity, so it must match the harness config for cache interop.
     pub sim: SimConfig,
+    /// Most sessions open at once (0 counts as 1). Each session holds a
+    /// thread until its client disconnects, so a connection past the cap
+    /// is refused: it gets one [`err::TOO_MANY_SESSIONS`] error frame and
+    /// is closed, and no thread starts for it.
+    pub max_sessions: usize,
 }
 
 impl Default for ServeConfig {
@@ -87,9 +92,15 @@ impl Default for ServeConfig {
             mem_budget: None,
             retry_after_ms: 50,
             sim: SimConfig::default(),
+            max_sessions: DEFAULT_MAX_SESSIONS,
         }
     }
 }
+
+/// [`ServeConfig::max_sessions`] unless configured: far more clients than
+/// a request-per-session server on a few cores serves well, and far fewer
+/// threads than a process may start.
+const DEFAULT_MAX_SESSIONS: usize = 256;
 
 /// Errors starting or stopping the server.
 #[derive(Debug)]
@@ -146,6 +157,10 @@ const SESSION_READ_TIMEOUT: Duration = Duration::from_millis(250);
 /// for as long as it stays connected.
 const SESSION_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Pause after a failed `accept`, so that a persistent failure (no file
+/// descriptors left, say) does not spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
 /// Bytes of trace work admitted across sessions.
 #[derive(Debug, Clone, Copy, Default)]
 struct Admitted {
@@ -170,6 +185,8 @@ struct Shared {
     /// before.
     distrusted: Mutex<HashSet<u64>>,
     stop: AtomicBool,
+    /// Sessions whose thread is running; only the accept loop adds one.
+    open_sessions: AtomicUsize,
 }
 
 impl Shared {
@@ -281,6 +298,7 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         admitted: Mutex::new(Admitted::default()),
         distrusted: Mutex::new(HashSet::new()),
         stop: AtomicBool::new(false),
+        open_sessions: AtomicUsize::new(0),
     });
     let accept = {
         let shared = Arc::clone(&shared);
@@ -290,8 +308,11 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
 }
 
 /// Accepts connections until the stop flag is set, then joins every
-/// session thread so shutdown drains in-flight requests.
+/// session thread so shutdown drains in-flight requests. A connection
+/// that would open more than [`ServeConfig::max_sessions`] sessions is
+/// refused ([`refuse`]).
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let cap = shared.config.max_sessions.max(1);
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     loop {
         match listener.accept() {
@@ -299,9 +320,19 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if shared.stop.load(Ordering::SeqCst) {
                     break;
                 }
+                // Only this thread adds sessions, so the count cannot
+                // grow past the cap between the check and the add.
+                if shared.open_sessions.load(Ordering::SeqCst) >= cap {
+                    refuse(stream, cap);
+                    continue;
+                }
+                shared.open_sessions.fetch_add(1, Ordering::SeqCst);
                 shared.metrics.sessions_total.inc();
                 let shared = Arc::clone(shared);
-                sessions.push(std::thread::spawn(move || session(stream, &shared)));
+                sessions.push(std::thread::spawn(move || {
+                    let _open = OpenSession(&shared);
+                    session(stream, &shared);
+                }));
                 // Opportunistically reap finished sessions so a
                 // long-lived server does not accumulate handles.
                 sessions.retain(|h| !h.is_finished());
@@ -310,13 +341,34 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if shared.stop.load(Ordering::SeqCst) {
                     break;
                 }
-                // Transient accept failure (e.g. aborted handshake).
+                // An aborted handshake passes; running out of file
+                // descriptors does not, and must not spin this thread.
+                std::thread::sleep(ACCEPT_BACKOFF);
             }
         }
     }
     for h in sessions {
         let _ = h.join();
     }
+}
+
+/// Counts a session as open until its thread ends, panic included.
+struct OpenSession<'a>(&'a Shared);
+
+impl Drop for OpenSession<'_> {
+    fn drop(&mut self) {
+        self.0.open_sessions.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answers a connection past the session cap with one error frame and
+/// closes it. The write never blocks the accept loop: a fresh socket's
+/// send buffer takes the frame, and if it does not, the frame is dropped
+/// and the client sees the connection close.
+fn refuse(mut stream: TcpStream, cap: usize) {
+    let _ = stream.set_nonblocking(true);
+    let message = format!("server is at its cap of {cap} open sessions; retry later");
+    let _ = write_response(&mut stream, &error_response(err::TOO_MANY_SESSIONS, message));
 }
 
 /// The `Stats` reply: every metric followed by a ledger summary

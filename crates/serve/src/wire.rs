@@ -244,6 +244,9 @@ pub mod err {
     pub const PROTOCOL: u16 = 5;
     /// Server-side failure (store I/O, ...).
     pub const INTERNAL: u16 = 6;
+    /// The server already has its cap of sessions open and closed this
+    /// connection; retry once another client disconnects.
+    pub const TOO_MANY_SESSIONS: u16 = 7;
 }
 
 // --- request tags ---

@@ -33,6 +33,9 @@ fn serve_rejects_missing_and_invalid_values_with_status_2() {
         &["--mem-budget", "lots"],
         &["--mem-budget", "0"],
         &["--retry-after-ms", "soon"],
+        &["--max-sessions"],
+        &["--max-sessions", "0"],
+        &["--max-sessions", "many"],
     ] {
         let (code, stderr) = run(SERVE, args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");

@@ -21,7 +21,9 @@
 //! * a client that pauses inside a frame for longer than the server's
 //!   session read timeout keeps its session, and neither a silent client
 //!   nor a client that never reads its replies blocks a shutdown;
-//! * `Stats` lists every metric, zeros included, in one fixed order.
+//! * `Stats` lists every metric, zeros included, in one fixed order;
+//! * a connection past the session cap is refused with an error frame,
+//!   and a connection made once a session has closed is served.
 
 use chirp_serve::client::{shutdown_server, Client, SubmitOutcome};
 use chirp_serve::loadgen::{run_load, LoadGenConfig};
@@ -753,6 +755,53 @@ fn silent_client_does_not_block_shutdown() {
     });
     joined.recv_timeout(Duration::from_secs(10)).expect("server joins");
     drop(silent);
+}
+
+/// With a cap of two sessions, a third connection gets one
+/// `TOO_MANY_SESSIONS` error frame and is closed while two clients are
+/// connected, and once one of them disconnects a new connection is
+/// served. Closing a session is noticed by its thread asynchronously, so
+/// the new connection is retried a bounded number of times.
+#[test]
+fn connection_past_the_session_cap_is_refused_until_one_closes() {
+    let root = TempDir::new("serve-session-cap");
+    let handle = serve(ServeConfig {
+        store: root.path().to_path_buf(),
+        max_sessions: 2,
+        ..ServeConfig::default()
+    })
+    .expect("server starts on an ephemeral port");
+    let mut first = Client::connect(handle.addr()).expect("connect first client");
+    let mut second = Client::connect(handle.addr()).expect("connect second client");
+    // A reply proves each session's thread is running and counted.
+    first.ping().expect("first session is served");
+    second.ping().expect("second session is served");
+
+    let mut third = raw_connect(&handle);
+    match read_response(&mut third) {
+        Ok(Some(Response::Error { code, message })) => {
+            assert_eq!(code, err::TOO_MANY_SESSIONS, "{message}");
+            assert!(message.contains("cap of 2"), "{message}");
+        }
+        other => panic!("a third session must be refused, got {other:?}"),
+    }
+    assert!(
+        matches!(read_response(&mut third), Ok(None) | Err(_)),
+        "the refused connection is closed"
+    );
+    second.ping().expect("the open sessions are unaffected");
+
+    drop(first);
+    let served = (0..20).any(|_| {
+        let retry = Client::connect(handle.addr()).and_then(|mut c| c.ping());
+        if retry.is_err() {
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        retry.is_ok()
+    });
+    assert!(served, "a connection is served once a session has closed");
+    drop(second);
+    handle.shutdown().expect("clean shutdown");
 }
 
 /// Starts a client that pipelines `Stats` requests to `addr` and never

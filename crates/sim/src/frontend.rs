@@ -36,13 +36,18 @@
 //! pc and kind per record, the taken bit and target only for branches,
 //! the effective address only for memory records, through cursors of its
 //! own into the chunk's two side tables, and page numbers shifted out
-//! inline. No record is reassembled or copied first. The walk is
-//! burst-structured for the one part that batches well: every 64
-//! records, the signature *finalisation* (the multiply/shift/xor of
-//! `hash16`) and the set-index masking run as word-parallel passes over
-//! the burst's new access events. Only the history folds themselves stay
-//! sequential, because each access's signature depends on the path
-//! history left by the previous one.
+//! inline. No record is reassembled or copied first. Across a chunk the
+//! walk keeps the last instruction page, the last L1i line and the last
+//! data page in registers: a fetch or data access that repeats one is a
+//! guaranteed hit in that structure's MRU memo, so it is counted without
+//! a lookup, and the chunk credits those hits to the L1 TLB and L1i
+//! statistics at its end, which stay exact. The walk is burst-structured
+//! for the one part that batches well: every 64 records, the signature
+//! *finalisation* (the multiply/shift/xor of `hash16`) and the set-index
+//! masking run as word-parallel passes over the burst's new access
+//! events. Only the history folds themselves stay sequential, because
+//! each access's signature depends on the path history left by the
+//! previous one.
 //!
 //! Every policy group, whatever its size, runs on one chunk driver:
 //! streams through [`run_stream_factored`] and `run_stream_group` (which
@@ -54,9 +59,14 @@
 //! the calling thread does both in turn. When the scheduler leaves a core
 //! idle, the replay side runs on a second thread and overlaps the front
 //! end's next chunks; whenever the front end would wait for the ring
-//! (full, or draining at the end) it claims back ends itself instead. The
-//! whole-trace [`FactoredTrace`] stays for callers that need every event
-//! at once (the OPT bound).
+//! (full, or draining at the end) it claims back ends itself instead.
+//! Pipelined, the front end builds each segment in a segment of its own,
+//! which stays in its core's cache, and publishes it into a free ring
+//! slot with one copy per column; inline, the ring's one slot never
+//! leaves the calling core, so the front end builds in place. Both
+//! threads time each segment, claim and wait, for the scheduler summary
+//! ([`PipelineTimes`]). The whole-trace [`FactoredTrace`] stays for
+//! callers that need every event at once (the OPT bound).
 //!
 //! Epoch telemetry observes the same driver on streamed groups. With an
 //! epoch length, the front end also cuts its segments at every epoch
@@ -70,6 +80,7 @@
 use crate::config::SimConfig;
 use crate::engine::{warmup_cut, CHUNK_SIZE};
 use crate::metrics::RunResult;
+use crate::sched::PipelineTimes;
 use chirp_branch::BranchUnit;
 use chirp_core::signature::hash16;
 use chirp_core::{ChirpConfig, SignatureBuilder};
@@ -83,6 +94,7 @@ use chirp_trace::{
     vpn, BranchClass, InstrKind, PackedTrace, StreamError, TraceChunk, TraceRecord, TraceStream,
 };
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::time::{Duration, Instant};
 
 /// Records per front-end burst: large enough that the step loop
 /// dominates the batched passes' bookkeeping, small enough that the
@@ -199,6 +211,24 @@ impl EventSegment {
         self.mem_fetch.clear();
         self.instructions = 0;
         self.invariant_cycles = 0;
+    }
+
+    /// Makes this segment a copy of `from`, one `extend_from_slice` per
+    /// column into the allocations it already holds.
+    fn copy_from(&mut self, from: &EventSegment) {
+        self.clear();
+        self.acc_pc.extend_from_slice(&from.acc_pc);
+        self.acc_vpn.extend_from_slice(&from.acc_vpn);
+        self.acc_set.extend_from_slice(&from.acc_set);
+        self.acc_sig.extend_from_slice(&from.acc_sig);
+        self.acc_kind.extend_from_slice(&from.acc_kind);
+        self.ctl_after.extend_from_slice(&from.ctl_after);
+        self.ctl_pc.extend_from_slice(&from.ctl_pc);
+        self.ctl_kind.extend_from_slice(&from.ctl_kind);
+        self.mem_addr.extend_from_slice(&from.mem_addr);
+        self.mem_fetch.extend_from_slice(&from.mem_fetch);
+        self.instructions = from.instructions;
+        self.invariant_cycles = from.invariant_cycles;
     }
 
     /// Serialises every column little-endian, length-prefixed — the
@@ -324,6 +354,8 @@ pub struct FrontEnd {
     /// events into its histories that a matching CHiRP back-end would.
     pollution: u32,
     l2_hit_latency: u64,
+    /// `log2` of the L1i line size: a fetch's line is `pc >> l1i_line_shift`.
+    l1i_line_shift: u32,
     /// `sets - 1` of the L2 geometry, for the batched set-index pass.
     set_mask: u64,
     /// 64-bit pre-hash signature compositions of the burst's new access
@@ -343,6 +375,7 @@ impl FrontEnd {
             sigs: SignatureBuilder::new(sig_config),
             pollution: sig_config.wrong_path_pollution,
             l2_hit_latency: config.tlb.l2_hit_latency,
+            l1i_line_shift: config.mem.l1i.line_bytes.trailing_zeros(),
             set_mask: (config.tlb.l2.sets() - 1) as u64,
             pre: Vec::with_capacity(2 * BURST),
         }
@@ -354,6 +387,9 @@ impl FrontEnd {
         let (pcs, kinds, eas, targets) = (chunk.pcs(), chunk.kinds(), chunk.eas(), chunk.targets());
         // Cursors into the chunk's side tables.
         let (mut ea, mut target) = (0usize, 0usize);
+        let mut last = Repeats::new();
+        // The chunk's front-end cycles, added to the segment at its end.
+        let mut cycles = 0u64;
         let mut start = 0;
         while start < pcs.len() {
             let end = (start + BURST).min(pcs.len());
@@ -363,9 +399,9 @@ impl FrontEnd {
                 let pc = pcs[i];
                 let kind =
                     InstrKind::from_u8(kinds[i]).expect("packed traces hold only valid kinds");
-                let mut cycles = self.fetch(pc, seg);
+                cycles += self.fetch(pc, &mut last, seg);
                 if kind.is_memory() {
-                    cycles += self.data_access(pc, eas[ea], seg);
+                    cycles += self.data_access(pc, eas[ea], &mut last, seg);
                     ea += 1;
                 } else if kind.is_branch() {
                     let rec = TraceRecord {
@@ -378,8 +414,6 @@ impl FrontEnd {
                     target += 1;
                     cycles += self.retire_branch(&rec, seg);
                 }
-                seg.instructions += 1;
-                seg.invariant_cycles += cycles;
             }
             // Batched finalisation of the burst's new access events: the
             // multiply/shift/xor of `hash16` and the set masking are
@@ -390,6 +424,10 @@ impl FrontEnd {
             seg.acc_set.extend(seg.acc_vpn[acc_base..].iter().map(|&v| (v & self.set_mask) as u32));
             start = end;
         }
+        seg.instructions += pcs.len() as u64;
+        seg.invariant_cycles += cycles;
+        self.l1.count_repeat_hits(last.i_page_hits, last.d_page_hits);
+        self.l1i.count_repeat_hits(last.line_hits);
     }
 
     /// The steps of one record that every kind takes: the instruction-side
@@ -398,20 +436,33 @@ impl FrontEnd {
     /// and the caches past the L1i: same event order (i-access, d-access,
     /// mispredict, branch), same cycle terms except the walk and the
     /// memory column's penalties. Returns the record's base cycle plus
-    /// these steps' cycles.
+    /// these steps' cycles. A page or line equal to the last one of its
+    /// structure is counted in `last` as a hit instead of looked up.
     #[inline]
-    fn fetch(&mut self, pc: u64, seg: &mut EventSegment) -> u64 {
+    fn fetch(&mut self, pc: u64, last: &mut Repeats, seg: &mut EventSegment) -> u64 {
         let mut cycles = 1u64;
         let page = vpn(pc);
-        if !self.l1.hit(page, TranslationKind::Instruction) {
-            self.emit_access(pc, page, 0, seg);
-            cycles += self.l2_hit_latency;
+        if page == last.i_page {
+            last.i_page_hits += 1;
+        } else {
+            last.i_page = page;
+            if !self.l1.hit(page, TranslationKind::Instruction) {
+                self.emit_access(pc, page, 0, seg);
+                cycles += self.l2_hit_latency;
+            }
         }
-        if self.l1i.access(pc) {
+        let line = pc >> self.l1i_line_shift;
+        if line == last.line {
+            last.line_hits += 1;
             cycles += self.l1i_hit_penalty;
         } else {
-            seg.mem_addr.push(pc);
-            seg.mem_fetch.push(true);
+            last.line = line;
+            if self.l1i.access(pc) {
+                cycles += self.l1i_hit_penalty;
+            } else {
+                seg.mem_addr.push(pc);
+                seg.mem_fetch.push(true);
+            }
         }
         cycles
     }
@@ -420,12 +471,17 @@ impl FrontEnd {
     /// Loads and stores cost the same (the hierarchy is write-allocate),
     /// so the column does not tell them apart.
     #[inline]
-    fn data_access(&mut self, pc: u64, ea: u64, seg: &mut EventSegment) -> u64 {
+    fn data_access(&mut self, pc: u64, ea: u64, last: &mut Repeats, seg: &mut EventSegment) -> u64 {
         let mut cycles = 0;
         let page = vpn(ea);
-        if !self.l1.hit(page, TranslationKind::Data) {
-            self.emit_access(pc, page, 1, seg);
-            cycles += self.l2_hit_latency;
+        if page == last.d_page {
+            last.d_page_hits += 1;
+        } else {
+            last.d_page = page;
+            if !self.l1.hit(page, TranslationKind::Data) {
+                self.emit_access(pc, page, 1, seg);
+                cycles += self.l2_hit_latency;
+            }
         }
         seg.mem_addr.push(ea);
         seg.mem_fetch.push(false);
@@ -484,6 +540,35 @@ impl FrontEnd {
     /// policy-free.
     pub fn l1_stats(&self) -> (u64, u64, u64, u64) {
         self.l1.l1_stats()
+    }
+}
+
+/// The page and line each of the front end's three L1 structures looked
+/// up last within the chunk being walked, and the repeats of them it
+/// counted instead of looking up. Only fetches reach the i-TLB and the
+/// L1i, and only data accesses the d-TLB, so a lookup equal to the last
+/// one of its structure finds it in that structure's MRU memo: a hit that
+/// changes nothing but the hit count, which the chunk credits at its end.
+/// Each value starts at `u64::MAX`, which no page or line number equals.
+struct Repeats {
+    i_page: u64,
+    line: u64,
+    d_page: u64,
+    i_page_hits: u64,
+    line_hits: u64,
+    d_page_hits: u64,
+}
+
+impl Repeats {
+    fn new() -> Repeats {
+        Repeats {
+            i_page: u64::MAX,
+            line: u64::MAX,
+            d_page: u64::MAX,
+            i_page_hits: 0,
+            line_hits: 0,
+            d_page_hits: 0,
+        }
     }
 }
 
@@ -943,15 +1028,15 @@ impl<P: TlbReplacementPolicy> Ring<P> {
 
     /// Front end: the slot its next segment goes into, once one is free.
     /// `None` once the group failed.
-    fn acquire(&self) -> Option<usize> {
-        self.help_until(self.slots.len() - 1).then(|| self.state().filled % self.slots.len())
+    fn acquire(&self, times: &mut PipelineTimes) -> Option<usize> {
+        self.help_until(self.slots.len() - 1, times).then(|| self.state().filled % self.slots.len())
     }
 
     /// Front end: returns once at most `backlog` handed-off segments are
     /// left to replay — `true` — or the group failed. Until then it
     /// claims backends itself instead of waiting, and waits only when no
-    /// claim is ready.
-    fn help_until(&self, backlog: usize) -> bool {
+    /// claim is ready; `times` gets both.
+    fn help_until(&self, backlog: usize, times: &mut PipelineTimes) -> bool {
         let mut st = self.state();
         loop {
             if st.failed {
@@ -963,11 +1048,12 @@ impl<P: TlbReplacementPolicy> Ring<P> {
             if let Some(claim) = st.claim() {
                 st.front_end_claims += 1;
                 drop(st);
-                self.run(claim);
+                timed(&mut times.front_claims, || self.run(claim));
                 st = self.state();
             } else {
                 st.feed_waits = true;
-                st = self.feed_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st = timed(&mut times.front_wait, || self.feed_cv.wait(st))
+                    .unwrap_or_else(PoisonError::into_inner);
                 st.feed_waits = false;
             }
         }
@@ -988,8 +1074,9 @@ impl<P: TlbReplacementPolicy> Ring<P> {
     /// feed has closed and every segment is replayed, or the group
     /// failed. It stages first, since no other thread may. Inline, the
     /// calling thread runs this without waiting after each hand-off;
-    /// pipelined, it is the replay thread's whole life.
-    fn replay(&self, memory: &mut MemoryStage, wait: bool) {
+    /// pipelined, it is the replay thread's whole life. `times` gets the
+    /// memory stage, the claims and the waits.
+    fn replay(&self, memory: &mut MemoryStage, wait: bool, times: &mut PipelineTimes) {
         let mut st = self.state();
         loop {
             if st.failed {
@@ -999,7 +1086,7 @@ impl<P: TlbReplacementPolicy> Ring<P> {
                 let slot = st.staged % self.slots.len();
                 drop(st);
                 let seg = self.slots[slot].read().unwrap_or_else(PoisonError::into_inner);
-                let cycles = memory.run(&seg);
+                let cycles = timed(&mut times.memory, || memory.run(&seg));
                 drop(seg);
                 st = self.state();
                 st.memory_cycles[slot] = cycles;
@@ -1010,13 +1097,14 @@ impl<P: TlbReplacementPolicy> Ring<P> {
                 }
             } else if let Some(claim) = st.claim() {
                 drop(st);
-                self.run(claim);
+                timed(&mut times.replay_claims, || self.run(claim));
                 st = self.state();
             } else if !wait || (st.closed && st.replayed() == st.filled) {
                 return;
             } else {
                 st.replay_waits = true;
-                st = self.replay_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st = timed(&mut times.replay_wait, || self.replay_cv.wait(st))
+                    .unwrap_or_else(PoisonError::into_inner);
                 st.replay_waits = false;
             }
         }
@@ -1031,6 +1119,14 @@ impl<P: TlbReplacementPolicy> Ring<P> {
         self.replay_cv.notify_all();
         self.feed_cv.notify_all();
     }
+}
+
+/// Runs `f`, adding the time it took to `total`.
+fn timed<T>(total: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = f();
+    *total += started.elapsed();
+    out
 }
 
 /// Hangs up a ring when dropped, so the other side never waits on a
@@ -1062,9 +1158,22 @@ struct Feeder<'r, P: TlbReplacementPolicy> {
     /// each epoch boundary, or `usize::MAX` once none is left.
     next_cut: usize,
     ring: &'r Ring<P>,
-    /// Inline, the replay side's memory stage: the calling thread
-    /// replays each segment right after handing it off.
-    inline: Option<MemoryStage>,
+    /// Where the front end builds its segments.
+    build: Build<'r>,
+    /// The calling thread's time: building, claims and waits.
+    times: PipelineTimes,
+}
+
+/// Where a [`Feeder`] builds each segment.
+enum Build<'r> {
+    /// Inline: in place, in the ring's one slot, which never leaves the
+    /// calling thread's core; that thread then runs the replay side with
+    /// this memory stage, right after handing the segment off.
+    InPlace(&'r mut MemoryStage),
+    /// Pipelined: in this segment of the front end's own, which stays in
+    /// its core's cache while the replay thread reads the ring slots, and
+    /// is then published into the slot it acquires with one copy.
+    Local(&'r mut EventSegment),
 }
 
 impl<'r, P: TlbReplacementPolicy> Feeder<'r, P> {
@@ -1073,12 +1182,13 @@ impl<'r, P: TlbReplacementPolicy> Feeder<'r, P> {
         warmup: usize,
         epoch: Option<u64>,
         ring: &'r Ring<P>,
-        inline: Option<MemoryStage>,
+        build: Build<'r>,
     ) -> Feeder<'r, P> {
         // A zero epoch would never move the next cut past this one.
         assert_ne!(epoch, Some(0), "epoch length must be positive");
         let epoch = epoch.map(|e| usize::try_from(e).unwrap_or(usize::MAX));
-        Feeder { fe, warmup, epoch, pos: 0, next_cut: warmup, ring, inline }
+        let times = PipelineTimes::default();
+        Feeder { fe, warmup, epoch, pos: 0, next_cut: warmup, ring, build, times }
     }
 
     /// Runs the front end over one chunk of at most [`CHUNK_SIZE`]
@@ -1105,14 +1215,29 @@ impl<'r, P: TlbReplacementPolicy> Feeder<'r, P> {
     }
 
     fn emit(&mut self, chunk: &TraceChunk<'_>, ends_warmup: bool) -> bool {
-        let Some(slot) = self.ring.acquire() else { return false };
-        let mut seg = self.ring.slots[slot].write().unwrap_or_else(PoisonError::into_inner);
-        seg.clear();
-        self.fe.process_chunk(chunk, &mut seg);
-        drop(seg);
-        self.ring.hand_off(ends_warmup);
-        if let Some(memory) = &mut self.inline {
-            self.ring.replay(memory, false);
+        match &mut self.build {
+            Build::InPlace(memory) => {
+                let Some(slot) = self.ring.acquire(&mut self.times) else { return false };
+                let mut seg = self.ring.slots[slot].write().unwrap_or_else(PoisonError::into_inner);
+                seg.clear();
+                self.fe.process_chunk(chunk, &mut seg);
+                drop(seg);
+                self.ring.hand_off(ends_warmup);
+                self.ring.replay(memory, false, &mut self.times);
+            }
+            Build::Local(local) => {
+                let started = Instant::now();
+                local.clear();
+                self.fe.process_chunk(chunk, local);
+                let built = started.elapsed();
+                let Some(slot) = self.ring.acquire(&mut self.times) else { return false };
+                let started = Instant::now();
+                let mut seg = self.ring.slots[slot].write().unwrap_or_else(PoisonError::into_inner);
+                seg.copy_from(local);
+                drop(seg);
+                self.ring.hand_off(ends_warmup);
+                self.times.build += built + started.elapsed();
+            }
         }
         true
     }
@@ -1120,12 +1245,14 @@ impl<'r, P: TlbReplacementPolicy> Feeder<'r, P> {
 
 /// The factored chunk driver both group paths run on. `feed` pushes the
 /// trace through the [`Feeder`] one chunk at a time, on the calling
-/// thread, into a [`Ring`]. Inline, the calling thread replays each
-/// segment right after building it, through a ring of one slot.
+/// thread, into a [`Ring`]. Inline, the calling thread builds each
+/// segment in the ring's one slot and replays it right after.
 /// Pipelined, a scoped thread runs the replay side over a ring of
-/// [`SEGMENT_POOL`] slots, and the calling thread claims backends itself
-/// whenever the ring is full, and again while the ring drains once the
-/// feed is done. Either way every backend sees the same
+/// [`SEGMENT_POOL`] slots; the calling thread builds each segment in one
+/// of its own, publishes it into a free slot with one copy, and claims
+/// backends itself whenever the ring is full, and again while the ring
+/// drains once the feed is done. It notes the replay counts and both
+/// threads' [`PipelineTimes`] for the scheduler summary. Either way every backend sees the same
 /// segments in the same order with the same memory-stage cycles, and
 /// its measured window opens right after the segment that ends at
 /// `warmup`, so results are bit-identical across forms. With an `epoch`
@@ -1157,32 +1284,35 @@ where
     match form {
         ReplayForm::Inline => {
             let ring = Ring::new(lanes, 1);
-            feed(&mut Feeder::new(fe, warmup, epoch, &ring, Some(memory)))?;
+            feed(&mut Feeder::new(fe, warmup, epoch, &ring, Build::InPlace(&mut memory)))?;
             Ok(ring.lanes.finish())
         }
         ReplayForm::Pipelined => {
             let ring = Ring::new(lanes, SEGMENT_POOL);
-            let fed = std::thread::scope(|scope| {
+            let (fed, times) = std::thread::scope(|scope| {
                 let worker = scope.spawn(|| {
                     let _hang_up = HangUp { ring: &ring, failed: false };
-                    ring.replay(&mut memory, true);
+                    let mut times = PipelineTimes::default();
+                    ring.replay(&mut memory, true, &mut times);
+                    times
                 });
                 let mut hang_up = HangUp { ring: &ring, failed: false };
-                let mut feeder = Feeder::new(fe, warmup, epoch, &ring, None);
+                let mut local = EventSegment::for_chunk();
+                let mut feeder = Feeder::new(fe, warmup, epoch, &ring, Build::Local(&mut local));
                 // Once fed, the front end helps drain the ring.
                 let fed = feed(&mut feeder).map(|()| {
-                    ring.help_until(0);
+                    ring.help_until(0, &mut feeder.times);
                 });
                 hang_up.failed = fed.is_err();
                 drop(hang_up);
                 match worker.join() {
-                    Ok(()) => fed,
+                    Ok(replay_side) => (fed, feeder.times.add(&replay_side)),
                     Err(panic) => std::panic::resume_unwind(panic),
                 }
             });
             let st = ring.state.into_inner().unwrap_or_else(PoisonError::into_inner);
             let replays = (st.replayed() * ring.lanes.len()) as u64;
-            crate::sched::note_pipelined(replays, st.front_end_claims);
+            crate::sched::note_pipelined(replays, st.front_end_claims, times);
             fed?;
             Ok(ring.lanes.finish())
         }
@@ -1286,7 +1416,7 @@ mod tests {
     use super::*;
     use crate::{PolicyDispatch, PolicyKind, Simulator};
     use chirp_tlb::{PolicyStorage, TlbAccess};
-    use chirp_trace::suite::{build_suite, SuiteConfig};
+    use chirp_trace::suite::{build_suite, workload_family, SuiteConfig, PAPER_SUITE_SIZE};
     use chirp_trace::MaterializedStream;
     use std::collections::VecDeque;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1451,6 +1581,161 @@ mod tests {
         );
     }
 
+    /// The front end's walk without its register memos: one record at a
+    /// time, every fetch looks its page up with [`L1FrontEnd::hit`] and
+    /// its line with [`Cache::access`], every data access its page with
+    /// [`L1FrontEnd::hit`]. Signatures and set indices are finalised once
+    /// for the whole chunk.
+    fn plain_chunk(fe: &mut FrontEnd, chunk: &TraceChunk<'_>, seg: &mut EventSegment) {
+        let acc_base = seg.acc_pc.len();
+        fe.pre.clear();
+        let (mut ea, mut target) = (0, 0);
+        for (i, &pc) in chunk.pcs().iter().enumerate() {
+            let kind = InstrKind::from_u8(chunk.kinds()[i]).expect("valid kind");
+            let mut cycles = 1;
+            if !fe.l1.hit(vpn(pc), TranslationKind::Instruction) {
+                fe.emit_access(pc, vpn(pc), 0, seg);
+                cycles += fe.l2_hit_latency;
+            }
+            if fe.l1i.access(pc) {
+                cycles += fe.l1i_hit_penalty;
+            } else {
+                seg.mem_addr.push(pc);
+                seg.mem_fetch.push(true);
+            }
+            if kind.is_memory() {
+                let addr = chunk.eas()[ea];
+                ea += 1;
+                if !fe.l1.hit(vpn(addr), TranslationKind::Data) {
+                    fe.emit_access(pc, vpn(addr), 1, seg);
+                    cycles += fe.l2_hit_latency;
+                }
+                seg.mem_addr.push(addr);
+                seg.mem_fetch.push(false);
+            } else if kind.is_branch() {
+                let taken = chunk.taken(i);
+                let target_pc = chunk.targets()[target];
+                target += 1;
+                let rec = TraceRecord { pc, kind, effective_address: 0, target: target_pc, taken };
+                cycles += fe.retire_branch(&rec, seg);
+            }
+            seg.instructions += 1;
+            seg.invariant_cycles += cycles;
+        }
+        seg.acc_sig.extend(fe.pre.iter().map(|&p| hash16(p)));
+        seg.acc_set.extend(seg.acc_vpn[acc_base..].iter().map(|&v| (v & fe.set_mask) as u32));
+    }
+
+    /// Walks `trace` in chunks of `chunk` records with the front end and
+    /// with [`plain_chunk`]: every segment's wire bytes, the L1 TLB
+    /// statistics and the L1i's hits and misses must be equal. It walks
+    /// under the default configuration, whose L1i hit costs no cycles
+    /// beyond the pipeline's, and again with a slower L1i, so a repeated
+    /// line's hit penalty shows in the segments' cycles.
+    fn assert_memos_are_exact(trace: &PackedTrace, chunk: usize, what: &str) {
+        let mut slow_l1i = SimConfig::default();
+        slow_l1i.mem.l1i.hit_latency += 3;
+        for config in [SimConfig::default(), slow_l1i] {
+            assert_memos_are_exact_under(&config, trace, chunk, what);
+        }
+    }
+
+    fn assert_memos_are_exact_under(
+        config: &SimConfig,
+        trace: &PackedTrace,
+        chunk: usize,
+        what: &str,
+    ) {
+        let sig = ChirpConfig::default();
+        let (mut memo, mut plain) = (FrontEnd::new(config, &sig), FrontEnd::new(config, &sig));
+        let (mut got, mut want) = (EventSegment::default(), EventSegment::default());
+        for (i, part) in trace.chunks(chunk).enumerate() {
+            got.clear();
+            want.clear();
+            memo.process_chunk(&part, &mut got);
+            plain_chunk(&mut plain, &part, &mut want);
+            assert!(got.wire_bytes() == want.wire_bytes(), "{what}, chunk {chunk}: segment {i}");
+        }
+        assert_eq!(memo.l1_stats(), plain.l1_stats(), "{what}, chunk {chunk}: L1 TLBs");
+        assert_eq!(memo.l1i.stats(), plain.l1i.stats(), "{what}, chunk {chunk}: L1i");
+        let (i_hits, _, d_hits, _) = memo.l1_stats();
+        assert!(i_hits > 0 && d_hits > 0 && memo.l1i.stats().hits > 0, "{what}: nothing hit");
+    }
+
+    /// Chunk sizes of one record (no memo survives a record), a size
+    /// that divides nothing, and the driver's.
+    const MEMO_CHUNKS: [usize; 3] = [1, 7, CHUNK_SIZE];
+
+    /// The register memos change no event, no L1 TLB count and no L1i
+    /// count, over one trace of each generator family.
+    #[test]
+    fn register_memos_are_exact_for_every_generator_family() {
+        let mut seen = Vec::new();
+        for bench in build_suite(&SuiteConfig { benchmarks: PAPER_SUITE_SIZE }) {
+            let family = workload_family(&bench.name).to_string();
+            if seen.contains(&family) {
+                continue;
+            }
+            let trace = bench.generate_packed(20_000);
+            for chunk in MEMO_CHUNKS {
+                assert_memos_are_exact(&trace, chunk, &bench.name);
+            }
+            seen.push(family);
+        }
+        assert_eq!(seen.len(), 8, "one trace per generator family: {seen:?}");
+    }
+
+    /// Builds a trace of `n` records from `record(i)`.
+    fn hand_built(n: usize, record: impl Fn(usize) -> TraceRecord) -> PackedTrace {
+        PackedTrace::from_records(&(0..n).map(record).collect::<Vec<_>>())
+    }
+
+    /// Fetches alternate, three records at a time, between two code
+    /// pages in one L1 i-TLB set (and one L1i set), and loads alternate
+    /// between two data pages in one d-TLB set: the last page differs
+    /// from the one before it exactly where the per-set memo would miss.
+    #[test]
+    fn register_memos_are_exact_when_two_pages_share_a_set() {
+        let sets = SimConfig::default().tlb.l1i.sets() as u64;
+        let d_sets = SimConfig::default().tlb.l1d.sets() as u64;
+        let (code, data) = (0x40u64, 0x9000u64);
+        let geometry = SimConfig::default().tlb.l1i;
+        assert_eq!(geometry.set_of(code), geometry.set_of(code + sets));
+        let trace = hand_built(6_000, |i| {
+            let page = if (i / 3) % 2 == 0 { code } else { code + sets };
+            let pc = (page << 12) + 4 * (i % 3) as u64;
+            let data_page = if (i / 3) % 2 == 0 { data } else { data + d_sets };
+            match i % 3 {
+                0 => TraceRecord::alu(pc),
+                1 => TraceRecord::load(pc, (data_page << 12) + 8 * (i % 64) as u64),
+                _ => TraceRecord::cond_branch(pc, (code + sets) << 12, i % 4 < 2),
+            }
+        });
+        for chunk in MEMO_CHUNKS {
+            assert_memos_are_exact(&trace, chunk, "two pages in one set");
+        }
+    }
+
+    /// Loads read the page their own code sits in, and now and then the
+    /// code jumps to a second page: the i-TLB and d-TLB memos hold the
+    /// same page number, and each must still count only its own lookups.
+    #[test]
+    fn register_memos_are_exact_when_code_and_data_share_a_page() {
+        let (first, second) = (0x77u64, 0x78u64);
+        let trace = hand_built(8_000, |i| {
+            let page = if (i / 500) % 2 == 0 { first } else { second };
+            let pc = (page << 12) + 4 * (i % 1024) as u64;
+            match i % 3 {
+                0 => TraceRecord::load(pc, (page << 12) + 64 * (i % 64) as u64),
+                1 => TraceRecord::store(pc, (page << 12) + 8 * (i % 512) as u64),
+                _ => TraceRecord::alu(pc),
+            }
+        });
+        for chunk in MEMO_CHUNKS {
+            assert_memos_are_exact(&trace, chunk, "code and data in one page");
+        }
+    }
+
     /// The columnar oracle's result for each of `kinds`.
     fn columnar(kinds: &[PolicyKind], config: &SimConfig, trace: &PackedTrace) -> Vec<RunResult> {
         build(kinds, config)
@@ -1600,7 +1885,8 @@ mod tests {
             assert_eq!(got, want, "{form:?}");
             let noted = crate::sched::take_pipelined();
             if form == ReplayForm::Pipelined {
-                let (replays, by_front_end) = noted.expect("a pipelined group notes its replays");
+                let crate::sched::Pipelined { replays, front_end_replays: by_front_end, .. } =
+                    noted.expect("a pipelined group notes its replays");
                 assert_eq!(replays, segments * kinds.len() as u64);
                 assert!(by_front_end >= 1, "the front end must have claimed backend 1");
             } else {

@@ -66,6 +66,9 @@ pub struct SchedulerSummary {
     /// calling (front-end) thread took because its segment ring was full
     /// or draining, where it would otherwise have waited.
     pub front_end_replays: u64,
+    /// Where the two threads of the groups that pipelined spent their
+    /// time.
+    pub pipeline_times: PipelineTimes,
     /// Most items (and so traces) in flight at any instant.
     pub peak_resident_traces: usize,
     /// Most estimated trace bytes in flight at any instant.
@@ -75,6 +78,57 @@ pub struct SchedulerSummary {
     pub sim_latency_us: HistogramSnapshot,
     /// Wall-clock time of the whole scheduler run.
     pub wall: Duration,
+}
+
+/// Where the two threads of pipelined factored groups spent their time,
+/// summed over the groups. Each interval timed is one segment, claim or
+/// wait, never one record.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PipelineTimes {
+    /// Front-end thread: building segments, each one's publish into its
+    /// ring slot included.
+    pub build: Duration,
+    /// Front-end thread: the back-end replays it claimed while its ring
+    /// was full or draining.
+    pub front_claims: Duration,
+    /// Front-end thread: waiting for a ring slot or a claim.
+    pub front_wait: Duration,
+    /// Replay thread: the memory stage over each segment.
+    pub memory: Duration,
+    /// Replay thread: its back-end replays.
+    pub replay_claims: Duration,
+    /// Replay thread: waiting for a segment or a claim.
+    pub replay_wait: Duration,
+}
+
+impl PipelineTimes {
+    /// Both sets of times summed, field by field.
+    pub(crate) fn add(&self, other: &PipelineTimes) -> PipelineTimes {
+        PipelineTimes {
+            build: self.build + other.build,
+            front_claims: self.front_claims + other.front_claims,
+            front_wait: self.front_wait + other.front_wait,
+            memory: self.memory + other.memory,
+            replay_claims: self.replay_claims + other.replay_claims,
+            replay_wait: self.replay_wait + other.replay_wait,
+        }
+    }
+
+    /// `front end build B / claims C / wait W ms; replay memory M /
+    /// claims C / wait W ms`.
+    fn render(&self) -> String {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        format!(
+            "front end build {:.1} / claims {:.1} / wait {:.1} ms; \
+             replay memory {:.1} / claims {:.1} / wait {:.1} ms",
+            ms(self.build),
+            ms(self.front_claims),
+            ms(self.front_wait),
+            ms(self.memory),
+            ms(self.replay_claims),
+            ms(self.replay_wait),
+        )
+    }
 }
 
 impl SchedulerSummary {
@@ -89,9 +143,10 @@ impl SchedulerSummary {
             self.cpus,
             if self.replay_pipelined {
                 format!(
-                    "pipelined (front end took {:.1}% of {} replays)",
+                    "pipelined (front end took {:.1}% of {} replays) [{}]",
                     100.0 * self.front_end_replays as f64 / self.pipelined_replays.max(1) as f64,
-                    self.pipelined_replays
+                    self.pipelined_replays,
+                    self.pipeline_times.render(),
                 )
             } else {
                 "inline".to_string()
@@ -122,6 +177,7 @@ impl SchedulerSummary {
             replay_pipelined: self.replay_pipelined || other.replay_pipelined,
             pipelined_replays: self.pipelined_replays + other.pipelined_replays,
             front_end_replays: self.front_end_replays + other.front_end_replays,
+            pipeline_times: self.pipeline_times.add(&other.pipeline_times),
             peak_resident_traces: self.peak_resident_traces.max(other.peak_resident_traces),
             peak_resident_bytes: self.peak_resident_bytes.max(other.peak_resident_bytes),
             sim_latency_us: latency.snapshot(),
@@ -241,28 +297,47 @@ pub fn run_as_sim_thread<T>(f: impl FnOnce() -> T) -> T {
     SIM_THREADS.busy_while(f)
 }
 
+/// What the factored groups that pipelined did, summed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Pipelined {
+    /// (segment × back end) replays.
+    pub(crate) replays: u64,
+    /// Of `replays`, those the front-end thread took.
+    pub(crate) front_end_replays: u64,
+    /// Where the two sides' time went.
+    pub(crate) times: PipelineTimes,
+}
+
+impl Pipelined {
+    fn add(&self, other: &Pipelined) -> Pipelined {
+        Pipelined {
+            replays: self.replays + other.replays,
+            front_end_replays: self.front_end_replays + other.front_end_replays,
+            times: self.times.add(&other.times),
+        }
+    }
+}
+
 thread_local! {
-    /// `(replays, front_end_replays)` summed over the factored groups run
-    /// on this thread that replayed on a thread of their own
-    /// ([`note_pipelined`]), `None` while none did; taken back by the
-    /// [`run_items`] worker ([`take_pipelined`]).
-    static PIPELINED: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+    /// The factored groups run on this thread that replayed on a thread
+    /// of their own ([`note_pipelined`]), summed, `None` while none did;
+    /// taken back by the [`run_items`] worker ([`take_pipelined`]).
+    static PIPELINED: Cell<Option<Pipelined>> = const { Cell::new(None) };
 }
 
 /// Records that a factored group run on this thread replayed on a
-/// second thread, with its (segment × back end) `replays` and the
-/// `front_end_replays` among them the calling thread took, for
-/// [`SchedulerSummary::replay_pipelined`] and its replay counts.
-pub(crate) fn note_pipelined(replays: u64, front_end_replays: u64) {
-    PIPELINED.with(|p| {
-        let (r, f) = p.get().unwrap_or_default();
-        p.set(Some((r + replays, f + front_end_replays)));
-    });
+/// second thread, with its (segment × back end) `replays`, the
+/// `front_end_replays` among them the calling thread took and where both
+/// threads' time went, for [`SchedulerSummary::replay_pipelined`], its
+/// replay counts and its [`PipelineTimes`].
+pub(crate) fn note_pipelined(replays: u64, front_end_replays: u64, times: PipelineTimes) {
+    let group = Pipelined { replays, front_end_replays, times };
+    PIPELINED.with(|p| p.set(Some(p.get().unwrap_or_default().add(&group))));
 }
 
-/// Takes the replay counts [`note_pipelined`] summed on this thread
-/// since the previous take; `None` if no group pipelined.
-pub(crate) fn take_pipelined() -> Option<(u64, u64)> {
+/// Takes what [`note_pipelined`] summed on this thread since the
+/// previous take; `None` if no group pipelined.
+pub(crate) fn take_pipelined() -> Option<Pipelined> {
     PIPELINED.take()
 }
 
@@ -322,7 +397,7 @@ where
     // Every worker with an item to run counts as busy from the start, so
     // the first item's replay thread sees the workers spawned after it.
     let busy = sim_threads.hold(threads.min(work.len()));
-    let pipelined: Mutex<Option<(u64, u64)>> = Mutex::new(None);
+    let pipelined: Mutex<Option<Pipelined>> = Mutex::new(None);
     let state = Mutex::new(State {
         next: 0,
         active: 0,
@@ -394,10 +469,9 @@ where
                     drop(st);
                     cvar.notify_all();
                 }
-                if let Some((replays, by_front_end)) = take_pipelined() {
+                if let Some(group) = take_pipelined() {
                     let mut sum = pipelined.lock().expect("pipelined lock");
-                    let (r, f) = sum.unwrap_or_default();
-                    *sum = Some((r + replays, f + by_front_end));
+                    *sum = Some(sum.unwrap_or_default().add(&group));
                 }
             });
         }
@@ -415,8 +489,9 @@ where
         threads,
         cpus,
         replay_pipelined: pipelined.is_some(),
-        pipelined_replays: pipelined.map_or(0, |(r, _)| r),
-        front_end_replays: pipelined.map_or(0, |(_, f)| f),
+        pipelined_replays: pipelined.map_or(0, |p| p.replays),
+        front_end_replays: pipelined.map_or(0, |p| p.front_end_replays),
+        pipeline_times: pipelined.map_or_else(PipelineTimes::default, |p| p.times),
         peak_resident_traces: st.peak_active,
         peak_resident_bytes: st.peak_bytes,
         sim_latency_us: latency.snapshot(),
@@ -618,6 +693,7 @@ mod tests {
                 replay_pipelined: pipelined,
                 pipelined_replays: if pipelined { 100 } else { 0 },
                 front_end_replays: if pipelined { 7 } else { 0 },
+                pipeline_times: PipelineTimes::default(),
                 peak_resident_traces: peak,
                 peak_resident_bytes: 1000 * peak as u64,
                 sim_latency_us: latency.snapshot(),
@@ -652,7 +728,8 @@ mod tests {
         let run = |pipelined: &[usize]| {
             run_items(&work, 2, 64, None, |item| {
                 if pipelined.contains(&item.bench) {
-                    note_pipelined(10 * item.bench as u64, item.bench as u64);
+                    let times = PipelineTimes::default();
+                    note_pipelined(10 * item.bench as u64, item.bench as u64, times);
                 }
                 Ok(vec![()])
             })
@@ -669,5 +746,36 @@ mod tests {
         assert!(pipelined
             .render()
             .contains("replay pipelined (front end took 10.0% of 30 replays)"));
+    }
+
+    /// The summary sums the per-side times of every pipelined group and
+    /// renders them after the front end's replay share.
+    #[test]
+    fn summary_renders_the_times_of_both_sides() {
+        let work: Vec<WorkItem> =
+            (0..2).map(|bench| WorkItem { bench, policies: vec![0] }).collect();
+        let (_, summary) = run_items(&work, 2, 64, None, |item| {
+            let ms = |n: u64| Duration::from_millis(n * (item.bench as u64 + 1));
+            let times = PipelineTimes {
+                build: ms(100),
+                front_claims: ms(20),
+                front_wait: ms(3),
+                memory: ms(40),
+                replay_claims: ms(50),
+                replay_wait: ms(6),
+            };
+            note_pipelined(10, 1, times);
+            Ok(vec![()])
+        })
+        .unwrap();
+        assert_eq!(summary.pipeline_times.build, Duration::from_millis(300));
+        assert_eq!(summary.pipeline_times.replay_wait, Duration::from_millis(18));
+        assert!(summary.render().contains(
+            "replay pipelined (front end took 10.0% of 20 replays) \
+             [front end build 300.0 / claims 60.0 / wait 9.0 ms; \
+             replay memory 120.0 / claims 150.0 / wait 18.0 ms] | peak"
+        ));
+        let merged = summary.merge(&summary);
+        assert_eq!(merged.pipeline_times.front_claims, Duration::from_millis(120));
     }
 }

@@ -204,6 +204,16 @@ impl L1FrontEnd {
         }
     }
 
+    /// Counts `instruction` i-TLB and `data` d-TLB hits that a caller
+    /// answered without calling [`hit`](Self::hit): each repeated the
+    /// page its L1 looked up last, which the per-set MRU memo answers as
+    /// a hit with no other change to simulated state.
+    #[inline]
+    pub fn count_repeat_hits(&mut self, instruction: u64, data: u64) {
+        self.l1i.hits += instruction;
+        self.l1d.hits += data;
+    }
+
     /// L1 statistics: (i-TLB hits, i-TLB misses, d-TLB hits, d-TLB misses).
     pub fn l1_stats(&self) -> (u64, u64, u64, u64) {
         (self.l1i.hits, self.l1i.misses, self.l1d.hits, self.l1d.misses)

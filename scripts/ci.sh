@@ -236,10 +236,16 @@ else
         "$smoke_dir/pipelined.out"
     grep -q "replay inline" "$smoke_dir/inline.out" \
         || echo "    $cpus cpus exceed the 2 work items: the second run pipelined too"
+    # Every pipelined line also says where each side's time went: the
+    # front end building segments, claiming back ends and waiting, the
+    # replay thread running the memory stage, claiming and waiting.
+    sides='\[front end build [0-9.]+ / claims [0-9.]+ / wait [0-9.]+ ms; replay memory [0-9.]+ / claims [0-9.]+ / wait [0-9.]+ ms\]'
+    SIDES="$sides" awk '/^\[scheduler\]/ && $0 !~ ENVIRON["SIDES"] { bad = 1 } END { exit bad }' \
+        "$smoke_dir/pipelined.out"
     # How many (segment x back end) replays the front-end thread took
-    # while its segment ring was full or draining depends on timing, so
-    # it is shown, not checked.
-    sed -n 's/^\[scheduler\] \([^:]*\):.*replay pipelined (\([^)]*\)).*/    \1: \2/p' \
+    # while its segment ring was full or draining, and the times, depend
+    # on timing, so they are shown, not checked.
+    sed -n 's/^\[scheduler\] \([^:]*\):.*replay pipelined (\([^)]*\)) \[\([^]]*\)\].*/    \1: \2; \3/p' \
         "$smoke_dir/pipelined.out"
 fi
 cmp <(sort "$pipelined_store/runs.jsonl") <(sort "$inline_store/runs.jsonl")
