@@ -17,20 +17,23 @@
 //! by content hash (`trace_tool hash <file>` prints it) without
 //! uploading anything. When the server is saturated both print the
 //! `BUSY` hint and exit with status 3 so scripts can distinguish
-//! backpressure from failure. A usage error (an unknown command or flag,
-//! a missing or invalid value) exits with status 2, any other failure
-//! with status 1.
+//! backpressure from failure; so does any command whose session the
+//! server refuses because it already has its cap of sessions open
+//! (`TOO_MANY_SESSIONS`), since that is just as worth retrying. A usage
+//! error (an unknown command or flag, a missing or invalid value) exits
+//! with status 2, any other failure with status 1.
 
 use chirp_serve::client::{shutdown_server, Client, SubmitOutcome};
-use chirp_serve::wire::VerdictReply;
-use chirp_serve::{exit_on_err, exit_on_usage_err};
+use chirp_serve::wire::{err, VerdictReply};
+use chirp_serve::{exit_on_err, exit_on_usage_err, ClientError};
 use chirp_store::parse_hex16;
 use std::net::SocketAddr;
 
 const USAGE: &str = "usage: chirp-client <ping|stats|submit|run|shutdown> --addr HOST:PORT \
                      [--file TRACE.chrp] [--hash HEX16] [--name N] [--category C] [--seed S] \
                      [--policies a,b,c] [--telemetry]\n\
-                     a usage error exits with status 2, a failed request with 1, BUSY with 3";
+                     a usage error exits with status 2, a failed request with 1, BUSY or a \
+                     session refused at the server's cap with 3";
 
 struct Args {
     addr: SocketAddr,
@@ -98,15 +101,15 @@ fn main() {
     match command.as_str() {
         "ping" => {
             let mut client = exit_on_err(Client::connect(args.addr), "connect");
-            exit_on_err(client.ping(), "ping");
+            exit_on_request_err(client.ping(), "ping");
             println!("pong from {}", args.addr);
         }
         "stats" => {
             let mut client = exit_on_err(Client::connect(args.addr), "connect");
-            print!("{}", exit_on_err(client.stats(), "stats"));
+            print!("{}", exit_on_request_err(client.stats(), "stats"));
         }
         "shutdown" => {
-            exit_on_err(shutdown_server(args.addr), "shutdown");
+            exit_on_request_err(shutdown_server(args.addr), "shutdown");
             println!("server at {} acknowledged shutdown", args.addr);
         }
         "submit" => {
@@ -118,7 +121,7 @@ fn main() {
                 .clone()
                 .unwrap_or_else(|| format!("upload.{}.s{}", chirp_store::hex16(hash), args.seed));
             let mut client = exit_on_err(Client::connect(args.addr), "connect");
-            let outcome = exit_on_err(
+            let outcome = exit_on_request_err(
                 client.submit_bytes(
                     &name,
                     &args.category,
@@ -138,7 +141,7 @@ fn main() {
                 .clone()
                 .unwrap_or_else(|| format!("upload.{}.s{}", chirp_store::hex16(hash), args.seed));
             let mut client = exit_on_err(Client::connect(args.addr), "connect");
-            let outcome = exit_on_err(
+            let outcome = exit_on_request_err(
                 client.run_archived(
                     hash,
                     &name,
@@ -153,6 +156,16 @@ fn main() {
         }
         other => exit_on_usage_err(Err(format!("unknown command {other}")), USAGE),
     }
+}
+
+/// [`exit_on_err`] for a request, except that a session the server
+/// refused at its cap exits with status 3, as `BUSY` does.
+fn exit_on_request_err<T>(result: Result<T, ClientError>, context: impl AsRef<str>) -> T {
+    if let Err(ClientError::Server { code: err::TOO_MANY_SESSIONS, message }) = &result {
+        eprintln!("REFUSED: {message}");
+        std::process::exit(3);
+    }
+    exit_on_err(result, context)
 }
 
 fn report(outcome: SubmitOutcome) {

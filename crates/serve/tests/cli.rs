@@ -1,10 +1,13 @@
 //! Exit statuses of the `chirp-serve`, `chirp-client` and `loadgen`
 //! binaries: a usage error exits with 2, as the `chirp-bench` binaries
-//! do, and a runtime failure with 1. None of these invocations starts a
-//! server.
+//! do, and a runtime failure with 1. Only the session-cap case starts a
+//! server; `chirp-client` exits with 3 when it refuses the session.
 
+use chirp_serve::Client;
+use chirp_store::TempDir;
+use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_chirp-serve");
 const CLIENT: &str = env!("CARGO_BIN_EXE_chirp-client");
@@ -69,6 +72,30 @@ fn client_runtime_failure_exits_with_status_1() {
     let (code, stderr) = run(CLIENT, &["ping", "--addr", &addr]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("connect"), "{stderr}");
+}
+
+#[test]
+fn client_refused_at_the_session_cap_exits_with_status_3() {
+    let root = TempDir::new("cli-session-cap");
+    let store = root.path().to_str().expect("utf-8 temp path");
+    let mut server = Command::new(SERVE)
+        .args(["--bind", "127.0.0.1:0", "--store", store, "--max-sessions", "1"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn chirp-serve");
+    let mut line = String::new();
+    let stdout = server.stdout.take().expect("piped stdout");
+    BufReader::new(stdout).read_line(&mut line).expect("read the listening line");
+    let addr = line.trim().rsplit(' ').next().expect("address").to_string();
+    // A reply proves the held session's thread is running and counted.
+    let mut held = Client::connect(addr.parse().expect("socket address")).expect("connect");
+    held.ping().expect("the first session is served");
+
+    let (code, stderr) = run(CLIENT, &["ping", "--addr", &addr]);
+    let _ = server.kill();
+    let _ = server.wait();
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(stderr.contains("cap of 1"), "{stderr}");
 }
 
 #[test]

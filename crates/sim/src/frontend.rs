@@ -49,11 +49,14 @@
 //! each access's signature depends on the path history left by the
 //! previous one.
 //!
-//! Every policy group, whatever its size, runs on one chunk driver:
-//! streams through [`run_stream_factored`] and `run_stream_group` (which
-//! every suite run and `chirp-serve` take), resident traces through
-//! `run_policy_group` (perfbench and the engine tests). The front end
-//! emits one segment per 4096-record chunk into a ring of segments, and
+//! Every policy group, whatever its size, runs on one chunk driver, fed
+//! by one [`TraceStream`]: [`run_stream_factored`] and `run_stream_group`
+//! (which every suite run and `chirp-serve` take) feed generator, archive
+//! and upload streams, and `run_policy_group` (perfbench and the engine
+//! tests) a resident trace as a `MaterializedStream`. The stream lends
+//! its batches on the calling thread — a generator runs there, a decoder
+//! decodes there — and the front end cuts each batch into 4096-record
+//! chunks and emits one segment per chunk into a ring of segments, and
 //! the replay side runs the memory stage over each one and then replays
 //! it through the back ends, one claim per back end and segment. Inline,
 //! the calling thread does both in turn. When the scheduler leaves a core
@@ -64,7 +67,8 @@
 //! which stays in its core's cache, and publishes it into a free ring
 //! slot with one copy per column; inline, the ring's one slot never
 //! leaves the calling core, so the front end builds in place. Both
-//! threads time each segment, claim and wait, for the scheduler summary
+//! threads time each segment, claim and wait, and the front end also the
+//! time the stream takes to lend each batch, for the scheduler summary
 //! ([`PipelineTimes`]). The whole-trace [`FactoredTrace`] stays for
 //! callers that need every event at once (the OPT bound).
 //!
@@ -1160,7 +1164,8 @@ struct Feeder<'r, P: TlbReplacementPolicy> {
     ring: &'r Ring<P>,
     /// Where the front end builds its segments.
     build: Build<'r>,
-    /// The calling thread's time: building, claims and waits.
+    /// The calling thread's time: its source, building, claims and
+    /// waits.
     times: PipelineTimes,
 }
 
@@ -1214,6 +1219,36 @@ impl<'r, P: TlbReplacementPolicy> Feeder<'r, P> {
         rest.is_empty() || self.emit(&rest, false)
     }
 
+    /// Feeds `stream` through [`Feeder::push_batch`] until the stream
+    /// ends or the group fails. The time from the feed's start, or from
+    /// a batch's last push, to the next batch (or the feed's end) is the
+    /// stream's own: generating or decoding that batch.
+    fn feed<S: TraceStream + ?Sized>(&mut self, stream: &mut S) -> Result<(), StreamError> {
+        let mut since = Instant::now();
+        let fed = stream.feed(&mut |batch| {
+            self.times.source += since.elapsed();
+            let more = self.push_batch(batch);
+            since = Instant::now();
+            more
+        });
+        self.times.source += since.elapsed();
+        fed
+    }
+
+    /// [`Feeder::push`]es a batch of any length, in chunks of at most
+    /// [`CHUNK_SIZE`] records.
+    fn push_batch(&mut self, batch: &TraceChunk<'_>) -> bool {
+        let mut rest = *batch;
+        while rest.len() > CHUNK_SIZE {
+            let (chunk, tail) = rest.split_at(CHUNK_SIZE);
+            if !self.push(&chunk) {
+                return false;
+            }
+            rest = tail;
+        }
+        rest.is_empty() || self.push(&rest)
+    }
+
     fn emit(&mut self, chunk: &TraceChunk<'_>, ends_warmup: bool) -> bool {
         match &mut self.build {
             Build::InPlace(memory) => {
@@ -1243,48 +1278,50 @@ impl<'r, P: TlbReplacementPolicy> Feeder<'r, P> {
     }
 }
 
-/// The factored chunk driver both group paths run on. `feed` pushes the
-/// trace through the [`Feeder`] one chunk at a time, on the calling
-/// thread, into a [`Ring`]. Inline, the calling thread builds each
-/// segment in the ring's one slot and replays it right after.
-/// Pipelined, a scoped thread runs the replay side over a ring of
-/// [`SEGMENT_POOL`] slots; the calling thread builds each segment in one
-/// of its own, publishes it into a free slot with one copy, and claims
-/// backends itself whenever the ring is full, and again while the ring
-/// drains once the feed is done. It notes the replay counts and both
-/// threads' [`PipelineTimes`] for the scheduler summary. Either way every backend sees the same
-/// segments in the same order with the same memory-stage cycles, and
-/// its measured window opens right after the segment that ends at
-/// `warmup`, so results are bit-identical across forms. With an `epoch`
-/// length each backend also samples an epoch series over the measured
-/// window, returned beside its result (empty without one).
+/// The factored chunk driver: [`run_stream_factored`] in a chosen
+/// [`ReplayForm`]. The stream lends its batches on the calling thread to
+/// the [`Feeder`] ([`Feeder::feed`]), which pushes them into a [`Ring`].
+/// Inline, the calling thread builds each segment in the ring's one slot
+/// and replays it right after. Pipelined, a scoped thread runs the
+/// replay side over a ring of [`SEGMENT_POOL`] slots; the calling thread
+/// builds each segment in one of its own, publishes it into a free slot
+/// with one copy, and claims backends itself whenever the ring is full,
+/// and again while the ring drains once the feed is done. It notes the
+/// replay counts and both threads' [`PipelineTimes`] for the scheduler
+/// summary. Either way every backend sees the same segments in the same
+/// order with the same memory-stage cycles, and its measured window
+/// opens right after the segment that ends at the warmup cut, so results
+/// are bit-identical across forms. Each result comes beside its backend
+/// and, with an `epoch` length, an epoch series sampled every `epoch`
+/// measured instructions (empty without one).
 ///
 /// # Errors
 ///
-/// Returns `feed`'s error once the replay thread has stopped (it
+/// Returns the stream's error once the replay thread has stopped (it
 /// abandons the segments still in flight) and joined. A panic on either
-/// thread, in a claim or elsewhere, stops the other side and resumes on
-/// the caller.
-fn drive_factored<P, F>(
+/// thread, in the stream (a generator's), a claim or elsewhere, stops
+/// the other side and resumes on the caller.
+pub(crate) fn replay_stream_group<P, S>(
     config: &SimConfig,
     sig_config: &ChirpConfig,
     policies: Vec<P>,
-    warmup: usize,
+    stream: &mut S,
+    warmup_fraction: f64,
     epoch: Option<u64>,
     form: ReplayForm,
-    feed: F,
 ) -> Result<Vec<LaneEnd<P>>, StreamError>
 where
     P: TlbReplacementPolicy + Send,
-    F: FnOnce(&mut Feeder<'_, P>) -> Result<(), StreamError>,
+    S: TraceStream + ?Sized,
 {
+    let warmup = warmup_cut(stream.len(), warmup_fraction);
     let lanes = Lanes::new(config, policies, sig_config.signature_code(), epoch);
     let fe = FrontEnd::new(config, sig_config);
     let mut memory = MemoryStage::new(config);
     match form {
         ReplayForm::Inline => {
             let ring = Ring::new(lanes, 1);
-            feed(&mut Feeder::new(fe, warmup, epoch, &ring, Build::InPlace(&mut memory)))?;
+            Feeder::new(fe, warmup, epoch, &ring, Build::InPlace(&mut memory)).feed(stream)?;
             Ok(ring.lanes.finish())
         }
         ReplayForm::Pipelined => {
@@ -1300,7 +1337,7 @@ where
                 let mut local = EventSegment::for_chunk();
                 let mut feeder = Feeder::new(fe, warmup, epoch, &ring, Build::Local(&mut local));
                 // Once fed, the front end helps drain the ring.
-                let fed = feed(&mut feeder).map(|()| {
+                let fed = feeder.feed(stream).map(|()| {
                     ring.help_until(0, &mut feeder.times);
                 });
                 hang_up.failed = fed.is_err();
@@ -1319,59 +1356,8 @@ where
     }
 }
 
-/// Runs a factored group over a resident trace through the chunk
-/// driver: the streamed engine's O(chunk) event residency, without first
-/// building a whole [`FactoredTrace`]. Results are bit-identical to
-/// [`FactoredTrace::build`] + [`replay_factored`].
-pub(crate) fn replay_trace_group<P: TlbReplacementPolicy + Send>(
-    config: &SimConfig,
-    sig_config: &ChirpConfig,
-    policies: Vec<P>,
-    trace: &PackedTrace,
-    warmup_fraction: f64,
-    form: ReplayForm,
-) -> Vec<RunResult> {
-    let warmup = warmup_cut(trace.len(), warmup_fraction);
-    drive_factored(config, sig_config, policies, warmup, None, form, |feeder| {
-        // `all` stops at the first chunk the back ends can no longer take.
-        trace.chunks(CHUNK_SIZE).all(|chunk| feeder.push(&chunk));
-        Ok(())
-    })
-    .expect("a resident trace has no stream to fail")
-    .into_iter()
-    .map(|(result, _, _)| result)
-    .collect()
-}
-
-/// [`run_stream_factored`] in a chosen [`ReplayForm`], each result beside
-/// its backend and its epoch series, sampled every `epoch` measured
-/// instructions (empty without).
-pub(crate) fn replay_stream_group<P, S>(
-    config: &SimConfig,
-    sig_config: &ChirpConfig,
-    policies: Vec<P>,
-    stream: &mut S,
-    warmup_fraction: f64,
-    epoch: Option<u64>,
-    form: ReplayForm,
-) -> Result<Vec<LaneEnd<P>>, StreamError>
-where
-    P: TlbReplacementPolicy + Send,
-    S: TraceStream + ?Sized,
-{
-    let warmup = warmup_cut(stream.len(), warmup_fraction);
-    drive_factored(config, sig_config, policies, warmup, epoch, form, |feeder| {
-        while let Some(batch) = stream.next_batch()? {
-            if !batch.chunks(CHUNK_SIZE).all(|chunk| feeder.push(&chunk)) {
-                break;
-            }
-        }
-        Ok(())
-    })
-}
-
 /// The streamed form of [`FactoredTrace::build`] + [`replay_factored`]:
-/// pulls bounded batches and runs them through the factored chunk
+/// feeds the stream's bounded batches through the factored chunk
 /// driver, so peak event residency is O(chunk), and results are
 /// bit-identical to
 /// [`Simulator::run_columnar`](crate::Simulator::run_columnar) of each
@@ -1459,7 +1445,8 @@ mod tests {
     }
 
     /// Both forms of the driver equal `run_columnar` bit for bit at every
-    /// cut, over a resident trace and over a stream whose batches do not
+    /// cut, over a resident trace fed in chunk-sized views (as
+    /// `run_policy_group` feeds it) and over a stream whose batches do not
     /// align with the chunks.
     #[test]
     fn both_forms_match_the_columnar_oracle_at_every_cut() {
@@ -1470,16 +1457,22 @@ mod tests {
             let sig = group_sig_config(kinds.iter());
             let want = columnar(&kinds, &config, &trace);
             for form in FORMS {
-                let policies = build(&kinds, &config);
-                let resident = replay_trace_group(&config, &sig, policies, &trace, fraction, form);
-                assert_eq!(resident, want, "resident {form:?} at cut {cut}");
-                let mut stream = MaterializedStream::new(&trace, 3_000);
-                let policies = build(&kinds, &config);
-                let streamed =
-                    replay_stream_group(&config, &sig, policies, &mut stream, fraction, None, form)
-                        .expect("materialized stream");
-                let streamed: Vec<RunResult> = streamed.into_iter().map(|(r, _, _)| r).collect();
-                assert_eq!(streamed, want, "streamed {form:?} at cut {cut}");
+                for (what, batch) in [("resident", CHUNK_SIZE), ("streamed", 3_000)] {
+                    let mut stream = MaterializedStream::new(&trace, batch);
+                    let policies = build(&kinds, &config);
+                    let got = replay_stream_group(
+                        &config,
+                        &sig,
+                        policies,
+                        &mut stream,
+                        fraction,
+                        None,
+                        form,
+                    )
+                    .expect("materialized stream");
+                    let got: Vec<RunResult> = got.into_iter().map(|(r, _, _)| r).collect();
+                    assert_eq!(got, want, "{what} {form:?} at cut {cut}");
+                }
             }
         }
     }
@@ -1850,7 +1843,7 @@ mod tests {
     /// on the replay thread, and backend 0 waits there until backend 1 —
     /// which only the front end is left to claim — opens its gate.
     /// Returns the stream and the two probes' gate and release.
-    fn front_end_must_claim(trace: &PackedTrace) -> (GatedStream, Probe, Probe) {
+    fn front_end_must_claim(trace: &PackedTrace) -> (GatedStream<'_>, Probe, Probe) {
         let mut stream = GatedStream::new(trace, LEN.div_ceil(CHUNK_SIZE), None);
         let started = stream.hold_at(SEGMENT_POOL);
         let (release, gate) = channel();
@@ -1895,12 +1888,12 @@ mod tests {
         }
     }
 
-    /// A stream that serves prepared batches, then `Err` (or the end),
-    /// and opens a channel gate — drops `gate` — when asked for item
+    /// A stream that lends prepared batches, then `Err` (or the end),
+    /// and opens a channel gate — drops `gate` — when it reaches item
     /// `open_at`. Progress on the replay side is thus tied to how far
     /// the front end has read, with no timing involved.
-    struct GatedStream {
-        items: VecDeque<Result<PackedTrace, StreamError>>,
+    struct GatedStream<'a> {
+        items: VecDeque<Result<TraceChunk<'a>, StreamError>>,
         len: usize,
         served: usize,
         open_at: usize,
@@ -1908,13 +1901,12 @@ mod tests {
         hold: Option<(usize, Receiver<()>)>,
     }
 
-    impl GatedStream {
+    impl<'a> GatedStream<'a> {
         /// The first `batches` chunk-sized batches of `trace`, then
         /// `error` if given.
-        fn new(trace: &PackedTrace, batches: usize, error: Option<StreamError>) -> GatedStream {
-            let mut source = MaterializedStream::new(trace, CHUNK_SIZE);
-            let mut items: VecDeque<_> =
-                (0..batches).map(|_| Ok(source.next_batch().unwrap().expect("batch"))).collect();
+        fn new(trace: &'a PackedTrace, batches: usize, error: Option<StreamError>) -> Self {
+            let mut items: VecDeque<_> = trace.chunks(CHUNK_SIZE).take(batches).map(Ok).collect();
+            assert_eq!(items.len(), batches, "the trace holds {batches} batches");
             items.extend(error.map(Err));
             let len = trace.len();
             GatedStream { items, len, served: 0, open_at: usize::MAX, gate: None, hold: None }
@@ -1936,25 +1928,38 @@ mod tests {
         }
     }
 
-    impl TraceStream for GatedStream {
+    impl TraceStream for GatedStream<'_> {
         fn len(&self) -> usize {
             self.len
         }
 
-        fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
-            if let Some((_, hold)) = self.hold.take_if(|(at, _)| *at == self.served) {
-                let _ = hold.recv();
+        /// Counts every item it reaches in `served`, the end included.
+        fn feed(
+            &mut self,
+            take: &mut dyn FnMut(&TraceChunk<'_>) -> bool,
+        ) -> Result<(), StreamError> {
+            loop {
+                if let Some((_, hold)) = self.hold.take_if(|(at, _)| *at == self.served) {
+                    let _ = hold.recv();
+                }
+                if self.served == self.open_at {
+                    self.gate = None;
+                }
+                self.served += 1;
+                match self.items.pop_front() {
+                    None => return Ok(()),
+                    Some(item) => {
+                        if !take(&item?) {
+                            return Ok(());
+                        }
+                    }
+                }
             }
-            if self.served == self.open_at {
-                self.gate = None;
-            }
-            self.served += 1;
-            self.items.pop_front().transpose()
         }
     }
 
     fn run(
-        stream: &mut GatedStream,
+        stream: &mut GatedStream<'_>,
         policies: Vec<Probe>,
         form: ReplayForm,
     ) -> Result<Vec<LaneEnd<Probe>>, StreamError> {

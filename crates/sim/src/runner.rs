@@ -17,8 +17,8 @@
 //! mutexes are held only for index probes and appends.
 
 use crate::config::SimConfig;
-use crate::engine::Simulator;
-use crate::frontend::{group_sig_config, replay_stream_group, replay_trace_group, ReplayForm};
+use crate::engine::{Simulator, CHUNK_SIZE};
+use crate::frontend::{group_sig_config, replay_stream_group, ReplayForm};
 use crate::metrics::RunResult;
 use crate::registry::PolicyKind;
 use crate::sched::{run_items, WorkItem};
@@ -26,7 +26,7 @@ use crate::store_cache::{record_from_run, run_from_record, run_key};
 use chirp_store::{ArchiveTraceStream, Store, StoreError, TraceArchive};
 use chirp_telemetry::EpochRow;
 use chirp_trace::suite::BenchmarkSpec;
-use chirp_trace::{Category, PackedTrace, StreamError, TraceStream};
+use chirp_trace::{Category, MaterializedStream, PackedTrace, StreamError, TraceStream};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -60,8 +60,8 @@ pub struct RunnerConfig {
 }
 
 /// Records per streamed batch when [`RunnerConfig::stream_chunk`] is 0:
-/// ~64k records ≈ 0.8 MiB packed, big enough to amortise channel and
-/// bookkeeping costs, small enough that a unit's pipeline stays a few MiB.
+/// ~64k records ≈ 0.8 MiB packed, big enough to amortise per-batch
+/// bookkeeping, small enough that a unit's batch stays about a MiB.
 pub const DEFAULT_STREAM_CHUNK: usize = 65_536;
 
 impl Default for RunnerConfig {
@@ -97,14 +97,11 @@ impl RunnerConfig {
     }
 
     /// Estimated peak packed-trace bytes of one in-flight work item, for
-    /// budget admission: the consumer's batch plus the producer pipeline
-    /// ([`chirp_trace::STREAM_PIPELINE_CHUNKS`] buffered + one being
-    /// filled), but never more than the whole trace, which is all a
-    /// stream of fewer batches can hold.
+    /// budget admission: the one batch its stream has lent, but never
+    /// more than the whole trace, which is all a stream of fewer batches
+    /// can hold.
     pub(crate) fn stream_unit_estimate(&self) -> u64 {
-        let batches = chirp_trace::STREAM_PIPELINE_CHUNKS as u64 + 2;
-        let pipeline = PackedTrace::estimate_bytes(self.stream_chunk_records()) * batches;
-        pipeline.min(PackedTrace::estimate_bytes(self.instructions))
+        PackedTrace::estimate_bytes(self.stream_chunk_records().min(self.instructions))
     }
 }
 
@@ -153,10 +150,11 @@ pub(crate) const NO_STORE_TO_FAIL: &str = "a suite run without a store has nothi
 
 /// Runs one same-trace group of policies over a resident trace. With
 /// `factored` set, the group, whatever its size, runs as one front-end
-/// pass + per-policy replay back-ends over 4096-record segments (the
-/// chunk driver behind [`run_stream_group`], replaying on a second thread
-/// when a core would otherwise sit idle), the signature stream computed
-/// under the group's first CHiRP configuration ([`group_sig_config`]).
+/// pass + per-policy replay back-ends over 4096-record segments: the
+/// trace is fed as a [`MaterializedStream`] through the chunk driver
+/// behind [`run_stream_group`], which replays on a second thread when a
+/// core would otherwise sit idle, the signature stream computed under
+/// the group's first CHiRP configuration ([`group_sig_config`]).
 /// With `factored` unset every policy runs [`Simulator::run_columnar`],
 /// the reference model, for tests and checks that compare the two.
 /// Results are bit-identical either way, in input order.
@@ -173,7 +171,12 @@ pub fn run_policy_group(
     let sig_config = group_sig_config(kinds.iter().copied());
     let policies = kinds.iter().map(|kind| kind.build_dispatch(sim.tlb.l2, seed)).collect();
     let (form, _core) = ReplayForm::choose();
-    replay_trace_group(sim, &sig_config, policies, trace, sim.warmup_fraction, form)
+    let mut stream = MaterializedStream::new(trace, CHUNK_SIZE);
+    replay_stream_group(sim, &sig_config, policies, &mut stream, sim.warmup_fraction, None, form)
+        .expect("a resident trace has no stream to fail")
+        .into_iter()
+        .map(|(result, _, _)| result)
+        .collect()
 }
 
 fn run_columnar(sim: &SimConfig, kind: &PolicyKind, seed: u64, trace: &PackedTrace) -> RunResult {
@@ -423,7 +426,9 @@ pub fn group_by_benchmark(runs: &[BenchRun], policies: usize) -> Vec<&[BenchRun]
 mod tests {
     use super::*;
     use chirp_store::TempDir;
+    use chirp_trace::gen::Emitter;
     use chirp_trace::suite::{build_suite, SuiteConfig};
+    use chirp_trace::{GenStream, TraceRecord};
 
     /// Fills the archive under `root` with `suite`'s traces, as
     /// `trace_tool pack` does.
@@ -535,23 +540,40 @@ mod tests {
         }
     }
 
-    /// An item reserves its stream pipeline, but never more than its whole
-    /// trace: a stream of fewer batches than the pipeline holds cannot
-    /// keep more in flight than it has.
+    /// An item reserves one stream batch, but never more than its whole
+    /// trace: a trace shorter than a batch cannot keep more in flight
+    /// than it has.
     #[test]
     fn stream_unit_estimate_is_capped_at_the_whole_trace() {
-        let batches = chirp_trace::STREAM_PIPELINE_CHUNKS as u64 + 2;
         let estimate = |instructions, stream_chunk| {
             RunnerConfig { instructions, stream_chunk, ..Default::default() }.stream_unit_estimate()
         };
-        assert_eq!(estimate(200_000, 0), PackedTrace::estimate_bytes(200_000));
+        assert_eq!(estimate(200_000, 0), PackedTrace::estimate_bytes(DEFAULT_STREAM_CHUNK));
         assert_eq!(estimate(40_000, 0), PackedTrace::estimate_bytes(40_000));
         assert_eq!(
             estimate(1_000_000, 0),
-            PackedTrace::estimate_bytes(DEFAULT_STREAM_CHUNK) * batches,
-            "the cap changes nothing at four or more batches"
+            PackedTrace::estimate_bytes(DEFAULT_STREAM_CHUNK),
+            "the cap changes nothing at one or more batches"
         );
-        assert_eq!(estimate(5_000, 1_000), PackedTrace::estimate_bytes(1_000) * batches);
+        assert_eq!(estimate(5_000, 1_000), PackedTrace::estimate_bytes(1_000));
+    }
+
+    /// A generator that panics mid-trace makes its group panic, instead
+    /// of ending its stream early and returning a short trace's results.
+    #[test]
+    fn a_generator_panic_mid_trace_reaches_the_caller() {
+        let mut stream = GenStream::new(100_000, 4_096, |em: &mut Emitter<'_>| {
+            for i in 0..50_000 {
+                em.push(TraceRecord::alu(0x40_0000 + 4 * i));
+            }
+            panic!("generator fails mid-trace");
+        });
+        let sim = SimConfig::default();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_stream_group(&sim, &[&PolicyKind::Lru], 1, &mut stream)
+        }));
+        let panic = outcome.expect_err("the generator's panic must reach the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"generator fails mid-trace"));
     }
 
     #[test]

@@ -81,10 +81,13 @@ pub struct SchedulerSummary {
 }
 
 /// Where the two threads of pipelined factored groups spent their time,
-/// summed over the groups. Each interval timed is one segment, claim or
-/// wait, never one record.
+/// summed over the groups. Each interval timed is one batch, segment,
+/// claim or wait, never one record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineTimes {
+    /// Front-end thread: inside its trace source between two pushes,
+    /// generating or decoding the next batch.
+    pub source: Duration,
     /// Front-end thread: building segments, each one's publish into its
     /// ring slot included.
     pub build: Duration,
@@ -105,6 +108,7 @@ impl PipelineTimes {
     /// Both sets of times summed, field by field.
     pub(crate) fn add(&self, other: &PipelineTimes) -> PipelineTimes {
         PipelineTimes {
+            source: self.source + other.source,
             build: self.build + other.build,
             front_claims: self.front_claims + other.front_claims,
             front_wait: self.front_wait + other.front_wait,
@@ -114,13 +118,14 @@ impl PipelineTimes {
         }
     }
 
-    /// `front end build B / claims C / wait W ms; replay memory M /
-    /// claims C / wait W ms`.
+    /// `front end source S / build B / claims C / wait W ms; replay
+    /// memory M / claims C / wait W ms`.
     fn render(&self) -> String {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         format!(
-            "front end build {:.1} / claims {:.1} / wait {:.1} ms; \
+            "front end source {:.1} / build {:.1} / claims {:.1} / wait {:.1} ms; \
              replay memory {:.1} / claims {:.1} / wait {:.1} ms",
+            ms(self.source),
             ms(self.build),
             ms(self.front_claims),
             ms(self.front_wait),
@@ -757,6 +762,7 @@ mod tests {
         let (_, summary) = run_items(&work, 2, 64, None, |item| {
             let ms = |n: u64| Duration::from_millis(n * (item.bench as u64 + 1));
             let times = PipelineTimes {
+                source: ms(70),
                 build: ms(100),
                 front_claims: ms(20),
                 front_wait: ms(3),
@@ -768,11 +774,12 @@ mod tests {
             Ok(vec![()])
         })
         .unwrap();
+        assert_eq!(summary.pipeline_times.source, Duration::from_millis(210));
         assert_eq!(summary.pipeline_times.build, Duration::from_millis(300));
         assert_eq!(summary.pipeline_times.replay_wait, Duration::from_millis(18));
         assert!(summary.render().contains(
             "replay pipelined (front end took 10.0% of 20 replays) \
-             [front end build 300.0 / claims 60.0 / wait 9.0 ms; \
+             [front end source 210.0 / build 300.0 / claims 60.0 / wait 9.0 ms; \
              replay memory 120.0 / claims 150.0 / wait 18.0 ms] | peak"
         ));
         let merged = summary.merge(&summary);

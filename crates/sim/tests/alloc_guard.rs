@@ -24,7 +24,7 @@ use chirp_core::ChirpConfig;
 use chirp_sim::{PolicyDispatch, PolicyKind, SimConfig, Simulator};
 use chirp_tlb::{PolicyStorage, TlbAccess, TlbReplacementPolicy};
 use chirp_trace::suite::{build_suite, SuiteConfig};
-use chirp_trace::{MaterializedStream, PackedTrace, StreamError, TraceStream};
+use chirp_trace::{StreamError, TraceChunk, TraceStream};
 
 struct CountingAlloc;
 
@@ -233,27 +233,32 @@ impl TlbReplacementPolicy for Meet {
     }
 }
 
-/// Serves prebuilt batches (moving each out, so serving allocates
-/// nothing) and meets `hold` before serving batch `hold_at`.
-struct Prebuilt {
-    batches: VecDeque<PackedTrace>,
+/// Lends prebuilt chunk views of a resident trace (lending allocates
+/// nothing) and meets `hold` before lending batch `hold_at`.
+struct Prebuilt<'a> {
+    batches: VecDeque<TraceChunk<'a>>,
     len: usize,
     served: usize,
     hold_at: usize,
     hold: Arc<Barrier>,
 }
 
-impl TraceStream for Prebuilt {
+impl TraceStream for Prebuilt<'_> {
     fn len(&self) -> usize {
         self.len
     }
 
-    fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
-        if self.served == self.hold_at {
-            self.hold.wait();
+    fn feed(&mut self, take: &mut dyn FnMut(&TraceChunk<'_>) -> bool) -> Result<(), StreamError> {
+        loop {
+            if self.served == self.hold_at {
+                self.hold.wait();
+            }
+            self.served += 1;
+            match self.batches.pop_front() {
+                Some(batch) if take(&batch) => {}
+                _ => return Ok(()),
+            }
         }
-        self.served += 1;
-        Ok(self.batches.pop_front())
     }
 }
 
@@ -266,8 +271,7 @@ impl TraceStream for Prebuilt {
 fn allocs_for_front_end_claims(config: &SimConfig, instructions: usize) -> u64 {
     let suite = build_suite(&SuiteConfig { benchmarks: 1 });
     let trace = suite[0].generate_packed(instructions);
-    let mut source = MaterializedStream::new(&trace, 4096);
-    let batches = std::iter::from_fn(|| source.next_batch().expect("resident batch")).collect();
+    let batches = trace.chunks(4096).collect();
     let started = Arc::new(Barrier::new(2));
     let release = Arc::new(Barrier::new(2));
     let meet = |barriers: Vec<Arc<Barrier>>| Meet {

@@ -2,8 +2,8 @@
 //!
 //! A live-bytes tracking global allocator wraps the system allocator and
 //! records the high-water mark of outstanding heap bytes (across all
-//! threads, so the generator's producer thread and the driver's replay
-//! thread are counted). The test streams a trace two orders of magnitude
+//! threads, so the driver's replay thread is counted beside the calling
+//! thread, which runs the generator and the front end). The test streams a trace two orders of magnitude
 //! larger than the chunk size through a one-policy group on the chunk
 //! driver and asserts the peak heap growth during the run exceeds that of
 //! a run ten chunks long by at most a small multiple of one chunk — i.e.
@@ -78,16 +78,16 @@ fn streamed_run_keeps_trace_residency_proportional_to_chunk() {
     const CHUNK: usize = 4_096;
 
     // The driver's fixed costs (segment ring, memory stage, back end) and
-    // a full stream pipeline, over a run of ten chunks.
+    // the generator's one chunk, over a run of ten chunks.
     let fixed = gauge(10 * CHUNK, CHUNK);
     let peak = gauge(LEN, CHUNK);
 
     let chunk_bytes = PackedTrace::estimate_bytes(CHUNK);
     let trace_bytes = PackedTrace::estimate_bytes(LEN);
-    // Pipeline depth is a handful of chunks (producer builds one, the
-    // channel buffers STREAM_PIPELINE_CHUNKS, the consumer holds one);
-    // 16× leaves slack for builder growth doubling and per-batch scratch
-    // while staying ~6× under the materialized trace size.
+    // The generator's emitter holds one chunk at a time, which it lends
+    // to the front end on the same thread; 16× leaves slack for builder
+    // growth doubling and per-batch scratch while staying ~6× under the
+    // materialized trace size.
     let slack = chunk_bytes * 16;
     assert!(
         slack * 4 < trace_bytes,

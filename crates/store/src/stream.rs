@@ -21,13 +21,14 @@
 use crate::archive::EntryMeta;
 use chirp_trace::codec::ChunkedDecoder;
 use chirp_trace::stream::{StreamError, TraceStream};
-use chirp_trace::PackedTrace;
+use chirp_trace::{PackedTrace, TraceChunk};
 use std::fs::File;
 use std::path::Path;
 
 /// Streams an archived trace file in bounded [`PackedTrace`] batches,
-/// verifying the manifest checksum over the whole file as a side effect
-/// of consumption.
+/// pulled with [`ArchiveTraceStream::next_batch`] or lent by
+/// [`TraceStream::feed`], verifying the manifest checksum over the whole
+/// file as a side effect of consumption.
 pub struct ArchiveTraceStream {
     decoder: Option<ChunkedDecoder<File>>,
     meta: EntryMeta,
@@ -85,14 +86,17 @@ impl ArchiveTraceStream {
         }
         Ok(())
     }
-}
 
-impl TraceStream for ArchiveTraceStream {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
+    /// Decodes the next batch; `None` at the end of the file, once its
+    /// length and checksum have been checked. The checks run before the
+    /// last batch is returned, so a consumer never finishes a corrupt
+    /// replay cleanly. The stream must not be pulled again after an error.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an I/O or decode error, or on a length or checksum that
+    /// disagrees with the manifest entry.
+    pub fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
         let Some(decoder) = self.decoder.as_mut() else { return Ok(None) };
         match decoder.next_chunk(self.chunk) {
             Ok(Some(batch)) => {
@@ -112,6 +116,21 @@ impl TraceStream for ArchiveTraceStream {
                 Err(e.into())
             }
         }
+    }
+}
+
+impl TraceStream for ArchiveTraceStream {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn feed(&mut self, take: &mut dyn FnMut(&TraceChunk<'_>) -> bool) -> Result<(), StreamError> {
+        while let Some(batch) = self.next_batch()? {
+            if !take(&batch.as_chunk()) {
+                break;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -237,13 +256,10 @@ mod tests {
             assert_eq!(TraceArchive::decode_file(&path, meta), None, "{what}");
             let Ok(mut stream) = ArchiveTraceStream::open(&path, meta, 512) else { continue };
             let mut yielded = 0;
-            let outcome = loop {
-                match stream.next_batch() {
-                    Ok(Some(batch)) => yielded += batch.len(),
-                    Ok(None) => break Ok(()),
-                    Err(e) => break Err(e),
-                }
-            };
+            let outcome = stream.feed(&mut |batch| {
+                yielded += batch.len();
+                true
+            });
             assert!(outcome.is_err(), "{what}: streamed cleanly");
             assert!(yielded < len.min(stream.len()), "{what}: {yielded} records handed out");
         }

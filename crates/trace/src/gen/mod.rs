@@ -35,7 +35,7 @@ pub use scientific::TiledStencil;
 pub use spec_loop::SpecLoops;
 pub use web::WebServe;
 
-use crate::packed::{PackedTrace, PackedTraceBuilder};
+use crate::packed::{PackedTrace, TraceChunk};
 use crate::record::TraceRecord;
 use crate::rng::Xoshiro256pp;
 use crate::PAGE_SIZE;
@@ -104,8 +104,8 @@ pub trait WorkloadGen {
     /// Emits records into `em` until [`Emitter::is_full`] reports true,
     /// using `seed` for all random choices. Must be deterministic in
     /// `(self, em.limit, seed)` — the emitter decides where the records
-    /// go (an in-memory buffer or a bounded streaming channel), the
-    /// generator only decides *what* they are. This is the one method a
+    /// go (an in-memory buffer or chunk by chunk to a stream's consumer),
+    /// the generator only decides *what* they are. This is the one method a
     /// generator implements; both the materialized and the streaming
     /// trace paths are derived from it, which is what makes the two
     /// bit-identical by construction.
@@ -115,7 +115,7 @@ pub trait WorkloadGen {
     /// form using `seed` for all random choices. Materializes the whole
     /// trace; for bounded-memory production use
     /// [`crate::stream::GenStream`], which drives the same
-    /// [`WorkloadGen::emit_into`] through a chunked channel.
+    /// [`WorkloadGen::emit_into`] one chunk at a time.
     fn generate_packed(&self, len: usize, seed: u64) -> PackedTrace {
         let mut em = Emitter::new(len);
         self.emit_into(&mut em, seed);
@@ -130,25 +130,6 @@ pub trait WorkloadGen {
     }
 }
 
-/// Where an [`Emitter`] puts accepted records: a single in-memory builder
-/// (the materialized path) or a bounded channel of chunk-sized batches
-/// (the streaming path).
-#[derive(Debug)]
-enum EmitterSink {
-    /// Everything accumulates into one builder.
-    Buffer(PackedTraceBuilder),
-    /// Full chunks are sent through `tx`; only the chunk under
-    /// construction stays resident.
-    Channel {
-        builder: PackedTraceBuilder,
-        chunk: usize,
-        tx: std::sync::mpsc::SyncSender<PackedTrace>,
-        /// Set when the receiver hung up; reads as full so the generator
-        /// terminates promptly instead of emitting into the void.
-        aborted: bool,
-    },
-}
-
 /// Accumulates trace records up to a limit, packing them as they arrive.
 ///
 /// Generators emit whole loop iterations and check [`Emitter::is_full`]
@@ -157,122 +138,122 @@ enum EmitterSink {
 /// of the old truncate-at-the-end, without buffering the overshoot).
 ///
 /// An emitter built by [`Emitter::new`] buffers everything (the
-/// materialized path). The streaming path (`crate::stream::GenStream`)
-/// constructs one over a bounded channel instead; the acceptance logic —
-/// which records are kept, in which order — is shared, so the chunk
-/// concatenation is bit-identical to the buffered trace.
-#[derive(Debug)]
-pub struct Emitter {
-    sink: EmitterSink,
-    /// Records accepted so far (across all flushed chunks).
-    emitted: usize,
+/// materialized path). One built by `Emitter::feeding` (behind
+/// `crate::stream::GenStream`) lends every `chunk` accepted records to a
+/// consumer as one [`TraceChunk`], on the generator's own thread, then
+/// reuses its columns for the next; once the consumer declines a batch
+/// the emitter reads as full, so the generator returns. Which records are
+/// kept, and in which order, is the same either way, so the lent batches
+/// concatenate to the buffered trace.
+pub struct Emitter<'t> {
+    /// Accepted records not yet lent: the whole trace when buffering.
+    trace: PackedTrace,
+    /// The length of `trace` at which [`Emitter::push`] must lend it or,
+    /// at the limit, drop the record: a chunk, or the rest of the limit
+    /// if that is less.
+    room: usize,
+    /// Records per lent batch; `usize::MAX` when buffering.
+    chunk: usize,
+    /// The consumer batches are lent to; `None` when buffering.
+    take: Option<&'t mut dyn FnMut(&TraceChunk<'_>) -> bool>,
+    /// Records lent so far.
+    lent: usize,
     limit: usize,
 }
 
-impl Emitter {
+impl<'t> Emitter<'t> {
     /// Creates an emitter that stops accepting records once `limit` is hit.
     pub fn new(limit: usize) -> Self {
-        Emitter {
-            sink: EmitterSink::Buffer(PackedTraceBuilder::with_capacity(limit)),
-            emitted: 0,
-            limit,
-        }
+        let trace = PackedTrace::with_capacity(limit);
+        Emitter { trace, room: limit, chunk: usize::MAX, take: None, lent: 0, limit }
     }
 
-    /// Creates an emitter that flushes every `chunk` accepted records as
-    /// one [`PackedTrace`] batch through `tx`, holding at most one
-    /// chunk-in-progress resident. Used by `crate::stream::GenStream`.
-    pub(crate) fn streaming(
+    /// Creates an emitter that lends every `chunk` accepted records to
+    /// `take` and keeps at most one chunk resident. [`Emitter::lend`]
+    /// hands over the last, partial chunk.
+    pub(crate) fn feeding(
         limit: usize,
         chunk: usize,
-        tx: std::sync::mpsc::SyncSender<PackedTrace>,
+        take: &'t mut dyn FnMut(&TraceChunk<'_>) -> bool,
     ) -> Self {
-        let chunk = chunk.max(1);
-        Emitter {
-            sink: EmitterSink::Channel {
-                builder: PackedTraceBuilder::with_capacity(chunk.min(limit)),
-                chunk,
-                tx,
-                aborted: false,
-            },
-            emitted: 0,
-            limit,
-        }
+        let room = chunk.max(1).min(limit);
+        let trace = PackedTrace::with_capacity(room);
+        Emitter { trace, room, chunk: chunk.max(1), take: Some(take), lent: 0, limit }
     }
 
     /// True once at least `limit` records have been emitted (or the
-    /// streaming receiver went away — nothing more can be delivered).
+    /// consumer declined a batch: nothing more can be delivered).
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.emitted >= self.limit
-            || matches!(self.sink, EmitterSink::Channel { aborted: true, .. })
+        self.len() >= self.limit
     }
 
     /// Number of records emitted so far.
     #[inline]
     pub fn len(&self) -> usize {
-        self.emitted
+        self.lent + self.trace.len()
     }
 
     /// True if nothing has been emitted yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.emitted == 0
+        self.len() == 0
     }
 
     /// Appends one record; a no-op once the limit is reached.
     #[inline]
     pub fn push(&mut self, rec: TraceRecord) {
-        if self.emitted >= self.limit {
+        if self.trace.len() >= self.room && !self.make_room() {
             return;
         }
-        match &mut self.sink {
-            EmitterSink::Buffer(builder) => {
-                self.emitted += 1;
-                builder.push(rec);
-            }
-            EmitterSink::Channel { builder, chunk, tx, aborted } => {
-                if *aborted {
-                    return;
-                }
-                self.emitted += 1;
-                builder.push(rec);
-                if builder.len() >= *chunk {
-                    let next_cap = (*chunk).min(self.limit - self.emitted);
-                    let full =
-                        std::mem::replace(builder, PackedTraceBuilder::with_capacity(next_cap));
-                    if tx.send(full.finish()).is_err() {
-                        *aborted = true;
-                    }
-                }
-            }
+        self.trace.push_parts(rec.pc, rec.kind, rec.taken, rec.effective_address, rec.target);
+    }
+
+    /// Makes room for one more record once `trace` holds `room`: lends
+    /// the full chunk, unless the limit is reached. Returns whether the
+    /// record is kept.
+    #[inline(never)]
+    fn make_room(&mut self) -> bool {
+        if self.is_full() {
+            return false;
         }
+        self.lend();
+        !self.is_full()
+    }
+
+    /// Lends the records not yet lent to the consumer, if any, and clears
+    /// them; a declined batch lowers the limit to what was emitted, so
+    /// the emitter reads as full. A buffering emitter keeps its records.
+    pub(crate) fn lend(&mut self) {
+        let Some(take) = &mut self.take else { return };
+        let n = self.trace.len();
+        if n > 0 && !take(&self.trace.as_chunk()) {
+            self.limit = self.lent + n;
+        }
+        self.lent += n;
+        self.trace.clear();
+        self.room = self.chunk.min(self.limit - self.lent);
     }
 
     /// The finished packed trace, exactly `limit` records (or fewer if the
     /// generator stopped early). Only meaningful for buffered emitters.
     pub fn finish_packed(self) -> PackedTrace {
-        match self.sink {
-            EmitterSink::Buffer(builder) => builder.finish(),
-            EmitterSink::Channel { .. } => {
-                unreachable!("finish_packed on a streaming emitter — use finish_stream")
-            }
-        }
-    }
-
-    /// Flushes the trailing partial chunk of a streaming emitter and
-    /// closes the channel (by dropping the sender).
-    pub(crate) fn finish_stream(self) {
-        if let EmitterSink::Channel { builder, tx, aborted, .. } = self.sink {
-            if !aborted && !builder.is_empty() {
-                let _ = tx.send(builder.finish());
-            }
-        }
+        self.trace
     }
 
     /// The finished trace as a flat vector.
     pub fn finish(self) -> Vec<TraceRecord> {
         self.finish_packed().to_records()
+    }
+}
+
+impl std::fmt::Debug for Emitter<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Emitter")
+            .field("emitted", &self.len())
+            .field("limit", &self.limit)
+            .field("chunk", &self.chunk)
+            .finish()
     }
 }
 

@@ -47,7 +47,6 @@ pub use record::{BranchClass, InstrKind, TraceRecord};
 pub use stats::TraceStats;
 pub use stream::{
     collect_stream, GenStream, MaterializedStream, SliceStream, StreamError, TraceStream,
-    STREAM_PIPELINE_CHUNKS,
 };
 pub use suite::{workload_family, BenchmarkSpec, SuiteConfig, GEN_CODE_VERSION, ZIPFIAN_FAMILIES};
 

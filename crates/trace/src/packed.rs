@@ -134,6 +134,27 @@ impl PackedTrace {
         TraceChunks { trace: self, chunk_size, idx: 0, ea: 0, target: 0 }
     }
 
+    /// The whole trace as one [`TraceChunk`].
+    pub fn as_chunk(&self) -> TraceChunk<'_> {
+        TraceChunk {
+            base: 0,
+            pcs: &self.pcs,
+            kinds: &self.kinds,
+            taken: &self.taken,
+            eas: &self.eas,
+            targets: &self.targets,
+        }
+    }
+
+    /// Removes every record, keeping the columns' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.pcs.clear();
+        self.kinds.clear();
+        self.taken.clear();
+        self.eas.clear();
+        self.targets.clear();
+    }
+
     /// Unpacks into a flat record vector.
     pub fn to_records(&self) -> Vec<TraceRecord> {
         self.iter().collect()

@@ -2,15 +2,17 @@
 //!
 //! A materialized [`PackedTrace`] is resident whole per benchmark — fine
 //! for short runs, but at production lengths (1M+ instructions × hundreds
-//! of suite units) the trace dominates memory. A [`TraceStream`] instead yields bounded
-//! [`PackedTrace`] batches on demand, so peak per-unit residency is
+//! of suite units) the trace dominates memory. A [`TraceStream`] instead
+//! lends its records to a consumer in bounded batches, on the consumer's
+//! own thread ([`TraceStream::feed`]), so peak per-unit residency is
 //! O(chunk) rather than O(trace):
 //!
-//! - [`GenStream`] runs a workload generator on a producer thread behind a
-//!   bounded channel; at most a few chunks exist at once.
-//! - [`MaterializedStream`] adapts an already-resident trace to the same
-//!   interface (batches are copied views), so one consumer loop serves
-//!   both worlds — and equivalence tests can diff them.
+//! - [`GenStream`] runs a workload generator inline, into an
+//!   [`Emitter`] that lends every chunk to the consumer as it fills and
+//!   then reuses its columns; one chunk exists at a time.
+//! - [`MaterializedStream`] lends an already-resident trace's own chunk
+//!   views, copying nothing, so one consumer loop serves both worlds —
+//!   and equivalence tests can diff them.
 //! - [`SliceStream`] decodes an in-memory `CHRP` encoding (an upload the
 //!   server has just received) in batches, so the bytes are never
 //!   materialized as a whole trace.
@@ -24,17 +26,10 @@
 
 use crate::codec::{ChunkedDecodeError, ChunkedDecoder, CodecError};
 use crate::gen::Emitter;
-use crate::packed::{PackedTrace, PackedTraceBuilder, TraceChunks};
+use crate::packed::{PackedTrace, PackedTraceBuilder, TraceChunk, TraceChunks};
 use std::fmt;
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::thread::JoinHandle;
 
-/// Chunks a producer keeps in flight beyond the one the consumer holds:
-/// the channel buffers two and the producer fills a third, so peak
-/// residency per streamed unit is ~4 chunks regardless of trace length.
-pub const STREAM_PIPELINE_CHUNKS: usize = 2;
-
-/// Errors surfaced while pulling batches from a [`TraceStream`].
+/// Errors surfaced while feeding a [`TraceStream`].
 #[derive(Debug)]
 pub enum StreamError {
     /// The underlying encoded bytes are not a valid trace.
@@ -79,12 +74,13 @@ impl From<ChunkedDecodeError> for StreamError {
     }
 }
 
-/// A trace delivered as bounded [`PackedTrace`] batches.
+/// A trace lent to a consumer in bounded batches.
 ///
-/// Contract: concatenating every `Ok(Some(batch))` in order yields the
-/// full record sequence; batches are non-empty and hold at most the
-/// chunk size the stream was built with; after the first
-/// `Ok(None)` or `Err`, the stream is exhausted.
+/// Contract: [`feed`](TraceStream::feed) lends the batches in order, and
+/// concatenating them yields the full record sequence; batches are
+/// non-empty, hold at most the chunk size the stream was built with, and
+/// live only for the call to `take` that receives them. A stream is fed
+/// once: feeding it again after its end lends nothing.
 pub trait TraceStream {
     /// Total records the stream intends to yield. Streams may end early
     /// (a generator that stops before its limit), mirroring the
@@ -96,121 +92,66 @@ pub trait TraceStream {
         self.len() == 0
     }
 
-    /// Pulls the next batch; `None` at end of stream.
+    /// Lends each batch, in order, to `take`, on the calling thread,
+    /// until the stream ends or `take` returns `false`.
     ///
     /// # Errors
     ///
     /// Fails when the underlying source fails (decode, I/O, integrity);
-    /// the stream must not be polled again after an error.
-    fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError>;
+    /// the batches lent before the error stand.
+    fn feed(&mut self, take: &mut dyn FnMut(&TraceChunk<'_>) -> bool) -> Result<(), StreamError>;
 }
 
-impl<T: TraceStream + ?Sized> TraceStream for Box<T> {
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
-        (**self).next_batch()
-    }
-}
-
-/// A workload generator running on a producer thread behind a bounded
-/// channel. The generator pushes into a streaming [`Emitter`] that flushes
-/// a [`PackedTrace`] every `chunk` records; the channel holds
-/// [`STREAM_PIPELINE_CHUNKS`] batches, so the producer stalls instead of
-/// buffering an unbounded backlog.
-///
-/// Dropping the stream mid-trace is clean: the channel disconnects, the
-/// emitter reports itself full, the generator returns, and `Drop` joins
-/// the thread.
-pub struct GenStream {
-    rx: Option<Receiver<PackedTrace>>,
-    join: Option<JoinHandle<()>>,
+/// A workload generator as a [`TraceStream`]: `feed` runs `produce` on
+/// the calling thread, into an [`Emitter`] limited to `len` records that
+/// lends every `chunk` of them to `take`. Generator code is identical to
+/// the materialized path (`emit_into`), which is what makes streamed ≡
+/// materialized hold by construction. A `take` that declines a batch
+/// makes the emitter read as full, so the generator returns at its next
+/// check; a generator that panics unwinds through `feed` to its caller.
+pub struct GenStream<F> {
+    produce: Option<F>,
     len: usize,
     chunk: usize,
-    yielded: usize,
 }
 
-impl GenStream {
-    /// Spawns `produce` on a named producer thread. `produce` receives a
-    /// streaming emitter limited to `len` records and flushing every
-    /// `chunk` — generator code is identical to the materialized path
-    /// (`emit_into`), which is what makes streamed ≡ materialized hold by
-    /// construction.
-    pub fn spawn<F>(len: usize, chunk: usize, produce: F) -> GenStream
-    where
-        F: FnOnce(&mut Emitter) + Send + 'static,
-    {
-        let chunk = chunk.max(1);
-        let (tx, rx) = sync_channel(STREAM_PIPELINE_CHUNKS);
-        let join = std::thread::Builder::new()
-            .name("chirp-genstream".into())
-            .spawn(move || {
-                let mut em = Emitter::streaming(len, chunk, tx);
-                produce(&mut em);
-                em.finish_stream();
-            })
-            .expect("spawn trace producer thread");
-        GenStream { rx: Some(rx), join: Some(join), len, chunk, yielded: 0 }
-    }
-
-    fn shutdown(&mut self) {
-        // Disconnect first so a mid-trace producer unblocks and exits.
-        drop(self.rx.take());
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+impl<F: FnOnce(&mut Emitter<'_>)> GenStream<F> {
+    /// A stream of the first `len` records `produce` emits, lent in
+    /// `chunk`-record batches.
+    pub fn new(len: usize, chunk: usize, produce: F) -> GenStream<F> {
+        GenStream { produce: Some(produce), len, chunk: chunk.max(1) }
     }
 }
 
-impl TraceStream for GenStream {
+impl<F: FnOnce(&mut Emitter<'_>)> TraceStream for GenStream<F> {
     fn len(&self) -> usize {
         self.len
     }
 
-    fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
-        let Some(rx) = self.rx.as_ref() else { return Ok(None) };
-        match rx.recv() {
-            Ok(batch) => {
-                self.yielded += batch.len();
-                if self.yielded >= self.len {
-                    self.shutdown();
-                }
-                Ok(Some(batch))
-            }
-            // Producer closed early: the generator emitted fewer records
-            // than its limit — a short trace, same as the materialized
-            // path would produce. End of stream, not an error.
-            Err(_) => {
-                self.shutdown();
-                Ok(None)
-            }
+    fn feed(&mut self, take: &mut dyn FnMut(&TraceChunk<'_>) -> bool) -> Result<(), StreamError> {
+        if let Some(produce) = self.produce.take() {
+            let mut em = Emitter::feeding(self.len, self.chunk, take);
+            produce(&mut em);
+            em.lend();
         }
+        Ok(())
     }
 }
 
-impl Drop for GenStream {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl fmt::Debug for GenStream {
+impl<F> fmt::Debug for GenStream<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GenStream")
             .field("len", &self.len)
             .field("chunk", &self.chunk)
-            .field("yielded", &self.yielded)
+            .field("fed", &self.produce.is_none())
             .finish()
     }
 }
 
-/// An already-resident trace adapted to the [`TraceStream`] interface.
-/// Batches are copies (the trait hands out owned [`PackedTrace`]s), so
-/// this is for equivalence testing and for consumers that only speak
-/// streams — hot paths with a resident trace should walk its
-/// [`PackedTrace::chunks`] directly.
+/// An already-resident trace adapted to the [`TraceStream`] interface:
+/// it lends the trace's own [`PackedTrace::chunks`] views, so nothing is
+/// copied. `run_policy_group` feeds resident traces through the chunk
+/// driver this way.
 #[derive(Debug)]
 pub struct MaterializedStream<'a> {
     chunks: TraceChunks<'a>,
@@ -229,17 +170,13 @@ impl TraceStream for MaterializedStream<'_> {
         self.len
     }
 
-    fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
-        match self.chunks.next() {
-            Some(view) => {
-                let mut builder = PackedTraceBuilder::with_capacity(view.len());
-                for rec in view.records() {
-                    builder.push(rec);
-                }
-                Ok(Some(builder.finish()))
+    fn feed(&mut self, take: &mut dyn FnMut(&TraceChunk<'_>) -> bool) -> Result<(), StreamError> {
+        for chunk in self.chunks.by_ref() {
+            if !take(&chunk) {
+                break;
             }
-            None => Ok(None),
         }
+        Ok(())
     }
 }
 
@@ -283,8 +220,13 @@ impl TraceStream for SliceStream<'_> {
         self.len
     }
 
-    fn next_batch(&mut self) -> Result<Option<PackedTrace>, StreamError> {
-        Ok(self.decoder.next_chunk(self.chunk)?)
+    fn feed(&mut self, take: &mut dyn FnMut(&TraceChunk<'_>) -> bool) -> Result<(), StreamError> {
+        while let Some(batch) = self.decoder.next_chunk(self.chunk)? {
+            if !take(&batch.as_chunk()) {
+                break;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -306,13 +248,12 @@ impl fmt::Debug for SliceStream<'_> {
 /// # Errors
 ///
 /// Propagates the first [`StreamError`] the stream reports.
-pub fn collect_stream<S: TraceStream>(stream: &mut S) -> Result<PackedTrace, StreamError> {
+pub fn collect_stream<S: TraceStream + ?Sized>(stream: &mut S) -> Result<PackedTrace, StreamError> {
     let mut builder = PackedTraceBuilder::with_capacity(stream.len());
-    while let Some(batch) = stream.next_batch()? {
-        for rec in batch.iter() {
-            builder.push(rec);
-        }
-    }
+    stream.feed(&mut |batch| {
+        batch.records().for_each(|rec| builder.push(rec));
+        true
+    })?;
     Ok(builder.finish())
 }
 
@@ -321,9 +262,21 @@ mod tests {
     use super::*;
     use crate::gen::{ContextCopy, WorkloadGen};
 
-    fn gen_stream(len: usize, chunk: usize) -> GenStream {
+    fn gen_stream(len: usize, chunk: usize) -> GenStream<impl FnOnce(&mut Emitter<'_>)> {
         let g = ContextCopy::default();
-        GenStream::spawn(len, chunk, move |em| g.emit_into(em, 7))
+        GenStream::new(len, chunk, move |em| g.emit_into(em, 7))
+    }
+
+    /// Batches a further `feed` lends.
+    fn lent(stream: &mut dyn TraceStream) -> usize {
+        let mut batches = 0;
+        stream
+            .feed(&mut |_| {
+                batches += 1;
+                true
+            })
+            .unwrap();
+        batches
     }
 
     #[test]
@@ -341,22 +294,39 @@ mod tests {
     fn gen_stream_batches_are_bounded_and_nonempty() {
         let mut stream = gen_stream(5_000, 512);
         let mut total = 0usize;
-        while let Some(batch) = stream.next_batch().unwrap() {
-            assert!(!batch.is_empty());
-            assert!(batch.len() <= 512);
-            total += batch.len();
-        }
+        stream
+            .feed(&mut |batch| {
+                assert!(!batch.is_empty());
+                assert!(batch.len() <= 512);
+                total += batch.len();
+                true
+            })
+            .unwrap();
         assert_eq!(total, 5_000);
-        // Exhausted streams keep answering None.
-        assert!(stream.next_batch().unwrap().is_none());
+        // Exhausted streams lend nothing more.
+        assert_eq!(lent(&mut stream), 0);
     }
 
+    /// A sink that declines the first batch of a long stream gets `feed`
+    /// back with the generator stopped: it emits less than a second
+    /// batch's worth of records beyond the first.
     #[test]
-    fn dropping_a_gen_stream_mid_trace_does_not_hang() {
-        let mut stream = gen_stream(1_000_000, 256);
-        let first = stream.next_batch().unwrap().expect("first batch");
-        assert_eq!(first.len(), 256);
-        drop(stream); // joins the producer; must return promptly
+    fn a_declining_sink_stops_the_generator_within_a_batch() {
+        let emitted = std::cell::Cell::new(0);
+        let g = ContextCopy::default();
+        let mut stream = GenStream::new(1_000_000, 256, |em: &mut Emitter<'_>| {
+            g.emit_into(em, 7);
+            emitted.set(em.len());
+        });
+        let mut first = 0;
+        stream
+            .feed(&mut |batch| {
+                first = batch.len();
+                false
+            })
+            .unwrap();
+        assert_eq!(first, 256);
+        assert!(emitted.get() < 2 * 256, "{} records emitted", emitted.get());
     }
 
     #[test]
@@ -381,7 +351,7 @@ mod tests {
             assert_eq!(stream.len(), trace.len());
             let got = collect_stream(&mut stream).unwrap();
             assert_eq!(got.to_records(), trace.to_records(), "chunk {chunk}");
-            assert!(stream.next_batch().unwrap().is_none(), "exhausted");
+            assert_eq!(lent(&mut stream), 0, "exhausted");
         }
     }
 
@@ -435,10 +405,10 @@ mod tests {
         let trace = PackedTrace::from_records(&[]);
         let mut m = MaterializedStream::new(&trace, 64);
         assert!(m.is_empty());
-        assert!(m.next_batch().unwrap().is_none());
+        assert_eq!(lent(&mut m), 0);
 
         let mut g = gen_stream(0, 64);
         assert!(g.is_empty());
-        assert!(g.next_batch().unwrap().is_none());
+        assert_eq!(lent(&mut g), 0);
     }
 }

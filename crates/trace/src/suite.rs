@@ -94,15 +94,17 @@ impl BenchmarkSpec {
         self.spec.as_gen().generate_packed(len, self.seed)
     }
 
-    /// Streams the benchmark's trace in `chunk`-record batches from a
-    /// producer thread, never materialising the whole trace — the
-    /// production-run path for long traces. The batch concatenation is
-    /// bit-identical to [`generate_packed`](Self::generate_packed) for
-    /// the same `len`.
-    pub fn stream(&self, len: usize, chunk: usize) -> crate::stream::GenStream {
-        let spec = self.spec.clone();
-        let seed = self.seed;
-        crate::stream::GenStream::spawn(len, chunk, move |em| spec.as_gen().emit_into(em, seed))
+    /// Streams the benchmark's trace in `chunk`-record batches, generated
+    /// on the thread that feeds the stream as its consumer takes them,
+    /// never materialising the whole trace — the production-run path for
+    /// long traces. The batch concatenation is bit-identical to
+    /// [`generate_packed`](Self::generate_packed) for the same `len`.
+    pub fn stream(
+        &self,
+        len: usize,
+        chunk: usize,
+    ) -> crate::stream::GenStream<impl FnOnce(&mut crate::gen::Emitter<'_>) + '_> {
+        crate::stream::GenStream::new(len, chunk, |em| self.spec.as_gen().emit_into(em, self.seed))
     }
 }
 

@@ -237,9 +237,10 @@ else
     grep -q "replay inline" "$smoke_dir/inline.out" \
         || echo "    $cpus cpus exceed the 2 work items: the second run pipelined too"
     # Every pipelined line also says where each side's time went: the
-    # front end building segments, claiming back ends and waiting, the
-    # replay thread running the memory stage, claiming and waiting.
-    sides='\[front end build [0-9.]+ / claims [0-9.]+ / wait [0-9.]+ ms; replay memory [0-9.]+ / claims [0-9.]+ / wait [0-9.]+ ms\]'
+    # front end in its trace source, building segments, claiming back
+    # ends and waiting, the replay thread running the memory stage,
+    # claiming and waiting.
+    sides='\[front end source [0-9.]+ / build [0-9.]+ / claims [0-9.]+ / wait [0-9.]+ ms; replay memory [0-9.]+ / claims [0-9.]+ / wait [0-9.]+ ms\]'
     SIDES="$sides" awk '/^\[scheduler\]/ && $0 !~ ENVIRON["SIDES"] { bad = 1 } END { exit bad }' \
         "$smoke_dir/pipelined.out"
     # How many (segment x back end) replays the front-end thread took
