@@ -1,5 +1,7 @@
 //! CHiRP configuration, including the knobs the paper's ablations exercise.
 
+use chirp_tlb::SignatureSpec;
+
 /// Configuration of the CHiRP predictor.
 ///
 /// Defaults reproduce the paper's main configuration: a 4096-counter
@@ -108,25 +110,41 @@ impl ChirpConfig {
         (self.table_entries as u64 * u64::from(self.counter_bits)).div_ceil(8)
     }
 
-    /// Identity code of every field that shapes signature *values*: two
-    /// configurations produce identical signature streams for identical
-    /// access/branch/mispredict sequences iff their codes match. Table
-    /// geometry, counter width and thresholds are deliberately excluded —
-    /// they consume signatures but do not alter them. A factored front
-    /// end stamps its event stream with this code; a `Chirp` back-end
-    /// only accepts precomputed signatures when the stream's code equals
-    /// its own (`TlbReplacementPolicy::replay_hints`).
+    /// The fields that shape signature *values*: two configurations
+    /// produce identical signature streams for identical
+    /// access/branch/mispredict sequences iff their specs are equal.
+    /// Table geometry, counter width and thresholds are deliberately
+    /// excluded — they consume signatures but do not alter them. CHiRP
+    /// declares its history with it
+    /// (`TlbReplacementPolicy::history`).
+    pub fn signature_spec(&self) -> SignatureSpec {
+        SignatureSpec {
+            path_length: self.path_length,
+            inject_zeros: self.inject_zeros,
+            use_path: self.use_path,
+            use_cond: self.use_cond,
+            use_uncond: self.use_uncond,
+            use_pc: self.use_pc,
+            branch_length: self.branch_length,
+            wrong_path_pollution: self.wrong_path_pollution,
+        }
+    }
+
+    /// Identity code of [`signature_spec`](Self::signature_spec): an
+    /// FNV-1a fold of its fields, which `FactoredTrace` stamps on the
+    /// events it built.
     pub fn signature_code(&self) -> u64 {
+        let spec = self.signature_spec();
         let mut code = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
         for field in [
-            u64::from(self.path_length),
-            u64::from(self.inject_zeros),
-            u64::from(self.use_path),
-            u64::from(self.use_cond),
-            u64::from(self.use_uncond),
-            u64::from(self.use_pc),
-            u64::from(self.branch_length),
-            u64::from(self.wrong_path_pollution),
+            u64::from(spec.path_length),
+            u64::from(spec.inject_zeros),
+            u64::from(spec.use_path),
+            u64::from(spec.use_cond),
+            u64::from(spec.use_uncond),
+            u64::from(spec.use_pc),
+            u64::from(spec.branch_length),
+            u64::from(spec.wrong_path_pollution),
         ] {
             code ^= field;
             code = code.wrapping_mul(0x0000_0100_0000_01b3);

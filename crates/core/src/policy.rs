@@ -20,7 +20,7 @@ use crate::config::ChirpConfig;
 use crate::signature::{table_index, SignatureBuilder};
 use crate::table::PredictionTable;
 use chirp_mem::PackedLru;
-use chirp_tlb::{PolicyStorage, ReplayHints, TlbAccess, TlbGeometry, TlbReplacementPolicy};
+use chirp_tlb::{History, PolicyStorage, TlbAccess, TlbGeometry, TlbReplacementPolicy};
 use chirp_trace::BranchClass;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,9 +52,9 @@ pub struct Chirp {
     last_set: Option<usize>,
     counters: ChirpCounters,
     /// Signature handed in by a factored front end for the next access
-    /// ([`TlbReplacementPolicy::supply_signature`]); `None` outside
-    /// replay, in which case `on_hit`/`on_fill` compute it from the
-    /// policy's own history registers as always.
+    /// ([`TlbReplacementPolicy::supply_key`]); `None` outside replay, in
+    /// which case `on_hit`/`on_fill` compute it from the policy's own
+    /// history registers as always.
     pending_sig: Option<u16>,
 }
 
@@ -110,6 +110,19 @@ impl Chirp {
         &self.table
     }
 
+    /// The policy's own signature registers (diagnostics).
+    pub fn signatures(&self) -> &SignatureBuilder {
+        &self.signatures
+    }
+
+    /// The signature of an access at `pc`: the supplied one in factored
+    /// replay, else the policy's own registers', which then fold the
+    /// access in.
+    #[inline]
+    fn signature(&mut self, pc: u64) -> u16 {
+        self.pending_sig.take().unwrap_or_else(|| self.signatures.key(pc))
+    }
+
     #[inline]
     fn predict_dead(&mut self, sig: u16) -> bool {
         let idx = table_index(sig, self.config.table_entries);
@@ -146,11 +159,7 @@ impl TlbReplacementPolicy for Chirp {
     }
 
     fn on_hit(&mut self, acc: &TlbAccess, way: usize) {
-        let external = self.pending_sig.is_some();
-        let new_sig = match self.pending_sig.take() {
-            Some(sig) => sig,
-            None => self.signatures.signature(acc.pc),
-        };
+        let new_sig = self.signature(acc.pc);
         let i = self.idx(acc.set, way);
         let qualifies = !self.config.selective_hit_update || self.last_set != Some(acc.set);
         let wants_update = self.meta[i].first_hit_pending || !self.config.first_hit_only;
@@ -173,25 +182,15 @@ impl TlbReplacementPolicy for Chirp {
         self.meta[i].signature = new_sig;
         self.lru.touch(acc.set, way);
         self.last_set = Some(acc.set);
-        if !external {
-            self.signatures.record_access(acc.pc);
-        }
     }
 
     fn on_fill(&mut self, acc: &TlbAccess, way: usize) {
-        let external = self.pending_sig.is_some();
-        let sig = match self.pending_sig.take() {
-            Some(sig) => sig,
-            None => self.signatures.signature(acc.pc),
-        };
+        let sig = self.signature(acc.pc);
         let dead = self.predict_dead(sig);
         let i = self.idx(acc.set, way);
         self.meta[i] = EntryMeta { signature: sig, dead, first_hit_pending: true };
         self.lru.touch(acc.set, way);
         self.last_set = Some(acc.set);
-        if !external {
-            self.signatures.record_access(acc.pc);
-        }
     }
 
     fn on_branch(&mut self, pc: u64, class: BranchClass, _taken: bool) {
@@ -201,16 +200,9 @@ impl TlbReplacementPolicy for Chirp {
     }
 
     fn on_mispredict(&mut self, pc: u64) {
-        // The paper's CHiRP trains at commit with right-path branches only
-        // (§VI-E), so the default configuration ignores mispredictions.
-        // The naive-speculative ablation folds pseudo wrong-path branches
-        // (derived deterministically from the mispredicting PC) into the
-        // histories, modelling a design without recovery.
-        for i in 0..self.config.wrong_path_pollution {
-            let bogus = pc ^ (u64::from(i) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            self.signatures.record_branch(bogus, BranchClass::Conditional);
-            self.signatures.record_access(bogus);
-        }
+        // Committed history: nothing, unless the configuration models
+        // wrong-path pollution (`SignatureBuilder::on_mispredict`).
+        self.signatures.on_mispredict(pc);
     }
 
     fn prediction_table_accesses(&self) -> u64 {
@@ -229,26 +221,16 @@ impl TlbReplacementPolicy for Chirp {
         Some(self)
     }
 
-    /// When the stream's signature configuration matches this policy's
-    /// exactly ([`ChirpConfig::signature_code`]), the precomputed
-    /// signatures *are* what this policy's own registers would produce,
-    /// so replay can skip every control event: branches and wrong-path
-    /// pollution only matter through the signatures, which the front end
-    /// already folded in. Any mismatch falls back to running the local
-    /// registers, which need the full control stream.
-    fn replay_hints(&self, sig_code: u64) -> ReplayHints {
-        if sig_code == self.config.signature_code() {
-            ReplayHints {
-                needs_branches: false,
-                needs_mispredicts: false,
-                accepts_signatures: true,
-            }
-        } else {
-            ReplayHints::conservative()
-        }
+    /// The signature registers in this configuration's shape: branches
+    /// and wrong-path pollution only matter through the signatures, so a
+    /// front end running the same registers hands over everything this
+    /// policy reads of the control flow.
+    fn history(&self) -> Option<History> {
+        Some(History::Signature(self.config.signature_spec()))
     }
 
-    fn supply_signature(&mut self, sig: u16) {
+    #[inline]
+    fn supply_key(&mut self, sig: u16) {
         self.pending_sig = Some(sig);
     }
 

@@ -7,9 +7,12 @@
 
 use crate::config::ChirpConfig;
 use crate::history::HistoryRegister;
+use chirp_tlb::SignatureSpec;
 use chirp_trace::BranchClass;
 
-/// Maintains the three history registers and composes signatures.
+/// Maintains the three history registers and composes signatures: the
+/// runnable form of [`chirp_tlb::History::Signature`], which CHiRP and a
+/// factored front end both run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignatureBuilder {
     path: HistoryRegister,
@@ -19,34 +22,63 @@ pub struct SignatureBuilder {
     use_cond: bool,
     use_uncond: bool,
     use_pc: bool,
+    /// Pseudo wrong-path events folded in per misprediction.
+    pollution: u32,
 }
 
 impl SignatureBuilder {
     /// Builds the registers per `config`.
     pub fn new(config: &ChirpConfig) -> Self {
+        Self::from_spec(&config.signature_spec())
+    }
+
+    /// Builds the registers in the shape `spec` declares.
+    pub fn from_spec(spec: &SignatureSpec) -> Self {
         SignatureBuilder {
-            path: HistoryRegister::path(config.path_length, config.inject_zeros),
-            cond: HistoryRegister::branch(config.branch_length),
-            uncond: HistoryRegister::branch(config.branch_length),
-            use_path: config.use_path,
-            use_cond: config.use_cond,
-            use_uncond: config.use_uncond,
-            use_pc: config.use_pc,
+            path: HistoryRegister::path(spec.path_length, spec.inject_zeros),
+            cond: HistoryRegister::branch(spec.branch_length),
+            uncond: HistoryRegister::branch(spec.branch_length),
+            use_path: spec.use_path,
+            use_cond: spec.use_cond,
+            use_uncond: spec.use_uncond,
+            use_pc: spec.use_pc,
+            pollution: spec.wrong_path_pollution,
+        }
+    }
+
+    /// The signature of an access at `pc`, after which the access is
+    /// folded into the path history: the order CHiRP's `on_hit` and
+    /// `on_fill` observe.
+    #[inline]
+    pub fn key(&mut self, pc: u64) -> u16 {
+        let sig = self.signature(pc);
+        self.record_access(pc);
+        sig
+    }
+
+    /// A misprediction. The paper's CHiRP trains at commit with
+    /// right-path branches only (§VI-E), so with no pollution this does
+    /// nothing. The naive-speculative ablation folds pseudo wrong-path
+    /// branches, derived deterministically from the mispredicting PC,
+    /// into the histories, modelling a design without recovery.
+    #[inline]
+    pub fn on_mispredict(&mut self, pc: u64) {
+        for i in 0..self.pollution {
+            let bogus = pc ^ (u64::from(i) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            self.record_branch(bogus, BranchClass::Conditional);
+            self.record_access(bogus);
         }
     }
 
     /// Composes the 16-bit signature for an access at `pc`
     /// (`sign ← pc ≫ 2 ⊕ pathHist ⊕ condBrHist ⊕ unCondBrHist`).
+    #[inline]
     pub fn signature(&self, pc: u64) -> u16 {
         hash16(self.compose(pc))
     }
 
     /// The 64-bit pre-hash composition for an access at `pc` — everything
     /// of [`signature`](Self::signature) except the final [`hash16`].
-    /// Front ends that batch-hash signatures across a decode burst
-    /// collect these (the history folds are sequential, each depending on
-    /// the previous access) and run the multiply/shift/xor finalisation
-    /// over the whole burst at once.
     #[inline]
     pub fn compose(&self, pc: u64) -> u64 {
         let mut sig = 0u64;

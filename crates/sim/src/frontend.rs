@@ -7,20 +7,27 @@
 //! feedback, so for a given trace the sequence of accesses that miss the
 //! L1s and reach the unified L2 — `(pc, vpn, kind)` in order, merged
 //! with the retired-branch and misprediction events — is identical for
-//! every lineup policy. Even CHiRP's 16-bit signature is a pure function
-//! of that invariant stream (paper §IV-B). Only four things differ per
+//! every lineup policy. So is every control-flow history a policy reads
+//! (CHiRP's signature registers, paper §IV-B, GHRP's outcome register,
+//! perceptron reuse's conditional-branch feature): each is a pure
+//! function of that invariant stream. Only four things differ per
 //! policy: L2 hit/miss outcomes, victim choices, the page walks (and
 //! PSC state) the misses trigger, and the cycles those walks add.
 //!
 //! The [`FrontEnd`] therefore walks the trace once and emits a compact
 //! [`EventSegment`] stream — per L2 access: vpn, page class
-//! (instruction/data), precomputed CHiRP signature and set index; per
-//! segment: the instruction count and the policy-invariant cycle total
-//! (base + L1i-hit + branch penalties + L2-hit latencies). Each
-//! [`Backend`] then replays only `L2Tlb::access_at` + walker + residual
-//! cycle accounting over that stream. Cycle totals are exact `u64` sums,
-//! so splitting them into an invariant part (summed by the front end)
-//! and a per-backend walk part reassociates nothing:
+//! (instruction/data), set index and one 16-bit key per history the
+//! group's members declare ([`History`]), which the front end runs in
+//! their stead; per segment: the instruction count and the
+//! policy-invariant cycle total (base + L1i-hit + branch penalties +
+//! L2-hit latencies). Control events go into a segment only when some
+//! member declares no history and must be handed every branch and
+//! misprediction. Each [`Backend`] then replays only
+//! `L2Tlb::access_at` + walker + residual cycle accounting over that
+//! stream, handing its policy its key before each access
+//! (`TlbReplacementPolicy::supply_key`). Cycle totals are exact `u64`
+//! sums, so splitting them into an invariant part (summed by the front
+//! end) and a per-backend walk part reassociates nothing:
 //! [`Backend::finish_result`] is bit-identical to
 //! `Simulator::run_columnar`, pinned by `tests/equivalence_matrix.rs`.
 //!
@@ -41,13 +48,7 @@
 //! data page in registers: a fetch or data access that repeats one is a
 //! guaranteed hit in that structure's MRU memo, so it is counted without
 //! a lookup, and the chunk credits those hits to the L1 TLB and L1i
-//! statistics at its end, which stay exact. The walk is burst-structured
-//! for the one part that batches well: every 64 records, the signature
-//! *finalisation* (the multiply/shift/xor of `hash16`) and the set-index
-//! masking run as word-parallel passes over the burst's new access
-//! events. Only the history folds themselves stay sequential, because
-//! each access's signature depends on the path history left by the
-//! previous one.
+//! statistics at its end, which stay exact.
 //!
 //! Every policy group, whatever its size, runs on one chunk driver, fed
 //! by one [`TraceStream`]: [`run_stream_factored`] and `run_stream_group`
@@ -68,9 +69,13 @@
 //! slot with one copy per column; inline, the ring's one slot never
 //! leaves the calling core, so the front end builds in place. Both
 //! threads time each segment, claim and wait, and the front end also the
-//! time the stream takes to lend each batch, for the scheduler summary
-//! ([`PipelineTimes`]). The whole-trace [`FactoredTrace`] stays for
-//! callers that need every event at once (the OPT bound).
+//! time the stream takes to lend each batch ([`PipelineTimes`]); these,
+//! the instructions walked and the control events published go into the
+//! scheduler summary. The whole-trace [`FactoredTrace`] stays for
+//! callers that need every event at once (the OPT bound): it carries
+//! every control event and the signatures of one CHiRP configuration,
+//! and [`replay_factored`] runs any other declared history over those
+//! control events before replay.
 //!
 //! Epoch telemetry observes the same driver on streamed groups. With an
 //! epoch length, the front end also cuts its segments at every epoch
@@ -86,12 +91,12 @@ use crate::engine::{warmup_cut, CHUNK_SIZE};
 use crate::metrics::RunResult;
 use crate::sched::PipelineTimes;
 use chirp_branch::BranchUnit;
-use chirp_core::signature::hash16;
 use chirp_core::{ChirpConfig, SignatureBuilder};
 use chirp_mem::{Cache, MemoryHierarchy};
 use chirp_telemetry::{EpochRow, EpochSampler};
+use chirp_tlb::policies::{CondFeature, OutcomeHistory};
 use chirp_tlb::{
-    L1FrontEnd, L2Tlb, PageWalker, ReplayHints, TlbAccess, TlbReplacementPolicy, TlbStats,
+    History, L1FrontEnd, L2Tlb, PageWalker, TlbAccess, TlbReplacementPolicy, TlbStats,
     TranslationKind,
 };
 use chirp_trace::{
@@ -99,11 +104,6 @@ use chirp_trace::{
 };
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
-
-/// Records per front-end burst: large enough that the step loop
-/// dominates the batched passes' bookkeeping, small enough that the
-/// burst's pre-hash compositions stay in L1 cache.
-const BURST: usize = 64;
 
 /// Control-event kinds, packed into `ctl_kind` (low 2 bits; bit 6 marks
 /// a misprediction, bit 7 the taken flag of a branch).
@@ -113,27 +113,42 @@ const CTL_UNCOND_DIRECT: u8 = 2;
 const CTL_MISPREDICT: u8 = 1 << 6;
 const CTL_TAKEN: u8 = 1 << 7;
 
+/// Decodes a `ctl_kind` byte: a retired branch's class and taken flag,
+/// or `None` for a misprediction.
+#[inline]
+fn control_event(kind: u8) -> Option<(BranchClass, bool)> {
+    if kind & CTL_MISPREDICT != 0 {
+        return None;
+    }
+    let class = match kind & 0x3 {
+        CTL_COND => BranchClass::Conditional,
+        CTL_UNCOND_INDIRECT => BranchClass::UnconditionalIndirect,
+        _ => BranchClass::UnconditionalDirect,
+    };
+    Some((class, kind & CTL_TAKEN != 0))
+}
+
 /// One policy-invariant segment of the L2-TLB event stream, in
 /// struct-of-arrays form.
 ///
 /// A segment covers a contiguous run of instructions (the warmup half,
 /// the measured half, or one streamed chunk). Access events are the L1
-/// misses that reach the unified L2, in program order; control events
-/// (retired branches, mispredictions) carry the number of access events
-/// emitted before them, so replay can interleave the two streams exactly
-/// as the full simulator would.
+/// misses that reach the unified L2, in program order, each with one key
+/// per history its front end runs. Control events (retired branches,
+/// mispredictions), when the front end publishes them, carry the number
+/// of access events emitted before them, so replay can interleave the two
+/// streams exactly as the full simulator would.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventSegment {
     /// Per access event: the PC of the responsible instruction.
     acc_pc: Vec<u64>,
     /// Per access event: the virtual page number looked up.
     acc_vpn: Vec<u64>,
-    /// Per access event: the precomputed L2 set index
-    /// (`geometry.set_of(vpn)`), batch-masked per burst.
+    /// Per access event: the L2 set index (`geometry.set_of(vpn)`).
     acc_set: Vec<u32>,
-    /// Per access event: the precomputed CHiRP signature under the
-    /// stream's signature configuration, batch-hashed per burst.
-    acc_sig: Vec<u16>,
+    /// One column per history the front end runs: per access event, the
+    /// key that history computed for it.
+    keys: Vec<Vec<u16>>,
     /// Per access event: the page class (0 = instruction, 1 = data).
     acc_kind: Vec<u8>,
     /// Per control event: how many access events precede it.
@@ -179,21 +194,24 @@ impl EventSegment {
     }
 
     /// An empty segment whose columns already hold one full front-end
-    /// chunk: a record emits at most two access events (instruction and
-    /// data side), two control events (a misprediction and the branch)
-    /// and two memory-side events (an L1i miss and a data access), so
-    /// filling it from at most [`CHUNK_SIZE`] records never reallocates.
-    fn for_chunk() -> EventSegment {
+    /// chunk, with `keys` key columns and, with `control`, the control
+    /// columns: a record emits at most two access events (instruction
+    /// and data side), two control events (a misprediction and the
+    /// branch) and two memory-side events (an L1i miss and a data
+    /// access), so filling it from at most [`CHUNK_SIZE`] records never
+    /// reallocates.
+    fn for_chunk(keys: usize, control: bool) -> EventSegment {
         let events = 2 * CHUNK_SIZE;
+        let control = if control { events } else { 0 };
         EventSegment {
             acc_pc: Vec::with_capacity(events),
             acc_vpn: Vec::with_capacity(events),
             acc_set: Vec::with_capacity(events),
-            acc_sig: Vec::with_capacity(events),
+            keys: (0..keys).map(|_| Vec::with_capacity(events)).collect(),
             acc_kind: Vec::with_capacity(events),
-            ctl_after: Vec::with_capacity(events),
-            ctl_pc: Vec::with_capacity(events),
-            ctl_kind: Vec::with_capacity(events),
+            ctl_after: Vec::with_capacity(control),
+            ctl_pc: Vec::with_capacity(control),
+            ctl_kind: Vec::with_capacity(control),
             mem_addr: Vec::with_capacity(events),
             mem_fetch: Vec::with_capacity(events),
             instructions: 0,
@@ -206,7 +224,7 @@ impl EventSegment {
         self.acc_pc.clear();
         self.acc_vpn.clear();
         self.acc_set.clear();
-        self.acc_sig.clear();
+        self.keys.iter_mut().for_each(Vec::clear);
         self.acc_kind.clear();
         self.ctl_after.clear();
         self.ctl_pc.clear();
@@ -224,7 +242,10 @@ impl EventSegment {
         self.acc_pc.extend_from_slice(&from.acc_pc);
         self.acc_vpn.extend_from_slice(&from.acc_vpn);
         self.acc_set.extend_from_slice(&from.acc_set);
-        self.acc_sig.extend_from_slice(&from.acc_sig);
+        self.keys.resize_with(from.keys.len(), Vec::new);
+        for (keys, from) in self.keys.iter_mut().zip(&from.keys) {
+            keys.extend_from_slice(from);
+        }
         self.acc_kind.extend_from_slice(&from.acc_kind);
         self.ctl_after.extend_from_slice(&from.ctl_after);
         self.ctl_pc.extend_from_slice(&from.ctl_pc);
@@ -250,7 +271,7 @@ impl EventSegment {
         for &v in &self.acc_set {
             out.extend(v.to_le_bytes());
         }
-        for &v in &self.acc_sig {
+        for &v in self.keys.iter().flatten() {
             out.extend(v.to_le_bytes());
         }
         out.extend(&self.acc_kind);
@@ -274,16 +295,20 @@ impl EventSegment {
 }
 
 /// The event stream of one materialized trace, split at the warmup
-/// boundary into the two segments [`Backend::finish_result`] needs.
+/// boundary into the two segments [`Backend::finish_result`] needs. It
+/// carries every control event and one key column: the signatures of
+/// the CHiRP configuration it was built under.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactoredTrace {
     /// Events of the warmup prefix (may be empty).
     pub warmup: EventSegment,
     /// Events of the measured suffix (may be empty).
     pub measured: EventSegment,
-    /// Identity of the signature configuration `acc_sig` was computed
-    /// under ([`ChirpConfig::signature_code`]).
+    /// Identity of the signature configuration the key column was
+    /// computed under ([`ChirpConfig::signature_code`]).
     pub sig_code: u64,
+    /// The history that signature configuration declares.
+    history: History,
 }
 
 impl FactoredTrace {
@@ -314,7 +339,12 @@ impl FactoredTrace {
             }
             pos += chunk.len();
         }
-        FactoredTrace { warmup: warm, measured: meas, sig_code: sig_config.signature_code() }
+        FactoredTrace {
+            warmup: warm,
+            measured: meas,
+            sig_code: sig_config.signature_code(),
+            history: History::Signature(sig_config.signature_spec()),
+        }
     }
 
     /// Total L2 access events across both segments.
@@ -342,91 +372,161 @@ impl FactoredTrace {
     }
 }
 
+/// A declared [`History`] with a key, running: the very component each
+/// policy runs on its own on the reference path, so the keys a front end
+/// computes with it are the ones the policy would.
+#[derive(Debug, Clone)]
+enum RunningHistory {
+    Signature(SignatureBuilder),
+    Outcome(OutcomeHistory),
+    CondFeature(CondFeature),
+}
+
+impl RunningHistory {
+    /// The component `history` declares, in its starting state; `None`
+    /// for the empty history, which has no key.
+    fn new(history: &History) -> Option<RunningHistory> {
+        match *history {
+            History::Empty => None,
+            History::Signature(spec) => {
+                Some(RunningHistory::Signature(SignatureBuilder::from_spec(&spec)))
+            }
+            History::Outcome => Some(RunningHistory::Outcome(OutcomeHistory::default())),
+            History::CondFeature { table_bits } => {
+                Some(RunningHistory::CondFeature(CondFeature::new(table_bits)))
+            }
+        }
+    }
+
+    #[inline]
+    fn on_branch(&mut self, pc: u64, class: BranchClass, taken: bool) {
+        match self {
+            RunningHistory::Signature(s) => s.record_branch(pc, class),
+            RunningHistory::Outcome(h) => h.on_branch(pc, class, taken),
+            RunningHistory::CondFeature(f) => f.on_branch(pc, class),
+        }
+    }
+
+    #[inline]
+    fn on_mispredict(&mut self, pc: u64) {
+        if let RunningHistory::Signature(s) = self {
+            s.on_mispredict(pc);
+        }
+    }
+
+    /// The key of an L2 access at `pc`, after which the access is folded
+    /// into the history.
+    #[inline]
+    fn key(&mut self, pc: u64) -> u16 {
+        match self {
+            RunningHistory::Signature(s) => s.key(pc),
+            RunningHistory::Outcome(h) => h.key(pc),
+            RunningHistory::CondFeature(f) => f.key(pc),
+        }
+    }
+
+    /// The key of every access event of `seg`, running this history over
+    /// the segment's control events in between: the column a front end
+    /// running it would have written.
+    fn keys_of(&mut self, seg: &EventSegment) -> Vec<u16> {
+        let mut keys = Vec::with_capacity(seg.access_events());
+        let mut ctl = 0usize;
+        for (i, &pc) in seg.acc_pc.iter().enumerate() {
+            while ctl < seg.ctl_after.len() && seg.ctl_after[ctl] as usize <= i {
+                self.control(seg.ctl_kind[ctl], seg.ctl_pc[ctl]);
+                ctl += 1;
+            }
+            keys.push(self.key(pc));
+        }
+        for i in ctl..seg.control_events() {
+            self.control(seg.ctl_kind[i], seg.ctl_pc[i]);
+        }
+        keys
+    }
+
+    fn control(&mut self, kind: u8, pc: u64) {
+        match control_event(kind) {
+            Some((class, taken)) => self.on_branch(pc, class, taken),
+            None => self.on_mispredict(pc),
+        }
+    }
+}
+
 /// The policy-invariant half of the machine up to the cut line: the L1i,
-/// branch unit, L1 TLBs and one [`SignatureBuilder`] evolving under the
-/// stream's signature configuration. The rest of the cache hierarchy is
-/// the replay side's memory stage.
+/// branch unit, L1 TLBs and one running instance of each history its
+/// group's members declare. The rest of the cache hierarchy is the
+/// replay side's memory stage.
 pub struct FrontEnd {
     l1i: Cache,
     /// Penalty of an L1i hit beyond the 4 cycles the pipeline covers.
     l1i_hit_penalty: u64,
     branch: BranchUnit,
     l1: L1FrontEnd,
-    sigs: SignatureBuilder,
-    /// `wrong_path_pollution` of the stream's signature configuration:
-    /// the front end folds the same deterministic pseudo wrong-path
-    /// events into its histories that a matching CHiRP back-end would.
-    pollution: u32,
+    /// One per key column of the segments it builds, in column order.
+    histories: Vec<RunningHistory>,
+    /// Whether segments carry control events, for back ends that walk
+    /// them.
+    control: bool,
     l2_hit_latency: u64,
     /// `log2` of the L1i line size: a fetch's line is `pc >> l1i_line_shift`.
     l1i_line_shift: u32,
-    /// `sets - 1` of the L2 geometry, for the batched set-index pass.
+    /// `sets - 1` of the L2 geometry.
     set_mask: u64,
-    /// 64-bit pre-hash signature compositions of the burst's new access
-    /// events, finalised in one batched `hash16` pass per burst.
-    pre: Vec<u64>,
 }
 
 impl FrontEnd {
-    /// Builds the front end for `config`, computing signatures under
-    /// `sig_config`.
+    /// The front end [`FactoredTrace::build`] runs: every control event,
+    /// and one key column, the signatures under `sig_config`.
     pub fn new(config: &SimConfig, sig_config: &ChirpConfig) -> FrontEnd {
+        FrontEnd::running(config, &[History::Signature(sig_config.signature_spec())], true)
+    }
+
+    /// A front end writing one key column per history of `histories` (each
+    /// one with a key), and the control columns only with `control`.
+    fn running(config: &SimConfig, histories: &[History], control: bool) -> FrontEnd {
         FrontEnd {
             l1i: Cache::new(config.mem.l1i),
             l1i_hit_penalty: config.mem.l1i.hit_latency.saturating_sub(4),
             branch: BranchUnit::new(config.branch),
             l1: L1FrontEnd::new(&config.tlb),
-            sigs: SignatureBuilder::new(sig_config),
-            pollution: sig_config.wrong_path_pollution,
+            histories: histories
+                .iter()
+                .map(|h| RunningHistory::new(h).expect("only histories with a key get a column"))
+                .collect(),
+            control,
             l2_hit_latency: config.tlb.l2_hit_latency,
             l1i_line_shift: config.mem.l1i.line_bytes.trailing_zeros(),
             set_mask: (config.tlb.l2.sets() - 1) as u64,
-            pre: Vec::with_capacity(2 * BURST),
         }
     }
 
     /// Feeds one trace chunk through the front end, appending its events
     /// to `seg`.
     pub fn process_chunk(&mut self, chunk: &TraceChunk<'_>, seg: &mut EventSegment) {
+        seg.keys.resize_with(self.histories.len(), Vec::new);
         let (pcs, kinds, eas, targets) = (chunk.pcs(), chunk.kinds(), chunk.eas(), chunk.targets());
         // Cursors into the chunk's side tables.
         let (mut ea, mut target) = (0usize, 0usize);
         let mut last = Repeats::new();
         // The chunk's front-end cycles, added to the segment at its end.
         let mut cycles = 0u64;
-        let mut start = 0;
-        while start < pcs.len() {
-            let end = (start + BURST).min(pcs.len());
-            let acc_base = seg.acc_pc.len();
-            self.pre.clear();
-            for i in start..end {
-                let pc = pcs[i];
-                let kind =
-                    InstrKind::from_u8(kinds[i]).expect("packed traces hold only valid kinds");
-                cycles += self.fetch(pc, &mut last, seg);
-                if kind.is_memory() {
-                    cycles += self.data_access(pc, eas[ea], &mut last, seg);
-                    ea += 1;
-                } else if kind.is_branch() {
-                    let rec = TraceRecord {
-                        pc,
-                        kind,
-                        effective_address: 0,
-                        target: targets[target],
-                        taken: chunk.taken(i),
-                    };
-                    target += 1;
-                    cycles += self.retire_branch(&rec, seg);
-                }
+        for (i, &pc) in pcs.iter().enumerate() {
+            let kind = InstrKind::from_u8(kinds[i]).expect("packed traces hold only valid kinds");
+            cycles += self.fetch(pc, &mut last, seg);
+            if kind.is_memory() {
+                cycles += self.data_access(pc, eas[ea], &mut last, seg);
+                ea += 1;
+            } else if kind.is_branch() {
+                let rec = TraceRecord {
+                    pc,
+                    kind,
+                    effective_address: 0,
+                    target: targets[target],
+                    taken: chunk.taken(i),
+                };
+                target += 1;
+                cycles += self.retire_branch(&rec, seg);
             }
-            // Batched finalisation of the burst's new access events: the
-            // multiply/shift/xor of `hash16` and the set masking are
-            // data-independent across events, so these two passes
-            // auto-vectorise where the in-loop form could not.
-            debug_assert_eq!(seg.acc_sig.len(), acc_base);
-            seg.acc_sig.extend(self.pre.iter().map(|&p| hash16(p)));
-            seg.acc_set.extend(seg.acc_vpn[acc_base..].iter().map(|&v| (v & self.set_mask) as u32));
-            start = end;
         }
         seg.instructions += pcs.len() as u64;
         seg.invariant_cycles += cycles;
@@ -492,51 +592,47 @@ impl FrontEnd {
         cycles
     }
 
-    /// A branch's prediction, its misprediction event (with the pseudo
-    /// wrong-path folds) and its control event; returns the penalty.
+    /// A branch's prediction, its misprediction and its retirement, each
+    /// folded into every history and, with control columns, published as
+    /// control events; returns the penalty.
     #[inline]
     fn retire_branch(&mut self, rec: &TraceRecord, seg: &mut EventSegment) -> u64 {
         let penalty = self.branch.observe(rec);
         if penalty > 0 {
-            self.emit_control(CTL_MISPREDICT, rec.pc, seg);
-            // Fold the same pseudo wrong-path events a matching CHiRP
-            // back-end would (its `on_mispredict`), so the precomputed
-            // signatures remain exact under pollution configurations.
-            for i in 0..self.pollution {
-                let bogus = rec.pc ^ (u64::from(i) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                self.sigs.record_branch(bogus, BranchClass::Conditional);
-                self.sigs.record_access(bogus);
+            if self.control {
+                emit_control(CTL_MISPREDICT, rec.pc, seg);
+            }
+            for history in &mut self.histories {
+                history.on_mispredict(rec.pc);
             }
         }
         let class = rec.kind.branch_class().expect("branch kinds have a class");
-        let code = match class {
-            BranchClass::Conditional => CTL_COND,
-            BranchClass::UnconditionalIndirect => CTL_UNCOND_INDIRECT,
-            BranchClass::UnconditionalDirect => CTL_UNCOND_DIRECT,
-        } | if rec.taken { CTL_TAKEN } else { 0 };
-        self.emit_control(code, rec.pc, seg);
-        self.sigs.record_branch(rec.pc, class);
+        if self.control {
+            let code = match class {
+                BranchClass::Conditional => CTL_COND,
+                BranchClass::UnconditionalIndirect => CTL_UNCOND_INDIRECT,
+                BranchClass::UnconditionalDirect => CTL_UNCOND_DIRECT,
+            } | if rec.taken { CTL_TAKEN } else { 0 };
+            emit_control(code, rec.pc, seg);
+        }
+        for history in &mut self.histories {
+            history.on_branch(rec.pc, class, rec.taken);
+        }
         penalty
     }
 
-    /// Emits one L2 access event. The signature composition is read
-    /// *before* the access is folded into the path history — the order
-    /// CHiRP's `on_hit`/`on_fill` observe. Set index and final hash are
-    /// filled by the burst's batched pass.
+    /// Emits one L2 access event, with each history's key for it, read
+    /// *before* the access is folded into that history — the order the
+    /// policies' `on_hit`/`on_fill` observe.
     #[inline]
     fn emit_access(&mut self, pc: u64, page: u64, kind: u8, seg: &mut EventSegment) {
         seg.acc_pc.push(pc);
         seg.acc_vpn.push(page);
+        seg.acc_set.push((page & self.set_mask) as u32);
         seg.acc_kind.push(kind);
-        self.pre.push(self.sigs.compose(pc));
-        self.sigs.record_access(pc);
-    }
-
-    #[inline]
-    fn emit_control(&mut self, code: u8, pc: u64, seg: &mut EventSegment) {
-        seg.ctl_after.push(seg.acc_pc.len() as u32);
-        seg.ctl_pc.push(pc);
-        seg.ctl_kind.push(code);
+        for (history, keys) in self.histories.iter_mut().zip(&mut seg.keys) {
+            keys.push(history.key(pc));
+        }
     }
 
     /// L1 statistics: (i-TLB hits, i-TLB misses, d-TLB hits, d-TLB
@@ -545,6 +641,13 @@ impl FrontEnd {
     pub fn l1_stats(&self) -> (u64, u64, u64, u64) {
         self.l1.l1_stats()
     }
+}
+
+#[inline]
+fn emit_control(code: u8, pc: u64, seg: &mut EventSegment) {
+    seg.ctl_after.push(seg.acc_pc.len() as u32);
+    seg.ctl_pc.push(pc);
+    seg.ctl_kind.push(code);
 }
 
 /// The page and line each of the front end's three L1 structures looked
@@ -610,32 +713,39 @@ impl MemoryStage {
 pub struct Backend<P: TlbReplacementPolicy> {
     l2: L2Tlb<P>,
     walker: PageWalker,
-    hints: ReplayHints,
+    /// The policy declares no history
+    /// ([`TlbReplacementPolicy::history`]), so replay forwards it every
+    /// control event, as the reference simulator does.
+    walks_events: bool,
     cycles: u64,
     instructions: u64,
 }
 
 impl<P: TlbReplacementPolicy> Backend<P> {
-    /// Builds a backend for `policy`. `sig_code` identifies the stream's
-    /// signature configuration; the policy's
-    /// [`TlbReplacementPolicy::replay_hints`] decide which control
-    /// events it needs and whether it consumes precomputed signatures.
-    pub fn new(config: &SimConfig, policy: P, sig_code: u64) -> Backend<P> {
+    /// Builds a backend for `policy`.
+    fn new(config: &SimConfig, policy: P) -> Backend<P> {
         let mut walker = PageWalker::new(config.tlb.walk_penalty);
         if let Some((entries, hit_penalty)) = config.tlb.psc {
             walker = walker.with_psc(entries, hit_penalty);
         }
-        let hints = policy.replay_hints(sig_code);
-        Backend { l2: L2Tlb::new(config.tlb.l2, policy), walker, hints, cycles: 0, instructions: 0 }
+        let walks_events = policy.history().is_none();
+        Backend {
+            l2: L2Tlb::new(config.tlb.l2, policy),
+            walker,
+            walks_events,
+            cycles: 0,
+            instructions: 0,
+        }
     }
 
-    /// Replays one whole segment, interleaving its control events with
-    /// its access events exactly as the full simulator would, and adds
-    /// the segment's front-end cycles and the `memory_cycles` its memory
-    /// column cost. A backend that reads no control event jumps straight
-    /// over them.
-    pub fn replay(&mut self, seg: &EventSegment, memory_cycles: u64) {
-        if self.hints.needs_branches || self.hints.needs_mispredicts {
+    /// Replays one whole segment and adds the segment's front-end cycles
+    /// and the `memory_cycles` its memory column cost. `keys` is the key
+    /// column of the policy's declared history, when it has one with a
+    /// key: each access hands its key to the policy first. A backend
+    /// that walks events interleaves the segment's control events with
+    /// its access events exactly as the full simulator would.
+    fn replay(&mut self, seg: &EventSegment, keys: Option<&[u16]>, memory_cycles: u64) {
+        if self.walks_events {
             // A local cursor stays in a register across the policy calls.
             let mut ctl = 0usize;
             for i in 0..seg.access_events() {
@@ -647,6 +757,12 @@ impl<P: TlbReplacementPolicy> Backend<P> {
             }
             for i in ctl..seg.control_events() {
                 self.apply_control(seg, i);
+            }
+        } else if let Some(keys) = keys {
+            debug_assert_eq!(keys.len(), seg.access_events());
+            for (i, &key) in keys.iter().enumerate() {
+                self.l2.supply_key(key);
+                self.access(seg, i);
             }
         } else {
             for i in 0..seg.access_events() {
@@ -661,9 +777,6 @@ impl<P: TlbReplacementPolicy> Backend<P> {
     /// the walk.
     #[inline]
     fn access(&mut self, seg: &EventSegment, i: usize) {
-        if self.hints.accepts_signatures {
-            self.l2.supply_signature(seg.acc_sig[i]);
-        }
         let acc = TlbAccess {
             pc: seg.acc_pc[i],
             vpn: seg.acc_vpn[i],
@@ -682,18 +795,10 @@ impl<P: TlbReplacementPolicy> Backend<P> {
 
     #[inline]
     fn apply_control(&mut self, seg: &EventSegment, i: usize) {
-        let kind = seg.ctl_kind[i];
-        if kind & CTL_MISPREDICT != 0 {
-            if self.hints.needs_mispredicts {
-                self.l2.on_mispredict(seg.ctl_pc[i]);
-            }
-        } else if self.hints.needs_branches {
-            let class = match kind & 0x3 {
-                CTL_COND => BranchClass::Conditional,
-                CTL_UNCOND_INDIRECT => BranchClass::UnconditionalIndirect,
-                _ => BranchClass::UnconditionalDirect,
-            };
-            self.l2.on_branch(seg.ctl_pc[i], class, kind & CTL_TAKEN != 0);
+        let pc = seg.ctl_pc[i];
+        match control_event(seg.ctl_kind[i]) {
+            Some((class, taken)) => self.l2.on_branch(pc, class, taken),
+            None => self.l2.on_mispredict(pc),
         }
     }
 
@@ -757,24 +862,75 @@ impl<P: TlbReplacementPolicy> Backend<P> {
 
 /// Replays an already-built [`FactoredTrace`] through one backend per
 /// policy. Returns `(result, backend)` pairs in input order, each
-/// bit-identical to `Simulator::run_columnar` of the same unit. A policy
-/// whose signature configuration does not match the stream's simply
-/// replays with its local registers
-/// ([`TlbReplacementPolicy::replay_hints`]).
+/// bit-identical to `Simulator::run_columnar` of the same unit. A member
+/// whose declared history is the trace's own signature configuration
+/// reads the trace's key column; every other declared history runs over
+/// the trace's control events once, for all the members that declare it,
+/// and a member that declares none walks them itself.
 pub fn replay_factored<P: TlbReplacementPolicy>(
     config: &SimConfig,
     trace: &FactoredTrace,
     policies: Vec<P>,
 ) -> Vec<(RunResult, Backend<P>)> {
-    let lanes = Lanes::new(config, policies, trace.sig_code, None);
+    let plan = Plan::new(&policies);
+    let lanes = Lanes::new(config, policies, &plan.columns, None);
+    let mut derived: Vec<Option<RunningHistory>> = plan
+        .histories
+        .iter()
+        .map(|h| if *h == trace.history { None } else { RunningHistory::new(h) })
+        .collect();
     let mut memory = MemoryStage::new(config);
     for (seg, ends_warmup) in [(&trace.warmup, true), (&trace.measured, false)] {
+        let keys: Vec<Vec<u16>> = derived
+            .iter_mut()
+            .map(|running| match running {
+                Some(running) => running.keys_of(seg),
+                None => seg.keys.first().cloned().unwrap_or_default(),
+            })
+            .collect();
         let memory_cycles = memory.run(seg);
         for lane in 0..lanes.len() {
-            lanes.replay(lane, seg, memory_cycles, ends_warmup);
+            lanes.replay(lane, seg, &keys, memory_cycles, ends_warmup);
         }
     }
     lanes.finish().into_iter().map(|(result, backend, _)| (result, backend)).collect()
+}
+
+/// What a group's front end runs and writes for its back ends.
+struct Plan {
+    /// The distinct histories with a key among the members'
+    /// declarations: one running instance and one key column each.
+    histories: Vec<History>,
+    /// Per member: the key column of its history; `None` for the empty
+    /// history or none declared.
+    columns: Vec<Option<usize>>,
+    /// Some member declares no history and walks control events, so the
+    /// front end must publish them.
+    control: bool,
+}
+
+impl Plan {
+    fn new<P: TlbReplacementPolicy>(policies: &[P]) -> Plan {
+        let mut histories: Vec<History> = Vec::new();
+        let mut control = false;
+        let columns = policies
+            .iter()
+            .map(|policy| match policy.history() {
+                None => {
+                    control = true;
+                    None
+                }
+                Some(History::Empty) => None,
+                Some(history) => {
+                    Some(histories.iter().position(|h| *h == history).unwrap_or_else(|| {
+                        histories.push(history);
+                        histories.len() - 1
+                    }))
+                }
+            })
+            .collect();
+        Plan { histories, columns, control }
+    }
 }
 
 /// Segments the pipelined driver circulates between the front end and
@@ -817,6 +973,8 @@ pub(crate) type LaneEnd<P> = (RunResult, Backend<P>, Vec<EpochRow>);
 /// warmup cut and, with telemetry, the epoch sampler it started there.
 struct Lane<P: TlbReplacementPolicy> {
     backend: Backend<P>,
+    /// The key column this backend reads ([`Plan::columns`]).
+    column: Option<usize>,
     window: Option<Window>,
     sampler: Option<EpochSampler>,
 }
@@ -850,29 +1008,42 @@ struct Lanes<P: TlbReplacementPolicy> {
 }
 
 impl<P: TlbReplacementPolicy> Lanes<P> {
-    fn new(config: &SimConfig, policies: Vec<P>, sig_code: u64, epoch: Option<u64>) -> Lanes<P> {
-        let lane = |p| {
-            let mut backend = Backend::new(config, p, sig_code);
+    fn new(
+        config: &SimConfig,
+        policies: Vec<P>,
+        columns: &[Option<usize>],
+        epoch: Option<u64>,
+    ) -> Lanes<P> {
+        let lane = |(p, &column)| {
+            let mut backend = Backend::new(config, p);
             if epoch.is_some() {
                 // Scored from instruction 0, so a measured eviction of an
                 // entry filled during warmup counts too.
                 backend.l2.enable_outcome_tracking();
             }
-            Mutex::new(Lane { backend, window: None, sampler: None })
+            Mutex::new(Lane { backend, column, window: None, sampler: None })
         };
-        Lanes { lanes: policies.into_iter().map(lane).collect(), epoch }
+        Lanes { lanes: policies.into_iter().zip(columns).map(lane).collect(), epoch }
     }
 
     fn len(&self) -> usize {
         self.lanes.len()
     }
 
-    /// Replays backend `lane` over `seg`, snapshotting its measured
-    /// window when the segment ends at the warmup cut, and samples it
-    /// when the group samples.
-    fn replay(&self, lane: usize, seg: &EventSegment, memory_cycles: u64, ends_warmup: bool) {
+    /// Replays backend `lane` over `seg`, whose key columns are `keys`,
+    /// snapshotting its measured window when the segment ends at the
+    /// warmup cut, and samples it when the group samples.
+    fn replay(
+        &self,
+        lane: usize,
+        seg: &EventSegment,
+        keys: &[Vec<u16>],
+        memory_cycles: u64,
+        ends_warmup: bool,
+    ) {
         let mut lane = self.lanes[lane].lock().expect("a panicked claim stops its group");
-        lane.backend.replay(seg, memory_cycles);
+        let keys = lane.column.map(|column| keys[column].as_slice());
+        lane.backend.replay(seg, keys, memory_cycles);
         if ends_warmup {
             lane.window = Some(lane.backend.window_start());
         }
@@ -887,7 +1058,7 @@ impl<P: TlbReplacementPolicy> Lanes<P> {
         self.lanes
             .into_iter()
             .map(|lane| {
-                let Lane { backend, window, sampler } =
+                let Lane { backend, window, sampler, .. } =
                     lane.into_inner().expect("a panicked claim stops its group");
                 let window = window.unwrap_or_else(|| backend.window_start());
                 let rows = sampler.map_or_else(Vec::new, |sampler| {
@@ -978,7 +1149,9 @@ impl RingState {
 }
 
 impl<P: TlbReplacementPolicy> Ring<P> {
-    fn new(lanes: Lanes<P>, slots: usize) -> Ring<P> {
+    /// A ring of `slots` segments, each with `keys` key columns and, with
+    /// `control`, control columns.
+    fn new(lanes: Lanes<P>, slots: usize, keys: usize, control: bool) -> Ring<P> {
         let state = RingState {
             filled: 0,
             staged: 0,
@@ -993,7 +1166,9 @@ impl<P: TlbReplacementPolicy> Ring<P> {
         };
         Ring {
             lanes,
-            slots: (0..slots).map(|_| RwLock::new(EventSegment::for_chunk())).collect(),
+            slots: (0..slots)
+                .map(|_| RwLock::new(EventSegment::for_chunk(keys, control)))
+                .collect(),
             state: Mutex::new(state),
             replay_cv: Condvar::new(),
             feed_cv: Condvar::new(),
@@ -1021,7 +1196,7 @@ impl<P: TlbReplacementPolicy> Ring<P> {
     /// Runs one claim on the calling thread.
     fn run(&self, claim: Claim) {
         let seg = self.slots[claim.slot].read().unwrap_or_else(PoisonError::into_inner);
-        self.lanes.replay(claim.lane, &seg, claim.memory_cycles, claim.ends_warmup);
+        self.lanes.replay(claim.lane, &seg, &seg.keys, claim.memory_cycles, claim.ends_warmup);
         drop(seg);
         let mut st = self.state();
         let (next, busy) = &mut st.progress[claim.lane];
@@ -1167,6 +1342,8 @@ struct Feeder<'r, P: TlbReplacementPolicy> {
     /// The calling thread's time: its source, building, claims and
     /// waits.
     times: PipelineTimes,
+    /// Control events published in the segments handed off so far.
+    control_events: u64,
 }
 
 /// Where a [`Feeder`] builds each segment.
@@ -1193,7 +1370,17 @@ impl<'r, P: TlbReplacementPolicy> Feeder<'r, P> {
         assert_ne!(epoch, Some(0), "epoch length must be positive");
         let epoch = epoch.map(|e| usize::try_from(e).unwrap_or(usize::MAX));
         let times = PipelineTimes::default();
-        Feeder { fe, warmup, epoch, pos: 0, next_cut: warmup, ring, build, times }
+        Feeder {
+            fe,
+            warmup,
+            epoch,
+            pos: 0,
+            next_cut: warmup,
+            ring,
+            build,
+            times,
+            control_events: 0,
+        }
     }
 
     /// Runs the front end over one chunk of at most [`CHUNK_SIZE`]
@@ -1256,6 +1443,7 @@ impl<'r, P: TlbReplacementPolicy> Feeder<'r, P> {
                 let mut seg = self.ring.slots[slot].write().unwrap_or_else(PoisonError::into_inner);
                 seg.clear();
                 self.fe.process_chunk(chunk, &mut seg);
+                self.control_events += seg.control_events() as u64;
                 drop(seg);
                 self.ring.hand_off(ends_warmup);
                 self.ring.replay(memory, false, &mut self.times);
@@ -1264,6 +1452,7 @@ impl<'r, P: TlbReplacementPolicy> Feeder<'r, P> {
                 let started = Instant::now();
                 local.clear();
                 self.fe.process_chunk(chunk, local);
+                self.control_events += local.control_events() as u64;
                 let built = started.elapsed();
                 let Some(slot) = self.ring.acquire(&mut self.times) else { return false };
                 let started = Instant::now();
@@ -1303,7 +1492,6 @@ impl<'r, P: TlbReplacementPolicy> Feeder<'r, P> {
 /// the other side and resumes on the caller.
 pub(crate) fn replay_stream_group<P, S>(
     config: &SimConfig,
-    sig_config: &ChirpConfig,
     policies: Vec<P>,
     stream: &mut S,
     warmup_fraction: f64,
@@ -1315,18 +1503,23 @@ where
     S: TraceStream + ?Sized,
 {
     let warmup = warmup_cut(stream.len(), warmup_fraction);
-    let lanes = Lanes::new(config, policies, sig_config.signature_code(), epoch);
-    let fe = FrontEnd::new(config, sig_config);
+    let plan = Plan::new(&policies);
+    let lanes = Lanes::new(config, policies, &plan.columns, epoch);
+    let fe = FrontEnd::running(config, &plan.histories, plan.control);
+    let (keys, control) = (plan.histories.len(), plan.control);
     let mut memory = MemoryStage::new(config);
     match form {
         ReplayForm::Inline => {
-            let ring = Ring::new(lanes, 1);
-            Feeder::new(fe, warmup, epoch, &ring, Build::InPlace(&mut memory)).feed(stream)?;
+            let ring = Ring::new(lanes, 1, keys, control);
+            let mut feeder = Feeder::new(fe, warmup, epoch, &ring, Build::InPlace(&mut memory));
+            let fed = feeder.feed(stream);
+            crate::sched::note_front_end(feeder.pos as u64, feeder.control_events);
+            fed?;
             Ok(ring.lanes.finish())
         }
         ReplayForm::Pipelined => {
-            let ring = Ring::new(lanes, SEGMENT_POOL);
-            let (fed, times) = std::thread::scope(|scope| {
+            let ring = Ring::new(lanes, SEGMENT_POOL, keys, control);
+            let (fed, times, published) = std::thread::scope(|scope| {
                 let worker = scope.spawn(|| {
                     let _hang_up = HangUp { ring: &ring, failed: false };
                     let mut times = PipelineTimes::default();
@@ -1334,7 +1527,7 @@ where
                     times
                 });
                 let mut hang_up = HangUp { ring: &ring, failed: false };
-                let mut local = EventSegment::for_chunk();
+                let mut local = EventSegment::for_chunk(keys, control);
                 let mut feeder = Feeder::new(fe, warmup, epoch, &ring, Build::Local(&mut local));
                 // Once fed, the front end helps drain the ring.
                 let fed = feeder.feed(stream).map(|()| {
@@ -1342,14 +1535,16 @@ where
                 });
                 hang_up.failed = fed.is_err();
                 drop(hang_up);
+                let published = (feeder.pos as u64, feeder.control_events);
                 match worker.join() {
-                    Ok(replay_side) => (fed, feeder.times.add(&replay_side)),
+                    Ok(replay_side) => (fed, feeder.times.add(&replay_side), published),
                     Err(panic) => std::panic::resume_unwind(panic),
                 }
             });
             let st = ring.state.into_inner().unwrap_or_else(PoisonError::into_inner);
             let replays = (st.replayed() * ring.lanes.len()) as u64;
             crate::sched::note_pipelined(replays, st.front_end_claims, times);
+            crate::sched::note_front_end(published.0, published.1);
             fed?;
             Ok(ring.lanes.finish())
         }
@@ -1362,7 +1557,9 @@ where
 /// bit-identical to
 /// [`Simulator::run_columnar`](crate::Simulator::run_columnar) of each
 /// policy over the same records. The back ends replay on a second thread
-/// when a core would otherwise sit idle, inline otherwise.
+/// when a core would otherwise sit idle, inline otherwise. The front end
+/// runs the histories the policies declare, so `_sig_config`, the
+/// signature configuration callers once chose for it, is not read.
 ///
 /// # Errors
 ///
@@ -1370,20 +1567,20 @@ where
 /// and the batch of runs must be retried from scratch.
 pub fn run_stream_factored<P: TlbReplacementPolicy + Send, S: TraceStream + ?Sized>(
     config: &SimConfig,
-    sig_config: &ChirpConfig,
+    _sig_config: &ChirpConfig,
     policies: Vec<P>,
     stream: &mut S,
     warmup_fraction: f64,
 ) -> Result<Vec<(RunResult, Backend<P>)>, StreamError> {
     let (form, _core) = ReplayForm::choose();
-    let outcomes =
-        replay_stream_group(config, sig_config, policies, stream, warmup_fraction, None, form)?;
+    let outcomes = replay_stream_group(config, policies, stream, warmup_fraction, None, form)?;
     Ok(outcomes.into_iter().map(|(result, backend, _)| (result, backend)).collect())
 }
 
-/// Picks the signature configuration a group's front end computes under:
-/// the first CHiRP member's (so the common lineup precomputes exactly
-/// the signatures its headline policy needs), else the default.
+/// Picks the signature configuration a [`FactoredTrace`] is built under
+/// for a group: the first CHiRP member's (so its key column is exactly
+/// what that member reads), else the default. Only `FactoredTrace`
+/// callers need it; the chunk driver runs every member's own history.
 pub fn group_sig_config<'a, I>(kinds: I) -> ChirpConfig
 where
     I: IntoIterator<Item = &'a crate::PolicyKind>,
@@ -1414,15 +1611,55 @@ mod tests {
 
     const FORMS: [ReplayForm; 2] = [ReplayForm::Inline, ReplayForm::Pipelined];
 
-    /// Policies with every replay need: signatures (CHiRP), branches
-    /// (GHRP), mispredictions and nothing at all (LRU).
-    fn group() -> Vec<PolicyKind> {
+    /// Members with every kind of history: none at all (LRU), GHRP's
+    /// outcome register, perceptron reuse's conditional-branch feature,
+    /// three CHiRP signature shapes (one with wrong-path pollution), and a
+    /// member that declares nothing and walks every control event
+    /// ([`Probe`] around CHiRP).
+    #[derive(Clone)]
+    enum Member {
+        Kind(PolicyKind),
+        Probe(PolicyKind),
+    }
+
+    fn members() -> Vec<Member> {
         vec![
-            PolicyKind::Lru,
-            PolicyKind::Ghrp,
-            PolicyKind::Chirp(ChirpConfig::default()),
-            PolicyKind::Chirp(ChirpConfig { wrong_path_pollution: 2, ..ChirpConfig::default() }),
+            Member::Kind(PolicyKind::Lru),
+            Member::Kind(PolicyKind::Ghrp),
+            Member::Kind(PolicyKind::Chirp(ChirpConfig::default())),
+            Member::Kind(PolicyKind::Chirp(ChirpConfig {
+                wrong_path_pollution: 2,
+                ..ChirpConfig::default()
+            })),
+            Member::Kind(PolicyKind::Chirp(ChirpConfig {
+                path_length: 8,
+                ..ChirpConfig::default()
+            })),
+            Member::Kind(PolicyKind::PerceptronReuse),
+            Member::Probe(PolicyKind::Chirp(ChirpConfig::default())),
         ]
+    }
+
+    /// The lineup policy each member runs.
+    fn group() -> Vec<PolicyKind> {
+        members()
+            .into_iter()
+            .map(|m| match m {
+                Member::Kind(kind) | Member::Probe(kind) => kind,
+            })
+            .collect()
+    }
+
+    /// The members' policies, each a [`Probe`] that declares its
+    /// policy's history unless it is a `Member::Probe`.
+    fn build_members(members: &[Member]) -> Vec<Probe> {
+        members
+            .iter()
+            .map(|m| match m {
+                Member::Kind(kind) => Probe::declaring(kind),
+                Member::Probe(kind) => Probe::new(kind),
+            })
+            .collect()
     }
 
     fn trace() -> PackedTrace {
@@ -1445,31 +1682,23 @@ mod tests {
     }
 
     /// Both forms of the driver equal `run_columnar` bit for bit at every
-    /// cut, over a resident trace fed in chunk-sized views (as
-    /// `run_policy_group` feeds it) and over a stream whose batches do not
-    /// align with the chunks.
+    /// cut, keyed and event-walking members together, over a resident
+    /// trace fed in chunk-sized views (as `run_policy_group` feeds it) and
+    /// over a stream whose batches do not align with the chunks.
     #[test]
     fn both_forms_match_the_columnar_oracle_at_every_cut() {
         let trace = trace();
         let kinds = group();
         for (fraction, cut) in cuts() {
             let config = SimConfig { warmup_fraction: fraction, ..SimConfig::default() };
-            let sig = group_sig_config(kinds.iter());
             let want = columnar(&kinds, &config, &trace);
             for form in FORMS {
                 for (what, batch) in [("resident", CHUNK_SIZE), ("streamed", 3_000)] {
                     let mut stream = MaterializedStream::new(&trace, batch);
-                    let policies = build(&kinds, &config);
-                    let got = replay_stream_group(
-                        &config,
-                        &sig,
-                        policies,
-                        &mut stream,
-                        fraction,
-                        None,
-                        form,
-                    )
-                    .expect("materialized stream");
+                    let policies = build_members(&members());
+                    let got =
+                        replay_stream_group(&config, policies, &mut stream, fraction, None, form)
+                            .expect("materialized stream");
                     let got: Vec<RunResult> = got.into_iter().map(|(r, _, _)| r).collect();
                     assert_eq!(got, want, "{what} {form:?} at cut {cut}");
                 }
@@ -1479,35 +1708,28 @@ mod tests {
 
     /// A streamed group of one — what `run_stream_group` runs for a
     /// single policy — equals `run_columnar` bit for bit in both forms at
-    /// every cut, for every kind of replay need, over batches of one
-    /// record, of sizes that do not divide a chunk, of exactly a chunk and
-    /// of more than the whole trace.
+    /// every cut, for every kind of history and for a member that walks
+    /// events, over batches of one record, of sizes that do not divide a
+    /// chunk, of exactly a chunk and of more than the whole trace.
     #[test]
     fn a_streamed_group_of_one_matches_the_columnar_oracle_at_every_cut() {
         let trace = trace();
         for (fraction, cut) in cuts() {
             let config = SimConfig { warmup_fraction: fraction, ..SimConfig::default() };
-            for kind in group() {
-                let kinds = [kind];
-                let sig = group_sig_config(kinds.iter());
-                let want = columnar(&kinds, &config, &trace);
+            for (member, kind) in members().into_iter().zip(group()) {
+                let members = [member];
+                let want = columnar(&[kind], &config, &trace);
                 for (form, batch) in FORMS.into_iter().flat_map(|form| {
                     [1, 777, 3_000, CHUNK_SIZE, 100_000].map(|batch| (form, batch))
                 }) {
                     let mut stream = MaterializedStream::new(&trace, batch);
-                    let policies = build(&kinds, &config);
-                    let got = replay_stream_group(
-                        &config,
-                        &sig,
-                        policies,
-                        &mut stream,
-                        fraction,
-                        None,
-                        form,
-                    )
-                    .expect("materialized stream");
+                    let policies = build_members(&members);
+                    let got =
+                        replay_stream_group(&config, policies, &mut stream, fraction, None, form)
+                            .expect("materialized stream");
                     let got: Vec<RunResult> = got.into_iter().map(|(r, _, _)| r).collect();
-                    assert_eq!(got, want, "{:?} {form:?} batch {batch} at cut {cut}", kinds[0]);
+                    let what = want[0].policy.as_str();
+                    assert_eq!(got, want, "{what} {form:?} batch {batch} at cut {cut}");
                 }
             }
         }
@@ -1525,15 +1747,14 @@ mod tests {
         let kinds = group();
         for (fraction, cut) in cuts() {
             let config = SimConfig { warmup_fraction: fraction, ..SimConfig::default() };
-            let sig = group_sig_config(kinds.iter());
             let want = columnar(&kinds, &config, &trace);
             let measured = (LEN - cut) as u64;
             for epoch in [1_500, CHUNK_SIZE as u64, 7_000] {
                 let [inline, pipelined] = FORMS.map(|form| {
                     let mut stream = MaterializedStream::new(&trace, 3_000);
-                    let policies = build(&kinds, &config);
+                    let policies = build_members(&members());
                     let epoch = Some(epoch);
-                    replay_stream_group(&config, &sig, policies, &mut stream, fraction, epoch, form)
+                    replay_stream_group(&config, policies, &mut stream, fraction, epoch, form)
                         .expect("materialized stream")
                         .into_iter()
                         .map(|(result, _, rows)| (result, rows))
@@ -1561,27 +1782,17 @@ mod tests {
         let trace = build_suite(&SuiteConfig { benchmarks: 1 })[0].generate_packed(1_000);
         let config = SimConfig::default();
         let policies = build(&[PolicyKind::Lru], &config);
-        let sig = ChirpConfig::default();
         let mut stream = MaterializedStream::new(&trace, 1_000);
-        let _ = replay_stream_group(
-            &config,
-            &sig,
-            policies,
-            &mut stream,
-            0.5,
-            Some(0),
-            ReplayForm::Inline,
-        );
+        let _ =
+            replay_stream_group(&config, policies, &mut stream, 0.5, Some(0), ReplayForm::Inline);
     }
 
     /// The front end's walk without its register memos: one record at a
     /// time, every fetch looks its page up with [`L1FrontEnd::hit`] and
     /// its line with [`Cache::access`], every data access its page with
-    /// [`L1FrontEnd::hit`]. Signatures and set indices are finalised once
-    /// for the whole chunk.
+    /// [`L1FrontEnd::hit`].
     fn plain_chunk(fe: &mut FrontEnd, chunk: &TraceChunk<'_>, seg: &mut EventSegment) {
-        let acc_base = seg.acc_pc.len();
-        fe.pre.clear();
+        seg.keys.resize_with(fe.histories.len(), Vec::new);
         let (mut ea, mut target) = (0, 0);
         for (i, &pc) in chunk.pcs().iter().enumerate() {
             let kind = InstrKind::from_u8(chunk.kinds()[i]).expect("valid kind");
@@ -1615,8 +1826,6 @@ mod tests {
             seg.instructions += 1;
             seg.invariant_cycles += cycles;
         }
-        seg.acc_sig.extend(fe.pre.iter().map(|&p| hash16(p)));
-        seg.acc_set.extend(seg.acc_vpn[acc_base..].iter().map(|&v| (v & fe.set_mask) as u32));
     }
 
     /// Walks `trace` in chunks of `chunk` records with the front end and
@@ -1737,12 +1946,15 @@ mod tests {
             .collect()
     }
 
-    /// Test policy around any lineup policy, forwarding every hook. At
-    /// its first access it drops `release` (opening a gate something else
-    /// waits on), then waits on `gate`; it optionally panics on its
-    /// `panic_at`-th access.
+    /// Test policy around any lineup policy, forwarding every control
+    /// and access hook. It declares no history, so replay walks every
+    /// control event for it, unless built [`declaring`](Self::declaring)
+    /// its inner policy's. At its first access it drops `release`
+    /// (opening a gate something else waits on), then waits on `gate`; it
+    /// optionally panics on its `panic_at`-th access.
     struct Probe {
         inner: PolicyDispatch,
+        declares: bool,
         gate: Option<Receiver<()>>,
         release: Option<Sender<()>>,
         panic_at: Option<u64>,
@@ -1752,7 +1964,12 @@ mod tests {
     impl Probe {
         fn new(kind: &PolicyKind) -> Probe {
             let inner = kind.build_dispatch(SimConfig::default().tlb.l2, 3);
-            Probe { inner, gate: None, release: None, panic_at: None, accesses: 0 }
+            Probe { inner, declares: false, gate: None, release: None, panic_at: None, accesses: 0 }
+        }
+
+        /// A probe that declares its inner policy's history.
+        fn declaring(kind: &PolicyKind) -> Probe {
+            Probe { declares: true, ..Probe::new(kind) }
         }
 
         fn gated(mut self, gate: Option<Receiver<()>>) -> Probe {
@@ -1828,12 +2045,12 @@ mod tests {
             self.inner.storage()
         }
 
-        fn replay_hints(&self, sig_code: u64) -> ReplayHints {
-            self.inner.replay_hints(sig_code)
+        fn history(&self) -> Option<History> {
+            self.inner.history().filter(|_| self.declares)
         }
 
-        fn supply_signature(&mut self, sig: u16) {
-            self.inner.supply_signature(sig);
+        fn supply_key(&mut self, key: u16) {
+            self.inner.supply_key(key);
         }
     }
 
@@ -1964,8 +2181,7 @@ mod tests {
         form: ReplayForm,
     ) -> Result<Vec<LaneEnd<Probe>>, StreamError> {
         let config = SimConfig::default();
-        let sig = ChirpConfig::default();
-        replay_stream_group(&config, &sig, policies, stream, config.warmup_fraction, None, form)
+        replay_stream_group(&config, policies, stream, config.warmup_fraction, None, form)
     }
 
     /// A stream that fails after some batches returns that error from
@@ -2042,5 +2258,113 @@ mod tests {
         let message = panic.downcast_ref::<String>().map_or("", String::as_str);
         assert!(message.contains("probe policy panics on request"), "{message}");
         assert_eq!(stream.served, SEGMENT_POOL + 1, "the front end claimed once its ring was full");
+    }
+
+    /// A group whose members all declare a history publishes no control
+    /// event in either form; one member that declares none (a
+    /// [`Probe`]) brings back every control event a [`FactoredTrace`]
+    /// carries.
+    #[test]
+    fn only_members_without_a_history_bring_control_events_back() {
+        let trace = trace();
+        let config = SimConfig::default();
+        let all = FactoredTrace::build(&config, &trace, 0.5, &ChirpConfig::default());
+        let all = all.control_events() as u64;
+        assert!(all > 0, "the trace has branches");
+        let declaring: Vec<Member> =
+            members().into_iter().filter(|m| matches!(m, Member::Kind(_))).collect();
+        let mut with_probe = declaring.clone();
+        with_probe.push(Member::Probe(PolicyKind::Lru));
+        for (members, want) in [(declaring, 0), (with_probe, all)] {
+            for form in FORMS {
+                let _ = crate::sched::take_front_end();
+                let mut stream = MaterializedStream::new(&trace, 3_000);
+                let policies = build_members(&members);
+                replay_stream_group(&config, policies, &mut stream, 0.5, None, form)
+                    .expect("materialized stream");
+                let _ = crate::sched::take_pipelined();
+                assert_eq!(crate::sched::take_front_end(), (LEN as u64, want), "{form:?}");
+            }
+        }
+    }
+
+    /// Walks [`trace`] with a front end running `policy`'s declared
+    /// history and, beside it, feeds `policy` itself every control event
+    /// through `on_mispredict`/`on_branch` and every access through
+    /// `on_fill`: before each access, the front end's key must equal
+    /// `own_key`, what the policy's own registers compute.
+    fn assert_keys_match_own_registers<P: TlbReplacementPolicy>(
+        mut policy: P,
+        own_key: impl Fn(&P, u64) -> u16,
+    ) {
+        let config = SimConfig::default();
+        let history = policy.history().expect("the policy declares its history");
+        let mut fe = FrontEnd::running(&config, &[history], true);
+        let mut seg = EventSegment::default();
+        let (mut keys, mut mispredicts) = (0, 0);
+        let mut feed = |policy: &mut P, seg: &EventSegment, c: usize| {
+            let pc = seg.ctl_pc[c];
+            match control_event(seg.ctl_kind[c]) {
+                Some((class, taken)) => policy.on_branch(pc, class, taken),
+                None => {
+                    mispredicts += 1;
+                    policy.on_mispredict(pc);
+                }
+            }
+        };
+        for chunk in trace().chunks(CHUNK_SIZE) {
+            seg.clear();
+            fe.process_chunk(&chunk, &mut seg);
+            let mut ctl = 0;
+            for i in 0..seg.access_events() {
+                while ctl < seg.control_events() && seg.ctl_after[ctl] as usize <= i {
+                    feed(&mut policy, &seg, ctl);
+                    ctl += 1;
+                }
+                let pc = seg.acc_pc[i];
+                assert_eq!(seg.keys[0][i], own_key(&policy, pc), "{history:?}: key {keys}");
+                let acc =
+                    TlbAccess { pc, vpn: seg.acc_vpn[i], kind: TranslationKind::Data, set: 0 };
+                policy.on_fill(&acc, 0);
+                keys += 1;
+            }
+            for c in ctl..seg.control_events() {
+                feed(&mut policy, &seg, c);
+            }
+        }
+        assert!(keys > 1_000 && mispredicts > 100, "{history:?}: {keys} keys, {mispredicts}");
+    }
+
+    #[test]
+    fn signature_keys_match_chirps_own_registers() {
+        use chirp_core::Chirp;
+        let geometry = SimConfig::default().tlb.l2;
+        for config in [
+            ChirpConfig::default(),
+            ChirpConfig { path_length: 8, ..ChirpConfig::default() },
+            ChirpConfig { wrong_path_pollution: 2, use_pc: false, ..ChirpConfig::default() },
+        ] {
+            assert_keys_match_own_registers(Chirp::new(geometry, config), |chirp, pc| {
+                chirp.signatures().signature(pc)
+            });
+        }
+    }
+
+    #[test]
+    fn outcome_keys_match_ghrps_own_register() {
+        use chirp_tlb::policies::{Ghrp, GhrpConfig};
+        let ghrp = Ghrp::new(SimConfig::default().tlb.l2, GhrpConfig::default());
+        assert_keys_match_own_registers(ghrp, |ghrp, pc| ghrp.outcome_history().key(pc));
+    }
+
+    #[test]
+    fn cond_feature_keys_match_perceptrons_own_register() {
+        use chirp_tlb::policies::{PerceptronConfig, PerceptronReuse};
+        let geometry = SimConfig::default().tlb.l2;
+        for table_bits in [10, 6] {
+            let config = PerceptronConfig { table_bits, ..PerceptronConfig::default() };
+            let perceptron = PerceptronReuse::new(geometry, config);
+            assert_keys_match_own_registers(perceptron, |p, pc| p.cond_feature().key(pc));
+        }
     }
 }

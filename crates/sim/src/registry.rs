@@ -6,7 +6,7 @@ use chirp_tlb::policies::{
     Drrip, Ghrp, GhrpConfig, Lru, PerceptronConfig, PerceptronReuse, RandomPolicy, ShipConfig,
     ShipTlb, Srrip,
 };
-use chirp_tlb::{PolicyStorage, ReplayHints, TlbAccess, TlbGeometry, TlbReplacementPolicy};
+use chirp_tlb::{History, PolicyStorage, TlbAccess, TlbGeometry, TlbReplacementPolicy};
 use chirp_trace::BranchClass;
 
 /// The policies under study (paper §V: LRU, Random, SRRIP, SHiP, GHRP,
@@ -219,13 +219,13 @@ impl TlbReplacementPolicy for PolicyDispatch {
         dispatch!(self, p => p.storage())
     }
 
-    fn replay_hints(&self, sig_code: u64) -> ReplayHints {
-        dispatch!(self, p => p.replay_hints(sig_code))
+    fn history(&self) -> Option<History> {
+        dispatch!(self, p => p.history())
     }
 
     #[inline]
-    fn supply_signature(&mut self, sig: u16) {
-        dispatch!(self, p => p.supply_signature(sig))
+    fn supply_key(&mut self, key: u16) {
+        dispatch!(self, p => p.supply_key(key))
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {

@@ -18,7 +18,7 @@
 
 use crate::config::SimConfig;
 use crate::engine::{Simulator, CHUNK_SIZE};
-use crate::frontend::{group_sig_config, replay_stream_group, ReplayForm};
+use crate::frontend::{replay_stream_group, ReplayForm};
 use crate::metrics::RunResult;
 use crate::registry::PolicyKind;
 use crate::sched::{run_items, WorkItem};
@@ -153,8 +153,8 @@ pub(crate) const NO_STORE_TO_FAIL: &str = "a suite run without a store has nothi
 /// pass + per-policy replay back-ends over 4096-record segments: the
 /// trace is fed as a [`MaterializedStream`] through the chunk driver
 /// behind [`run_stream_group`], which replays on a second thread when a
-/// core would otherwise sit idle, the signature stream computed under
-/// the group's first CHiRP configuration ([`group_sig_config`]).
+/// core would otherwise sit idle, its front end running one instance of
+/// each control-flow history the members declare.
 /// With `factored` unset every policy runs [`Simulator::run_columnar`],
 /// the reference model, for tests and checks that compare the two.
 /// Results are bit-identical either way, in input order.
@@ -168,11 +168,10 @@ pub fn run_policy_group(
     if !factored {
         return kinds.iter().map(|kind| run_columnar(sim, kind, seed, trace)).collect();
     }
-    let sig_config = group_sig_config(kinds.iter().copied());
     let policies = kinds.iter().map(|kind| kind.build_dispatch(sim.tlb.l2, seed)).collect();
     let (form, _core) = ReplayForm::choose();
     let mut stream = MaterializedStream::new(trace, CHUNK_SIZE);
-    replay_stream_group(sim, &sig_config, policies, &mut stream, sim.warmup_fraction, None, form)
+    replay_stream_group(sim, policies, &mut stream, sim.warmup_fraction, None, form)
         .expect("a resident trace has no stream to fail")
         .into_iter()
         .map(|(result, _, _)| result)
@@ -215,10 +214,8 @@ fn sample_stream_group(
     epoch: Option<u64>,
 ) -> Result<Vec<(RunResult, Vec<EpochRow>)>, StreamError> {
     let (form, _core) = ReplayForm::choose();
-    let sig_config = group_sig_config(kinds.iter().copied());
     let policies = kinds.iter().map(|kind| kind.build_dispatch(sim.tlb.l2, seed)).collect();
-    let outcomes =
-        replay_stream_group(sim, &sig_config, policies, stream, sim.warmup_fraction, epoch, form)?;
+    let outcomes = replay_stream_group(sim, policies, stream, sim.warmup_fraction, epoch, form)?;
     Ok(outcomes.into_iter().map(|(result, _, rows)| (result, rows)).collect())
 }
 

@@ -69,6 +69,12 @@ pub struct SchedulerSummary {
     /// Where the two threads of the groups that pipelined spent their
     /// time.
     pub pipeline_times: PipelineTimes,
+    /// Instructions the factored groups' front ends walked.
+    pub front_end_instructions: u64,
+    /// Control events those front ends published: only back ends of
+    /// policies that declare no history walk them, so a run whose every
+    /// policy declares one publishes none.
+    pub front_end_control_events: u64,
     /// Most items (and so traces) in flight at any instant.
     pub peak_resident_traces: usize,
     /// Most estimated trace bytes in flight at any instant.
@@ -140,8 +146,8 @@ impl SchedulerSummary {
     /// One-line human-readable rendering for harness output.
     pub fn render(&self) -> String {
         format!(
-            "{} work units ({} sims) on {} threads / {} cpus, replay {} | peak {} traces / \
-             {:.1} MiB in flight | item latency p50 {} us / p99 {} us | {:.2}s wall",
+            "{} work units ({} sims) on {} threads / {} cpus, replay {}, {:.1} control events/Ki \
+             | peak {} traces / {:.1} MiB in flight | item latency p50 {} us / p99 {} us | {:.2}s wall",
             self.work_units,
             self.sim_tasks,
             self.threads,
@@ -156,6 +162,8 @@ impl SchedulerSummary {
             } else {
                 "inline".to_string()
             },
+            self.front_end_control_events as f64 * 1e3
+                / self.front_end_instructions.max(1) as f64,
             self.peak_resident_traces,
             self.peak_resident_bytes as f64 / (1024.0 * 1024.0),
             self.sim_latency_us.quantile(0.5),
@@ -183,6 +191,9 @@ impl SchedulerSummary {
             pipelined_replays: self.pipelined_replays + other.pipelined_replays,
             front_end_replays: self.front_end_replays + other.front_end_replays,
             pipeline_times: self.pipeline_times.add(&other.pipeline_times),
+            front_end_instructions: self.front_end_instructions + other.front_end_instructions,
+            front_end_control_events: self.front_end_control_events
+                + other.front_end_control_events,
             peak_resident_traces: self.peak_resident_traces.max(other.peak_resident_traces),
             peak_resident_bytes: self.peak_resident_bytes.max(other.peak_resident_bytes),
             sim_latency_us: latency.snapshot(),
@@ -346,6 +357,30 @@ pub(crate) fn take_pipelined() -> Option<Pipelined> {
     PIPELINED.take()
 }
 
+thread_local! {
+    /// Instructions the factored groups run on this thread fed their
+    /// front ends, and the control events those published
+    /// ([`note_front_end`]); taken back by the [`run_items`] worker.
+    static FRONT_END: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Records that a factored group run on this thread fed its front end
+/// `instructions` records, from which it published `control_events`
+/// control events for back ends that walk them, for
+/// [`SchedulerSummary::front_end_control_events`].
+pub(crate) fn note_front_end(instructions: u64, control_events: u64) {
+    FRONT_END.with(|f| {
+        let (i, c) = f.get();
+        f.set((i + instructions, c + control_events));
+    });
+}
+
+/// Takes what [`note_front_end`] summed on this thread since the
+/// previous take: (instructions, control events).
+pub(crate) fn take_front_end() -> (u64, u64) {
+    FRONT_END.take()
+}
+
 /// Admission state, guarded by one mutex; workers sleep on the paired
 /// condvar while the budget admits nothing.
 struct State {
@@ -403,6 +438,7 @@ where
     // the first item's replay thread sees the workers spawned after it.
     let busy = sim_threads.hold(threads.min(work.len()));
     let pipelined: Mutex<Option<Pipelined>> = Mutex::new(None);
+    let front_end = Mutex::new((0u64, 0u64));
     let state = Mutex::new(State {
         next: 0,
         active: 0,
@@ -423,6 +459,7 @@ where
             let exec = &exec;
             let latency = &latency;
             let pipelined = &pipelined;
+            let front_end = &front_end;
             scope.spawn(move || {
                 loop {
                     let w = {
@@ -478,6 +515,9 @@ where
                     let mut sum = pipelined.lock().expect("pipelined lock");
                     *sum = Some(sum.unwrap_or_default().add(&group));
                 }
+                let (instructions, control_events) = take_front_end();
+                let mut sum = front_end.lock().expect("front-end lock");
+                *sum = (sum.0 + instructions, sum.1 + control_events);
             });
         }
     });
@@ -485,6 +525,8 @@ where
 
     let st = state.into_inner().expect("scheduler lock");
     let pipelined = pipelined.into_inner().expect("pipelined lock");
+    let (front_end_instructions, front_end_control_events) =
+        front_end.into_inner().expect("front-end lock");
     if let Some(e) = st.error {
         return Err(e);
     }
@@ -497,6 +539,8 @@ where
         pipelined_replays: pipelined.map_or(0, |p| p.replays),
         front_end_replays: pipelined.map_or(0, |p| p.front_end_replays),
         pipeline_times: pipelined.map_or_else(PipelineTimes::default, |p| p.times),
+        front_end_instructions,
+        front_end_control_events,
         peak_resident_traces: st.peak_active,
         peak_resident_bytes: st.peak_bytes,
         sim_latency_us: latency.snapshot(),
@@ -699,6 +743,8 @@ mod tests {
                 pipelined_replays: if pipelined { 100 } else { 0 },
                 front_end_replays: if pipelined { 7 } else { 0 },
                 pipeline_times: PipelineTimes::default(),
+                front_end_instructions: 1_000 * units as u64,
+                front_end_control_events: 10 * units as u64,
                 peak_resident_traces: peak,
                 peak_resident_bytes: 1000 * peak as u64,
                 sim_latency_us: latency.snapshot(),
@@ -713,6 +759,7 @@ mod tests {
         assert_eq!(merged.threads, 2);
         assert!(merged.replay_pipelined);
         assert_eq!((merged.pipelined_replays, merged.front_end_replays), (100, 7));
+        assert_eq!((merged.front_end_instructions, merged.front_end_control_events), (7_000, 70));
         assert_eq!((merged.peak_resident_traces, merged.peak_resident_bytes), (2, 2000));
         assert_eq!(merged.wall, Duration::from_millis(70));
         assert_eq!(
@@ -754,7 +801,8 @@ mod tests {
     }
 
     /// The summary sums the per-side times of every pipelined group and
-    /// renders them after the front end's replay share.
+    /// renders them after the front end's replay share, followed by the
+    /// control events the front ends published per 1K instructions.
     #[test]
     fn summary_renders_the_times_of_both_sides() {
         let work: Vec<WorkItem> =
@@ -771,6 +819,7 @@ mod tests {
                 replay_wait: ms(6),
             };
             note_pipelined(10, 1, times);
+            note_front_end(1_000, 5 * (item.bench as u64 + 1));
             Ok(vec![()])
         })
         .unwrap();
@@ -780,7 +829,7 @@ mod tests {
         assert!(summary.render().contains(
             "replay pipelined (front end took 10.0% of 20 replays) \
              [front end source 210.0 / build 300.0 / claims 60.0 / wait 9.0 ms; \
-             replay memory 120.0 / claims 150.0 / wait 18.0 ms] | peak"
+             replay memory 120.0 / claims 150.0 / wait 18.0 ms], 7.5 control events/Ki | peak"
         ));
         let merged = summary.merge(&summary);
         assert_eq!(merged.pipeline_times.front_claims, Duration::from_millis(120));

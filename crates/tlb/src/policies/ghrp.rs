@@ -14,7 +14,7 @@
 //! CHiRP (Figure 11), and its outcome-heavy history is what limits its
 //! accuracy on TLB reuse (paper §III).
 
-use crate::policy::{PolicyStorage, TlbReplacementPolicy};
+use crate::policy::{History, PolicyStorage, TlbReplacementPolicy};
 use crate::types::{TlbAccess, TlbGeometry};
 use chirp_mem::PackedLru;
 use chirp_trace::BranchClass;
@@ -36,6 +36,33 @@ impl Default for GhrpConfig {
     }
 }
 
+/// GHRP's global history: per retired conditional branch, three
+/// low-order address bits and the outcome bit, as the original GHRP
+/// history does for instruction streams. Its key for an access is GHRP's
+/// 16-bit signature of (PC, history); accesses do not change it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OutcomeHistory {
+    bits: u64,
+}
+
+impl OutcomeHistory {
+    /// Folds a retired branch in; only conditional branches count.
+    #[inline]
+    pub fn on_branch(&mut self, pc: u64, class: BranchClass, taken: bool) {
+        if class == BranchClass::Conditional {
+            self.bits = (self.bits << 4) | (((pc >> 2) & 0x7) << 1) | u64::from(taken);
+        }
+    }
+
+    /// The 16-bit signature of an access at `pc` under the current
+    /// history.
+    #[inline]
+    pub fn key(&self, pc: u64) -> u16 {
+        let h = (pc >> 2) ^ self.bits.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((h ^ (h >> 17) ^ (h >> 33)) & 0xffff) as u16
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct EntryMeta {
     signature: u16,
@@ -48,7 +75,10 @@ pub struct Ghrp {
     meta: Vec<EntryMeta>,
     tables: [Vec<u8>; 3],
     lru: PackedLru,
-    history: u64,
+    history: OutcomeHistory,
+    /// Key handed in by factored replay for the next access
+    /// ([`TlbReplacementPolicy::supply_key`]); `None` outside replay.
+    pending_key: Option<u16>,
     config: GhrpConfig,
     geometry: TlbGeometry,
     table_accesses: u64,
@@ -64,7 +94,8 @@ impl Ghrp {
             meta: vec![EntryMeta::default(); geometry.entries],
             tables: [vec![0u8; n], vec![0u8; n], vec![0u8; n]],
             lru: PackedLru::new(geometry.sets(), geometry.ways),
-            history: 0,
+            history: OutcomeHistory::default(),
+            pending_key: None,
             config,
             geometry,
             table_accesses: 0,
@@ -77,11 +108,16 @@ impl Ghrp {
         set * self.geometry.ways + way
     }
 
-    /// 16-bit signature of (PC, outcome/path history).
+    /// The policy's own history register (diagnostics).
+    pub fn outcome_history(&self) -> &OutcomeHistory {
+        &self.history
+    }
+
+    /// 16-bit signature of (PC, outcome/path history): the supplied key
+    /// in factored replay, else the policy's own history's.
     #[inline]
-    fn signature(&self, pc: u64) -> u16 {
-        let h = (pc >> 2) ^ self.history.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h ^ (h >> 17) ^ (h >> 33)) & 0xffff) as u16
+    fn signature(&mut self, pc: u64) -> u16 {
+        self.pending_key.take().unwrap_or_else(|| self.history.key(pc))
     }
 
     /// Three distinct table indices derived from a signature.
@@ -169,11 +205,7 @@ impl TlbReplacementPolicy for Ghrp {
     }
 
     fn on_branch(&mut self, pc: u64, class: BranchClass, taken: bool) {
-        if class == BranchClass::Conditional {
-            // Outcome bit plus three low-order branch-address bits, as the
-            // original GHRP history does for instruction streams.
-            self.history = (self.history << 4) | (((pc >> 2) & 0x7) << 1) | u64::from(taken);
-        }
+        self.history.on_branch(pc, class, taken);
     }
 
     fn prediction_table_accesses(&self) -> u64 {
@@ -188,10 +220,13 @@ impl TlbReplacementPolicy for Ghrp {
         Some(self.meta[self.idx(set, way)].dead)
     }
 
-    /// Needs every retired branch for its history register, but models
-    /// no wrong-path pollution and consumes no precomputed signatures.
-    fn replay_hints(&self, _sig_code: u64) -> crate::policy::ReplayHints {
-        crate::policy::ReplayHints::branches_only()
+    fn history(&self) -> Option<History> {
+        Some(History::Outcome)
+    }
+
+    #[inline]
+    fn supply_key(&mut self, key: u16) {
+        self.pending_key = Some(key);
     }
 
     fn storage(&self) -> PolicyStorage {
@@ -274,7 +309,7 @@ mod tests {
             p.on_fill(&acc(pc, 0), 0);
             p.on_evict(0, 0);
         }
-        let sig = p.signature(pc);
+        let sig = p.history.key(pc);
         let high = p.counter_sum(sig);
         p.on_fill(&acc(pc, 0), 0);
         p.on_hit(&acc(pc, 0), 0);

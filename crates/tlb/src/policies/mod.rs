@@ -25,10 +25,10 @@ mod ship;
 mod srrip;
 
 pub use drrip::Drrip;
-pub use ghrp::{Ghrp, GhrpConfig};
+pub use ghrp::{Ghrp, GhrpConfig, OutcomeHistory};
 pub use lru::Lru;
 pub use opt::{OptOracle, OptPolicy};
-pub use perceptron::{PerceptronConfig, PerceptronReuse};
+pub use perceptron::{CondFeature, PerceptronConfig, PerceptronReuse};
 pub use random::RandomPolicy;
 pub use ship::{ShipConfig, ShipTlb};
 pub use srrip::Srrip;

@@ -129,6 +129,11 @@ impl TlbReplacementPolicy for OptPolicy {
         self.advance(acc.vpn);
     }
 
+    /// Reads no control flow: replay forwards no control event.
+    fn history(&self) -> Option<crate::policy::History> {
+        Some(crate::policy::History::Empty)
+    }
+
     fn storage(&self) -> PolicyStorage {
         // Offline oracle: not implementable in hardware; storage is
         // reported as zero to keep comparison tables meaningful.

@@ -13,7 +13,7 @@
 //! Not part of the paper's lineup; exposed through
 //! `chirp_sim::PolicyKind::PerceptronReuse` for extension studies.
 
-use crate::policy::{PolicyStorage, TlbReplacementPolicy};
+use crate::policy::{History, PolicyStorage, TlbReplacementPolicy};
 use crate::types::{TlbAccess, TlbGeometry};
 use chirp_mem::PackedLru;
 use chirp_trace::BranchClass;
@@ -37,6 +37,45 @@ impl Default for PerceptronConfig {
 }
 
 const FEATURES: usize = 4;
+
+/// Hashes a feature value to an index into a weight table of `mask + 1`
+/// entries.
+#[inline]
+fn feature_index(x: u64, mask: u64) -> u16 {
+    let m = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    ((m >> 40) & mask) as u16
+}
+
+/// Perceptron reuse's one control-flow feature: the PC of an access
+/// XORed with the history of conditional-branch PCs (bits \[11:4\] per
+/// branch), hashed to an index into its weight table. That index is the
+/// key; accesses do not change the history.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CondFeature {
+    cond: u64,
+    mask: u64,
+}
+
+impl CondFeature {
+    /// An empty history indexing a table of `2^table_bits` weights.
+    pub fn new(table_bits: u32) -> CondFeature {
+        CondFeature { cond: 0, mask: (1u64 << table_bits) - 1 }
+    }
+
+    /// Folds a retired branch in; only conditional branches count.
+    #[inline]
+    pub fn on_branch(&mut self, pc: u64, class: BranchClass) {
+        if class == BranchClass::Conditional {
+            self.cond = (self.cond << 8) | ((pc >> 4) & 0xff);
+        }
+    }
+
+    /// The feature's table index for an access at `pc`.
+    #[inline]
+    pub fn key(&self, pc: u64) -> u16 {
+        feature_index((pc >> 2) ^ self.cond, self.mask)
+    }
+}
 const WEIGHT_MAX: i8 = 31;
 const WEIGHT_MIN: i8 = -32;
 
@@ -59,7 +98,10 @@ pub struct PerceptronReuse {
     /// Path history of L2-access PCs (2 bits per access, like CHiRP).
     path: u64,
     /// Conditional-branch PC history.
-    cond: u64,
+    cond: CondFeature,
+    /// Key handed in by factored replay for the next access
+    /// ([`TlbReplacementPolicy::supply_key`]); `None` outside replay.
+    pending_key: Option<u16>,
     config: PerceptronConfig,
     geometry: TlbGeometry,
     table_accesses: u64,
@@ -75,7 +117,8 @@ impl PerceptronReuse {
             meta: vec![EntryMeta::default(); geometry.entries],
             lru: PackedLru::new(geometry.sets(), geometry.ways),
             path: 0,
-            cond: 0,
+            cond: CondFeature::new(config.table_bits),
+            pending_key: None,
             config,
             geometry,
             table_accesses: 0,
@@ -88,18 +131,20 @@ impl PerceptronReuse {
         set * self.geometry.ways + way
     }
 
-    /// Feature vector: PC hash, PC⊕short-path, PC⊕long-path, PC⊕cond-hist.
-    fn features(&self, pc: u64) -> [u16; FEATURES] {
+    /// The policy's own conditional-branch feature (diagnostics).
+    pub fn cond_feature(&self) -> &CondFeature {
+        &self.cond
+    }
+
+    /// Feature vector: PC hash, PC⊕short-path, PC⊕long-path, PC⊕cond-hist
+    /// (the supplied key in factored replay, else the policy's own).
+    fn features(&mut self, pc: u64) -> [u16; FEATURES] {
         let mask = (1u64 << self.config.table_bits) - 1;
-        let h = |x: u64| -> u16 {
-            let m = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            ((m >> 40) & mask) as u16
-        };
         [
-            h(pc >> 2),
-            h((pc >> 2) ^ (self.path & 0xffff)),
-            h((pc >> 2) ^ self.path),
-            h((pc >> 2) ^ self.cond),
+            feature_index(pc >> 2, mask),
+            feature_index((pc >> 2) ^ (self.path & 0xffff), mask),
+            feature_index((pc >> 2) ^ self.path, mask),
+            self.pending_key.take().unwrap_or_else(|| self.cond.key(pc)),
         ]
     }
 
@@ -176,9 +221,7 @@ impl TlbReplacementPolicy for PerceptronReuse {
     }
 
     fn on_branch(&mut self, pc: u64, class: BranchClass, _taken: bool) {
-        if class == BranchClass::Conditional {
-            self.cond = (self.cond << 8) | ((pc >> 4) & 0xff);
-        }
+        self.cond.on_branch(pc, class);
     }
 
     fn prediction_table_accesses(&self) -> u64 {
@@ -193,10 +236,13 @@ impl TlbReplacementPolicy for PerceptronReuse {
         Some(self.meta[self.idx(set, way)].dead)
     }
 
-    /// Needs every retired branch for its history register, but models
-    /// no wrong-path pollution and consumes no precomputed signatures.
-    fn replay_hints(&self, _sig_code: u64) -> crate::policy::ReplayHints {
-        crate::policy::ReplayHints::branches_only()
+    fn history(&self) -> Option<History> {
+        Some(History::CondFeature { table_bits: self.config.table_bits })
+    }
+
+    #[inline]
+    fn supply_key(&mut self, key: u16) {
+        self.pending_key = Some(key);
     }
 
     fn storage(&self) -> PolicyStorage {

@@ -67,10 +67,9 @@ impl TlbReplacementPolicy for Srrip {
         Some(self.rrpv[self.idx(set, way)] == RRPV_MAX)
     }
 
-    /// Keeps no branch history and consumes no signatures: replay can
-    /// drop every control event.
-    fn replay_hints(&self, _sig_code: u64) -> crate::policy::ReplayHints {
-        crate::policy::ReplayHints::none()
+    /// Reads no control flow: replay forwards no control event.
+    fn history(&self) -> Option<crate::policy::History> {
+        Some(crate::policy::History::Empty)
     }
 
     fn storage(&self) -> PolicyStorage {

@@ -1,11 +1,11 @@
 //! The replacement-policy interface every policy implements.
 //!
-//! The L2 TLB owns the tag/valid arrays; a policy owns whatever per-entry
-//! metadata it needs (LRU stacks, RRPVs, signatures, dead bits) plus any
-//! prediction tables, and reacts to the TLB's callbacks. The interface also
-//! exposes the two accounting hooks the paper's evaluation needs:
-//! prediction-table access counts (Figure 11) and storage overhead
-//! (Table I / §VI-H).
+//! The L2 TLB owns the entry keys (tag and valid bit in one word); a
+//! policy owns whatever per-entry metadata it needs (LRU stacks, RRPVs,
+//! signatures, dead bits) plus any prediction tables, and reacts to the
+//! TLB's callbacks. The interface also exposes the two accounting hooks
+//! the paper's evaluation needs: prediction-table access counts (Figure
+//! 11) and storage overhead (Table I / §VI-H).
 
 use crate::types::TlbAccess;
 use chirp_trace::BranchClass;
@@ -33,51 +33,58 @@ impl PolicyStorage {
     }
 }
 
-/// What a policy needs from the event stream when a factored back-end
-/// replays pre-recorded L2 accesses instead of running inside the full
-/// simulator (see `chirp-sim`'s front-end/back-end split).
-///
-/// The hints are a pure replay-time *optimization*: a policy that
-/// declares `needs_branches: false` promises that skipping
-/// [`TlbReplacementPolicy::on_branch`] calls cannot change any of its
-/// observable behaviour (victim choices, counters, storage). The
-/// conservative default ([`ReplayHints::conservative`]) keeps every
-/// event, so policies that don't override
-/// [`TlbReplacementPolicy::replay_hints`] are always replayed faithfully.
+/// The shape of CHiRP's signature registers (paper §IV-B): the fields of
+/// `chirp_core::ChirpConfig` that change signature *values*. Table size,
+/// counter width and thresholds consume signatures without shaping them,
+/// so they are not part of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayHints {
-    /// Replay must forward retired-branch events
-    /// ([`TlbReplacementPolicy::on_branch`]).
-    pub needs_branches: bool,
-    /// Replay must forward misprediction events
-    /// ([`TlbReplacementPolicy::on_mispredict`]).
-    pub needs_mispredicts: bool,
-    /// The policy consumes the stream's precomputed per-access signature
-    /// via [`TlbReplacementPolicy::supply_signature`] instead of running
-    /// its own history registers. Only meaningful when the policy has
-    /// verified the stream's signature-configuration code matches its
-    /// own.
-    pub accepts_signatures: bool,
+pub struct SignatureSpec {
+    /// Path-history events retained.
+    pub path_length: u32,
+    /// Two injected zero bits per path event.
+    pub inject_zeros: bool,
+    /// The path history enters the signature.
+    pub use_path: bool,
+    /// The conditional-branch history enters the signature.
+    pub use_cond: bool,
+    /// The indirect-branch history enters the signature.
+    pub use_uncond: bool,
+    /// The shifted access PC enters the signature.
+    pub use_pc: bool,
+    /// Branch-history events retained.
+    pub branch_length: u32,
+    /// Pseudo wrong-path events folded in per misprediction (0: the
+    /// paper's committed history).
+    pub wrong_path_pollution: u32,
 }
 
-impl ReplayHints {
-    /// Safe for every policy: forward all control events, precompute
-    /// nothing.
-    pub const fn conservative() -> Self {
-        ReplayHints { needs_branches: true, needs_mispredicts: true, accepts_signatures: false }
-    }
-
-    /// For stateless-between-accesses policies (LRU, Random, RRIP
-    /// family): no control events, no signatures.
-    pub const fn none() -> Self {
-        ReplayHints { needs_branches: false, needs_mispredicts: false, accepts_signatures: false }
-    }
-
-    /// For branch-history policies without wrong-path modelling (GHRP,
-    /// perceptron reuse).
-    pub const fn branches_only() -> Self {
-        ReplayHints { needs_branches: true, needs_mispredicts: false, accepts_signatures: false }
-    }
+/// The control-flow history a policy's decisions read, declared so that
+/// factored replay can run it in the front end, once per group, instead
+/// of every back end walking every branch and misprediction.
+///
+/// A history turns the retired-branch and misprediction stream into one
+/// 16-bit *key* per L2 access, computed before the access is folded into
+/// it. Policies that declare equal histories read equal keys. The
+/// runnable components are the policies' own: `chirp_core`'s
+/// `SignatureBuilder`, [`OutcomeHistory`](crate::policies::OutcomeHistory)
+/// and [`CondFeature`](crate::policies::CondFeature).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum History {
+    /// The policy reads no branch and no misprediction, and takes no key
+    /// (LRU, Random, the RRIP family, SHiP, OPT).
+    Empty,
+    /// CHiRP's path, conditional and indirect registers in this shape,
+    /// its wrong-path pollution included; the key is the 16-bit
+    /// signature.
+    Signature(SignatureSpec),
+    /// GHRP's outcome/PC register; the key is GHRP's signature.
+    Outcome,
+    /// Perceptron reuse's conditional-branch feature; the key is that
+    /// feature's index into a table of `2^table_bits` weights.
+    CondFeature {
+        /// log2 entries of the feature's weight table.
+        table_bits: u32,
+    },
 }
 
 /// Replacement policy for a set-associative TLB.
@@ -93,9 +100,16 @@ impl ReplayHints {
 ///    [`on_evict`](Self::on_evict) for the chosen way, then
 ///    [`on_fill`](Self::on_fill) for the new entry in that way.
 ///
-/// Independently, the driving simulator forwards every retired branch to
-/// [`on_branch`](Self::on_branch) so history-based policies can maintain
-/// their registers.
+/// Control flow reaches a policy in one of two ways. The reference
+/// simulator forwards every misprediction to
+/// [`on_mispredict`](Self::on_mispredict) and every retired branch to
+/// [`on_branch`](Self::on_branch), so history-based policies maintain
+/// their own registers. Factored replay does the same for a policy whose
+/// [`history`](Self::history) is `None`. For a policy that declares a
+/// [`History`], it runs that history itself and instead calls
+/// [`supply_key`](Self::supply_key) once before each access's `on_hit` or
+/// `on_fill` (never for [`History::Empty`]), and forwards no control
+/// event at all.
 pub trait TlbReplacementPolicy {
     /// Short stable name for reports (e.g. `"lru"`, `"chirp"`).
     fn name(&self) -> &str;
@@ -153,21 +167,21 @@ pub trait TlbReplacementPolicy {
     /// Storage overhead breakdown (Table I / §VI-H).
     fn storage(&self) -> PolicyStorage;
 
-    /// Which event classes this policy needs when a factored back-end
-    /// replays a pre-recorded L2 access stream. `sig_code` identifies the
-    /// signature configuration the stream's precomputed signatures were
-    /// built with (see `ChirpConfig::signature_code` in `chirp-core`);
-    /// a policy may only claim `accepts_signatures` when that code
-    /// matches its own. The default is fully conservative, so policies
-    /// that ignore this hook are always replayed faithfully.
-    fn replay_hints(&self, _sig_code: u64) -> ReplayHints {
-        ReplayHints::conservative()
+    /// The control-flow history this policy's decisions read, in the
+    /// state it starts from, or `None` when the policy does not say.
+    /// Factored replay runs a declared history on the policy's behalf
+    /// (see the call protocol above); a policy that declares none is
+    /// replayed faithfully, every control event forwarded, so the
+    /// default is always safe.
+    fn history(&self) -> Option<History> {
+        None
     }
 
-    /// Hands the policy the stream's precomputed signature for the next
-    /// L2 access. Only called when [`Self::replay_hints`] returned
-    /// `accepts_signatures: true`; the default implementation drops it.
-    fn supply_signature(&mut self, _sig: u16) {}
+    /// Hands the policy the key its declared [`History`] computes for
+    /// the next L2 access: the policy uses it in place of what its own
+    /// registers would compute, and leaves them untouched. The default
+    /// drops it.
+    fn supply_key(&mut self, _key: u16) {}
 
     /// Downcast hook for diagnostics tooling; policies that expose internal
     /// state override this to return `self`.
@@ -226,12 +240,12 @@ impl<T: TlbReplacementPolicy + ?Sized> TlbReplacementPolicy for Box<T> {
         (**self).storage()
     }
 
-    fn replay_hints(&self, sig_code: u64) -> ReplayHints {
-        (**self).replay_hints(sig_code)
+    fn history(&self) -> Option<History> {
+        (**self).history()
     }
 
-    fn supply_signature(&mut self, sig: u16) {
-        (**self).supply_signature(sig)
+    fn supply_key(&mut self, key: u16) {
+        (**self).supply_key(key)
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {

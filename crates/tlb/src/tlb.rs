@@ -73,9 +73,10 @@ pub struct AccessOutcome {
 /// site compiling unchanged.
 pub struct L2Tlb<P: TlbReplacementPolicy = Box<dyn TlbReplacementPolicy>> {
     geometry: TlbGeometry,
-    /// `sets * ways` VPN tags, flattened row-major by set.
-    tags: Vec<u64>,
-    valid: Vec<bool>,
+    /// `sets * ways` entry keys, flattened row-major by set: `vpn << 1 |
+    /// 1` for a valid entry, 0 for an invalid one. VPNs are page numbers
+    /// of 64-bit addresses, so the shift loses nothing.
+    keys: Vec<u64>,
     policy: P,
     stats: TlbStats,
     efficiency: EfficiencyTracker,
@@ -100,8 +101,7 @@ impl<P: TlbReplacementPolicy> L2Tlb<P> {
         let sets = geometry.sets();
         L2Tlb {
             geometry,
-            tags: vec![0; sets * geometry.ways],
-            valid: vec![false; sets * geometry.ways],
+            keys: vec![0; sets * geometry.ways],
             policy,
             stats: TlbStats::default(),
             efficiency: EfficiencyTracker::new(sets, geometry.ways),
@@ -127,8 +127,8 @@ impl<P: TlbReplacementPolicy> L2Tlb<P> {
 
     /// Fraction of ways currently holding a valid translation.
     pub fn occupancy(&self) -> f64 {
-        let valid = self.valid.iter().filter(|&&v| v).count();
-        valid as f64 / self.valid.len() as f64
+        let valid = self.keys.iter().filter(|&&k| k != 0).count();
+        valid as f64 / self.keys.len() as f64
     }
 
     /// The TLB geometry.
@@ -152,42 +152,47 @@ impl<P: TlbReplacementPolicy> L2Tlb<P> {
     pub fn access_at(&mut self, acc: TlbAccess) -> AccessOutcome {
         let TlbAccess { vpn, set, .. } = acc;
         debug_assert_eq!(set, self.geometry.set_of(vpn));
+        debug_assert!(vpn >> 63 == 0, "vpn {vpn:#x} does not fit a key");
         self.efficiency.tick();
         let ways = self.geometry.ways;
         let base = set * ways;
+        let key = vpn << 1 | 1;
+        // Dispatch on the associativity so the scan compiles with a
+        // compile-time trip count for the geometries the model uses.
+        let (hit_way, free_way) = match ways {
+            4 => scan::<4>(&self.keys, base, key),
+            8 => scan::<8>(&self.keys, base, key),
+            16 => scan::<16>(&self.keys, base, key),
+            _ => scan_dyn(&self.keys[base..base + ways], key),
+        };
 
-        for way in 0..ways {
-            if self.valid[base + way] && self.tags[base + way] == vpn {
-                self.stats.hits += 1;
-                self.efficiency.on_hit(set, way);
-                self.policy.on_hit(&acc, way);
-                if let Some(sb) = &mut self.scoreboard {
-                    sb.on_hit(base + way);
-                }
-                return AccessOutcome { hit: true, way, evicted: None };
+        if hit_way != usize::MAX {
+            let way = hit_way;
+            self.stats.hits += 1;
+            self.efficiency.on_hit(set, way);
+            self.policy.on_hit(&acc, way);
+            if let Some(sb) = &mut self.scoreboard {
+                sb.on_hit(base + way);
             }
+            return AccessOutcome { hit: true, way, evicted: None };
         }
 
         self.stats.misses += 1;
         // Fill an invalid way first; otherwise ask the policy for a victim.
-        let (way, evicted) = match (0..ways).find(|&w| !self.valid[base + w]) {
-            Some(free) => {
-                self.stats.cold_fills += 1;
-                (free, None)
+        let (way, evicted) = if free_way != usize::MAX {
+            self.stats.cold_fills += 1;
+            (free_way, None)
+        } else {
+            let victim = self.policy.choose_victim(&acc);
+            assert!(victim < ways, "policy returned way {victim} of {ways}");
+            let old = self.keys[base + victim] >> 1;
+            if let Some(sb) = &mut self.scoreboard {
+                sb.on_evict(base + victim);
             }
-            None => {
-                let victim = self.policy.choose_victim(&acc);
-                assert!(victim < ways, "policy returned way {victim} of {ways}");
-                let old = self.tags[base + victim];
-                if let Some(sb) = &mut self.scoreboard {
-                    sb.on_evict(base + victim);
-                }
-                self.policy.on_evict(set, victim);
-                (victim, Some(old))
-            }
+            self.policy.on_evict(set, victim);
+            (victim, Some(old))
         };
-        self.tags[base + way] = vpn;
-        self.valid[base + way] = true;
+        self.keys[base + way] = key;
         self.efficiency.on_insert(set, way);
         self.policy.on_fill(&acc, way);
         if self.scoreboard.is_some() {
@@ -213,11 +218,11 @@ impl<P: TlbReplacementPolicy> L2Tlb<P> {
         self.policy.on_mispredict(pc);
     }
 
-    /// Hands the policy a precomputed signature for the next access
-    /// (factored replay; see [`TlbReplacementPolicy::supply_signature`]).
+    /// Hands the policy the key of its declared history for the next
+    /// access (factored replay; see [`TlbReplacementPolicy::supply_key`]).
     #[inline]
-    pub fn supply_signature(&mut self, sig: u16) {
-        self.policy.supply_signature(sig);
+    pub fn supply_key(&mut self, key: u16) {
+        self.policy.supply_key(key);
     }
 
     /// Accumulated statistics. `dead_evictions` is sourced live from the
@@ -242,14 +247,51 @@ impl<P: TlbReplacementPolicy> L2Tlb<P> {
     pub fn probe(&self, vpn: u64) -> bool {
         let set = self.geometry.set_of(vpn);
         let base = set * self.geometry.ways;
-        (0..self.geometry.ways).any(|w| self.valid[base + w] && self.tags[base + w] == vpn)
+        self.keys[base..base + self.geometry.ways].contains(&(vpn << 1 | 1))
     }
+}
+
+/// The hit way of `key` among the `W` keys of the set at `base`, and the
+/// lowest free way, each `usize::MAX` when there is none. Branch-free:
+/// which way hits is effectively random, so an early-exit scan would eat
+/// a mispredict on most hits, while this folds into conditional moves.
+/// The reversed loop makes the lowest free way win; the hit way is unique
+/// (keys are distinct, and `key` carries the valid bit, so it never
+/// equals an invalid 0).
+#[inline(always)]
+fn scan<const W: usize>(keys: &[u64], base: usize, key: u64) -> (usize, usize) {
+    let set: &[u64; W] = keys[base..base + W].try_into().expect("slice spans W ways");
+    let (mut hit, mut free) = (usize::MAX, usize::MAX);
+    for way in (0..W).rev() {
+        if set[way] == key {
+            hit = way;
+        }
+        if set[way] == 0 {
+            free = way;
+        }
+    }
+    (hit, free)
+}
+
+/// [`scan`] for associativities without a monomorphized instantiation.
+fn scan_dyn(set: &[u64], key: u64) -> (usize, usize) {
+    let (mut hit, mut free) = (usize::MAX, usize::MAX);
+    for (way, &k) in set.iter().enumerate().rev() {
+        if k == key {
+            hit = way;
+        }
+        if k == 0 {
+            free = way;
+        }
+    }
+    (hit, free)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policies::Lru;
+    use proptest::prelude::*;
 
     fn tiny() -> L2Tlb {
         let geom = TlbGeometry { entries: 8, ways: 2 }; // 4 sets x 2 ways
@@ -369,6 +411,74 @@ mod tests {
         }
         for vpn in 0..4 {
             assert!(tlb.probe(vpn), "vpn {vpn} sits in its own set");
+        }
+    }
+
+    /// The L2 TLB as plainly as it can be written: per set a `Vec` of
+    /// optional vpns scanned with early exits, and a recency list (most
+    /// recent first) for true LRU victims.
+    struct NaiveTlb {
+        geometry: TlbGeometry,
+        sets: Vec<(Vec<Option<u64>>, Vec<usize>)>,
+        cold_fills: u64,
+    }
+
+    impl NaiveTlb {
+        fn new(geometry: TlbGeometry) -> NaiveTlb {
+            let set = (vec![None; geometry.ways], Vec::new());
+            NaiveTlb { geometry, sets: vec![set; geometry.sets()], cold_fills: 0 }
+        }
+
+        fn access(&mut self, vpn: u64) -> AccessOutcome {
+            let (tags, recency) = &mut self.sets[self.geometry.set_of(vpn)];
+            let (way, hit, evicted) = if let Some(way) = tags.iter().position(|&t| t == Some(vpn)) {
+                (way, true, None)
+            } else if let Some(way) = tags.iter().position(Option::is_none) {
+                self.cold_fills += 1;
+                (way, false, None)
+            } else {
+                let way = *recency.last().expect("a full set has a recency order");
+                (way, false, tags[way])
+            };
+            tags[way] = Some(vpn);
+            recency.retain(|&w| w != way);
+            recency.insert(0, way);
+            AccessOutcome { hit, way, evicted }
+        }
+
+        fn probe(&self, vpn: u64) -> bool {
+            self.sets[self.geometry.set_of(vpn)].0.contains(&Some(vpn))
+        }
+
+        fn occupancy(&self) -> f64 {
+            let valid = self.sets.iter().flat_map(|(tags, _)| tags).flatten().count();
+            valid as f64 / self.geometry.entries as f64
+        }
+    }
+
+    proptest! {
+        /// The branch-free key scan, at every associativity it
+        /// monomorphizes (8 most often, the paper's) and the ones it does
+        /// not, agrees with the naive model at every step: hit or miss,
+        /// way, evicted vpn, cold fills, `probe` and `occupancy`.
+        #[test]
+        fn branch_free_probe_matches_a_naive_model(
+            ways in prop_oneof![Just(8usize), 1usize..17],
+            sets_log in 0u32..4,
+            vpns in proptest::collection::vec(0u64..96, 1..400),
+        ) {
+            let geometry = TlbGeometry { entries: ways << sets_log, ways };
+            let mut tlb = L2Tlb::new(geometry, Lru::new(geometry));
+            let mut model = NaiveTlb::new(geometry);
+            for (step, &vpn) in vpns.iter().enumerate() {
+                let got = tlb.access(0x400000, vpn, TranslationKind::Data);
+                prop_assert_eq!(got, model.access(vpn), "{} ways, step {}", ways, step);
+                prop_assert_eq!(tlb.stats().cold_fills, model.cold_fills);
+                for probe in [vpn, vpn ^ 1, vpn + 32] {
+                    prop_assert_eq!(tlb.probe(probe), model.probe(probe));
+                }
+                prop_assert_eq!(tlb.occupancy(), model.occupancy());
+            }
         }
     }
 }

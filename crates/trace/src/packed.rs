@@ -739,7 +739,7 @@ mod tests {
 
             /// Walking the columns in bursts of any size over any chunking
             /// yields the identical record sequence — the contract the
-            /// front end's per-burst walk rests on.
+            /// front end's column walk rests on, however its chunks split.
             #[test]
             fn column_walk_matches_per_record_path(
                 trace in vec(arb_record(), 0..300usize),

@@ -226,6 +226,17 @@ target/release/run_all --benchmarks 2 --instructions 50_000 --threads 1 \
     --store "$pipelined_store" > "$smoke_dir/pipelined.out"
 target/release/run_all --benchmarks 2 --instructions 50_000 --threads "$cpus" \
     --store "$inline_store" > "$smoke_dir/inline.out"
+# Every lineup and figure policy declares the control-flow history it
+# reads, and the front end runs it, so no group publishes a control
+# event: each [scheduler] line of either run must read 0.0 control
+# events per 1K instructions. A policy put back on the event walk shows
+# here as hundreds.
+no_control_events() {
+    grep -q '^\[scheduler\]' "$1"
+    awk '/^\[scheduler\]/ && !/, 0\.0 control events\/Ki / { bad = 1 } END { exit bad }' "$1"
+}
+no_control_events "$smoke_dir/pipelined.out"
+no_control_events "$smoke_dir/inline.out"
 if [[ "$cpus" -eq 1 ]]; then
     echo "    1 cpu: both runs replayed inline"
 else
@@ -265,6 +276,7 @@ for form in pipelined inline; do
     if [[ "$form" == pipelined && "$cpus" -gt 1 ]]; then
         grep -q "replay pipelined" "$smoke_dir/$form-resumed.out"
     fi
+    no_control_events "$smoke_dir/$form-resumed.out"
     cmp <(sort "$store/runs.jsonl") "$smoke_dir/$form-full.jsonl"
 done
 
