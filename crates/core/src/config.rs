@@ -130,26 +130,11 @@ impl ChirpConfig {
         }
     }
 
-    /// Identity code of [`signature_spec`](Self::signature_spec): an
-    /// FNV-1a fold of its fields, which `FactoredTrace` stamps on the
+    /// Identity code of [`signature_spec`](Self::signature_spec)
+    /// ([`SignatureSpec::code`]), which `FactoredTrace` stamps on the
     /// events it built.
     pub fn signature_code(&self) -> u64 {
-        let spec = self.signature_spec();
-        let mut code = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-        for field in [
-            u64::from(spec.path_length),
-            u64::from(spec.inject_zeros),
-            u64::from(spec.use_path),
-            u64::from(spec.use_cond),
-            u64::from(spec.use_uncond),
-            u64::from(spec.use_pc),
-            u64::from(spec.branch_length),
-            u64::from(spec.wrong_path_pollution),
-        ] {
-            code ^= field;
-            code = code.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        code
+        self.signature_spec().code()
     }
 }
 

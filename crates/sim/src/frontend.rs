@@ -307,8 +307,6 @@ pub struct FactoredTrace {
     /// Identity of the signature configuration the key column was
     /// computed under ([`ChirpConfig::signature_code`]).
     pub sig_code: u64,
-    /// The history that signature configuration declares.
-    history: History,
 }
 
 impl FactoredTrace {
@@ -322,8 +320,9 @@ impl FactoredTrace {
     ) -> FactoredTrace {
         let warmup = warmup_cut(trace.len(), warmup_fraction);
         let mut fe = FrontEnd::new(config, sig_config);
-        let mut warm = EventSegment::default();
-        let mut meas = EventSegment::default();
+        // Both segments carry the key column, even one no record reaches.
+        let mut warm = EventSegment { keys: vec![Vec::new()], ..EventSegment::default() };
+        let mut meas = warm.clone();
         let mut in_measured = false;
         let mut pos = 0usize;
         for chunk in trace.chunks(CHUNK_SIZE) {
@@ -339,12 +338,7 @@ impl FactoredTrace {
             }
             pos += chunk.len();
         }
-        FactoredTrace {
-            warmup: warm,
-            measured: meas,
-            sig_code: sig_config.signature_code(),
-            history: History::Signature(sig_config.signature_spec()),
-        }
+        FactoredTrace { warmup: warm, measured: meas, sig_code: sig_config.signature_code() }
     }
 
     /// Total L2 access events across both segments.
@@ -422,32 +416,6 @@ impl RunningHistory {
             RunningHistory::Signature(s) => s.key(pc),
             RunningHistory::Outcome(h) => h.key(pc),
             RunningHistory::CondFeature(f) => f.key(pc),
-        }
-    }
-
-    /// The key of every access event of `seg`, running this history over
-    /// the segment's control events in between: the column a front end
-    /// running it would have written.
-    fn keys_of(&mut self, seg: &EventSegment) -> Vec<u16> {
-        let mut keys = Vec::with_capacity(seg.access_events());
-        let mut ctl = 0usize;
-        for (i, &pc) in seg.acc_pc.iter().enumerate() {
-            while ctl < seg.ctl_after.len() && seg.ctl_after[ctl] as usize <= i {
-                self.control(seg.ctl_kind[ctl], seg.ctl_pc[ctl]);
-                ctl += 1;
-            }
-            keys.push(self.key(pc));
-        }
-        for i in ctl..seg.control_events() {
-            self.control(seg.ctl_kind[i], seg.ctl_pc[i]);
-        }
-        keys
-    }
-
-    fn control(&mut self, kind: u8, pc: u64) {
-        match control_event(kind) {
-            Some((class, taken)) => self.on_branch(pc, class, taken),
-            None => self.on_mispredict(pc),
         }
     }
 }
@@ -713,10 +681,9 @@ impl MemoryStage {
 pub struct Backend<P: TlbReplacementPolicy> {
     l2: L2Tlb<P>,
     walker: PageWalker,
-    /// The policy declares no history
-    /// ([`TlbReplacementPolicy::history`]), so replay forwards it every
-    /// control event, as the reference simulator does.
-    walks_events: bool,
+    /// The policy declares the empty history
+    /// ([`TlbReplacementPolicy::history`]): it reads no control event.
+    keyless: bool,
     cycles: u64,
     instructions: u64,
 }
@@ -728,24 +695,35 @@ impl<P: TlbReplacementPolicy> Backend<P> {
         if let Some((entries, hit_penalty)) = config.tlb.psc {
             walker = walker.with_psc(entries, hit_penalty);
         }
-        let walks_events = policy.history().is_none();
+        let keyless = policy.history() == Some(History::Empty);
         Backend {
             l2: L2Tlb::new(config.tlb.l2, policy),
             walker,
-            walks_events,
+            keyless,
             cycles: 0,
             instructions: 0,
         }
     }
 
     /// Replays one whole segment and adds the segment's front-end cycles
-    /// and the `memory_cycles` its memory column cost. `keys` is the key
-    /// column of the policy's declared history, when it has one with a
-    /// key: each access hands its key to the policy first. A backend
-    /// that walks events interleaves the segment's control events with
-    /// its access events exactly as the full simulator would.
+    /// and the `memory_cycles` its memory column cost. `keys`, when
+    /// given, is the key column of the policy's declared history: each
+    /// access hands its key to the policy first. Without one, a policy
+    /// of the empty history replays the accesses alone, and any other
+    /// has the segment's control events interleaved with its access
+    /// events exactly as the full simulator would.
     fn replay(&mut self, seg: &EventSegment, keys: Option<&[u16]>, memory_cycles: u64) {
-        if self.walks_events {
+        if let Some(keys) = keys {
+            debug_assert_eq!(keys.len(), seg.access_events());
+            for (i, &key) in keys.iter().enumerate() {
+                self.l2.supply_key(key);
+                self.access(seg, i);
+            }
+        } else if self.keyless {
+            for i in 0..seg.access_events() {
+                self.access(seg, i);
+            }
+        } else {
             // A local cursor stays in a register across the policy calls.
             let mut ctl = 0usize;
             for i in 0..seg.access_events() {
@@ -757,16 +735,6 @@ impl<P: TlbReplacementPolicy> Backend<P> {
             }
             for i in ctl..seg.control_events() {
                 self.apply_control(seg, i);
-            }
-        } else if let Some(keys) = keys {
-            debug_assert_eq!(keys.len(), seg.access_events());
-            for (i, &key) in keys.iter().enumerate() {
-                self.l2.supply_key(key);
-                self.access(seg, i);
-            }
-        } else {
-            for i in 0..seg.access_events() {
-                self.access(seg, i);
             }
         }
         self.cycles += seg.invariant_cycles + memory_cycles;
@@ -864,33 +832,26 @@ impl<P: TlbReplacementPolicy> Backend<P> {
 /// policy. Returns `(result, backend)` pairs in input order, each
 /// bit-identical to `Simulator::run_columnar` of the same unit. A member
 /// whose declared history is the trace's own signature configuration
-/// reads the trace's key column; every other declared history runs over
-/// the trace's control events once, for all the members that declare it,
-/// and a member that declares none walks them itself.
+/// reads the trace's key column; every other member walks the trace's
+/// control events, unless it declares the empty history.
 pub fn replay_factored<P: TlbReplacementPolicy>(
     config: &SimConfig,
     trace: &FactoredTrace,
     policies: Vec<P>,
 ) -> Vec<(RunResult, Backend<P>)> {
-    let plan = Plan::new(&policies);
-    let lanes = Lanes::new(config, policies, &plan.columns, None);
-    let mut derived: Vec<Option<RunningHistory>> = plan
-        .histories
+    let columns: Vec<Option<usize>> = policies
         .iter()
-        .map(|h| if *h == trace.history { None } else { RunningHistory::new(h) })
+        .map(|policy| match policy.history() {
+            Some(History::Signature(spec)) if spec.code() == trace.sig_code => Some(0),
+            _ => None,
+        })
         .collect();
+    let lanes = Lanes::new(config, policies, &columns, None);
     let mut memory = MemoryStage::new(config);
     for (seg, ends_warmup) in [(&trace.warmup, true), (&trace.measured, false)] {
-        let keys: Vec<Vec<u16>> = derived
-            .iter_mut()
-            .map(|running| match running {
-                Some(running) => running.keys_of(seg),
-                None => seg.keys.first().cloned().unwrap_or_default(),
-            })
-            .collect();
         let memory_cycles = memory.run(seg);
         for lane in 0..lanes.len() {
-            lanes.replay(lane, seg, &keys, memory_cycles, ends_warmup);
+            lanes.replay(lane, seg, memory_cycles, ends_warmup);
         }
     }
     lanes.finish().into_iter().map(|(result, backend, _)| (result, backend)).collect()
@@ -1030,19 +991,12 @@ impl<P: TlbReplacementPolicy> Lanes<P> {
         self.lanes.len()
     }
 
-    /// Replays backend `lane` over `seg`, whose key columns are `keys`,
-    /// snapshotting its measured window when the segment ends at the
-    /// warmup cut, and samples it when the group samples.
-    fn replay(
-        &self,
-        lane: usize,
-        seg: &EventSegment,
-        keys: &[Vec<u16>],
-        memory_cycles: u64,
-        ends_warmup: bool,
-    ) {
+    /// Replays backend `lane` over `seg`, snapshotting its measured
+    /// window when the segment ends at the warmup cut, and samples it
+    /// when the group samples.
+    fn replay(&self, lane: usize, seg: &EventSegment, memory_cycles: u64, ends_warmup: bool) {
         let mut lane = self.lanes[lane].lock().expect("a panicked claim stops its group");
-        let keys = lane.column.map(|column| keys[column].as_slice());
+        let keys = lane.column.map(|column| seg.keys[column].as_slice());
         lane.backend.replay(seg, keys, memory_cycles);
         if ends_warmup {
             lane.window = Some(lane.backend.window_start());
@@ -1196,7 +1150,7 @@ impl<P: TlbReplacementPolicy> Ring<P> {
     /// Runs one claim on the calling thread.
     fn run(&self, claim: Claim) {
         let seg = self.slots[claim.slot].read().unwrap_or_else(PoisonError::into_inner);
-        self.lanes.replay(claim.lane, &seg, &seg.keys, claim.memory_cycles, claim.ends_warmup);
+        self.lanes.replay(claim.lane, &seg, claim.memory_cycles, claim.ends_warmup);
         drop(seg);
         let mut st = self.state();
         let (next, busy) = &mut st.progress[claim.lane];
@@ -1559,7 +1513,9 @@ where
 /// policy over the same records. The back ends replay on a second thread
 /// when a core would otherwise sit idle, inline otherwise. The front end
 /// runs the histories the policies declare, so `_sig_config`, the
-/// signature configuration callers once chose for it, is not read.
+/// signature configuration callers once chose for it, is not read; it
+/// goes with its call sites in this crate's `tests/equivalence_matrix.rs`
+/// and `tests/alloc_guard.rs` (ROADMAP item 9).
 ///
 /// # Errors
 ///

@@ -58,6 +58,28 @@ pub struct SignatureSpec {
     pub wrong_path_pollution: u32,
 }
 
+impl SignatureSpec {
+    /// Identity code of the spec: an FNV-1a fold of its fields. Equal
+    /// specs have equal codes.
+    pub fn code(&self) -> u64 {
+        let mut code = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
+        for field in [
+            u64::from(self.path_length),
+            u64::from(self.inject_zeros),
+            u64::from(self.use_path),
+            u64::from(self.use_cond),
+            u64::from(self.use_uncond),
+            u64::from(self.use_pc),
+            u64::from(self.branch_length),
+            u64::from(self.wrong_path_pollution),
+        ] {
+            code ^= field;
+            code = code.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        code
+    }
+}
+
 /// The control-flow history a policy's decisions read, declared so that
 /// factored replay can run it in the front end, once per group, instead
 /// of every back end walking every branch and misprediction.

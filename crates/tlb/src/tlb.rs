@@ -157,12 +157,10 @@ impl<P: TlbReplacementPolicy> L2Tlb<P> {
         let ways = self.geometry.ways;
         let base = set * ways;
         let key = vpn << 1 | 1;
-        // Dispatch on the associativity so the scan compiles with a
-        // compile-time trip count for the geometries the model uses.
+        // The default 8-way L2 TLB's scan compiles with a compile-time
+        // trip count; other associativities take the general scan.
         let (hit_way, free_way) = match ways {
-            4 => scan::<4>(&self.keys, base, key),
             8 => scan::<8>(&self.keys, base, key),
-            16 => scan::<16>(&self.keys, base, key),
             _ => scan_dyn(&self.keys[base..base + ways], key),
         };
 
